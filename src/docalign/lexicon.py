@@ -257,15 +257,23 @@ def reverse_condition_violations(
 ) -> int:
     """Diagnostic: pairs (a, b) for which some other pivot word w beats a on
     P_fwd(w, b) + P_bwd(b, w). The forward construction does not guarantee
-    this count is zero for arbitrary tables."""
-    alpha = sorted(set(v_alpha))
+    this count is zero for arbitrary tables.
+
+    Probabilities are non-negative, so a pivot word with neither entry
+    scores 0 and cannot beat a; only the words that have an entry for b
+    are tried, which costs O(table entries) rather than O(pairs x pivot
+    vocabulary)."""
+    alpha = set(v_alpha)
+    fwd_by_tgt = p_fwd.by_tgt()
+    bwd_by_src = p_bwd.by_src()
     violations = 0
     for a, b in align.pairs:
         s_ab = p_fwd.probs.get((a, b), 0.0) + p_bwd.probs.get((b, a), 0.0)
-        for w in alpha:
-            if p_fwd.probs.get((w, b), 0.0) + p_bwd.probs.get((b, w), 0.0) > s_ab:
-                violations += 1
-                break
+        rivals = [*fwd_by_tgt.get(b, ()), *bwd_by_src.get(b, ())]
+        if any(w in alpha
+               and p_fwd.probs.get((w, b), 0.0) + p_bwd.probs.get((b, w), 0.0) > s_ab
+               for w in rivals):
+            violations += 1
     return violations
 
 
@@ -278,12 +286,6 @@ def map_document(doc: DocumentRecord, align: LexiconAlignment) -> list[str]:
         )
     to_pivot = align.to_pivot
     return [to_pivot[t] for t in doc.tokens if t in to_pivot]
-
-
-def map_tokens(tokens: Sequence[str], align: LexiconAlignment) -> list[str]:
-    """map_document without the language check, for already-validated streams."""
-    to_pivot = align.to_pivot
-    return [to_pivot[t] for t in tokens if t in to_pivot]
 
 
 def save_alignment(align: LexiconAlignment, p_fwd: TranslationTable,

@@ -1,4 +1,7 @@
 import json
+import sys
+import unicodedata
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +48,42 @@ class TestExtractText:
         assert corpus.extract_text(once) == once
 
 
+def oracle_tokenize(text: str) -> list[str]:
+    """The per-character tokenizer that the table-driven one replaced."""
+    tokens: list[str] = []
+    buf: list[str] = []
+
+    def flush():
+        if buf:
+            tokens.append("".join(buf))
+            buf.clear()
+
+    for ch in text.lower():
+        if corpus._is_cjk(ch):
+            flush()
+            tokens.append(ch)
+        elif unicodedata.category(ch)[0] in ("L", "N", "M"):
+            buf.append(ch)
+        else:
+            flush()
+    flush()
+    return tokens
+
+
+# CJK range ends and the first code point past the last range, a combining
+# mark, a capital whose lowercase is two code points, an underscore, two
+# non-ASCII spaces and a non-ASCII digit, mixed with plain letters and
+# separators so that tokens form around them.
+_EDGE_CHARS = [
+    "\u2e80", "\u9fff", "\U00020000", "\U0002a6df", "\U0002a6e0",
+    "\u0301", "İ", "_", "\u3000", "\u1680", "٣", "a", "Z", " ", "-",
+]
+edge_text = st.text(
+    alphabet=st.one_of(st.sampled_from(_EDGE_CHARS), st.characters()),
+    max_size=60,
+)
+
+
 class TestTokenize:
     def test_lowercase_and_punct(self):
         assert corpus.tokenize("The cat, the CAT.") == ["the", "cat", "the", "cat"]
@@ -70,6 +109,30 @@ class TestTokenize:
         for tok in corpus.tokenize(s):
             assert tok
             assert tok == tok.lower()
+
+    # Runs with the process-wide table as earlier tests and examples left it.
+    @given(st.text())
+    def test_matches_oracle(self, s):
+        assert corpus.tokenize(s) == oracle_tokenize(s)
+
+    # Each example starts from an empty table, so the first text fills it
+    # and the second reuses the entries the first one made.
+    @given(edge_text, edge_text)
+    def test_matches_oracle_from_empty_table(self, first, second):
+        with mock.patch.object(corpus, "_TRANSLATE", {}), \
+                mock.patch.object(corpus, "_CLASSIFIED", set()):
+            assert corpus.tokenize(first) == oracle_tokenize(first)
+            assert corpus.tokenize(second) == oracle_tokenize(second)
+            assert corpus.tokenize(first) == oracle_tokenize(first)
+
+    def test_no_kept_character_is_whitespace(self):
+        # str.split() ends a token only at whitespace, so it agrees with the
+        # oracle only if no letter, digit or mark counts as whitespace
+        kept_spaces = [
+            hex(cp) for cp in range(sys.maxunicode + 1)
+            if chr(cp).isspace() and unicodedata.category(chr(cp))[0] in "LNM"
+        ]
+        assert kept_spaces == []
 
 
 class TestParseRecord:

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from docalign import lexicon
 from docalign.errors import ConfigError, FormatError, UsageError
@@ -122,6 +123,25 @@ P_FWD = {("cat", "chat"): 0.9, ("cat", "chien"): 0.1, ("dog", "chien"): 0.9}
 P_BWD = {("chat", "cat"): 0.8, ("chien", "cat"): 0.05, ("chien", "dog"): 0.85}
 
 
+def oracle_reverse_condition_violations(align, p_fwd, p_bwd, v_alpha):
+    """The O(|pairs| x |V_pivot|) scan that the indexed version replaced."""
+    alpha = sorted(set(v_alpha))
+    violations = 0
+    for a, b in align.pairs:
+        s_ab = p_fwd.probs.get((a, b), 0.0) + p_bwd.probs.get((b, a), 0.0)
+        for w in alpha:
+            if p_fwd.probs.get((w, b), 0.0) + p_bwd.probs.get((b, w), 0.0) > s_ab:
+                violations += 1
+                break
+    return violations
+
+
+_PIVOT_WORDS = ["p0", "p1", "p2", "p3", "p4"]
+_OTHER_WORDS = ["o0", "o1", "o2", "o3"]
+# few distinct values, so that ties and explicit zero entries are common
+_PROBS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0])
+
+
 def example_alignment():
     return lexicon.build_alignment(
         table("en", "fr", P_FWD), table("fr", "en", P_BWD),
@@ -197,6 +217,32 @@ class TestBuildAlignment:
         assert ("big", "b") in align.pairs
         assert lexicon.reverse_condition_violations(
             align, fwd, bwd, ["bad", "big"]) >= 1
+
+    # Pivot words left out of v_alpha still have table entries, and pair
+    # sets not built by build_alignment may hold words outside both
+    # vocabularies.
+    @given(
+        fwd_rows=st.dictionaries(
+            st.tuples(st.sampled_from(_PIVOT_WORDS), st.sampled_from(_OTHER_WORDS)),
+            _PROBS),
+        bwd_rows=st.dictionaries(
+            st.tuples(st.sampled_from(_OTHER_WORDS), st.sampled_from(_PIVOT_WORDS)),
+            _PROBS),
+        v_alpha=st.sets(st.sampled_from(_PIVOT_WORDS), min_size=1),
+        v_beta=st.sets(st.sampled_from(_OTHER_WORDS), min_size=1),
+        extra_pairs=st.sets(st.tuples(st.sampled_from(_PIVOT_WORDS + ["x"]),
+                                      st.sampled_from(_OTHER_WORDS + ["y"]))),
+    )
+    def test_reverse_condition_matches_oracle(self, fwd_rows, bwd_rows,
+                                              v_alpha, v_beta, extra_pairs):
+        fwd = table("en", "fr", fwd_rows)
+        bwd = table("fr", "en", bwd_rows)
+        built = lexicon.build_alignment(fwd, bwd, v_alpha, v_beta)
+        arbitrary = lexicon.LexiconAlignment("en", "fr", pairs=extra_pairs)
+        for align in (built, arbitrary):
+            assert lexicon.reverse_condition_violations(
+                align, fwd, bwd, v_alpha
+            ) == oracle_reverse_condition_violations(align, fwd, bwd, v_alpha)
 
 
 class TestMapDocument:
