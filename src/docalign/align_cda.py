@@ -1,14 +1,13 @@
 """Content-based document alignment: dot-product scoring over the shared
 pivot space plus greedy one-to-one matching.
 
-Scoring one (domain, other-language) block is independent of every other
-block; ``align_corpus`` fans blocks out to a worker pool and merges results
-by concatenation, so output is deterministic for any worker count.
+Each (domain, other-language) block is scored and matched independently of
+every other block; ``align_corpus`` visits the blocks in sorted order and
+concatenates their matches, so its output is deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -148,7 +147,6 @@ def align_corpus(
     langs: Iterable[str],
     threshold: float,
     matching: str = "greedy",
-    workers: int = 1,
     stats: dict | None = None,
 ) -> list[AlignmentPair]:
     """Align every (domain, other-language) block independently.
@@ -170,34 +168,18 @@ def align_corpus(
     for lang in [pivot_lang, *langs]:
         merged_vectors.update(vectors[lang])
 
-    tasks = [
-        (domain, lang)
-        for domain in sorted(partitions)
-        for lang in langs
-        if lang != pivot_lang
-    ]
-
-    def run(task: tuple[str, str]) -> tuple[ScoreMatrix, list[AlignmentPair]]:
-        domain, lang = task
-        matrix = score_domain(
-            partitions[domain], merged_vectors, pivot_lang, lang, threshold
-        )
-        return matrix, matcher(matrix)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
     pairs: list[AlignmentPair] = []
     scored = 0
     possible = 0
-    for (domain, lang), (matrix, matched) in zip(tasks, results):
+    for domain in sorted(partitions):
         part = partitions[domain]
-        possible += len(part.docs(pivot_lang)) * len(part.docs(lang))
-        scored += matrix.scored_pairs
-        pairs.extend(matched)
+        for lang in langs:
+            if lang == pivot_lang:
+                continue
+            matrix = score_domain(part, merged_vectors, pivot_lang, lang, threshold)
+            pairs.extend(matcher(matrix))
+            possible += len(part.docs(pivot_lang)) * len(part.docs(lang))
+            scored += matrix.scored_pairs
     if stats is not None:
         stats["scored_pairs"] = scored
         stats["possible_pairs"] = possible

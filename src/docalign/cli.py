@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages; `run` executes everything from a
-single config document. Exit codes: 0 success, 1 usage error, 2 data error.
+Subcommands mirror the pipeline stages and call the same stage code as
+`run`, which executes everything from a single config document. Every stage
+subcommand reads and writes the artifact directory `--out` in the layout
+`run` uses. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -9,22 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
-from . import align_cda, align_url, corpus, evaluation, lexicon, miner, vectorspace
-from .errors import DocalignError, UsageError
-from .pipeline import WORKERS_ENV, PipelineConfig, run_pipeline, _sorted_pairs
+from . import align_cda, corpus, evaluation, miner, pipeline
+from .errors import DocalignError
 
 log = logging.getLogger("docalign")
+
+_OUT_HELP = "artifact directory, laid out as by `run`"
 
 
 def _add_ingest(sub):
     p = sub.add_parser("ingest", help="parse records and partition by domain")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=_OUT_HELP)
     p.add_argument("--lang-confidence", type=float, default=0.5)
     p.add_argument("--no-detect", action="store_true",
                    help="keep 'und' instead of running language detection")
@@ -32,32 +34,24 @@ def _add_ingest(sub):
 
 
 def cmd_ingest(args) -> int:
-    detector = None
-    records = []
-    with open(args.input, "rb") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = corpus.parse_record(line, args.format)
-            if rec.lang == "und" and not args.no_detect:
-                if detector is None:
-                    from .langid import default_detector
-
-                    detector = default_detector()
-                rec.lang = corpus.detect_language(
-                    rec.tokens, detector, args.lang_confidence
-                )
-            records.append(rec)
-    partitions = corpus.group_by_domain(records)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    corpus.write_partitions(partitions, args.out)
-    print(f"ingested {len(records)} records into {len(partitions)} domains")
+    pipeline.ingest(args.input, Path(args.out), args.format,
+                    detect_language=not args.no_detect,
+                    lang_confidence=args.lang_confidence)
+    print(f"wrote {Path(args.out) / 'corpus'}")
     return 0
+
+
+def _partitions(args):
+    return corpus.read_partitions(Path(args.out) / "corpus")
+
+
+def _langs(args) -> list[str]:
+    return [lang for lang in args.langs.split(",") if lang]
 
 
 def _add_build_lexicon(sub):
     p = sub.add_parser("build-lexicon", help="build the pivot lexicon alignment")
-    p.add_argument("--corpus", required=True, help="partitioned corpus directory")
+    p.add_argument("--out", required=True, help=_OUT_HELP)
     p.add_argument("--pivot", required=True)
     p.add_argument("--lang", required=True)
     p.add_argument("--table-fwd", help="pivot->lang probability TSV")
@@ -67,162 +61,71 @@ def _add_build_lexicon(sub):
     p.add_argument("--top-n", type=int, default=20)
     p.add_argument("--vocab-size", type=int, default=10000)
     p.add_argument("--skip-top-k", type=int, default=100)
-    p.add_argument("--out", required=True, help="output alignment TSV")
+    p.add_argument("--stopwords", help="file of words left out of every vocabulary")
     p.set_defaults(func=cmd_build_lexicon)
 
 
 def cmd_build_lexicon(args) -> int:
-    partitions = corpus.read_partitions(args.corpus)
-
-    def vocab_for(lang):
-        docs = (
-            d.tokens
-            for domain in sorted(partitions)
-            for d in partitions[domain].docs(lang)
-        )
-        return vectorspace.build_vocabulary(docs, args.skip_top_k, args.vocab_size)
-
-    if args.table_fwd and args.table_bwd:
-        p_fwd = lexicon.load_translation_table(args.table_fwd, args.pivot, args.lang)
-        p_bwd = lexicon.load_translation_table(args.table_bwd, args.lang, args.pivot)
-    elif args.emb_pivot and args.emb_other:
-        p_fwd, p_bwd = lexicon.table_from_embeddings(
-            lexicon.load_embeddings(args.emb_pivot),
-            lexicon.load_embeddings(args.emb_other),
-            top_n=args.top_n, src_lang=args.pivot, tgt_lang=args.lang,
-        )
-    else:
-        raise UsageError("give --table-fwd/--table-bwd or --emb-pivot/--emb-other")
-    align = lexicon.build_alignment(
-        p_fwd, p_bwd, vocab_for(args.pivot).words, vocab_for(args.lang).words
+    res = pipeline.LanguageResource(
+        table_fwd=args.table_fwd, table_bwd=args.table_bwd,
+        embeddings_pivot=args.emb_pivot, embeddings_other=args.emb_other,
     )
-    lexicon.save_alignment(align, p_fwd, p_bwd, args.out)
-    print(f"wrote {len(align.to_pivot)} lexicon entries to {args.out}")
+    res.validate(args.lang)
+    pipeline.build_lexicon(Path(args.out), _partitions(args), args.pivot,
+                           {args.lang: res}, args.vocab_size, args.skip_top_k,
+                           args.stopwords, args.top_n)
+    print(f"wrote {Path(args.out) / 'lexicon' / (args.lang + '.tsv')}")
     return 0
 
 
 def _add_vectorize(sub):
     p = sub.add_parser("vectorize", help="TF-IDF vectors in the pivot space")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--out", required=True, help=_OUT_HELP)
     p.add_argument("--pivot", required=True)
     p.add_argument("--langs", default="", help="comma-separated non-pivot languages")
-    p.add_argument("--lexicon", help="directory of <lang>.tsv alignments")
-    p.add_argument("--vocab-size", type=int, default=10000)
-    p.add_argument("--skip-top-k", type=int, default=100)
-    p.add_argument("--stopwords")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_vectorize)
 
 
 def cmd_vectorize(args) -> int:
-    partitions = corpus.read_partitions(args.corpus)
-    langs = [l for l in args.langs.split(",") if l]
-    stopwords = None
-    if args.stopwords:
-        with open(args.stopwords, encoding="utf-8") as fh:
-            stopwords = {line.strip().lower() for line in fh if line.strip()}
-
-    def docs_of(lang):
-        return [
-            d
-            for domain in sorted(partitions)
-            for d in partitions[domain].docs(lang)
-        ]
-
-    pivot_vocab = vectorspace.build_vocabulary(
-        (d.tokens for d in docs_of(args.pivot)), args.skip_top_k,
-        args.vocab_size, stopwords,
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    vectorspace.save_vocabulary(pivot_vocab, out / f"vocab_{args.pivot}.txt")
-
-    for lang in [args.pivot, *langs]:
-        if lang == args.pivot:
-            mapped = [(d.url, d.tokens) for d in docs_of(lang)]
-        else:
-            if not args.lexicon:
-                raise UsageError("--lexicon required when vectorizing non-pivot languages")
-            align = lexicon.load_alignment(
-                Path(args.lexicon) / f"{lang}.tsv", args.pivot, lang
-            )
-            mapped = [(d.url, lexicon.map_document(d, align)) for d in docs_of(lang)]
-        if not mapped:
-            (out / f"{lang}.tsv").write_text("")
-            continue
-        idf = vectorspace.compute_idf((t for _u, t in mapped), pivot_vocab)
-        vectorspace.save_idf(idf, pivot_vocab, out / f"idf_{lang}.tsv")
-        vectorspace.save_vectors(
-            (vectorspace.vectorize(t, pivot_vocab, idf, doc_url=u) for u, t in mapped),
-            out / f"{lang}.tsv",
-        )
-    print(f"vectorized {1 + len(langs)} language collections into {out}")
+    pipeline.vectorize_corpus(Path(args.out), _partitions(args), args.pivot, _langs(args))
+    print(f"wrote {Path(args.out) / 'vectors'}")
     return 0
 
 
 def _add_align_cda(sub):
     p = sub.add_parser("align-cda", help="content-based alignment")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--out", required=True, help=_OUT_HELP)
     p.add_argument("--pivot", required=True)
     p.add_argument("--langs", required=True)
     p.add_argument("--threshold", type=float, default=0.1)
     p.add_argument("--matching", choices=["greedy", "top1-then-greedy"],
                    default="greedy")
-    p.add_argument("--vectors", required=True, help="directory of <lang>.tsv vectors")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get(WORKERS_ENV, "1")))
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align_cda)
 
 
 def cmd_align_cda(args) -> int:
-    partitions = corpus.read_partitions(args.corpus)
-    langs = [l for l in args.langs.split(",") if l]
-    vectors = {}
-    for lang in [args.pivot, *langs]:
-        path = Path(args.vectors) / f"{lang}.tsv"
-        if not path.is_file():
-            raise UsageError(f"no vector file for language {lang!r}: {path}")
-        vectors[lang] = vectorspace.load_vectors(path)
-    stats: dict = {}
-    pairs = align_cda.align_corpus(
-        partitions, vectors, args.pivot, langs, args.threshold,
-        matching=args.matching, workers=args.workers, stats=stats,
-    )
-    align_cda.save_pairs(_sorted_pairs(pairs), args.out)
-    print(
-        f"{len(pairs)} pairs written to {args.out} "
-        f"(scored {stats['scored_pairs']}/{stats['possible_pairs']} candidates)"
-    )
+    pipeline.align_by_content(Path(args.out), _partitions(args), args.pivot,
+                              _langs(args), args.threshold, args.matching)
+    print(f"wrote {Path(args.out) / 'pairs.tsv'}")
     return 0
 
 
 def _add_align_url(sub):
     p = sub.add_parser("align-url", help="URL-matching baseline alignment")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--out", required=True, help=_OUT_HELP)
     p.add_argument("--pivot", required=True)
     p.add_argument("--langs", required=True)
     p.add_argument("--ids", help="identifier file (default: bundled set)")
     p.add_argument("--strip-hostname", action="store_true")
     p.add_argument("--no-query-values", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align_url)
 
 
 def cmd_align_url(args) -> int:
-    partitions = corpus.read_partitions(args.corpus)
-    ids = (
-        align_url.load_identifier_set(args.ids)
-        if args.ids
-        else align_url.default_identifier_set()
-    )
-    pairs = align_url.align_corpus_by_url(
-        partitions, args.pivot, [l for l in args.langs.split(",") if l], ids,
-        strip_query_params=not args.no_query_values,
-        strip_hostname=args.strip_hostname,
-    )
-    align_cda.save_pairs(_sorted_pairs(pairs), args.out)
-    print(f"{len(pairs)} pairs written to {args.out}")
+    pipeline.align_by_url(Path(args.out), _partitions(args), args.pivot, _langs(args),
+                          args.ids, strip_query_params=not args.no_query_values,
+                          strip_hostname=args.strip_hostname)
+    print(f"wrote {Path(args.out) / 'pairs_url.tsv'}")
     return 0
 
 
@@ -278,8 +181,8 @@ def _add_run(sub):
 
 
 def cmd_run(args) -> int:
-    cfg = PipelineConfig.from_file(args.config, out_override=args.out)
-    out = run_pipeline(cfg)
+    cfg = pipeline.PipelineConfig.from_file(args.config, out_override=args.out)
+    out = pipeline.run_pipeline(cfg)
     print(f"pipeline complete; artifacts in {out}")
     return 0
 

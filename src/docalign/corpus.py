@@ -85,9 +85,6 @@ class CorpusPartition:
     def docs(self, lang: str) -> list[DocumentRecord]:
         return self.by_lang.get(lang, [])
 
-    def size(self) -> int:
-        return sum(len(v) for v in self.by_lang.values())
-
 
 def domain_of(url: str) -> str:
     """Registrable host of a URL: scheme, credentials and port stripped.

@@ -63,17 +63,6 @@ class LexiconAlignment:
     pairs: set[tuple[str, str]] = field(default_factory=set)
     to_pivot: dict[str, str] = field(default_factory=dict)
 
-    @classmethod
-    def identity(cls, lang: str, words: Iterable[str]) -> "LexiconAlignment":
-        """Maps every word to itself; used for pivot-language documents."""
-        words = list(words)
-        return cls(
-            pivot_lang=lang,
-            other_lang=lang,
-            pairs={(w, w) for w in words},
-            to_pivot={w: w for w in words},
-        )
-
 
 def load_translation_table(path, src_lang: str, tgt_lang: str) -> TranslationTable:
     """Read a TSV table ``src \\t tgt \\t prob``; later duplicates win."""

@@ -9,13 +9,13 @@ artifact byte-for-byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import yaml
 
@@ -24,7 +24,7 @@ from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
-WORKERS_ENV = "DOCALIGN_WORKERS"
+Partitions = dict[str, corpus.CorpusPartition]
 
 
 @dataclass
@@ -78,7 +78,6 @@ class PipelineConfig:
     mine: bool = False
     min_support: int = 1
     gold: Optional[str] = None
-    workers: int = 1
 
     @classmethod
     def from_file(cls, path, out_override: Optional[str] = None) -> "PipelineConfig":
@@ -95,8 +94,6 @@ class PipelineConfig:
         }
         if out_override:
             raw["out"] = out_override
-        if "workers" not in raw and os.environ.get(WORKERS_ENV):
-            raw["workers"] = int(os.environ[WORKERS_ENV])
         try:
             cfg = cls(resources=resources, **raw)
         except TypeError as exc:
@@ -173,13 +170,6 @@ class _Stage:
         )
 
 
-def _sorted_pairs(pairs: list[align_cda.AlignmentPair]) -> list[align_cda.AlignmentPair]:
-    return sorted(
-        pairs,
-        key=lambda p: (p.domain, p.other_lang, -p.score, p.pivot_url, p.other_url),
-    )
-
-
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
     artifact directory. Fails before any work if a configured language lacks
@@ -213,16 +203,21 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         if optional:
             manifest["inputs"][optional] = file_digest(optional)
 
+    # read corpus/ once, by the first stage that is not fresh and needs it
+    @functools.cache
+    def partitions() -> Partitions:
+        return corpus.read_partitions(out / "corpus")
+
     current_stage = "setup"
     try:
         current_stage = "ingest"
         _stage_ingest(cfg, out, manifest)
         current_stage = "lexicon"
-        _stage_lexicon(cfg, out, manifest)
+        _stage_lexicon(cfg, out, manifest, partitions)
         current_stage = "vectorize"
-        _stage_vectorize(cfg, out, manifest)
+        _stage_vectorize(cfg, out, manifest, partitions)
         current_stage = "align"
-        _stage_align(cfg, out, manifest)
+        _stage_align(cfg, out, manifest, partitions)
         if cfg.mine:
             current_stage = "mine"
             _stage_mine(cfg, out, manifest)
@@ -242,43 +237,35 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     return out
 
 
-# --- stages ----------------------------------------------------------------
+# --- stage work -----------------------------------------------------------
+#
+# One function per stage does the work for both ``run_pipeline`` and the
+# matching CLI subcommand. Each reads and writes the standard layout under
+# the artifact directory ``out``; stamps and the manifest stay with the
+# ``_stage_*`` wrappers below.
 
 
-def _stage_ingest(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
-    corpus_dir = out / "corpus"
-    digest = digest_of({
-        "stage": "ingest",
-        "input": manifest["inputs"][cfg.input],
-        "format": cfg.format,
-        "lang_confidence": cfg.lang_confidence,
-        "detect_language": cfg.detect_language,
-    })
-    stage = _Stage(out, "ingest", digest, [corpus_dir])
-    manifest["stages"]["ingest"] = digest
-    if stage.fresh():
-        log.info("ingest: up to date, skipping")
-        return
+def ingest(input_path, out: Path, format: str = "jsonl",
+           detect_language: bool = True, lang_confidence: float = 0.5) -> None:
+    """Parse the input records and partition them by domain into ``corpus/``."""
     records = []
     detector = None
-    with open(cfg.input, "rb") as fh:
+    with open(input_path, "rb") as fh:
         for line in fh:
             if not line.strip():
                 continue
-            rec = corpus.parse_record(line, cfg.format)
-            if rec.lang == "und" and cfg.detect_language:
+            rec = corpus.parse_record(line, format)
+            if rec.lang == "und" and detect_language:
                 if detector is None:
                     from .langid import default_detector
 
                     detector = default_detector()
-                rec.lang = corpus.detect_language(
-                    rec.tokens, detector, cfg.lang_confidence
-                )
+                rec.lang = corpus.detect_language(rec.tokens, detector, lang_confidence)
             records.append(rec)
     partitions = corpus.group_by_domain(records)
+    corpus_dir = out / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
     corpus.write_partitions(partitions, corpus_dir)
-    stage.stamp()
     log.info("ingest: %d records over %d domains", len(records), len(partitions))
 
 
@@ -288,73 +275,53 @@ def _lang_tokens(partitions, lang: str):
             yield doc
 
 
-def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
+def build_lexicon(out: Path, partitions: Partitions, pivot: str,
+                  resources: dict[str, LanguageResource], vocab_size: int,
+                  skip_top_k: int, stopwords: Optional[str] = None,
+                  top_n: int = 20) -> None:
+    """Write ``vocab/<lang>.txt`` for the pivot and every language in
+    ``resources``, and ``lexicon/<lang>.tsv`` for every language in
+    ``resources``."""
     vocab_dir = out / "vocab"
     lex_dir = out / "lexicon"
-    resource_digests = {
-        lang: [manifest["inputs"][p] for p in res.paths()]
-        for lang, res in sorted(cfg.resources.items())
-    }
-    digest = digest_of({
-        "stage": "lexicon",
-        "ingest": manifest["stages"]["ingest"],
-        "vocab_size": cfg.vocab_size,
-        "skip_top_k": cfg.skip_top_k,
-        "stopwords": manifest["inputs"].get(cfg.stopwords),
-        "top_n": cfg.top_n,
-        "resources": resource_digests,
-        "langs": sorted(cfg.langs),
-        "pivot": cfg.pivot,
-    })
-    outputs = [vocab_dir / f"{cfg.pivot}.txt"]
-    outputs += [vocab_dir / f"{lang}.txt" for lang in sorted(cfg.langs)]
-    outputs += [lex_dir / f"{lang}.tsv" for lang in sorted(cfg.langs)]
-    stage = _Stage(out, "lexicon", digest, outputs)
-    manifest["stages"]["lexicon"] = digest
-    if stage.fresh():
-        log.info("lexicon: up to date, skipping")
-        return
-
-    partitions = corpus.read_partitions(out / "corpus")
-    stopwords = _load_stopwords(cfg.stopwords)
+    langs = sorted(resources)
+    stoplist = _load_stopwords(stopwords)
     vocab_dir.mkdir(parents=True, exist_ok=True)
     lex_dir.mkdir(parents=True, exist_ok=True)
 
     vocabs: dict[str, vectorspace.Vocabulary] = {}
-    for lang in [cfg.pivot, *sorted(cfg.langs)]:
+    for lang in [pivot, *langs]:
         docs = (d.tokens for d in _lang_tokens(partitions, lang))
         vocabs[lang] = vectorspace.build_vocabulary(
-            docs, cfg.skip_top_k, cfg.vocab_size, stopwords
+            docs, skip_top_k, vocab_size, stoplist
         )
         vectorspace.save_vocabulary(vocabs[lang], vocab_dir / f"{lang}.txt")
 
-    for lang in sorted(cfg.langs):
-        res = cfg.resources[lang]
+    for lang in langs:
+        res = resources[lang]
         if res.table_fwd:
-            p_fwd = lexicon.load_translation_table(res.table_fwd, cfg.pivot, lang)
-            p_bwd = lexicon.load_translation_table(res.table_bwd, lang, cfg.pivot)
+            p_fwd = lexicon.load_translation_table(res.table_fwd, pivot, lang)
+            p_bwd = lexicon.load_translation_table(res.table_bwd, lang, pivot)
         else:
             emb_pivot = lexicon.load_embeddings(res.embeddings_pivot)
             emb_other = lexicon.load_embeddings(res.embeddings_other)
             p_fwd, p_bwd = lexicon.table_from_embeddings(
-                emb_pivot, emb_other, top_n=cfg.top_n,
-                src_lang=cfg.pivot, tgt_lang=lang,
+                emb_pivot, emb_other, top_n=top_n, src_lang=pivot, tgt_lang=lang,
             )
-        if not vocabs[cfg.pivot].words or not vocabs[lang].words:
+        if not vocabs[pivot].words or not vocabs[lang].words:
             # no documents for one side: emit an empty lexicon
             (lex_dir / f"{lang}.tsv").write_text("")
             continue
         align = lexicon.build_alignment(
-            p_fwd, p_bwd, vocabs[cfg.pivot].words, vocabs[lang].words
+            p_fwd, p_bwd, vocabs[pivot].words, vocabs[lang].words
         )
         violations = lexicon.reverse_condition_violations(
-            align, p_fwd, p_bwd, vocabs[cfg.pivot].words
+            align, p_fwd, p_bwd, vocabs[pivot].words
         )
         if violations:
             log.info("lexicon %s: %d pairs violate the reverse argmax condition",
                      lang, violations)
         lexicon.save_alignment(align, p_fwd, p_bwd, lex_dir / f"{lang}.tsv")
-    stage.stamp()
 
 
 def _load_stopwords(path: Optional[str]) -> Optional[set[str]]:
@@ -364,34 +331,21 @@ def _load_stopwords(path: Optional[str]) -> Optional[set[str]]:
         return {line.strip().lower() for line in fh if line.strip()}
 
 
-def _stage_vectorize(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
+def vectorize_corpus(out: Path, partitions: Partitions, pivot: str, langs) -> None:
+    """Project the pivot and every language in ``langs`` into the pivot
+    space of ``vocab/<pivot>.txt`` through ``lexicon/<lang>.tsv``; writes
+    ``vectors/`` and ``idf/``."""
     vec_dir = out / "vectors"
     idf_dir = out / "idf"
-    digest = digest_of({
-        "stage": "vectorize",
-        "lexicon": manifest["stages"]["lexicon"],
-    })
-    langs = [cfg.pivot, *sorted(cfg.langs)]
-    outputs = [vec_dir / f"{lang}.tsv" for lang in langs]
-    outputs += [idf_dir / f"{lang}.tsv" for lang in langs]
-    stage = _Stage(out, "vectorize", digest, outputs)
-    manifest["stages"]["vectorize"] = digest
-    if stage.fresh():
-        log.info("vectorize: up to date, skipping")
-        return
-
-    partitions = corpus.read_partitions(out / "corpus")
-    pivot_vocab = vectorspace.load_vocabulary(out / "vocab" / f"{cfg.pivot}.txt")
+    pivot_vocab = vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt")
     vec_dir.mkdir(parents=True, exist_ok=True)
     idf_dir.mkdir(parents=True, exist_ok=True)
 
-    for lang in langs:
-        if lang == cfg.pivot:
+    for lang in [pivot, *sorted(langs)]:
+        if lang == pivot:
             mapped = [(d.url, d.tokens) for d in _lang_tokens(partitions, lang)]
         else:
-            align = lexicon.load_alignment(
-                out / "lexicon" / f"{lang}.tsv", cfg.pivot, lang
-            )
+            align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", pivot, lang)
             mapped = [
                 (d.url, lexicon.map_document(d, align))
                 for d in _lang_tokens(partitions, lang)
@@ -407,12 +361,120 @@ def _stage_vectorize(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
             for url, tokens in mapped
         )
         vectorspace.save_vectors(vectors, vec_dir / f"{lang}.tsv")
+
+
+def _sorted_pairs(pairs: list[align_cda.AlignmentPair]) -> list[align_cda.AlignmentPair]:
+    return sorted(
+        pairs,
+        key=lambda p: (p.domain, p.other_lang, -p.score, p.pivot_url, p.other_url),
+    )
+
+
+def align_by_content(out: Path, partitions: Partitions, pivot: str, langs,
+                     threshold: float, matching: str = "greedy") -> None:
+    """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``."""
+    vectors = {
+        lang: vectorspace.load_vectors(out / "vectors" / f"{lang}.tsv")
+        for lang in [pivot, *sorted(langs)]
+    }
+    stats: dict = {}
+    pairs = align_cda.align_corpus(
+        partitions, vectors, pivot, langs, threshold, matching=matching, stats=stats,
+    )
+    align_cda.save_pairs(_sorted_pairs(pairs), out / "pairs.tsv")
+    log.info("align: %d pairs; scored %d of %d possible candidates",
+             len(pairs), stats["scored_pairs"], stats["possible_pairs"])
+
+
+def align_by_url(out: Path, partitions: Partitions, pivot: str, langs,
+                 identifiers: Optional[str] = None, strip_query_params: bool = True,
+                 strip_hostname: bool = False) -> None:
+    """URL-baseline alignment into ``pairs_url.tsv``; ``identifiers`` is an
+    identifier file, the bundled set when None."""
+    ids = (
+        align_url.load_identifier_set(identifiers)
+        if identifiers
+        else align_url.default_identifier_set()
+    )
+    pairs = align_url.align_corpus_by_url(
+        partitions, pivot, langs, ids,
+        strip_query_params=strip_query_params, strip_hostname=strip_hostname,
+    )
+    align_cda.save_pairs(_sorted_pairs(pairs), out / "pairs_url.tsv")
+    log.info("align-url: %d pairs", len(pairs))
+
+
+# --- stages ----------------------------------------------------------------
+
+
+def _stage_ingest(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
+    digest = digest_of({
+        "stage": "ingest",
+        "input": manifest["inputs"][cfg.input],
+        "format": cfg.format,
+        "lang_confidence": cfg.lang_confidence,
+        "detect_language": cfg.detect_language,
+    })
+    stage = _Stage(out, "ingest", digest, [out / "corpus"])
+    manifest["stages"]["ingest"] = digest
+    if stage.fresh():
+        log.info("ingest: up to date, skipping")
+        return
+    ingest(cfg.input, out, cfg.format, cfg.detect_language, cfg.lang_confidence)
     stage.stamp()
 
 
-def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
-    pairs_path = out / "pairs.tsv"
-    url_pairs_path = out / "pairs_url.tsv"
+def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict,
+                   partitions: Callable[[], Partitions]) -> None:
+    resource_digests = {
+        lang: [manifest["inputs"][p] for p in res.paths()]
+        for lang, res in sorted(cfg.resources.items())
+    }
+    digest = digest_of({
+        "stage": "lexicon",
+        "ingest": manifest["stages"]["ingest"],
+        "vocab_size": cfg.vocab_size,
+        "skip_top_k": cfg.skip_top_k,
+        "stopwords": manifest["inputs"].get(cfg.stopwords),
+        "top_n": cfg.top_n,
+        "resources": resource_digests,
+        "langs": sorted(cfg.langs),
+        "pivot": cfg.pivot,
+    })
+    outputs = [out / "vocab" / f"{cfg.pivot}.txt"]
+    outputs += [out / "vocab" / f"{lang}.txt" for lang in sorted(cfg.langs)]
+    outputs += [out / "lexicon" / f"{lang}.tsv" for lang in sorted(cfg.langs)]
+    stage = _Stage(out, "lexicon", digest, outputs)
+    manifest["stages"]["lexicon"] = digest
+    if stage.fresh():
+        log.info("lexicon: up to date, skipping")
+        return
+    build_lexicon(out, partitions(), cfg.pivot,
+                  {lang: cfg.resources[lang] for lang in cfg.langs},
+                  cfg.vocab_size, cfg.skip_top_k, cfg.stopwords, cfg.top_n)
+    stage.stamp()
+
+
+def _stage_vectorize(cfg: PipelineConfig, out: Path, manifest: dict,
+                     partitions: Callable[[], Partitions]) -> None:
+    digest = digest_of({
+        "stage": "vectorize",
+        "lexicon": manifest["stages"]["lexicon"],
+    })
+    langs = [cfg.pivot, *sorted(cfg.langs)]
+    outputs = [out / "vectors" / f"{lang}.tsv" for lang in langs]
+    outputs += [out / "idf" / f"{lang}.tsv" for lang in langs]
+    stage = _Stage(out, "vectorize", digest, outputs)
+    manifest["stages"]["vectorize"] = digest
+    if stage.fresh():
+        log.info("vectorize: up to date, skipping")
+        return
+    vectorize_corpus(out, partitions(), cfg.pivot, cfg.langs)
+    stage.stamp()
+
+
+def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict,
+                 partitions: Callable[[], Partitions]) -> None:
     digest = digest_of({
         "stage": "align",
         "vectorize": manifest["stages"]["vectorize"],
@@ -421,37 +483,15 @@ def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
         "url_align": cfg.url_align,
         "identifiers": manifest["inputs"].get(cfg.identifiers),
     })
-    outputs = [pairs_path] + ([url_pairs_path] if cfg.url_align else [])
+    outputs = [out / "pairs.tsv"] + ([out / "pairs_url.tsv"] if cfg.url_align else [])
     stage = _Stage(out, "align", digest, outputs)
     manifest["stages"]["align"] = digest
     if stage.fresh():
         log.info("align: up to date, skipping")
         return
-
-    partitions = corpus.read_partitions(out / "corpus")
-    vectors = {
-        lang: vectorspace.load_vectors(out / "vectors" / f"{lang}.tsv")
-        for lang in [cfg.pivot, *sorted(cfg.langs)]
-    }
-    stats: dict = {}
-    pairs = align_cda.align_corpus(
-        partitions, vectors, cfg.pivot, cfg.langs, cfg.threshold,
-        matching=cfg.matching, workers=cfg.workers, stats=stats,
-    )
-    align_cda.save_pairs(_sorted_pairs(pairs), pairs_path)
-    log.info("align: %d pairs; scored %d of %d possible candidates",
-             len(pairs), stats["scored_pairs"], stats["possible_pairs"])
-
+    align_by_content(out, partitions(), cfg.pivot, cfg.langs, cfg.threshold, cfg.matching)
     if cfg.url_align:
-        ids = (
-            align_url.load_identifier_set(cfg.identifiers)
-            if cfg.identifiers
-            else align_url.default_identifier_set()
-        )
-        url_pairs = align_url.align_corpus_by_url(
-            partitions, cfg.pivot, cfg.langs, ids
-        )
-        align_cda.save_pairs(_sorted_pairs(url_pairs), url_pairs_path)
+        align_by_url(out, partitions(), cfg.pivot, cfg.langs, cfg.identifiers)
     stage.stamp()
 
 

@@ -50,7 +50,6 @@ class SparseVector:
 
     doc_url: str
     entries: list[tuple[int, float]]
-    norm_applied: bool = False
 
     def norm(self) -> float:
         return math.sqrt(sum(w * w for _d, w in self.entries))
@@ -107,8 +106,8 @@ def vectorize(
 ) -> SparseVector:
     """TF x IDF over the vocabulary, l2-normalized.
 
-    Documents with no vocabulary hits yield the empty vector (still flagged
-    normalized); they can never match above a positive threshold.
+    Documents with no vocabulary hits yield the empty vector; they can never
+    match above a positive threshold.
     """
     tf: Counter[int] = Counter()
     for w in tokens:
@@ -122,7 +121,7 @@ def vectorize(
         entries = sorted((dim, w / norm) for dim, w in raw)
     else:
         entries = []
-    return SparseVector(doc_url=doc_url, entries=entries, norm_applied=True)
+    return SparseVector(doc_url=doc_url, entries=entries)
 
 
 # --- file formats ---------------------------------------------------------
@@ -191,5 +190,5 @@ def load_vectors(path) -> dict[str, SparseVector]:
             for item in payload.split():
                 dim, _c, w = item.partition(":")
                 entries.append((int(dim), float(w)))
-            out[url] = SparseVector(doc_url=url, entries=entries, norm_applied=True)
+            out[url] = SparseVector(doc_url=url, entries=entries)
     return out

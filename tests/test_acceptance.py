@@ -252,8 +252,7 @@ def test_criterion_8_scale_smoke():
                 url = f"http://{domain}/en/{i}"
                 doc_dims = sorted(rng.sample(range(dims), nnz))
                 w = (1.0 / nnz) ** 0.5
-                vectors["en"][url] = SparseVector(url, [(x, w) for x in doc_dims],
-                                                  True)
+                vectors["en"][url] = SparseVector(url, [(x, w) for x in doc_dims])
                 by_lang["en"].append(DocumentRecord(url, domain, "en", [], 0))
                 pivot_dims.append(doc_dims)
                 total_docs += 1
@@ -268,7 +267,7 @@ def test_criterion_8_scale_smoke():
                                           + rng.sample(range(dims), 2)))
                     w = (1.0 / len(doc_dims)) ** 0.5
                     vectors[lang][url] = SparseVector(
-                        url, [(x, w) for x in doc_dims], True)
+                        url, [(x, w) for x in doc_dims])
                     by_lang[lang].append(DocumentRecord(url, domain, lang, [], 0))
                     total_docs += 1
             partitions[domain] = CorpusPartition(domain, by_lang)

@@ -1,8 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
+import pytest
 import yaml
 
-from docalign.cli import main
+from docalign.cli import build_parser, main
 from tests.conftest import SyntheticCorpus
 
 
@@ -15,36 +19,28 @@ def write_fixture(tmp_path, **kwargs):
 class TestStageCommands:
     def test_full_stage_chain(self, tmp_path, capsys):
         corpus, paths = write_fixture(tmp_path)
-        corpus_dir = tmp_path / "corpus"
-        vec_dir = tmp_path / "vectors"
-        lex_dir = tmp_path / "lexicon"
-        lex_dir.mkdir()
+        out = tmp_path / "out"
+        common = ["--out", str(out), "--pivot", "en"]
 
         assert main(["ingest", "--input", str(paths["input"]),
-                     "--format", "jsonl", "--out", str(corpus_dir)]) == 0
-        assert (corpus_dir / "site00.example" / "en.jsonl").is_file()
+                     "--format", "jsonl", "--out", str(out)]) == 0
+        assert (out / "corpus" / "site00.example" / "en.jsonl").is_file()
 
-        assert main(["build-lexicon", "--corpus", str(corpus_dir),
-                     "--pivot", "en", "--lang", "fr",
+        assert main(["build-lexicon", *common, "--lang", "fr",
                      "--table-fwd", str(paths["table_fwd"]),
                      "--table-bwd", str(paths["table_bwd"]),
-                     "--vocab-size", "40", "--skip-top-k", "0",
-                     "--out", str(lex_dir / "fr.tsv")]) == 0
-        assert (lex_dir / "fr.tsv").read_text()
+                     "--vocab-size", "40", "--skip-top-k", "0"]) == 0
+        assert (out / "vocab" / "en.txt").read_text()
+        assert (out / "lexicon" / "fr.tsv").read_text()
 
-        assert main(["vectorize", "--corpus", str(corpus_dir),
-                     "--pivot", "en", "--langs", "fr",
-                     "--lexicon", str(lex_dir),
-                     "--vocab-size", "40", "--skip-top-k", "0",
-                     "--out", str(vec_dir)]) == 0
-        assert (vec_dir / "en.tsv").is_file()
-        assert (vec_dir / "fr.tsv").is_file()
+        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        assert (out / "vectors" / "en.tsv").is_file()
+        assert (out / "vectors" / "fr.tsv").is_file()
+        assert (out / "idf" / "fr.tsv").is_file()
 
-        pairs_path = tmp_path / "pairs.tsv"
-        assert main(["align-cda", "--corpus", str(corpus_dir),
-                     "--pivot", "en", "--langs", "fr",
-                     "--threshold", "0.1", "--vectors", str(vec_dir),
-                     "--out", str(pairs_path)]) == 0
+        pairs_path = out / "pairs.tsv"
+        assert main(["align-cda", *common, "--langs", "fr",
+                     "--threshold", "0.1"]) == 0
         assert pairs_path.read_text().splitlines()
 
         cand_path = tmp_path / "candidates.tsv"
@@ -59,15 +55,88 @@ class TestStageCommands:
 
     def test_align_url_command(self, tmp_path):
         corpus, paths = write_fixture(tmp_path)
-        corpus_dir = tmp_path / "corpus"
-        main(["ingest", "--input", str(paths["input"]), "--out", str(corpus_dir)])
-        out = tmp_path / "url_pairs.tsv"
-        assert main(["align-url", "--corpus", str(corpus_dir),
-                     "--pivot", "en", "--langs", "fr",
-                     "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
+        out = tmp_path / "out"
+        main(["ingest", "--input", str(paths["input"]), "--out", str(out)])
+        assert main(["align-url", "--out", str(out),
+                     "--pivot", "en", "--langs", "fr"]) == 0
+        lines = (out / "pairs_url.tsv").read_text().splitlines()
         assert lines
         assert all(line.split("\t")[5] == "url" for line in lines)
+
+    def test_build_lexicon_without_resource_is_usage_error(self, tmp_path, capsys):
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        main(["ingest", "--input", str(paths["input"]), "--out", str(out)])
+        code = main(["build-lexicon", "--out", str(out), "--pivot", "en",
+                     "--lang", "fr", "--table-fwd", str(paths["table_fwd"])])
+        assert code == 1
+        assert "both table directions" in capsys.readouterr().err
+
+
+def _artifacts(root):
+    files = {}
+    for name in ("corpus", "vocab", "lexicon", "idf", "vectors",
+                 "pairs.tsv", "pairs_url.tsv"):
+        path = root / name
+        for f in [path] if path.is_file() else sorted(path.rglob("*")):
+            if f.is_file():
+                files[f.relative_to(root).as_posix()] = f.read_bytes()
+    return files
+
+
+class TestChainMatchesRun:
+    def test_subcommand_chain_equals_run(self, tmp_path):
+        corpus = SyntheticCorpus(n_domains=3, docs_per_domain=6, vocab_size=60,
+                                 doc_len=(15, 25), seed=5)
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("".join(
+            f"{w}\n" for w in corpus.pivot_words[3:13] + corpus.other_words[3:13]
+        ))
+        cfg = corpus.config(tmp_path / "fx", tmp_path / "run", vocab_size=60,
+                            skip_top_k=2, stopwords=str(stopwords), url_align=True)
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+
+        chain = tmp_path / "chain"
+        common = ["--out", str(chain), "--pivot", "en"]
+        res = cfg["resources"]["fr"]
+        assert main(["ingest", "--input", cfg["input"], "--out", str(chain),
+                     "--no-detect"]) == 0
+        assert main(["build-lexicon", *common, "--lang", "fr",
+                     "--table-fwd", res["table_fwd"], "--table-bwd", res["table_bwd"],
+                     "--vocab-size", "60", "--skip-top-k", "2",
+                     "--stopwords", str(stopwords)]) == 0
+        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        assert main(["align-cda", *common, "--langs", "fr", "--threshold", "0.1"]) == 0
+        assert main(["align-url", *common, "--langs", "fr"]) == 0
+
+        expected = _artifacts(tmp_path / "run")
+        assert expected["pairs.tsv"] and expected["pairs_url.tsv"]
+        assert {"vocab/en.txt", "lexicon/fr.tsv", "idf/fr.tsv",
+                "vectors/fr.tsv"} <= expected.keys()
+        assert _artifacts(chain) == expected
+
+
+def _readme_commands():
+    """Every ``docalign ...`` line of README's fenced ``sh`` blocks, split
+    into arguments, with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("docalign ")]
+
+
+class TestReadme:
+    def test_documented_commands_parse(self, capsys):
+        commands = _readme_commands()
+        assert len(commands) >= 8
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command rejected: {' '.join(argv)}\n"
+                            f"{capsys.readouterr().err}")
 
 
 class TestRunCommand:

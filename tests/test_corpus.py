@@ -219,14 +219,14 @@ class TestGroupByDomain:
                 make_record("http://a.com/y", ["b"]),
                 make_record("http://b.org/z", ["c"])]
         parts = corpus.group_by_domain(recs)
-        assert parts["a.com"].size() == 2
-        assert parts["b.org"].size() == 1
+        assert sum(len(v) for v in parts["a.com"].by_lang.values()) == 2
+        assert sum(len(v) for v in parts["b.org"].by_lang.values()) == 1
 
     def test_dedup_keeps_longest(self):
         short = make_record("http://a.com/x", ["a"], raw_length=5)
         long = make_record("http://a.com/x", ["a", "b"], raw_length=50)
         parts = corpus.group_by_domain([short, long])
-        assert parts["a.com"].size() == 1
+        assert sum(len(v) for v in parts["a.com"].by_lang.values()) == 1
         assert parts["a.com"].docs("en")[0].raw_length == 50
 
     def test_empty(self):
@@ -254,7 +254,8 @@ class TestGroupByDomain:
         recs = [make_record(f"http://d{i % 3}.com/p{i % 5}", ["x"]) for i in range(30)]
         parts = corpus.group_by_domain(recs)
         distinct = {(r.domain, r.url) for r in recs}
-        assert sum(p.size() for p in parts.values()) == len(distinct)
+        assert sum(len(v) for p in parts.values() for v in p.by_lang.values()) \
+            == len(distinct)
 
     def test_partition_language_consistency(self):
         recs = [make_record("http://a.com/x", ["a"], lang="fr"),

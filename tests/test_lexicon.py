@@ -256,11 +256,6 @@ class TestMapDocument:
         doc = make_record("http://a.com/x", ["xyz"], lang="fr")
         assert lexicon.map_document(doc, align) == []
 
-    def test_identity_alignment(self):
-        align = lexicon.LexiconAlignment.identity("en", ["cat", "dog"])
-        doc = make_record("http://a.com/x", ["dog", "cat", "dog"], lang="en")
-        assert lexicon.map_document(doc, align) == ["dog", "cat", "dog"]
-
     def test_language_mismatch(self):
         align = example_alignment()
         doc = make_record("http://a.com/x", ["chat"], lang="de")

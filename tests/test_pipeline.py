@@ -164,11 +164,6 @@ class TestPipelineConfig:
                                        out_override="z")
         assert cfg.out == "z"
 
-    def test_workers_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DOCALIGN_WORKERS", "3")
-        cfg = PipelineConfig.from_dict({"input": "x", "out": "y"})
-        assert cfg.workers == 3
-
     def test_parameters_exclude_out(self):
         cfg = PipelineConfig.from_dict({"input": "x", "out": "y"})
         assert "out" not in cfg.parameters()

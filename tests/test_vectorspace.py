@@ -108,7 +108,6 @@ class TestVectorize:
         idf = idf_of(vocab, {"cat": 1.0})
         vec = vs.vectorize([], vocab, idf)
         assert vec.entries == []
-        assert vec.norm_applied
 
     def test_single_word_scale_invariance(self):
         vocab = vocab_of(["cat"])
