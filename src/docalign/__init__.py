@@ -12,7 +12,6 @@ from .align_cda import (
     align_corpus,
     match_one_to_one,
     score_domain,
-    score_pair,
 )
 from .align_url import IdentifierSet, match_urls, strip_identifiers
 from .corpus import (
@@ -38,6 +37,7 @@ from .pipeline import PipelineConfig, run_pipeline
 from .vectorspace import (
     IdfModel,
     SparseVector,
+    VectorTable,
     Vocabulary,
     build_vocabulary,
     compute_idf,

@@ -3,7 +3,8 @@ pivot space plus greedy one-to-one matching.
 
 Each (domain, other-language) block is scored and matched independently of
 every other block; ``align_corpus`` visits the blocks in sorted order and
-concatenates their matches, so its output is deterministic.
+concatenates their matches, so its output is deterministic. Scoring and
+matching run on the arrays of ``vectorspace.VectorTable``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .corpus import CorpusPartition
+import numpy as np
+
+from .corpus import CorpusPartition, DocumentRecord
 from .errors import ConfigError
-from .vectorspace import SparseVector
+from .vectorspace import VectorTable
+
+# The most weight products, and pair sums, that ``score_domain`` holds at
+# once: it scores a block in chunks of other-language documents under this
+# budget, so its temporary arrays stay small however large the block. A
+# document whose own products exceed it forms a chunk alone.
+PRODUCT_BUDGET = 1 << 16
 
 
 @dataclass
@@ -30,62 +39,150 @@ class AlignmentPair:
 
 @dataclass
 class ScoreMatrix:
-    """Sparse pairwise scores for one domain and one other language."""
+    """The stored scores of one domain and one other language: entry ``k``
+    scores ``pivot_urls[pivot[k]]`` against ``other_urls[other[k]]`` as
+    ``scores[k]``."""
 
     domain: str
     other_lang: str
-    scores: dict[tuple[str, str], float] = field(default_factory=dict)
+    pivot_urls: list[str] = field(default_factory=list)
+    other_urls: list[str] = field(default_factory=list)
+    # int64 indices into pivot_urls and other_urls, float64 scores
+    pivot: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    other: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
     scored_pairs: int = 0  # candidate pairs actually evaluated
 
 
-def score_pair(v1: SparseVector, v2: SparseVector) -> float:
-    """Dot product over shared dimensions; in [0, 1] for normalized vectors."""
-    a, b = v1.entries, v2.entries
-    if len(a) > len(b):
-        a, b = b, a
-    lookup = dict(b)
-    return sum(w * lookup[dim] for dim, w in a if dim in lookup)
+def _rows(table: VectorTable, docs: list[DocumentRecord]) -> np.ndarray:
+    """Table rows of the documents that have a vector, in document order."""
+    row = table.row
+    return np.array([row[d.url] for d in docs if d.url in row], dtype=np.int64)
+
+
+def _entries(table: VectorTable, rows: np.ndarray):
+    """The entries of ``rows`` in row order: (owner position in ``rows``,
+    dimension, weight) arrays plus each row's entry offsets."""
+    starts = table.indptr[rows]
+    lengths = table.indptr[rows + 1] - starts
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    pos = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    return owner, table.indices[pos], table.data[pos], offsets
 
 
 def score_domain(
     partition: CorpusPartition,
-    vectors: Mapping[str, SparseVector],
+    vectors: Mapping[str, VectorTable],
     pivot_lang: str,
     other_lang: str,
     threshold: float,
 ) -> ScoreMatrix:
-    """Score every candidate pair in a domain via an inverted index.
+    """Score every candidate pair of a domain through an inverted index.
 
     Pairs sharing no vocabulary dimension are never materialized; entries
-    below the threshold are not stored.
+    below the threshold are not stored. Documents without a vector take no
+    part. Each pair's score adds its products in the order of the other
+    document's dimensions, starting from 0.0, so every score is exactly the
+    sum a per-pair accumulation loop would give.
     """
     matrix = ScoreMatrix(domain=partition.domain, other_lang=other_lang)
     pivot_docs = partition.docs(pivot_lang)
     other_docs = partition.docs(other_lang)
     if not pivot_docs or not other_docs:
         return matrix
+    p_table, o_table = vectors[pivot_lang], vectors[other_lang]
+    p_rows, o_rows = _rows(p_table, pivot_docs), _rows(o_table, other_docs)
+    matrix.pivot_urls = [p_table.urls[r] for r in p_rows.tolist()]
+    matrix.other_urls = [o_table.urls[r] for r in o_rows.tolist()]
+    n_pivot, n_other = len(p_rows), len(o_rows)
+    if not n_pivot or not n_other:
+        return matrix
 
-    postings: dict[int, list[tuple[str, float]]] = {}
-    for doc in pivot_docs:
-        vec = vectors.get(doc.url)
-        if vec is None:
-            continue
-        for dim, w in vec.entries:
-            postings.setdefault(dim, []).append((doc.url, w))
+    # postings: the pivot entries grouped by dimension, in document order
+    p_owner, p_dim, p_w, _ = _entries(p_table, p_rows)
+    by_dim = np.argsort(p_dim, kind="stable")
+    post_doc, post_dim, post_w = p_owner[by_dim], p_dim[by_dim], p_w[by_dim]
 
-    for doc in other_docs:
-        vec = vectors.get(doc.url)
-        if vec is None:
-            continue
-        acc: dict[str, float] = {}
-        for dim, w in vec.entries:
-            for purl, pw in postings.get(dim, ()):
-                acc[purl] = acc.get(purl, 0.0) + w * pw
-        matrix.scored_pairs += len(acc)
-        for purl, s in acc.items():
-            if s >= threshold and s > 0.0:
-                matrix.scores[(purl, doc.url)] = s
+    # each other entry's matching postings: post_dim[first:first + hits]
+    o_owner, o_dim, o_w, o_offsets = _entries(o_table, o_rows)
+    first = np.searchsorted(post_dim, o_dim, side="left")
+    hits = np.searchsorted(post_dim, o_dim, side="right") - first
+    # products of the other documents before each one, and of all of them
+    row_products = np.concatenate(([0], np.cumsum(hits)))[o_offsets]
+
+    # a pair is other * n_pivot + pivot; a chunk of documents r0:r1 sums
+    # pairs r0 * n_pivot up to r1 * n_pivot
+    rows_per_chunk = max(1, PRODUCT_BUDGET // n_pivot)
+    kept_pairs, kept_scores = [], []
+    r0 = 0
+    while r0 < n_other:
+        r1 = int(np.searchsorted(row_products, row_products[r0] + PRODUCT_BUDGET,
+                                 side="right")) - 1
+        r1 = min(max(r1, r0 + 1), r0 + rows_per_chunk, n_other)
+        e0, e1 = o_offsets[r0], o_offsets[r1]
+        n = hits[e0:e1]
+        # every (other entry, matching posting) product, in other-entry
+        # order; bincount adds each pair's products in that order
+        post = np.arange(n.sum()) + np.repeat(first[e0:e1] - (np.cumsum(n) - n), n)
+        prod = np.repeat(o_w[e0:e1], n) * post_w[post]
+        pair = np.repeat(o_owner[e0:e1] - r0, n) * n_pivot + post_doc[post]
+        bins = (r1 - r0) * n_pivot
+        scored = np.flatnonzero(np.bincount(pair, minlength=bins))
+        sums = np.bincount(pair, weights=prod, minlength=bins)[scored]
+        matrix.scored_pairs += len(scored)
+        keep = (sums >= threshold) & (sums > 0.0)
+        kept_pairs.append(scored[keep] + r0 * n_pivot)
+        kept_scores.append(sums[keep])
+        r0 = r1
+    pairs = np.concatenate(kept_pairs)
+    matrix.pivot, matrix.other = pairs % n_pivot, pairs // n_pivot
+    matrix.scores = np.concatenate(kept_scores)
     return matrix
+
+
+def _url_ranks(urls: list[str]) -> np.ndarray:
+    """Each URL's position in sorted order."""
+    ranks = np.empty(len(urls), dtype=np.int64)
+    ranks[sorted(range(len(urls)), key=urls.__getitem__)] = np.arange(len(urls))
+    return ranks
+
+
+def _ranked(matrix: ScoreMatrix) -> np.ndarray:
+    """Entry indices by descending score, ties by pivot URL, then other URL."""
+    return np.lexsort((
+        _url_ranks(matrix.other_urls)[matrix.other],
+        _url_ranks(matrix.pivot_urls)[matrix.pivot],
+        -matrix.scores,
+    ))
+
+
+def _link(matrix: ScoreMatrix, order: np.ndarray) -> list[AlignmentPair]:
+    """Accept entries in ``order`` whose two endpoints are both unmatched."""
+    n_pivot, n_other = len(matrix.pivot_urls), len(matrix.other_urls)
+    taken_pivot = bytearray(n_pivot)
+    taken_other = bytearray(n_other)
+    limit = min(n_pivot, n_other)
+    out: list[AlignmentPair] = []
+    for p, o, score in zip(matrix.pivot[order].tolist(),
+                           matrix.other[order].tolist(),
+                           matrix.scores[order].tolist()):
+        if taken_pivot[p] or taken_other[o]:
+            continue
+        taken_pivot[p] = taken_other[o] = 1
+        out.append(
+            AlignmentPair(
+                domain=matrix.domain,
+                pivot_url=matrix.pivot_urls[p],
+                other_url=matrix.other_urls[o],
+                other_lang=matrix.other_lang,
+                score=score,
+            )
+        )
+        if len(out) == limit:
+            break
+    return out
 
 
 def match_one_to_one(matrix: ScoreMatrix) -> list[AlignmentPair]:
@@ -94,44 +191,16 @@ def match_one_to_one(matrix: ScoreMatrix) -> list[AlignmentPair]:
     Entries are taken in descending score order (ties by URL pair); an entry
     is accepted iff neither endpoint is matched yet.
     """
-    entries = sorted(
-        matrix.scores.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1])
-    )
-    taken_pivot: set[str] = set()
-    taken_other: set[str] = set()
-    out: list[AlignmentPair] = []
-    for (purl, ourl), score in entries:
-        if purl in taken_pivot or ourl in taken_other:
-            continue
-        taken_pivot.add(purl)
-        taken_other.add(ourl)
-        out.append(
-            AlignmentPair(
-                domain=matrix.domain,
-                pivot_url=purl,
-                other_url=ourl,
-                other_lang=matrix.other_lang,
-                score=score,
-            )
-        )
-    return out
+    return _link(matrix, _ranked(matrix))
 
 
 def match_top1_then_greedy(matrix: ScoreMatrix) -> list[AlignmentPair]:
     """Variant: keep each pivot document's single best candidate first, then
     resolve collisions with the same greedy pass."""
-    best: dict[str, tuple[float, str]] = {}
-    for (purl, ourl), score in matrix.scores.items():
-        cur = best.get(purl)
-        if cur is None or score > cur[0] or (score == cur[0] and ourl < cur[1]):
-            best[purl] = (score, ourl)
-    pruned = ScoreMatrix(
-        domain=matrix.domain,
-        other_lang=matrix.other_lang,
-        scores={(p, o): s for p, (s, o) in best.items()},
-        scored_pairs=matrix.scored_pairs,
-    )
-    return match_one_to_one(pruned)
+    order = _ranked(matrix)
+    # a pivot's first entry in ranked order is its best candidate
+    _, first = np.unique(matrix.pivot[order], return_index=True)
+    return _link(matrix, order[np.sort(first)])
 
 
 _MATCHERS = {
@@ -142,7 +211,7 @@ _MATCHERS = {
 
 def align_corpus(
     partitions: Mapping[str, CorpusPartition],
-    vectors: Mapping[str, Mapping[str, SparseVector]],
+    vectors: Mapping[str, VectorTable],
     pivot_lang: str,
     langs: Iterable[str],
     threshold: float,
@@ -152,9 +221,9 @@ def align_corpus(
     """Align every (domain, other-language) block independently.
 
     A pivot document matches at most one document per other language but may
-    appear across languages. ``vectors`` maps lang -> url -> vector; the
-    pivot language must be present too. When ``stats`` is given, it receives
-    ``scored_pairs`` and ``possible_pairs`` totals.
+    appear across languages. ``vectors`` maps lang -> vector table; the
+    pivot language must be present too. When ``stats`` is given, it
+    receives ``scored_pairs`` and ``possible_pairs`` totals.
     """
     langs = sorted(langs)
     if matching not in _MATCHERS:
@@ -164,10 +233,6 @@ def align_corpus(
             raise ConfigError(f"no vectors supplied for language {lang!r}")
     matcher = _MATCHERS[matching]
 
-    merged_vectors: dict[str, SparseVector] = {}
-    for lang in [pivot_lang, *langs]:
-        merged_vectors.update(vectors[lang])
-
     pairs: list[AlignmentPair] = []
     scored = 0
     possible = 0
@@ -176,7 +241,7 @@ def align_corpus(
         for lang in langs:
             if lang == pivot_lang:
                 continue
-            matrix = score_domain(part, merged_vectors, pivot_lang, lang, threshold)
+            matrix = score_domain(part, vectors, pivot_lang, lang, threshold)
             pairs.extend(matcher(matrix))
             possible += len(part.docs(pivot_lang)) * len(part.docs(lang))
             scored += matrix.scored_pairs

@@ -9,6 +9,7 @@ ingest pipeline.
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -190,6 +191,11 @@ def tokenize(text: str) -> list[str]:
     return low.translate(_TRANSLATE).split()
 
 
+# Language tags name files under corpus/<domain>/, so they are kept to
+# characters that cannot climb out of that directory.
+_LANG_TAG = re.compile(r"[A-Za-z0-9_-]+")
+
+
 def _unescape_tsv(value: str) -> str:
     return (
         value.replace("\\t", "\t").replace("\\n", "\n").replace("\\\\", "\\")
@@ -200,7 +206,9 @@ def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
     """Parse one serialized input record into a DocumentRecord.
 
     jsonl records carry ``url``, optional ``lang`` and exactly one of
-    ``html`` | ``text``. tsv records are ``url \\t lang \\t text``.
+    ``html`` | ``text``. tsv records are ``url \\t lang \\t text``. The
+    URL must have a host and the language tag may hold only ASCII
+    letters, digits, ``-`` and ``_``: both name the record's partition file.
     """
     text_line = line.decode("utf-8", errors="replace").rstrip("\r\n")
     if format == "jsonl":
@@ -237,9 +245,17 @@ def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
     else:
         raise UsageError(f"unknown record format: {format!r}")
 
+    domain = domain_of(url)
+    if not domain:
+        raise SchemaError(f"URL {url!r} has no host")
+    if domain in (".", ".."):
+        raise SchemaError(f"URL {url!r} has host {domain!r}, which names no domain")
+    if not isinstance(lang, str) or not _LANG_TAG.fullmatch(lang):
+        raise SchemaError(f"language tag {lang!r} is not made of ASCII letters, "
+                          "digits, '-' and '_'")
     return DocumentRecord(
         url=url,
-        domain=domain_of(url),
+        domain=domain,
         lang=lang,
         tokens=tokenize(raw),
         raw_length=len(raw),

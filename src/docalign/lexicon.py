@@ -12,7 +12,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -289,7 +289,11 @@ def save_alignment(align: LexiconAlignment, p_fwd: TranslationTable,
         fh.writelines(rows)
 
 
-def load_alignment(path, pivot_lang: str, other_lang: str) -> LexiconAlignment:
+def load_alignment(path, pivot_lang: str, other_lang: str,
+                   pivot_vocab: Container[str]) -> LexiconAlignment:
+    """Inverse of ``save_alignment``. Every pivot word must be in
+    ``pivot_vocab``: a lexicon built against another pivot vocabulary would
+    map words outside the vector space."""
     pairs: set[tuple[str, str]] = set()
     to_pivot: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -301,6 +305,10 @@ def load_alignment(path, pivot_lang: str, other_lang: str) -> LexiconAlignment:
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 fields")
             b, a, _score = parts
+            if a not in pivot_vocab:
+                raise FormatError(
+                    f"{path}:{lineno}: pivot word {a!r} is not in the pivot vocabulary"
+                )
             pairs.add((a, b))
             to_pivot[b] = a
     return LexiconAlignment(

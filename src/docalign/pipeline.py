@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import logging
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -20,7 +21,7 @@ from typing import Any, Callable, Optional
 import yaml
 
 from . import align_cda, align_url, corpus, evaluation, lexicon, miner, vectorspace
-from .errors import ConfigError
+from .errors import ConfigError, ParseError, SchemaError
 
 log = logging.getLogger(__name__)
 
@@ -247,14 +248,19 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
 
 def ingest(input_path, out: Path, format: str = "jsonl",
            detect_language: bool = True, lang_confidence: float = 0.5) -> None:
-    """Parse the input records and partition them by domain into ``corpus/``."""
+    """Parse the input records and partition them by domain into ``corpus/``,
+    replacing all of it. A record that does not parse fails the ingest with
+    an error that starts ``<input>:<line>:``, before anything is written."""
     records = []
     detector = None
     with open(input_path, "rb") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = corpus.parse_record(line, format)
+            try:
+                rec = corpus.parse_record(line, format)
+            except (ParseError, SchemaError) as exc:
+                raise type(exc)(f"{input_path}:{lineno}: {exc}") from exc
             if rec.lang == "und" and detect_language:
                 if detector is None:
                     from .langid import default_detector
@@ -263,9 +269,16 @@ def ingest(input_path, out: Path, format: str = "jsonl",
                 rec.lang = corpus.detect_language(rec.tokens, detector, lang_confidence)
             records.append(rec)
     partitions = corpus.group_by_domain(records)
+    # written aside, then swapped in: no domain or language of an earlier
+    # input survives, and corpus/ is never half written
     corpus_dir = out / "corpus"
-    corpus_dir.mkdir(parents=True, exist_ok=True)
-    corpus.write_partitions(partitions, corpus_dir)
+    staging = out / "corpus.tmp"
+    shutil.rmtree(staging, ignore_errors=True)
+    staging.mkdir(parents=True)
+    corpus.write_partitions(partitions, staging)
+    if corpus_dir.exists():
+        shutil.rmtree(corpus_dir)
+    staging.rename(corpus_dir)
     log.info("ingest: %d records over %d domains", len(records), len(partitions))
 
 
@@ -345,7 +358,8 @@ def vectorize_corpus(out: Path, partitions: Partitions, pivot: str, langs) -> No
         if lang == pivot:
             mapped = [(d.url, d.tokens) for d in _lang_tokens(partitions, lang)]
         else:
-            align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", pivot, lang)
+            align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", pivot, lang,
+                                           pivot_vocab.index)
             mapped = [
                 (d.url, lexicon.map_document(d, align))
                 for d in _lang_tokens(partitions, lang)

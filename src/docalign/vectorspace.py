@@ -2,7 +2,9 @@
 
 Both corpus passes (vocabulary counting, document frequencies) are
 associative merges over per-document counts; the resulting models are
-immutable and safe to read concurrently. ``vectorize`` is pure.
+immutable and safe to read concurrently. ``vectorize`` is pure. Vectors
+are written one document per line and read back as one array table per
+language (``VectorTable``).
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, FormatError
 
@@ -53,6 +57,26 @@ class SparseVector:
 
     def norm(self) -> float:
         return math.sqrt(sum(w * w for _d, w in self.entries))
+
+
+@dataclass
+class VectorTable:
+    """The vectors of one language as CSR arrays.
+
+    Row ``i`` is the vector of ``urls[i]``: dimensions
+    ``indices[indptr[i]:indptr[i + 1]]`` in stored (ascending) order, with
+    weights ``data[indptr[i]:indptr[i + 1]]``. ``row`` maps a URL to its
+    row; a URL listed twice maps to its last row.
+    """
+
+    urls: list[str]
+    indptr: np.ndarray  # int64, len(urls) + 1 offsets
+    indices: np.ndarray  # int64 dimensions
+    data: np.ndarray  # float64 weights
+    row: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.row = {url: i for i, url in enumerate(self.urls)}
 
 
 def build_vocabulary(
@@ -178,17 +202,28 @@ def save_vectors(vectors: Iterable[SparseVector], path) -> None:
             fh.write(f"{vec.doc_url}\t{payload}\n")
 
 
-def load_vectors(path) -> dict[str, SparseVector]:
-    out: dict[str, SparseVector] = {}
+def load_vectors(path) -> VectorTable:
+    """Inverse of ``save_vectors``: one table, rows in file order."""
+    urls: list[str] = []
+    lengths = [0]
+    items: list[str] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for line in fh:
             line = line.rstrip("\n")
             if not line:
                 continue
             url, _sep, payload = line.partition("\t")
-            entries = []
-            for item in payload.split():
-                dim, _c, w = item.partition(":")
-                entries.append((int(dim), float(w)))
-            out[url] = SparseVector(doc_url=url, entries=entries)
-    return out
+            entries = payload.split()
+            urls.append(url)
+            lengths.append(len(entries))
+            items += entries
+    fields = ":".join(items).split(":") if items else []
+    if len(fields) != 2 * len(items):
+        raise FormatError(f"{path}: every entry must be dim:weight")
+    try:
+        indices = np.array(fields[0::2], dtype=np.int64)
+        data = np.array(fields[1::2], dtype=np.float64)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return VectorTable(urls=urls, indptr=np.cumsum(lengths, dtype=np.int64),
+                       indices=indices, data=data)

@@ -2,9 +2,12 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from docalign.align_cda import ScoreMatrix
 from docalign.corpus import DocumentRecord, domain_of
+from docalign.vectorspace import VectorTable
 
 
 def make_record(url, tokens, lang="en", raw_length=None):
@@ -15,6 +18,44 @@ def make_record(url, tokens, lang="en", raw_length=None):
         tokens=list(tokens),
         raw_length=raw_length if raw_length is not None else len(" ".join(tokens)),
     )
+
+
+def vector_table(vectors):
+    """A VectorTable holding the given SparseVectors, in order."""
+    vectors = list(vectors)
+    entries = [e for v in vectors for e in v.entries]
+    return VectorTable(
+        urls=[v.doc_url for v in vectors],
+        indptr=np.cumsum([0] + [len(v.entries) for v in vectors], dtype=np.int64),
+        indices=np.array([d for d, _w in entries], dtype=np.int64),
+        data=np.array([w for _d, w in entries], dtype=np.float64),
+    )
+
+
+def score_matrix(scores, domain="d.com", lang="fr"):
+    """A ScoreMatrix holding a {(pivot_url, other_url): score} dict. URLs
+    are indexed in reverse sorted order, so a matcher that broke ties by
+    index instead of by URL would disagree with URL order."""
+    pivot_urls = sorted({p for p, _o in scores}, reverse=True)
+    other_urls = sorted({o for _p, o in scores}, reverse=True)
+    p_index = {u: i for i, u in enumerate(pivot_urls)}
+    o_index = {u: i for i, u in enumerate(other_urls)}
+    return ScoreMatrix(
+        domain=domain, other_lang=lang,
+        pivot_urls=pivot_urls, other_urls=other_urls,
+        pivot=np.array([p_index[p] for p, _o in scores], dtype=np.int64),
+        other=np.array([o_index[o] for _p, o in scores], dtype=np.int64),
+        scores=np.array(list(scores.values()), dtype=np.float64),
+    )
+
+
+def matrix_entries(matrix):
+    """A ScoreMatrix's stored scores as {(pivot_url, other_url): score}."""
+    return {
+        (matrix.pivot_urls[p], matrix.other_urls[o]): s
+        for p, o, s in zip(matrix.pivot.tolist(), matrix.other.tolist(),
+                           matrix.scores.tolist())
+    }
 
 
 class SyntheticCorpus:

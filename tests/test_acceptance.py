@@ -13,13 +13,13 @@ import time
 from collections import Counter
 
 from docalign import align_cda, align_url, vectorspace
-from docalign.align_cda import AlignmentPair, ScoreMatrix
+from docalign.align_cda import AlignmentPair
 from docalign.align_url import IdentifierSet, default_identifier_set, strip_identifiers
 from docalign.corpus import CorpusPartition, DocumentRecord
 from docalign.miner import mine_identifiers
 from docalign.pipeline import PipelineConfig, run_pipeline
 from docalign.vectorspace import SparseVector
-from tests.conftest import SyntheticCorpus, make_record
+from tests.conftest import SyntheticCorpus, make_record, score_matrix, vector_table
 
 
 @contextlib.contextmanager
@@ -89,7 +89,7 @@ def test_criterion_2_matcher_oracle_equivalence():
                 (f"p{i:03d}", f"o{j:03d}"): round(rng.random(), 4)
                 for i in range(n) for j in range(k) if rng.random() < density
             }
-            matrix = ScoreMatrix(domain="d.com", other_lang="xx", scores=scores)
+            matrix = score_matrix(scores, domain="d.com", lang="xx")
             got = [(p.pivot_url, p.other_url, p.score)
                    for p in align_cda.match_one_to_one(matrix)]
             assert got == _greedy_oracle(scores)
@@ -272,10 +272,11 @@ def test_criterion_8_scale_smoke():
                     total_docs += 1
             partitions[domain] = CorpusPartition(domain, by_lang)
         assert total_docs == 100_000
+        tables = {lang: vector_table(v.values()) for lang, v in vectors.items()}
 
         start = time.perf_counter()
         stats = {}
-        pairs = align_cda.align_corpus(partitions, vectors, "en", langs, 0.1,
+        pairs = align_cda.align_corpus(partitions, tables, "en", langs, 0.1,
                                        stats=stats)
         elapsed = time.perf_counter() - start
 

@@ -1,26 +1,75 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from docalign import align_cda
-from docalign.align_cda import ScoreMatrix
 from docalign.corpus import CorpusPartition
 from docalign.errors import ConfigError
 from docalign.vectorspace import SparseVector
-from tests.conftest import make_record
+from tests.conftest import make_record, matrix_entries, score_matrix, vector_table
 
 
 def vec(url, *entries):
     return SparseVector(doc_url=url, entries=sorted(entries))
 
 
-def matrix(scores, domain="d.com", lang="fr"):
-    return ScoreMatrix(domain=domain, other_lang=lang, scores=dict(scores))
+def tables(**by_lang):
+    """{lang: VectorTable} from lang=[SparseVector, ...] keywords."""
+    return {lang: vector_table(vecs) for lang, vecs in by_lang.items()}
+
+
+# --- oracles: the per-pair dict scorer and sorted-list matchers that the
+# array code replaced, kept as references for the property tests ---------
+
+
+def score_pair(v1: SparseVector, v2: SparseVector) -> float:
+    """Dot product over shared dimensions; in [0, 1] for normalized vectors."""
+    a, b = v1.entries, v2.entries
+    if len(a) > len(b):
+        a, b = b, a
+    lookup = dict(b)
+    return sum(w * lookup[dim] for dim, w in a if dim in lookup)
+
+
+def score_domain_oracle(partition, vectors, pivot_lang, other_lang, threshold):
+    """Inverted index over the pivot documents, one accumulator dict per
+    other document; ``vectors`` maps url -> SparseVector. Returns the
+    stored {(pivot_url, other_url): score} and the number of pairs scored."""
+    scores, scored_pairs = {}, 0
+    pivot_docs = partition.docs(pivot_lang)
+    other_docs = partition.docs(other_lang)
+    if not pivot_docs or not other_docs:
+        return scores, scored_pairs
+
+    postings = {}
+    for doc in pivot_docs:
+        v = vectors.get(doc.url)
+        if v is None:
+            continue
+        for dim, w in v.entries:
+            postings.setdefault(dim, []).append((doc.url, w))
+
+    for doc in other_docs:
+        v = vectors.get(doc.url)
+        if v is None:
+            continue
+        acc = {}
+        for dim, w in v.entries:
+            for purl, pw in postings.get(dim, ()):
+                acc[purl] = acc.get(purl, 0.0) + w * pw
+        scored_pairs += len(acc)
+        for purl, s in acc.items():
+            if s >= threshold and s > 0.0:
+                scores[(purl, doc.url)] = s
+    return scores, scored_pairs
 
 
 def greedy_oracle(scores):
-    """Brute force: full sort + scan, independent of the implementation."""
+    """Full sort + scan: entries by descending score, ties by URL pair; an
+    entry is accepted iff neither endpoint is matched yet."""
     order = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
     used_p, used_o, out = set(), set(), []
     for (p, o), s in order:
@@ -31,18 +80,33 @@ def greedy_oracle(scores):
     return out
 
 
+def top1_then_greedy_oracle(scores):
+    """Each pivot's best candidate (ties toward the smaller other URL),
+    then the greedy pass over those."""
+    best = {}
+    for (purl, ourl), score in scores.items():
+        cur = best.get(purl)
+        if cur is None or score > cur[0] or (score == cur[0] and ourl < cur[1]):
+            best[purl] = (score, ourl)
+    return greedy_oracle({(p, o): s for p, (s, o) in best.items()})
+
+
+def triples(pairs):
+    return [(p.pivot_url, p.other_url, p.score) for p in pairs]
+
+
 class TestScorePair:
     def test_self_product_is_one(self):
         v = vec("u", (0, 0.6), (3, 0.8))
-        assert align_cda.score_pair(v, v) == pytest.approx(1.0, abs=1e-9)
+        assert score_pair(v, v) == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_supports(self):
-        assert align_cda.score_pair(vec("a", (0, 1.0)), vec("b", (1, 1.0))) == 0.0
+        assert score_pair(vec("a", (0, 1.0)), vec("b", (1, 1.0))) == 0.0
 
     def test_hand_dot_product(self):
         a = vec("a", (0, 0.70711), (1, 0.70711))
         b = vec("b", (0, 1.0))
-        assert align_cda.score_pair(a, b) == pytest.approx(0.70711, abs=1e-9)
+        assert score_pair(a, b) == pytest.approx(0.70711, abs=1e-9)
 
 
 def partition_with(pivot_urls, other_urls, domain="d.com", other_lang="fr"):
@@ -57,56 +121,58 @@ def partition_with(pivot_urls, other_urls, domain="d.com", other_lang="fr"):
 
 class TestScoreDomain:
     def setup_method(self):
-        self.vectors = {
+        self.by_url = {
             "p1": vec("p1", (0, 1.0)),
             "p2": vec("p2", (0, 0.6), (1, 0.8)),
             "o1": vec("o1", (0, 1.0)),
             "o2": vec("o2", (1, 1.0)),
         }
+        self.vectors = tables(en=[self.by_url["p1"], self.by_url["p2"]],
+                              fr=[self.by_url["o1"], self.by_url["o2"]])
         self.partition = partition_with(["p1", "p2"], ["o1", "o2"])
 
     def test_matches_brute_force(self):
         m = align_cda.score_domain(self.partition, self.vectors, "en", "fr", 0.0)
         for p, o in itertools.product(["p1", "p2"], ["o1", "o2"]):
-            expected = align_cda.score_pair(self.vectors[p], self.vectors[o])
-            assert m.scores.get((p, o), 0.0) == pytest.approx(expected, abs=1e-12)
+            expected = score_pair(self.by_url[p], self.by_url[o])
+            assert matrix_entries(m).get((p, o), 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_threshold_filters(self):
         m = align_cda.score_domain(self.partition, self.vectors, "en", "fr", 0.7)
-        assert set(m.scores) == {("p1", "o1"), ("p2", "o2")}
+        assert set(matrix_entries(m)) == {("p1", "o1"), ("p2", "o2")}
 
     def test_impossible_threshold(self):
         m = align_cda.score_domain(self.partition, self.vectors, "en", "fr", 1.0 + 1e-9)
-        assert m.scores == {}
+        assert matrix_entries(m) == {}
 
     def test_absent_language(self):
         m = align_cda.score_domain(self.partition, self.vectors, "en", "de", 0.0)
-        assert m.scores == {}
+        assert matrix_entries(m) == {}
 
     def test_no_shared_dim_never_scored(self):
         m = align_cda.score_domain(self.partition, self.vectors, "en", "fr", 0.0)
         # (p1, o2) shares no dimension, so it is not even a candidate
-        assert ("p1", "o2") not in m.scores
+        assert ("p1", "o2") not in matrix_entries(m)
         assert m.scored_pairs == 3  # of 4 possible
 
 
 class TestMatchOneToOne:
     def test_greedy_trace(self):
-        m = matrix({("e1", "f1"): 0.9, ("e1", "f2"): 0.8, ("e2", "f2"): 0.7})
+        m = score_matrix({("e1", "f1"): 0.9, ("e1", "f2"): 0.8, ("e2", "f2"): 0.7})
         got = [(p.pivot_url, p.other_url, p.score) for p in align_cda.match_one_to_one(m)]
         assert got == [("e1", "f1", 0.9), ("e2", "f2", 0.7)]
 
     def test_tie_toward_lexicographic(self):
-        m = matrix({("e1", "f1"): 0.5, ("e2", "f1"): 0.5})
+        m = score_matrix({("e1", "f1"): 0.5, ("e2", "f1"): 0.5})
         got = [(p.pivot_url, p.other_url) for p in align_cda.match_one_to_one(m)]
         assert got == [("e1", "f1")]
 
     def test_empty(self):
-        assert align_cda.match_one_to_one(matrix({})) == []
+        assert align_cda.match_one_to_one(score_matrix({})) == []
 
     def test_each_url_at_most_once(self):
         rng = random.Random(0)
-        m = matrix({
+        m = score_matrix({
             (f"p{i}", f"o{j}"): round(rng.random(), 6)
             for i in range(20) for j in range(20) if rng.random() < 0.4
         })
@@ -118,23 +184,23 @@ class TestMatchOneToOne:
     def test_equals_brute_force_oracle(self, seed):
         rng = random.Random(seed)
         n, k = rng.randint(1, 30), rng.randint(1, 30)
-        m = matrix({
+        m = score_matrix({
             (f"p{i:02d}", f"o{j:02d}"): round(rng.random(), 4)
             for i in range(n) for j in range(k) if rng.random() < 0.5
         })
         got = [(p.pivot_url, p.other_url, p.score) for p in align_cda.match_one_to_one(m)]
-        assert got == greedy_oracle(m.scores)
+        assert got == greedy_oracle(matrix_entries(m))
 
     def test_output_sorted_by_descending_score(self):
         rng = random.Random(2)
-        m = matrix({(f"p{i}", f"o{i}"): rng.random() for i in range(10)})
+        m = score_matrix({(f"p{i}", f"o{i}"): rng.random() for i in range(10)})
         scores = [p.score for p in align_cda.match_one_to_one(m)]
         assert scores == sorted(scores, reverse=True)
 
 
 class TestTop1ThenGreedy:
     def test_keeps_only_best_per_pivot(self):
-        m = matrix({("e1", "f1"): 0.9, ("e1", "f2"): 0.8,
+        m = score_matrix({("e1", "f1"): 0.9, ("e1", "f2"): 0.8,
                     ("e2", "f1"): 0.85, ("e2", "f2"): 0.7})
         got = [(p.pivot_url, p.other_url) for p in align_cda.match_top1_then_greedy(m)]
         # e1 keeps f1 (0.9); e2 keeps f1 (0.85) but loses it to e1; e2's f2
@@ -162,7 +228,7 @@ class TestAlignCorpus:
                     by_lang[lang].append(make_record(url, ["x"], lang=lang))
                     vectors[lang][url] = vec(url, (100 * di + i, 1.0))
             partitions[domain] = CorpusPartition(domain=domain, by_lang=by_lang)
-        return partitions, vectors
+        return partitions, {lang: vector_table(v.values()) for lang, v in vectors.items()}
 
     def test_union_of_per_language_matchings(self):
         partitions, vectors = self.build()
@@ -193,18 +259,15 @@ class TestAlignCorpus:
 
     def test_pivot_only_domain(self):
         partitions = {"a.com": partition_with(["p1"], [], other_lang="fr")}
-        vectors = {"en": {"p1": vec("p1", (0, 1.0))}, "fr": {}}
+        vectors = tables(en=[vec("p1", (0, 1.0))], fr=[])
         assert align_cda.align_corpus(partitions, vectors, "en", ["fr"], 0.1) == []
 
     def test_threshold_monotone_on_matrix_entries(self):
         partitions, vectors = self.build()
-        merged = {}
-        for d in vectors.values():
-            merged.update(d)
         for domain in partitions:
-            low = align_cda.score_domain(partitions[domain], merged, "en", "fr", 0.1)
-            high = align_cda.score_domain(partitions[domain], merged, "en", "fr", 0.6)
-            assert set(high.scores) <= set(low.scores)
+            low = align_cda.score_domain(partitions[domain], vectors, "en", "fr", 0.1)
+            high = align_cda.score_domain(partitions[domain], vectors, "en", "fr", 0.6)
+            assert set(matrix_entries(high)) <= set(matrix_entries(low))
 
     def test_stats_reported(self):
         partitions, vectors = self.build()
@@ -212,6 +275,65 @@ class TestAlignCorpus:
         align_cda.align_corpus(partitions, vectors, "en", ["fr"], 0.1, stats=stats)
         assert stats["possible_pairs"] == 8
         assert 0 < stats["scored_pairs"] <= stats["possible_pairs"]
+
+
+# Few dimensions and few distinct weights make shared dimensions common and
+# repeated scores frequent, so tie-breaking is exercised; a zero weight
+# gives pairs that are scored but sum to 0.0 and are never stored.
+_DIMS = 6
+_WEIGHTS = (0.0, 0.1, 0.25, 0.3, 0.5, 1.0)
+
+
+# A document's vector: none, empty, or a few (dimension, weight) entries.
+_VECTOR = st.none() | st.lists(
+    st.tuples(st.integers(0, _DIMS - 1), st.sampled_from(_WEIGHTS)),
+    max_size=_DIMS, unique_by=lambda e: e[0])
+
+
+def _documents(min_size, max_size, max_id):
+    """(URL id, vector) pairs; each document is drawn, and shrunk, whole."""
+    return st.lists(st.tuples(st.integers(0, max_id), _VECTOR),
+                    min_size=min_size, max_size=max_size, unique_by=lambda d: d[0])
+
+
+@st.composite
+def blocks(draw):
+    """One en/fr block of 1-40 documents per side, in an order that is not
+    URL order (".../9" sorts after ".../10"). A document has no vector, an
+    empty one, or a few entries. Each table also holds rows of another
+    domain and lists its rows in an order of its own."""
+    by_url, tables_by_lang, docs = {}, {}, {}
+    for lang in ("en", "fr"):
+        block = draw(_documents(1, 40, 999))
+        other_domain = draw(_documents(0, 3, 9))
+        vecs = [
+            vec(f"http://{host}/{lang}/{i}", *entries)
+            for host, documents in (("d.com", block), ("e.com", other_domain))
+            for i, entries in documents if entries is not None
+        ]
+        by_url.update((v.doc_url, v) for v in vecs)
+        tables_by_lang[lang] = vector_table(draw(st.permutations(vecs)))
+        docs[lang] = [make_record(f"http://d.com/{lang}/{i}", ["x"], lang=lang)
+                      for i, _entries in block]
+    partition = CorpusPartition(domain="d.com", by_lang=docs)
+    return partition, tables_by_lang, by_url
+
+
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("budget", [1, 50, align_cda.PRODUCT_BUDGET])
+    @settings(max_examples=60, deadline=None)
+    @given(block=blocks(), threshold=st.sampled_from([0.0, 0.3, 1.5]))
+    def test_array_path_equals_oracles(self, budget, block, threshold):
+        partition, vectors, by_url = block
+        with mock.patch.object(align_cda, "PRODUCT_BUDGET", budget):
+            m = align_cda.score_domain(partition, vectors, "en", "fr", threshold)
+        scores, scored_pairs = score_domain_oracle(partition, by_url, "en", "fr",
+                                                   threshold)
+        assert m.scored_pairs == scored_pairs
+        assert matrix_entries(m) == scores  # exact: same sums, same order
+        assert triples(align_cda.match_one_to_one(m)) == greedy_oracle(scores)
+        assert triples(align_cda.match_top1_then_greedy(m)) == \
+            top1_then_greedy_oracle(scores)
 
 
 class TestPairsIO:

@@ -166,6 +166,52 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        pytest.param('{"url": "/fr/page.html", "lang": "fr", "text": "a"}', id="no-host"),
+        pytest.param('{"url": "http://./x", "lang": "fr", "text": "a"}', id="host-dot"),
+        pytest.param('{"url": "http://../x", "lang": "fr", "text": "a"}', id="host-dotdot"),
+        pytest.param('{"url": "http://a.com/x", "lang": "../../x", "text": "a"}',
+                     id="lang-path"),
+        pytest.param('{"url": "http://a.com/x", "lang": 5, "text": "a"}', id="lang-number"),
+        pytest.param('{"url": "http://a.com/x", "text": "a"', id="parse-error"),
+        pytest.param('{"url": "http://a.com/x"}', id="schema-error"),
+    ])
+    def test_bad_record_names_input_line(self, tmp_path, capsys, record):
+        bad = tmp_path / "in.jsonl"
+        bad.write_text('{"url": "http://a.com/ok", "lang": "en", "text": "a"}\n\n'
+                       + record + "\n")
+        out = tmp_path / "o"
+        code = main(["ingest", "--input", str(bad), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:3: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.jsonl"]
+
+    def test_vectorize_rejects_lexicon_of_another_pivot_vocabulary(self, tmp_path, capsys):
+        # a second build-lexicon call rewrites vocab/en.txt with a smaller
+        # vocabulary than the one lexicon/fr.tsv was built against
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        common = ["--out", str(out), "--pivot", "en"]
+        tables = ["--table-fwd", str(paths["table_fwd"]),
+                  "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        assert main(["build-lexicon", *common, "--lang", "fr", *tables,
+                     "--vocab-size", "40"]) == 0
+        assert main(["build-lexicon", *common, "--lang", "de", *tables,
+                     "--vocab-size", "10"]) == 0
+        vocab = set((out / "vocab" / "en.txt").read_text().split())
+        lexicon = out / "lexicon" / "fr.tsv"
+        line, word = next(
+            (n, fields[1]) for n, fields in enumerate(
+                (row.split("\t") for row in lexicon.read_text().splitlines()), start=1)
+            if fields[1] not in vocab
+        )
+        capsys.readouterr()
+        assert main(["vectorize", *common, "--langs", "fr"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {lexicon}:{line}: pivot word {word!r} is not in the pivot vocabulary\n"
+        )
+
     def test_config_error_is_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text("out: outdir\n")  # missing input

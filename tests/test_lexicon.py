@@ -277,7 +277,7 @@ class TestAlignmentIO:
         lexicon.save_alignment(align, fwd, bwd, path)
         lines = path.read_text().splitlines()
         assert lines == sorted(lines)
-        loaded = lexicon.load_alignment(path, "en", "fr")
+        loaded = lexicon.load_alignment(path, "en", "fr", set(align.to_pivot.values()))
         assert loaded.to_pivot == align.to_pivot
 
     def test_bit_exact_reproducible(self, tmp_path):

@@ -66,6 +66,29 @@ class TestRunPipeline:
         assert m1["stages"]["align"] != m2["stages"]["align"]
         assert m1["stages"]["ingest"] == m2["stages"]["ingest"]
 
+    @pytest.mark.parametrize("dropped,domains", [
+        ("site01.example/", ["site00.example", "site02.example"]),
+        ("site01.example/fr/", ["site00.example", "site01.example", "site02.example"]),
+    ])
+    def test_rerun_after_input_loses_records(self, tmp_path, dropped, domains):
+        corpus = SyntheticCorpus(n_domains=3, docs_per_domain=5, vocab_size=60,
+                                 doc_len=(20, 30), seed=7)
+        out, _ = run_tiny(tmp_path, corpus=corpus, vocab_size=50)
+
+        def site01_pairs():
+            return [line for line in (out / "pairs.tsv").read_text().splitlines()
+                    if line.startswith("site01.example\t")]
+
+        assert site01_pairs()
+        # the same input without one domain, or without one of its languages
+        corpus.records = [r for r in corpus.records if dropped not in r["url"]]
+        out, _ = run_tiny(tmp_path, corpus=corpus, vocab_size=50)
+        assert sorted(p.name for p in (out / "corpus").iterdir()) == domains
+        assert not (out / "corpus" / "site01.example" / "fr.jsonl").exists()
+        assert not (out / "corpus.tmp").exists()
+        assert (out / "pairs.tsv").read_text()
+        assert site01_pairs() == []
+
     def test_missing_resource_fails_preflight(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from docalign import vectorspace as vs
-from docalign.errors import ConfigError
+from docalign.errors import ConfigError, FormatError
 
 
 def vocab_of(words):
@@ -180,9 +180,20 @@ class TestIO:
                 vs.vectorize(["c"], vocab, idf, doc_url="http://x/2")]
         vs.save_vectors(vecs, tmp_path / "v.tsv")
         loaded = vs.load_vectors(tmp_path / "v.tsv")
-        assert set(loaded) == {"http://x/1", "http://x/2"}
+        assert loaded.urls == ["http://x/1", "http://x/2"]
         for vec in vecs:
-            got = loaded[vec.doc_url]
-            assert [d for d, _ in got.entries] == [d for d, _ in vec.entries]
-            for (_, w1), (_, w2) in zip(got.entries, vec.entries):
+            row = loaded.row[vec.doc_url]
+            lo, hi = loaded.indptr[row], loaded.indptr[row + 1]
+            assert loaded.indices[lo:hi].tolist() == [d for d, _ in vec.entries]
+            for w1, (_, w2) in zip(loaded.data[lo:hi].tolist(), vec.entries):
                 assert w1 == pytest.approx(w2, rel=1e-8)
+
+    def test_vectors_load_empty_vector_and_reject_bad_entries(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text("http://x/1\t\nhttp://x/2\t3:0.5\n")
+        table = vs.load_vectors(path)
+        assert table.indptr.tolist() == [0, 0, 1]
+        for payload in ("3", "3:0.5:1", "a:0.5", "3:x"):
+            path.write_text(f"http://x/1\t{payload}\n")
+            with pytest.raises(FormatError, match="v.tsv"):
+                vs.load_vectors(path)
