@@ -29,10 +29,9 @@ _MAX_SPAN_TOKENS = 3
 
 @dataclass
 class IdentifierSet:
-    """Lowercase identifier strings plus the separator alphabet."""
+    """Lowercase identifier strings."""
 
     identifiers: set[str] = field(default_factory=set)
-    separators: str = SEPARATORS
 
     def __post_init__(self):
         if not self.identifiers:

@@ -2,7 +2,9 @@
 evaluate, driven by one declarative config document.
 
 Every stage is stamped with a content hash of its parameters and inputs;
-a rerun with unchanged inputs skips the stage. The manifest records every
+a rerun with unchanged inputs skips the stage. A stage that runs first drops
+its stamp and every path it owns, so no output of an earlier config or of a
+failed run is ever taken for fresh. The manifest records every
 parameter and input digest, so identical configs and inputs reproduce every
 artifact byte-for-byte.
 """
@@ -14,9 +16,9 @@ import hashlib
 import json
 import logging
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import yaml
 
@@ -104,30 +106,14 @@ class PipelineConfig:
         return cfg
 
     def parameters(self) -> dict[str, Any]:
-        """Everything that defines the run except the output location."""
-        return {
-            "input": self.input,
-            "pivot": self.pivot,
-            "langs": sorted(self.langs),
-            "format": self.format,
-            "resources": {
-                lang: {k: v for k, v in vars(res).items() if v}
-                for lang, res in sorted(self.resources.items())
-            },
-            "vocab_size": self.vocab_size,
-            "skip_top_k": self.skip_top_k,
-            "stopwords": self.stopwords,
-            "threshold": self.threshold,
-            "matching": self.matching,
-            "top_n": self.top_n,
-            "lang_confidence": self.lang_confidence,
-            "detect_language": self.detect_language,
-            "url_align": self.url_align,
-            "identifiers": self.identifiers,
-            "mine": self.mine,
-            "min_support": self.min_support,
-            "gold": self.gold,
-        }
+        """Every field except the output location, with the unset paths of
+        each language resource left out."""
+        params = asdict(self)
+        del params["out"]
+        params["langs"] = sorted(self.langs)
+        params["resources"] = {lang: {k: v for k, v in spec.items() if v}
+                               for lang, spec in params["resources"].items()}
+        return params
 
 
 def file_digest(path) -> str:
@@ -144,10 +130,9 @@ def digest_of(obj: Any) -> str:
 
 
 class _Stage:
-    """Content-hash stamped unit of work."""
+    """Content-hash stamp of one stage and the outputs it must find."""
 
     def __init__(self, out_dir: Path, name: str, digest: str, outputs: list[Path]):
-        self.name = name
         self.digest = digest
         self.outputs = outputs
         self.stamp_path = out_dir / ".stamps" / f"{name}.json"
@@ -163,13 +148,6 @@ class _Stage:
             return False
         return all(p.exists() for p in self.outputs)
 
-    def stamp(self) -> None:
-        self.stamp_path.parent.mkdir(parents=True, exist_ok=True)
-        self.stamp_path.write_text(
-            json.dumps({"digest": self.digest, "outputs": [p.name for p in self.outputs]},
-                       sort_keys=True)
-        )
-
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
@@ -177,9 +155,9 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     its translation resource."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    failed_marker = out / "FAILED"
-    if failed_marker.exists():
-        failed_marker.unlink()
+    # a run that fails leaves no manifest of an earlier run beside FAILED
+    (out / "FAILED").unlink(missing_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
 
     # pre-flight: every configured language must have a usable resource
     for lang in sorted(cfg.langs):
@@ -209,25 +187,12 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     def partitions() -> Partitions:
         return corpus.read_partitions(out / "corpus")
 
-    current_stage = "setup"
-    try:
-        current_stage = "ingest"
-        _stage_ingest(cfg, out, manifest)
-        current_stage = "lexicon"
-        _stage_lexicon(cfg, out, manifest, partitions)
-        current_stage = "vectorize"
-        _stage_vectorize(cfg, out, manifest, partitions)
-        current_stage = "align"
-        _stage_align(cfg, out, manifest, partitions)
-        if cfg.mine:
-            current_stage = "mine"
-            _stage_mine(cfg, out, manifest)
-        if cfg.gold:
-            current_stage = "evaluate"
-            _stage_evaluate(cfg, out, manifest)
-    except Exception:
-        failed_marker.write_text(current_stage + "\n")
-        raise
+    _stage_ingest(cfg, out, manifest)
+    _stage_lexicon(cfg, out, manifest, partitions)
+    _stage_vectorize(cfg, out, manifest, partitions)
+    _stage_align(cfg, out, manifest, partitions)
+    _stage_mine(cfg, out, manifest)
+    _stage_evaluate(cfg, out, manifest)
 
     for path in sorted(out.rglob("*")):
         if path.is_file() and ".stamps" not in path.parts and path.name != "manifest.json":
@@ -252,7 +217,6 @@ def ingest(input_path, out: Path, format: str = "jsonl",
     replacing all of it. A record that does not parse fails the ingest with
     an error that starts ``<input>:<line>:``, before anything is written."""
     records = []
-    detector = None
     with open(input_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -262,11 +226,8 @@ def ingest(input_path, out: Path, format: str = "jsonl",
             except (ParseError, SchemaError) as exc:
                 raise type(exc)(f"{input_path}:{lineno}: {exc}") from exc
             if rec.lang == "und" and detect_language:
-                if detector is None:
-                    from .langid import default_detector
-
-                    detector = default_detector()
-                rec.lang = corpus.detect_language(rec.tokens, detector, lang_confidence)
+                rec.lang = corpus.detect_language(rec.tokens,
+                                                  confidence_floor=lang_confidence)
             records.append(rec)
     partitions = corpus.group_by_domain(records)
     # written aside, then swapped in: no domain or language of an earlier
@@ -418,138 +379,134 @@ def align_by_url(out: Path, partitions: Partitions, pivot: str, langs,
     log.info("align-url: %d pairs", len(pairs))
 
 
+def write_report(out: Path, gold: str, url_align: bool) -> None:
+    """Recall of ``pairs.tsv``, and of ``pairs_url.tsv`` when ``url_align``,
+    against the gold file, into ``report.json``."""
+    gold_pairs = evaluation.load_gold(gold)
+    reports = {"cda": evaluation.evaluate_recall(
+        align_cda.load_pairs(out / "pairs.tsv"), gold_pairs).as_dict()}
+    if url_align:
+        reports["url"] = evaluation.evaluate_recall(
+            align_cda.load_pairs(out / "pairs_url.tsv"), gold_pairs).as_dict()
+    (out / "report.json").write_text(
+        json.dumps(reports, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    )
+
+
 # --- stages ----------------------------------------------------------------
+#
+# Each ``_stage_*`` declares its digest key, the outputs a fresh stage must
+# have, the paths it owns and its work; ``_run_stage`` does the rest.
+
+
+def _run_stage(out: Path, manifest: dict, name: str, key: dict, outputs: list[Path],
+               work: Callable[[], None], owns: Iterable[Path] = (),
+               enabled: bool = True) -> None:
+    """Skip the stage if it is fresh. Otherwise drop its stamp, its outputs
+    and every path in ``owns``, run ``work`` and stamp. A stage the config
+    turns off is only dropped. A failure leaves ``FAILED`` naming the stage."""
+    stage = _Stage(out, name, digest_of({"stage": name, **key}), outputs)
+    try:
+        if enabled:
+            manifest["stages"][name] = stage.digest
+            if stage.fresh():
+                log.info("%s: up to date, skipping", name)
+                return
+        stage.stamp_path.unlink(missing_ok=True)
+        for path in [*outputs, *owns]:
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink(missing_ok=True)
+        if enabled:
+            work()
+            stage.stamp_path.parent.mkdir(exist_ok=True)
+            stage.stamp_path.write_text(json.dumps(
+                {"digest": stage.digest, "outputs": [p.name for p in outputs]},
+                sort_keys=True))
+    except Exception:
+        (out / "FAILED").write_text(name + "\n")
+        raise
 
 
 def _stage_ingest(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
-    digest = digest_of({
-        "stage": "ingest",
+    _run_stage(out, manifest, "ingest", {
         "input": manifest["inputs"][cfg.input],
         "format": cfg.format,
         "lang_confidence": cfg.lang_confidence,
         "detect_language": cfg.detect_language,
-    })
-    stage = _Stage(out, "ingest", digest, [out / "corpus"])
-    manifest["stages"]["ingest"] = digest
-    if stage.fresh():
-        log.info("ingest: up to date, skipping")
-        return
-    ingest(cfg.input, out, cfg.format, cfg.detect_language, cfg.lang_confidence)
-    stage.stamp()
+    }, [out / "corpus"],
+        lambda: ingest(cfg.input, out, cfg.format, cfg.detect_language,
+                       cfg.lang_confidence))
 
 
 def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict,
                    partitions: Callable[[], Partitions]) -> None:
-    resource_digests = {
-        lang: [manifest["inputs"][p] for p in res.paths()]
-        for lang, res in sorted(cfg.resources.items())
-    }
-    digest = digest_of({
-        "stage": "lexicon",
+    langs = sorted(cfg.langs)
+    _run_stage(out, manifest, "lexicon", {
         "ingest": manifest["stages"]["ingest"],
         "vocab_size": cfg.vocab_size,
         "skip_top_k": cfg.skip_top_k,
         "stopwords": manifest["inputs"].get(cfg.stopwords),
         "top_n": cfg.top_n,
-        "resources": resource_digests,
-        "langs": sorted(cfg.langs),
+        "resources": {lang: [manifest["inputs"][p] for p in res.paths()]
+                      for lang, res in cfg.resources.items()},
+        "langs": langs,
         "pivot": cfg.pivot,
-    })
-    outputs = [out / "vocab" / f"{cfg.pivot}.txt"]
-    outputs += [out / "vocab" / f"{lang}.txt" for lang in sorted(cfg.langs)]
-    outputs += [out / "lexicon" / f"{lang}.tsv" for lang in sorted(cfg.langs)]
-    stage = _Stage(out, "lexicon", digest, outputs)
-    manifest["stages"]["lexicon"] = digest
-    if stage.fresh():
-        log.info("lexicon: up to date, skipping")
-        return
-    build_lexicon(out, partitions(), cfg.pivot,
-                  {lang: cfg.resources[lang] for lang in cfg.langs},
-                  cfg.vocab_size, cfg.skip_top_k, cfg.stopwords, cfg.top_n)
-    stage.stamp()
+    }, [out / "vocab" / f"{lang}.txt" for lang in [cfg.pivot, *langs]]
+        + [out / "lexicon" / f"{lang}.tsv" for lang in langs],
+        lambda: build_lexicon(out, partitions(), cfg.pivot,
+                              {lang: cfg.resources[lang] for lang in langs},
+                              cfg.vocab_size, cfg.skip_top_k, cfg.stopwords, cfg.top_n),
+        owns=[out / "vocab", out / "lexicon"])
 
 
 def _stage_vectorize(cfg: PipelineConfig, out: Path, manifest: dict,
                      partitions: Callable[[], Partitions]) -> None:
-    digest = digest_of({
-        "stage": "vectorize",
-        "lexicon": manifest["stages"]["lexicon"],
-    })
     langs = [cfg.pivot, *sorted(cfg.langs)]
-    outputs = [out / "vectors" / f"{lang}.tsv" for lang in langs]
-    outputs += [out / "idf" / f"{lang}.tsv" for lang in langs]
-    stage = _Stage(out, "vectorize", digest, outputs)
-    manifest["stages"]["vectorize"] = digest
-    if stage.fresh():
-        log.info("vectorize: up to date, skipping")
-        return
-    vectorize_corpus(out, partitions(), cfg.pivot, cfg.langs)
-    stage.stamp()
+    _run_stage(out, manifest, "vectorize", {
+        "lexicon": manifest["stages"]["lexicon"],
+    }, [out / "vectors" / f"{lang}.tsv" for lang in langs]
+        + [out / "idf" / f"{lang}.tsv" for lang in langs],
+        lambda: vectorize_corpus(out, partitions(), cfg.pivot, cfg.langs),
+        owns=[out / "vectors", out / "idf"])
 
 
 def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict,
                  partitions: Callable[[], Partitions]) -> None:
-    digest = digest_of({
-        "stage": "align",
+    def work() -> None:
+        align_by_content(out, partitions(), cfg.pivot, cfg.langs, cfg.threshold,
+                         cfg.matching)
+        if cfg.url_align:
+            align_by_url(out, partitions(), cfg.pivot, cfg.langs, cfg.identifiers)
+
+    _run_stage(out, manifest, "align", {
         "vectorize": manifest["stages"]["vectorize"],
         "threshold": cfg.threshold,
         "matching": cfg.matching,
         "url_align": cfg.url_align,
         "identifiers": manifest["inputs"].get(cfg.identifiers),
-    })
-    outputs = [out / "pairs.tsv"] + ([out / "pairs_url.tsv"] if cfg.url_align else [])
-    stage = _Stage(out, "align", digest, outputs)
-    manifest["stages"]["align"] = digest
-    if stage.fresh():
-        log.info("align: up to date, skipping")
-        return
-    align_by_content(out, partitions(), cfg.pivot, cfg.langs, cfg.threshold, cfg.matching)
-    if cfg.url_align:
-        align_by_url(out, partitions(), cfg.pivot, cfg.langs, cfg.identifiers)
-    stage.stamp()
+    }, [out / "pairs.tsv"] + ([out / "pairs_url.tsv"] if cfg.url_align else []),
+        work, owns=[out / "pairs_url.tsv"])
 
 
 def _stage_mine(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
-    candidates_path = out / "candidates.tsv"
-    digest = digest_of({
-        "stage": "mine",
+    candidates = out / "candidates.tsv"
+    _run_stage(out, manifest, "mine", {
         "align": manifest["stages"]["align"],
         "min_support": cfg.min_support,
-    })
-    stage = _Stage(out, "mine", digest, [candidates_path])
-    manifest["stages"]["mine"] = digest
-    if stage.fresh():
-        log.info("mine: up to date, skipping")
-        return
-    pairs = align_cda.load_pairs(out / "pairs.tsv")
-    candidates = miner.mine_identifiers(pairs, min_support=cfg.min_support)
-    miner.save_candidates(candidates, candidates_path)
-    stage.stamp()
+    }, [candidates],
+        lambda: miner.save_candidates(
+            miner.mine_identifiers(align_cda.load_pairs(out / "pairs.tsv"),
+                                   min_support=cfg.min_support),
+            candidates),
+        enabled=cfg.mine)
 
 
 def _stage_evaluate(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
-    report_path = out / "report.json"
-    digest = digest_of({
-        "stage": "evaluate",
+    _run_stage(out, manifest, "evaluate", {
         "align": manifest["stages"]["align"],
-        "gold": manifest["inputs"][cfg.gold],
-    })
-    stage = _Stage(out, "evaluate", digest, [report_path])
-    manifest["stages"]["evaluate"] = digest
-    if stage.fresh():
-        log.info("evaluate: up to date, skipping")
-        return
-    gold = evaluation.load_gold(cfg.gold)
-    reports = {
-        "cda": evaluation.evaluate_recall(
-            align_cda.load_pairs(out / "pairs.tsv"), gold
-        ).as_dict()
-    }
-    if cfg.url_align and (out / "pairs_url.tsv").is_file():
-        reports["url"] = evaluation.evaluate_recall(
-            align_cda.load_pairs(out / "pairs_url.tsv"), gold
-        ).as_dict()
-    report_path.write_text(
-        json.dumps(reports, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    )
-    stage.stamp()
+        "gold": manifest["inputs"].get(cfg.gold),
+    }, [out / "report.json"],
+        lambda: write_report(out, cfg.gold, cfg.url_align),
+        enabled=bool(cfg.gold))

@@ -25,8 +25,6 @@ class Vocabulary:
 
     words: list[str]
     index: dict[str, int] = field(default_factory=dict)
-    skip_top_k: int = 0
-    capacity: int = 0
 
     def __post_init__(self):
         if not self.index and self.words:
@@ -99,7 +97,7 @@ def build_vocabulary(
             counts.pop(w, None)
     ranked = sorted(counts, key=lambda w: (-counts[w], w))
     kept = ranked[skip_top_k : skip_top_k + capacity]
-    return Vocabulary(words=kept, skip_top_k=skip_top_k, capacity=capacity)
+    return Vocabulary(words=kept)
 
 
 def idf_value(collection_size: int, doc_freq: int) -> float:

@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from docalign import align_cda
 from docalign.corpus import CorpusPartition
@@ -320,8 +320,11 @@ def blocks(draw):
 
 
 class TestOracleEquivalence:
+    # no shrinking: a failing example is reported in seconds, where shrinking
+    # these blocks took minutes
     @pytest.mark.parametrize("budget", [1, 50, align_cda.PRODUCT_BUDGET])
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     @given(block=blocks(), threshold=st.sampled_from([0.0, 0.3, 1.5]))
     def test_array_path_equals_oracles(self, budget, block, threshold):
         partition, vectors, by_url = block

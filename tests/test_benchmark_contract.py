@@ -3,15 +3,19 @@
 ``bench/tracing.py`` wraps package functions by name and stops a traced
 run on a name that is missing, and the benchmark times the import of
 ``docalign.pipeline`` as set-up. These tests catch a rename or a heavy
-import before a benchmark run does.
+import before a benchmark run does, and a stage call the trace no longer
+sees.
 """
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from tests.conftest import SyntheticCorpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,15 +40,44 @@ def test_every_traced_name_resolves():
     assert unresolved == []
 
 
-def test_pipeline_import_leaves_scipy_out():
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_traced_runs_see_every_stage(tmp_path):
+    """Two traced runs of ``bench/child.py`` in one ``out``: every stage
+    wrapper is called, and the second run finds every stage fresh."""
+    corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
+                             doc_len=(20, 30), seed=7)
+    config = corpus.config(tmp_path / "fixture", tmp_path / "out", vocab_size=50,
+                           url_align=True, mine=True)
+    stages = [f"pipeline._stage_{s}" for s in _tracing_module().STAGES]
+    for run in ("cold", "rerun"):
+        job = {"config": config, "trace": True,
+               "result_path": str(tmp_path / f"{run}.result.json"),
+               "trace_path": str(tmp_path / f"{run}.trace.json")}
+        job_path = tmp_path / f"{run}.job.json"
+        job_path.write_text(json.dumps(job))
+        subprocess.run([sys.executable, str(ROOT / "bench" / "child.py"), str(job_path)],
+                       env=_env(), cwd=tmp_path, capture_output=True, timeout=120)
+        result = json.loads(Path(job["result_path"]).read_text())
+        assert "error" not in result, result.get("traceback")
+        counts = json.loads(Path(job["trace_path"]).read_text())["counts"]
+        for name in [*stages, "pipeline._Stage.fresh", "pipeline.run_pipeline"]:
+            assert counts[name]["calls"] > 0, name
+    fresh = counts["pipeline._Stage.fresh"]
+    assert fresh["skipped"] == fresh["calls"] == len(stages)
+
+
+def test_pipeline_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, docalign.pipeline; print(sorted(m for m in sys.modules "
          "if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=_env(), capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout.strip() == "[]"

@@ -15,6 +15,12 @@ def run_tiny(tmp_path, out_name="out", corpus=None, **overrides):
     return run_pipeline(cfg), corpus
 
 
+def tree(out):
+    """Every file under ``out``, stamps included, as {path: bytes}."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 class TestRunPipeline:
     def test_produces_artifacts(self, tmp_path):
         out, corpus = run_tiny(tmp_path, vocab_size=50)
@@ -88,6 +94,49 @@ class TestRunPipeline:
         assert not (out / "corpus.tmp").exists()
         assert (out / "pairs.tsv").read_text()
         assert site01_pairs() == []
+
+    def test_failed_rerun_leaves_no_fresh_stamp(self, tmp_path):
+        corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
+                                 doc_len=(20, 30), seed=7)
+        out, _ = run_tiny(tmp_path, corpus=corpus, vocab_size=50, threshold=0.1)
+        assert len((out / "pairs.tsv").read_text().splitlines()) == 10
+        # align rewrites pairs.tsv empty, then fails on the identifier file
+        ids = tmp_path / "ids.txt"
+        ids.write_text("fr/x\n")
+        with pytest.raises(ConfigError):
+            run_tiny(tmp_path, corpus=corpus, vocab_size=50, threshold=1.5,
+                     url_align=True, identifiers=str(ids))
+        assert (out / "FAILED").read_text() == "align\n"
+        assert not (out / "manifest.json").exists()
+        run_tiny(tmp_path, corpus=corpus, vocab_size=50, threshold=0.1)
+        assert len((out / "pairs.tsv").read_text().splitlines()) == 10
+        report = json.loads((out / "report.json").read_text())
+        assert report["cda"]["found"] == report["cda"]["total"] == 10
+        fresh, _ = run_tiny(tmp_path, out_name="fresh", corpus=corpus, vocab_size=50,
+                            threshold=0.1)
+        assert tree(out) == tree(fresh)
+
+    @pytest.mark.parametrize("first,final", [
+        ({"url_align": True, "mine": True}, {}),
+        ({}, {"gold": None}),
+        ({"langs": ["de", "fr"]}, {}),
+    ], ids=["url-align-and-mine-off", "gold-removed", "language-dropped"])
+    def test_rerun_leaves_what_a_fresh_run_leaves(self, tmp_path, first, final):
+        corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
+                                 doc_len=(20, 30), seed=7)
+        # German pages with the French text, aligned through the French tables
+        corpus.records += [{**r, "url": r["url"].replace("/fr/", "/de/"), "lang": "de"}
+                           for r in corpus.records if r["lang"] == "fr"]
+
+        def run(out_name, **overrides):
+            cfg = corpus.config(tmp_path / "fixture", tmp_path / out_name,
+                                vocab_size=50, **overrides)
+            cfg["resources"]["de"] = cfg["resources"]["fr"]
+            return run_pipeline(PipelineConfig.from_dict(cfg))
+
+        fresh = tree(run("fresh", **final))
+        assert set(tree(run("out", **first))) - set(fresh)  # files to drop
+        assert tree(run("out", **final)) == fresh
 
     def test_missing_resource_fails_preflight(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
