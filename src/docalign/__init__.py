@@ -36,7 +36,6 @@ from .miner import mine_identifiers
 from .pipeline import PipelineConfig, run_pipeline
 from .vectorspace import (
     IdfModel,
-    SparseVector,
     VectorTable,
     Vocabulary,
     build_vocabulary,

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .corpus import CorpusPartition, DocumentRecord
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .vectorspace import VectorTable
 
 # The most weight products, and pair sums, that ``score_domain`` holds at
@@ -262,20 +262,30 @@ def save_pairs(pairs: Iterable[AlignmentPair], path) -> None:
 
 
 def load_pairs(path) -> list[AlignmentPair]:
+    """Inverse of ``save_pairs``; a malformed line is a ``FormatError``
+    naming the file and line."""
     out: list[AlignmentPair] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            domain, purl, ourl, lang, score, method = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 6:
+                raise FormatError(f"{path}:{lineno}: expected 6 tab-separated fields, "
+                                  f"got {len(fields)}")
+            domain, purl, ourl, lang, score, method = fields
+            try:
+                value = float(score)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: score {score!r} is not a number") from None
             out.append(
                 AlignmentPair(
                     domain=domain,
                     pivot_url=purl,
                     other_url=ourl,
                     other_lang=lang,
-                    score=float(score),
+                    score=value,
                     method=method,
                 )
             )

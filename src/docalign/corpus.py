@@ -209,6 +209,8 @@ def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
     ``html`` | ``text``. tsv records are ``url \\t lang \\t text``. The
     URL must have a host and the language tag may hold only ASCII
     letters, digits, ``-`` and ``_``: both name the record's partition file.
+    The URL may hold no tab, newline or carriage return: it is a field of
+    the line-based TSV artifacts.
     """
     text_line = line.decode("utf-8", errors="replace").rstrip("\r\n")
     if format == "jsonl":
@@ -245,6 +247,10 @@ def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
     else:
         raise UsageError(f"unknown record format: {format!r}")
 
+    if not isinstance(url, str):
+        raise SchemaError(f"URL {url!r} is not a string")
+    if "\t" in url or "\n" in url or "\r" in url:
+        raise SchemaError(f"URL {url!r} contains a tab, newline or carriage return")
     domain = domain_of(url)
     if not domain:
         raise SchemaError(f"URL {url!r} has no host")

@@ -87,8 +87,9 @@ def evaluate_recall(
 ) -> RecallReport:
     """Percentage of gold pairs present in the (1-1 filtered) predictions.
 
-    URL comparison is exact string equality after lowercasing, matching the
-    lowercasing applied at ingest.
+    URLs are compared by exact string equality after lowercasing:
+    ``load_gold`` lowercases the gold pairs and this function the predicted
+    ones. Ingest keeps URLs as they are.
     """
     if not gold.pairs:
         raise UsageError("gold set is empty; recall is undefined")

@@ -316,26 +316,21 @@ def vectorize_corpus(out: Path, partitions: Partitions, pivot: str, langs) -> No
     idf_dir.mkdir(parents=True, exist_ok=True)
 
     for lang in [pivot, *sorted(langs)]:
+        docs = list(_lang_tokens(partitions, lang))
         if lang == pivot:
-            mapped = [(d.url, d.tokens) for d in _lang_tokens(partitions, lang)]
+            tokens = [d.tokens for d in docs]
         else:
             align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", pivot, lang,
                                            pivot_vocab.index)
-            mapped = [
-                (d.url, lexicon.map_document(d, align))
-                for d in _lang_tokens(partitions, lang)
-            ]
-        if not mapped:
+            tokens = [lexicon.map_document(d, align) for d in docs]
+        if not docs:
             (vec_dir / f"{lang}.tsv").write_text("")
             (idf_dir / f"{lang}.tsv").write_text("#collection_size\t0\t0\n")
             continue
-        idf = vectorspace.compute_idf((t for _u, t in mapped), pivot_vocab)
+        idf = vectorspace.compute_idf(tokens, pivot_vocab)
         vectorspace.save_idf(idf, pivot_vocab, idf_dir / f"{lang}.tsv")
-        vectors = (
-            vectorspace.vectorize(tokens, pivot_vocab, idf, doc_url=url)
-            for url, tokens in mapped
-        )
-        vectorspace.save_vectors(vectors, vec_dir / f"{lang}.tsv")
+        table = vectorspace.vectorize([d.url for d in docs], tokens, pivot_vocab, idf)
+        vectorspace.save_vectors(table, vec_dir / f"{lang}.tsv")
 
 
 def _sorted_pairs(pairs: list[align_cda.AlignmentPair]) -> list[align_cda.AlignmentPair]:

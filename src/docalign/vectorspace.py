@@ -2,9 +2,11 @@
 
 Both corpus passes (vocabulary counting, document frequencies) are
 associative merges over per-document counts; the resulting models are
-immutable and safe to read concurrently. ``vectorize`` is pure. Vectors
-are written one document per line and read back as one array table per
-language (``VectorTable``).
+immutable and safe to read concurrently. ``vectorize`` is pure and projects
+the documents of one language in one call, as array operations over the
+flattened token ids, into one array table (``VectorTable``). Vectors are
+written one document per line, one language per file, and read back into
+the same table.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -44,17 +47,6 @@ class IdfModel:
     collection_size: int
     doc_freq: dict[int, int]
     idf: dict[int, float]
-
-
-@dataclass
-class SparseVector:
-    """Sorted (dimension, weight) entries; weights strictly positive."""
-
-    doc_url: str
-    entries: list[tuple[int, float]]
-
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for _d, w in self.entries))
 
 
 @dataclass
@@ -106,44 +98,50 @@ def idf_value(collection_size: int, doc_freq: int) -> float:
 
 def compute_idf(docs: Iterable[Sequence[str]], vocab: Vocabulary) -> IdfModel:
     """Document frequencies over the collection the vectors will come from."""
-    doc_freq: dict[int, int] = {dim: 0 for dim in range(len(vocab))}
+    counts: Counter[str] = Counter()
     n = 0
-    for tokens in docs:
-        n += 1
-        for w in set(tokens):
-            dim = vocab.index.get(w)
-            if dim is not None:
-                doc_freq[dim] += 1
+    for n, tokens in enumerate(docs, start=1):
+        counts.update(set(tokens))
     if n == 0:
         raise ConfigError("IDF is undefined over an empty collection")
+    doc_freq = {dim: counts[w] for dim, w in enumerate(vocab.words)}
     idf = {dim: idf_value(n, df) for dim, df in doc_freq.items()}
     return IdfModel(collection_size=n, doc_freq=doc_freq, idf=idf)
 
 
 def vectorize(
-    tokens: Sequence[str],
+    urls: Sequence[str],
+    docs: Sequence[Sequence[str]],
     vocab: Vocabulary,
     idf: IdfModel,
-    doc_url: str = "",
-) -> SparseVector:
-    """TF x IDF over the vocabulary, l2-normalized.
+) -> VectorTable:
+    """TF x IDF over the vocabulary, l2-normalized: row ``i`` of the table is
+    the vector of ``docs[i]``, listed under ``urls[i]``.
 
-    Documents with no vocabulary hits yield the empty vector; they can never
-    match above a positive threshold.
+    Documents with no vocabulary hits get the empty row; they can never
+    match above a positive threshold. Each norm adds a document's squared
+    weights in the order its dimensions first occur, as a per-document
+    ``Counter`` loop would, so the weights are the same floats.
     """
-    tf: Counter[int] = Counter()
-    for w in tokens:
-        dim = vocab.index.get(w)
-        if dim is not None:
-            tf[dim] += 1
-    raw = [(dim, count * idf.idf[dim]) for dim, count in tf.items()]
-    raw = [(dim, w) for dim, w in raw if w > 0.0]
-    norm = math.sqrt(sum(w * w for _d, w in raw))
-    if norm > 0.0:
-        entries = sorted((dim, w / norm) for dim, w in raw)
-    else:
-        entries = []
-    return SparseVector(doc_url=doc_url, entries=entries)
+    n, dims = len(docs), len(vocab)
+    # the keys row * dims + dim fit int32 below 2**31 (row, dim) cells
+    dtype = np.int32 if n * dims < 2**31 else np.int64
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=n)
+    ids = np.fromiter(map(vocab.index.get, chain.from_iterable(docs), repeat(-1)),
+                      dtype=dtype, count=int(lengths.sum()))
+    keys = np.repeat(np.arange(n, dtype=dtype) * dims, lengths)
+    keys += ids
+    keys, first, tf = np.unique(keys[ids >= 0], return_index=True, return_counts=True)
+    row, dim = np.divmod(keys, max(dims, 1))
+    weights = tf * np.array([idf.idf[d] for d in range(dims)], dtype=np.float64)[dim]
+    positive = weights > 0.0
+    row, dim, first, weights = row[positive], dim[positive], first[positive], weights[positive]
+    order = np.argsort(first)
+    squares = np.bincount(row[order], weights=weights[order] ** 2, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return VectorTable(urls=list(urls), indptr=indptr, indices=dim.astype(np.int64),
+                       data=weights / np.sqrt(squares)[row])
 
 
 # --- file formats ---------------------------------------------------------
@@ -167,37 +165,31 @@ def save_idf(idf: IdfModel, vocab: Vocabulary, path) -> None:
             fh.write(f"{word}\t{idf.doc_freq[dim]}\t{idf.idf[dim]:.12g}\n")
 
 
-def load_idf(path, vocab: Vocabulary) -> IdfModel:
-    doc_freq: dict[int, int] = {}
-    collection_size = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 fields")
-            if parts[0] == "#collection_size":
-                collection_size = int(parts[1])
-                continue
-            dim = vocab.index.get(parts[0])
-            if dim is not None:
-                doc_freq[dim] = int(parts[1])
-    if collection_size <= 0:
-        raise FormatError(f"{path}: missing #collection_size header")
-    for dim in range(len(vocab)):
-        doc_freq.setdefault(dim, 0)
-    idf = {dim: idf_value(collection_size, df) for dim, df in doc_freq.items()}
-    return IdfModel(collection_size=collection_size, doc_freq=doc_freq, idf=idf)
+# save_vectors formats this many rows at a time, so that the text of a
+# whole language is never in memory at once
+_ROWS_PER_BATCH = 256
 
 
-def save_vectors(vectors: Iterable[SparseVector], path) -> None:
-    """One line per document: ``url \\t dim:weight ...``, 9 significant digits."""
+def save_vectors(table: VectorTable, path) -> None:
+    """One line per row: ``url \\t dim:weight ...``, weights to 9 significant
+    digits. ``load_vectors`` reads the file back into the same table."""
+    bounds = table.indptr.tolist()
+    line_formats: dict[int, str] = {}  # entries per line -> its % format
     with open(path, "w", encoding="utf-8") as fh:
-        for vec in vectors:
-            payload = " ".join(f"{dim}:{w:.9g}" for dim, w in vec.entries)
-            fh.write(f"{vec.doc_url}\t{payload}\n")
+        for first in range(0, len(table.urls), _ROWS_PER_BATCH):
+            last = min(first + _ROWS_PER_BATCH, len(table.urls))
+            lo, hi = bounds[first], bounds[last]
+            fields = [None] * (2 * (hi - lo))  # dim, weight, dim, weight, ...
+            fields[0::2] = table.indices[lo:hi].tolist()
+            fields[1::2] = table.data[lo:hi].tolist()
+            lines = []
+            for url, a, b in zip(table.urls[first:last], bounds[first:last],
+                                 bounds[first + 1:last + 1]):
+                fmt = line_formats.get(b - a)
+                if fmt is None:
+                    fmt = line_formats[b - a] = "%s\t" + " ".join(["%d:%.9g"] * (b - a)) + "\n"
+                lines.append(fmt % (url, *fields[2 * (a - lo):2 * (b - lo)]))
+            fh.writelines(lines)
 
 
 def load_vectors(path) -> VectorTable:

@@ -1,5 +1,8 @@
 import json
+import math
 import random
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,36 @@ def make_record(url, tokens, lang="en", raw_length=None):
         tokens=list(tokens),
         raw_length=raw_length if raw_length is not None else len(" ".join(tokens)),
     )
+
+
+@dataclass
+class SparseVector:
+    """Sorted (dimension, weight) entries; weights strictly positive."""
+
+    doc_url: str
+    entries: list[tuple[int, float]]
+
+    def norm(self) -> float:
+        return math.sqrt(sum(w * w for _d, w in self.entries))
+
+
+def vectorize_document(tokens, vocab, idf, doc_url=""):
+    """The per-document ``Counter`` projection that ``vectorspace.vectorize``
+    replaced, kept as its oracle: TF x IDF over the vocabulary,
+    l2-normalized, as a SparseVector."""
+    tf = Counter()
+    for w in tokens:
+        dim = vocab.index.get(w)
+        if dim is not None:
+            tf[dim] += 1
+    raw = [(dim, count * idf.idf[dim]) for dim, count in tf.items()]
+    raw = [(dim, w) for dim, w in raw if w > 0.0]
+    norm = math.sqrt(sum(w * w for _d, w in raw))
+    if norm > 0.0:
+        entries = sorted((dim, w / norm) for dim, w in raw)
+    else:
+        entries = []
+    return SparseVector(doc_url=doc_url, entries=entries)
 
 
 def vector_table(vectors):

@@ -18,8 +18,8 @@ from docalign.align_url import IdentifierSet, default_identifier_set, strip_iden
 from docalign.corpus import CorpusPartition, DocumentRecord
 from docalign.miner import mine_identifiers
 from docalign.pipeline import PipelineConfig, run_pipeline
-from docalign.vectorspace import SparseVector
-from tests.conftest import SyntheticCorpus, make_record, score_matrix, vector_table
+from tests.conftest import (SparseVector, SyntheticCorpus, make_record, score_matrix,
+                            vector_table)
 
 
 @contextlib.contextmanager
@@ -58,10 +58,13 @@ def test_criterion_1_idf_formula_exactness():
             assert abs(model.idf[dim] - oracle) <= 1e-12
 
         # every non-empty vector is unit length
-        for doc in docs:
-            vec = vectorspace.vectorize(doc, vocab, model)
-            if vec.entries:
-                assert abs(vec.norm() - 1.0) <= 1e-9
+        table = vectorspace.vectorize([f"u{i}" for i in range(len(docs))], docs,
+                                      vocab, model)
+        bounds = table.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi > lo:
+                norm = math.sqrt(sum(w * w for w in table.data[lo:hi].tolist()))
+                assert abs(norm - 1.0) <= 1e-9
 
         assert time.perf_counter() - start < 1.0
 

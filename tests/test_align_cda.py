@@ -8,8 +8,8 @@ from hypothesis import Phase, given, settings, strategies as st
 from docalign import align_cda
 from docalign.corpus import CorpusPartition
 from docalign.errors import ConfigError
-from docalign.vectorspace import SparseVector
-from tests.conftest import make_record, matrix_entries, score_matrix, vector_table
+from tests.conftest import (SparseVector, make_record, matrix_entries, score_matrix,
+                            vector_table)
 
 
 def vec(url, *entries):

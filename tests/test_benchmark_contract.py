@@ -48,29 +48,53 @@ def _env():
     return env
 
 
+def _fixture_config(tmp_path):
+    corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
+                             doc_len=(20, 30), seed=7)
+    return corpus.config(tmp_path / "fixture", tmp_path / "out", vocab_size=50,
+                         url_align=True, mine=True)
+
+
+def _traced_run(tmp_path, config, run):
+    """One traced ``bench/child.py`` run; returns the trace's call counts."""
+    job = {"config": config, "trace": True,
+           "result_path": str(tmp_path / f"{run}.result.json"),
+           "trace_path": str(tmp_path / f"{run}.trace.json")}
+    job_path = tmp_path / f"{run}.job.json"
+    job_path.write_text(json.dumps(job))
+    subprocess.run([sys.executable, str(ROOT / "bench" / "child.py"), str(job_path)],
+                   env=_env(), cwd=tmp_path, capture_output=True, timeout=120)
+    result = json.loads(Path(job["result_path"]).read_text())
+    assert "error" not in result, result.get("traceback")
+    return json.loads(Path(job["trace_path"]).read_text())["counts"]
+
+
 def test_traced_runs_see_every_stage(tmp_path):
     """Two traced runs of ``bench/child.py`` in one ``out``: every stage
     wrapper is called, and the second run finds every stage fresh."""
-    corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
-                             doc_len=(20, 30), seed=7)
-    config = corpus.config(tmp_path / "fixture", tmp_path / "out", vocab_size=50,
-                           url_align=True, mine=True)
+    config = _fixture_config(tmp_path)
     stages = [f"pipeline._stage_{s}" for s in _tracing_module().STAGES]
     for run in ("cold", "rerun"):
-        job = {"config": config, "trace": True,
-               "result_path": str(tmp_path / f"{run}.result.json"),
-               "trace_path": str(tmp_path / f"{run}.trace.json")}
-        job_path = tmp_path / f"{run}.job.json"
-        job_path.write_text(json.dumps(job))
-        subprocess.run([sys.executable, str(ROOT / "bench" / "child.py"), str(job_path)],
-                       env=_env(), cwd=tmp_path, capture_output=True, timeout=120)
-        result = json.loads(Path(job["result_path"]).read_text())
-        assert "error" not in result, result.get("traceback")
-        counts = json.loads(Path(job["trace_path"]).read_text())["counts"]
+        counts = _traced_run(tmp_path, config, run)
         for name in [*stages, "pipeline._Stage.fresh", "pipeline.run_pipeline"]:
             assert counts[name]["calls"] > 0, name
     fresh = counts["pipeline._Stage.fresh"]
     assert fresh["skipped"] == fresh["calls"] == len(stages)
+
+
+def test_traced_cold_run_calls_every_lexicon_and_vectorspace_name(tmp_path):
+    """A cold run with url_align, mine and gold reaches every wrapped
+    ``lexicon.*`` and ``vectorspace.*`` name but the embedding ones (the
+    fixture has translation tables), so a rewrite that stops calling one
+    fails here, not as a ``TraceCoverageError`` of ``bench/run.py --trace 1``."""
+    config = _fixture_config(tmp_path)
+    assert config["gold"]
+    counts = _traced_run(tmp_path, config, "cold")
+    unreachable = {"lexicon.load_embeddings", "lexicon.table_from_embeddings"}
+    names = [n for n in _tracing_module().TARGETS
+             if n.split(".")[0] in ("lexicon", "vectorspace") and n not in unreachable]
+    assert "vectorspace.vectorize" in names
+    assert [n for n in names if counts[n]["calls"] == 0] == []
 
 
 def test_pipeline_import_leaves_scipy_out():

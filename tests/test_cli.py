@@ -173,6 +173,13 @@ class TestExitCodes:
         pytest.param('{"url": "http://a.com/x", "lang": "../../x", "text": "a"}',
                      id="lang-path"),
         pytest.param('{"url": "http://a.com/x", "lang": 5, "text": "a"}', id="lang-number"),
+        pytest.param('{"url": "http://a.com/x\\ty", "lang": "fr", "text": "a"}',
+                     id="url-tab"),
+        pytest.param('{"url": "http://a.com/x\\ny", "lang": "fr", "text": "a"}',
+                     id="url-newline"),
+        pytest.param('{"url": "http://a.com/x\\ry", "lang": "fr", "text": "a"}',
+                     id="url-carriage-return"),
+        pytest.param('{"url": 5, "lang": "fr", "text": "a"}', id="url-number"),
         pytest.param('{"url": "http://a.com/x", "text": "a"', id="parse-error"),
         pytest.param('{"url": "http://a.com/x"}', id="schema-error"),
     ])
@@ -211,6 +218,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {lexicon}:{line}: pivot word {word!r} is not in the pivot vocabulary\n"
         )
+
+    @pytest.mark.parametrize("command", ["evaluate", "mine-ids"])
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("a.com\thttp://a.com/en\thttp://a.com/fr\tfr\t0.5",
+                     "expected 6 tab-separated fields, got 5", id="five-fields"),
+        pytest.param("a.com\thttp://a.com/en\thttp://a.com/fr\tfr\thigh\tcda",
+                     "score 'high' is not a number", id="score-not-number"),
+    ])
+    def test_bad_pairs_line_names_file_and_line(self, tmp_path, capsys, command,
+                                                line, message):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a.com\thttp://a.com/en/1\thttp://a.com/fr/1\tfr\t0.900000\tcda\n"
+                         + line + "\n")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("http://a.com/en/1\thttp://a.com/fr/1\n")
+        argv = {"evaluate": ["evaluate", "--pred", str(pairs), "--gold", str(gold)],
+                "mine-ids": ["mine-ids", "--pairs", str(pairs),
+                             "--out", str(tmp_path / "candidates.tsv")]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {pairs}:2: {message}\n"
 
     def test_config_error_is_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

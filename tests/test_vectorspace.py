@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from docalign import vectorspace as vs
 from docalign.errors import ConfigError, FormatError
+from tests.conftest import vectorize_document
 
 
 def vocab_of(words):
@@ -93,67 +95,87 @@ class TestComputeIdf:
         assert idf.doc_freq[0] == 1
 
 
+def vectorize_one(tokens, vocab, idf):
+    """The (dim, weight) entries of one document's vector."""
+    table = vs.vectorize(["u"], [tokens], vocab, idf)
+    return list(zip(table.indices.tolist(), table.data.tolist()))
+
+
+def norm(entries):
+    return math.sqrt(sum(w * w for _d, w in entries))
+
+
 class TestVectorize:
     def test_hand_computation(self):
         vocab = vocab_of(["cat", "dog"])
         idf = idf_of(vocab, {"cat": 1.0, "dog": 2.0})
-        vec = vs.vectorize(["cat", "cat", "dog"], vocab, idf)
-        weights = dict(vec.entries)
+        entries = vectorize_one(["cat", "cat", "dog"], vocab, idf)
+        weights = dict(entries)
         assert weights[vocab.index["cat"]] == pytest.approx(0.70711, abs=1e-5)
         assert weights[vocab.index["dog"]] == pytest.approx(0.70711, abs=1e-5)
-        assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        assert norm(entries) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_tokens(self):
         vocab = vocab_of(["cat"])
         idf = idf_of(vocab, {"cat": 1.0})
-        vec = vs.vectorize([], vocab, idf)
-        assert vec.entries == []
+        assert vectorize_one([], vocab, idf) == []
 
     def test_single_word_scale_invariance(self):
         vocab = vocab_of(["cat"])
         idf = idf_of(vocab, {"cat": 0.7})
         for m in (1, 2, 17):
-            vec = vs.vectorize(["cat"] * m, vocab, idf)
-            assert dict(vec.entries)[0] == pytest.approx(1.0, abs=1e-12)
+            assert dict(vectorize_one(["cat"] * m, vocab, idf))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_self_concatenation_invariant(self):
         vocab = vocab_of(["a", "b", "c"])
         idf = idf_of(vocab, {"a": 1.0, "b": 0.5, "c": 2.0})
         doc = ["a", "b", "a", "c"]
-        one = vs.vectorize(doc, vocab, idf)
-        two = vs.vectorize(doc + doc, vocab, idf)
-        for (d1, w1), (d2, w2) in zip(one.entries, two.entries):
+        one = vectorize_one(doc, vocab, idf)
+        two = vectorize_one(doc + doc, vocab, idf)
+        for (d1, w1), (d2, w2) in zip(one, two):
             assert d1 == d2
             assert w1 == pytest.approx(w2, abs=1e-12)
 
     def test_entries_sorted_and_positive(self):
         vocab = vocab_of([f"w{i}" for i in range(10)])
         idf = idf_of(vocab, {f"w{i}": 1.0 + i for i in range(10)})
-        vec = vs.vectorize(["w7", "w2", "w9", "w2"], vocab, idf)
-        dims = [d for d, _w in vec.entries]
+        entries = vectorize_one(["w7", "w2", "w9", "w2"], vocab, idf)
+        dims = [d for d, _w in entries]
         assert dims == sorted(dims)
-        assert all(w > 0 for _d, w in vec.entries)
+        assert all(w > 0 for _d, w in entries)
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=50))
     def test_unit_norm_property(self, tokens):
         vocab = vocab_of(["a", "b", "c"])
         idf = idf_of(vocab, {"a": 1.0, "b": 0.3, "c": 2.5})
-        vec = vs.vectorize(tokens, vocab, idf)
-        if vec.entries:
-            assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        entries = vectorize_one(tokens, vocab, idf)
+        if entries:
+            assert norm(entries) == pytest.approx(1.0, abs=1e-9)
+
+    def test_rows_follow_documents(self):
+        vocab = vocab_of(["a", "b"])
+        idf = idf_of(vocab, {"a": 1.0, "b": 2.0})
+        table = vs.vectorize(["u1", "u2", "u3", "u4"],
+                             [["b", "a"], [], ["x"], ["b", "b"]], vocab, idf)
+        assert table.urls == ["u1", "u2", "u3", "u4"]
+        assert table.indptr.tolist() == [0, 2, 2, 2, 3]
+        assert table.indices.tolist() == [0, 1, 1]
+        assert table.data[2] == 1.0
 
 
 class TestDeterminism:
     def test_identical_corpus_identical_models(self):
         docs = [["a", "b", "b"], ["c", "a"], ["b"]]
+        urls = ["u1", "u2", "u3"]
         v1 = vs.build_vocabulary(docs, 0, 10)
         v2 = vs.build_vocabulary(docs, 0, 10)
         assert v1.words == v2.words
         i1 = vs.compute_idf(docs, v1)
         i2 = vs.compute_idf(docs, v2)
         assert i1.idf == i2.idf
-        for doc in docs:
-            assert vs.vectorize(doc, v1, i1).entries == vs.vectorize(doc, v2, i2).entries
+        t1, t2 = vs.vectorize(urls, docs, v1, i1), vs.vectorize(urls, docs, v2, i2)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(t1, name).tolist() == getattr(t2, name).tolist()
 
 
 class TestIO:
@@ -163,30 +185,33 @@ class TestIO:
         loaded = vs.load_vocabulary(tmp_path / "v.txt")
         assert loaded.words == v.words
 
-    def test_idf_roundtrip(self, tmp_path):
-        vocab = vocab_of(["a", "b"])
-        idf = vs.compute_idf([["a"], ["a", "b"], ["b"]], vocab)
+    def test_save_idf_bytes(self, tmp_path):
+        vocab = vocab_of(["a", "b", "c"])
+        idf = vs.compute_idf([["a"], ["a", "b"], ["b", "a", "a"]], vocab)
         vs.save_idf(idf, vocab, tmp_path / "idf.tsv")
-        loaded = vs.load_idf(tmp_path / "idf.tsv", vocab)
-        assert loaded.collection_size == 3
-        assert loaded.doc_freq == idf.doc_freq
-        for dim in idf.idf:
-            assert loaded.idf[dim] == pytest.approx(idf.idf[dim], abs=1e-12)
+        assert (tmp_path / "idf.tsv").read_text() == (
+            "#collection_size\t3\t0\n"
+            "a\t3\t0.559615787935\n"  # ln(1 + 3/4)
+            "b\t2\t0.69314718056\n"  # ln(1 + 3/3)
+            "c\t0\t1.38629436112\n"  # ln(1 + 3/1)
+        )
 
     def test_vectors_roundtrip(self, tmp_path):
         vocab = vocab_of(["a", "b", "c"])
         idf = vs.compute_idf([["a", "b"], ["c"]], vocab)
-        vecs = [vs.vectorize(["a", "b", "b"], vocab, idf, doc_url="http://x/1"),
-                vs.vectorize(["c"], vocab, idf, doc_url="http://x/2")]
-        vs.save_vectors(vecs, tmp_path / "v.tsv")
-        loaded = vs.load_vectors(tmp_path / "v.tsv")
-        assert loaded.urls == ["http://x/1", "http://x/2"]
-        for vec in vecs:
-            row = loaded.row[vec.doc_url]
-            lo, hi = loaded.indptr[row], loaded.indptr[row + 1]
-            assert loaded.indices[lo:hi].tolist() == [d for d, _ in vec.entries]
-            for w1, (_, w2) in zip(loaded.data[lo:hi].tolist(), vec.entries):
-                assert w1 == pytest.approx(w2, rel=1e-8)
+        table = vs.vectorize(["http://x/1", "http://x/2", "http://x/3"],
+                             [["a", "b", "b"], [], ["c"]], vocab, idf)
+        path = tmp_path / "v.tsv"
+        vs.save_vectors(table, path)
+        loaded = vs.load_vectors(path)
+        assert loaded.urls == table.urls
+        assert loaded.indptr.tolist() == table.indptr.tolist()
+        assert loaded.indices.tolist() == table.indices.tolist()
+        assert loaded.data.tolist() == pytest.approx(table.data.tolist(), rel=1e-8)
+        # saving what was loaded writes the same bytes
+        first = path.read_bytes()
+        vs.save_vectors(loaded, path)
+        assert path.read_bytes() == first
 
     def test_vectors_load_empty_vector_and_reject_bad_entries(self, tmp_path):
         path = tmp_path / "v.tsv"
@@ -197,3 +222,72 @@ class TestIO:
             path.write_text(f"http://x/1\t{payload}\n")
             with pytest.raises(FormatError, match="v.tsv"):
                 vs.load_vectors(path)
+
+
+# --- oracle: compute_idf's per-token loop, the per-document projection and
+# the per-weight formatting that the batch path replaced ------------------
+
+
+def idf_file_oracle(docs, vocab):
+    doc_freq = {dim: 0 for dim in range(len(vocab))}
+    for tokens in docs:
+        for w in set(tokens):
+            dim = vocab.index.get(w)
+            if dim is not None:
+                doc_freq[dim] += 1
+    n = len(docs)
+    return f"#collection_size\t{n}\t0\n" + "".join(
+        f"{word}\t{doc_freq[dim]}\t{math.log(1.0 + n / (1.0 + doc_freq[dim])):.12g}\n"
+        for dim, word in enumerate(vocab.words)
+    )
+
+
+def vector_file_oracle(vectors):
+    return "".join(
+        f"{v.doc_url}\t{' '.join(f'{dim}:{w:.9g}' for dim, w in v.entries)}\n"
+        for v in vectors
+    )
+
+
+WORDS = [f"w{i}" for i in range(8)]
+
+
+@st.composite
+def languages(draw):
+    """A vocabulary in random dimension order (possibly empty) and 1-6
+    documents, some empty, some with no vocabulary word, with repeated
+    tokens so that first occurrences and dimension order disagree."""
+    vocab = vocab_of(draw(st.permutations(WORDS))[:draw(st.integers(0, len(WORDS)))])
+    docs = draw(st.lists(st.lists(st.sampled_from([*WORDS, "oov"]), max_size=40),
+                         min_size=1, max_size=6))
+    return vocab, docs
+
+
+class TestOracleEquivalence:
+    @given(language=languages())
+    def test_files_and_weights_match_per_document_oracle(self, tmp_path_factory, language):
+        vocab, docs = language
+        urls = [f"http://x/{i}" for i in range(len(docs))]
+        tmp = tmp_path_factory.mktemp("lang")
+        idf = vs.compute_idf(docs, vocab)
+        vs.save_idf(idf, vocab, tmp / "idf.tsv")
+        table = vs.vectorize(urls, docs, vocab, idf)
+        with mock.patch.object(vs, "_ROWS_PER_BATCH", 2):  # several batches
+            vs.save_vectors(table, tmp / "vectors.tsv")
+
+        oracle = [vectorize_document(t, vocab, idf, doc_url=u) for u, t in zip(urls, docs)]
+        assert (tmp / "idf.tsv").read_text() == idf_file_oracle(docs, vocab)
+        assert (tmp / "vectors.tsv").read_text() == vector_file_oracle(oracle)
+        assert list(zip(table.indices.tolist(), table.data.tolist())) == [
+            e for v in oracle for e in v.entries]
+
+    def test_keys_beyond_int32(self):
+        # 2**15 + 1 documents over 2**16 dimensions: the last row's
+        # (row, dim) keys pass 2**31
+        vocab = vocab_of(f"w{i}" for i in range(2**16))
+        docs = [[] for _ in range(2**15)] + [["w65535", "w3", "w65535"]]
+        idf = vs.compute_idf(docs, vocab)
+        table = vs.vectorize([str(i) for i in range(len(docs))], docs, vocab, idf)
+        assert table.indptr[-2] == 0
+        assert list(zip(table.indices.tolist(), table.data.tolist())) == \
+            vectorize_document(docs[-1], vocab, idf).entries
