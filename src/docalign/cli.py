@@ -98,8 +98,7 @@ def _add_align_cda(sub):
     p.add_argument("--pivot", required=True)
     p.add_argument("--langs", required=True)
     p.add_argument("--threshold", type=float, default=0.1)
-    p.add_argument("--matching", choices=["greedy", "top1-then-greedy"],
-                   default="greedy")
+    p.add_argument("--matching", choices=list(align_cda._MATCHERS), default="greedy")
     p.set_defaults(func=cmd_align_cda)
 
 

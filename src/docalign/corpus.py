@@ -17,7 +17,7 @@ from html.parser import HTMLParser
 from typing import Iterable, Optional
 from urllib.parse import urlsplit
 
-from .errors import ParseError, SchemaError, UsageError
+from .errors import FormatError, ParseError, SchemaError, UsageError
 
 # Only text under these tags is kept; everything else is boilerplate.
 TEXT_TAGS = frozenset(
@@ -229,10 +229,12 @@ def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
             raise SchemaError(
                 "record must carry exactly one of 'html' or 'text'"
             )
+        key = "html" if has_html else "text"
+        raw = obj[key]
+        if not isinstance(raw, str):
+            raise SchemaError(f"field {key!r} is not a string")
         if has_html:
-            raw = extract_text(obj["html"])
-        else:
-            raw = obj["text"]
+            raw = extract_text(raw)
         lang = obj.get("lang") or "und"
     elif format == "tsv":
         parts = text_line.split("\t")
@@ -331,7 +333,8 @@ def write_partitions(partitions: dict[str, CorpusPartition], out_dir) -> None:
 
 
 def read_partitions(corpus_dir) -> dict[str, CorpusPartition]:
-    """Inverse of write_partitions."""
+    """Inverse of write_partitions. A line that is not a record raises
+    ``FormatError`` naming ``file:line``."""
     from pathlib import Path
 
     root = Path(corpus_dir)
@@ -339,8 +342,17 @@ def read_partitions(corpus_dir) -> dict[str, CorpusPartition]:
     for ddir in sorted(p for p in root.iterdir() if p.is_dir()):
         by_lang: dict[str, list[DocumentRecord]] = {}
         for f in sorted(ddir.glob("*.jsonl")):
+            docs = []
             with open(f, encoding="utf-8") as fh:
-                docs = [DocumentRecord.from_serialized(line) for line in fh if line.strip()]
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        docs.append(DocumentRecord.from_serialized(line))
+                    except KeyError as exc:
+                        raise FormatError(f"{f}:{lineno}: record lacks key {exc}") from exc
+                    except (TypeError, ValueError) as exc:
+                        raise FormatError(f"{f}:{lineno}: {exc}") from exc
             if docs:
                 by_lang[f.stem] = docs
         if by_lang:

@@ -100,16 +100,21 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: bad embeddings header {header!r}")
-        dim = int(header[1])
+        try:
+            _count, dim = map(int, header)
+        except ValueError:
+            raise FormatError(f"{path}:1: bad embeddings header {header!r}, "
+                              "expected 'count dim'") from None
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 raise FormatError(
                     f"{path}:{lineno}: expected {dim} values for {parts[0]!r}"
                 )
-            vectors[parts[0]] = np.asarray(parts[1:], dtype=np.float64)
+            try:
+                vectors[parts[0]] = np.asarray(parts[1:], dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
     return vectors
 
 

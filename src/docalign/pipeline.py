@@ -152,7 +152,7 @@ class _Stage:
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
     artifact directory. Fails before any work if a configured language lacks
-    its translation resource."""
+    its translation resource or the matching mode is unknown."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     # a run that fails leaves no manifest of an earlier run beside FAILED
@@ -167,6 +167,9 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         res.validate(lang)
     if not Path(cfg.input).is_file():
         raise ConfigError(f"input file not found: {cfg.input}")
+    if cfg.matching not in align_cda._MATCHERS:
+        raise ConfigError(f"unknown matching mode {cfg.matching!r}; "
+                          f"choose one of {', '.join(align_cda._MATCHERS)}")
 
     manifest: dict[str, Any] = {
         "parameters": cfg.parameters(),
@@ -308,7 +311,7 @@ def _load_stopwords(path: Optional[str]) -> Optional[set[str]]:
 def vectorize_corpus(out: Path, partitions: Partitions, pivot: str, langs) -> None:
     """Project the pivot and every language in ``langs`` into the pivot
     space of ``vocab/<pivot>.txt`` through ``lexicon/<lang>.tsv``; writes
-    ``vectors/`` and ``idf/``."""
+    ``vectors/<lang>/`` and ``idf/<lang>.tsv``."""
     vec_dir = out / "vectors"
     idf_dir = out / "idf"
     pivot_vocab = vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt")
@@ -324,13 +327,13 @@ def vectorize_corpus(out: Path, partitions: Partitions, pivot: str, langs) -> No
                                            pivot_vocab.index)
             tokens = [lexicon.map_document(d, align) for d in docs]
         if not docs:
-            (vec_dir / f"{lang}.tsv").write_text("")
+            vectorspace.save_vectors(vectorspace.VectorTable.empty(), vec_dir / lang)
             (idf_dir / f"{lang}.tsv").write_text("#collection_size\t0\t0\n")
             continue
         idf = vectorspace.compute_idf(tokens, pivot_vocab)
         vectorspace.save_idf(idf, pivot_vocab, idf_dir / f"{lang}.tsv")
         table = vectorspace.vectorize([d.url for d in docs], tokens, pivot_vocab, idf)
-        vectorspace.save_vectors(table, vec_dir / f"{lang}.tsv")
+        vectorspace.save_vectors(table, vec_dir / lang)
 
 
 def _sorted_pairs(pairs: list[align_cda.AlignmentPair]) -> list[align_cda.AlignmentPair]:
@@ -344,7 +347,7 @@ def align_by_content(out: Path, partitions: Partitions, pivot: str, langs,
                      threshold: float, matching: str = "greedy") -> None:
     """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``."""
     vectors = {
-        lang: vectorspace.load_vectors(out / "vectors" / f"{lang}.tsv")
+        lang: vectorspace.load_vectors(out / "vectors" / lang)
         for lang in [pivot, *sorted(langs)]
     }
     stats: dict = {}
@@ -461,7 +464,7 @@ def _stage_vectorize(cfg: PipelineConfig, out: Path, manifest: dict,
     langs = [cfg.pivot, *sorted(cfg.langs)]
     _run_stage(out, manifest, "vectorize", {
         "lexicon": manifest["stages"]["lexicon"],
-    }, [out / "vectors" / f"{lang}.tsv" for lang in langs]
+    }, [out / "vectors" / lang for lang in langs]
         + [out / "idf" / f"{lang}.tsv" for lang in langs],
         lambda: vectorize_corpus(out, partitions(), cfg.pivot, cfg.langs),
         owns=[out / "vectors", out / "idf"])

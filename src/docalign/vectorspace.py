@@ -4,9 +4,9 @@ Both corpus passes (vocabulary counting, document frequencies) are
 associative merges over per-document counts; the resulting models are
 immutable and safe to read concurrently. ``vectorize`` is pure and projects
 the documents of one language in one call, as array operations over the
-flattened token ids, into one array table (``VectorTable``). Vectors are
-written one document per line, one language per file, and read back into
-the same table.
+flattened token ids, into one array table (``VectorTable``). Each
+language's table is saved as its CSR arrays in ``.npy`` files plus a URL
+list, and read back into the same table.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -67,6 +68,11 @@ class VectorTable:
 
     def __post_init__(self):
         self.row = {url: i for i, url in enumerate(self.urls)}
+
+    @classmethod
+    def empty(cls) -> "VectorTable":
+        return cls(urls=[], indptr=np.zeros(1, dtype=np.int64),
+                   indices=np.zeros(0, dtype=np.int64), data=np.zeros(0))
 
 
 def build_vocabulary(
@@ -165,55 +171,48 @@ def save_idf(idf: IdfModel, vocab: Vocabulary, path) -> None:
             fh.write(f"{word}\t{idf.doc_freq[dim]}\t{idf.idf[dim]:.12g}\n")
 
 
-# save_vectors formats this many rows at a time, so that the text of a
-# whole language is never in memory at once
-_ROWS_PER_BATCH = 256
+_ARRAYS = (("indptr", np.int64), ("indices", np.int64), ("data", np.float64))
 
 
 def save_vectors(table: VectorTable, path) -> None:
-    """One line per row: ``url \\t dim:weight ...``, weights to 9 significant
-    digits. ``load_vectors`` reads the file back into the same table."""
-    bounds = table.indptr.tolist()
-    line_formats: dict[int, str] = {}  # entries per line -> its % format
-    with open(path, "w", encoding="utf-8") as fh:
-        for first in range(0, len(table.urls), _ROWS_PER_BATCH):
-            last = min(first + _ROWS_PER_BATCH, len(table.urls))
-            lo, hi = bounds[first], bounds[last]
-            fields = [None] * (2 * (hi - lo))  # dim, weight, dim, weight, ...
-            fields[0::2] = table.indices[lo:hi].tolist()
-            fields[1::2] = table.data[lo:hi].tolist()
-            lines = []
-            for url, a, b in zip(table.urls[first:last], bounds[first:last],
-                                 bounds[first + 1:last + 1]):
-                fmt = line_formats.get(b - a)
-                if fmt is None:
-                    fmt = line_formats[b - a] = "%s\t" + " ".join(["%d:%.9g"] * (b - a)) + "\n"
-                lines.append(fmt % (url, *fields[2 * (a - lo):2 * (b - lo)]))
-            fh.writelines(lines)
+    """Save the table into the directory ``path`` as ``indptr.npy``,
+    ``indices.npy``, ``data.npy`` (weights at full precision) and
+    ``urls.txt``, one URL per line."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    for name, dtype in _ARRAYS:
+        np.save(path / f"{name}.npy", np.asarray(getattr(table, name), dtype=dtype),
+                allow_pickle=False)
+    with open(path / "urls.txt", "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(url + "\n" for url in table.urls)
 
 
 def load_vectors(path) -> VectorTable:
-    """Inverse of ``save_vectors``: one table, rows in file order."""
-    urls: list[str] = []
-    lengths = [0]
-    items: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            url, _sep, payload = line.partition("\t")
-            entries = payload.split()
-            urls.append(url)
-            lengths.append(len(entries))
-            items += entries
-    fields = ":".join(items).split(":") if items else []
-    if len(fields) != 2 * len(items):
-        raise FormatError(f"{path}: every entry must be dim:weight")
+    """Inverse of ``save_vectors``: the same arrays, bit for bit. A file
+    that does not fit the layout raises ``FormatError`` naming it."""
+    path = Path(path)
+    arrays = {}
+    for name, dtype in _ARRAYS:
+        file = path / f"{name}.npy"
+        try:
+            with open(file, "rb") as fh:
+                arrays[name] = array = np.lib.format.read_array(fh, allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:
+            raise FormatError(f"{file}: {exc}") from exc
+        if array.dtype != dtype or array.ndim != 1:
+            raise FormatError(f"{file}: {array.ndim}-D {array.dtype}, not 1-D {np.dtype(dtype)}")
     try:
-        indices = np.array(fields[0::2], dtype=np.int64)
-        data = np.array(fields[1::2], dtype=np.float64)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return VectorTable(urls=urls, indptr=np.cumsum(lengths, dtype=np.int64),
-                       indices=indices, data=data)
+        text = (path / "urls.txt").read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path / 'urls.txt'}: {exc}") from exc
+    urls = text.removesuffix("\n").split("\n") if text else []
+    indptr, indices, data = arrays["indptr"], arrays["indices"], arrays["data"]
+    if len(indptr) != len(urls) + 1:
+        raise FormatError(f"{path}: indptr.npy holds {len(indptr)} offsets for the "
+                          f"{len(urls)} URLs of urls.txt")
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise FormatError(f"{path / 'indptr.npy'}: offsets must start at 0 and never decrease")
+    if not indptr[-1] == len(indices) == len(data):
+        raise FormatError(f"{path}: indptr.npy ends at {indptr[-1]}, but indices.npy "
+                          f"holds {len(indices)} entries and data.npy {len(data)}")
+    return VectorTable(urls=urls, indptr=indptr, indices=indices, data=data)

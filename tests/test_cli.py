@@ -34,8 +34,9 @@ class TestStageCommands:
         assert (out / "lexicon" / "fr.tsv").read_text()
 
         assert main(["vectorize", *common, "--langs", "fr"]) == 0
-        assert (out / "vectors" / "en.tsv").is_file()
-        assert (out / "vectors" / "fr.tsv").is_file()
+        for lang in ("en", "fr"):
+            assert {f.name for f in (out / "vectors" / lang).iterdir()} == {
+                "indptr.npy", "indices.npy", "data.npy", "urls.txt"}
         assert (out / "idf" / "fr.tsv").is_file()
 
         pairs_path = out / "pairs.tsv"
@@ -114,7 +115,7 @@ class TestChainMatchesRun:
         expected = _artifacts(tmp_path / "run")
         assert expected["pairs.tsv"] and expected["pairs_url.tsv"]
         assert {"vocab/en.txt", "lexicon/fr.tsv", "idf/fr.tsv",
-                "vectors/fr.tsv"} <= expected.keys()
+                "vectors/fr/data.npy", "vectors/fr/urls.txt"} <= expected.keys()
         assert _artifacts(chain) == expected
 
 
@@ -180,6 +181,10 @@ class TestExitCodes:
         pytest.param('{"url": "http://a.com/x\\ry", "lang": "fr", "text": "a"}',
                      id="url-carriage-return"),
         pytest.param('{"url": 5, "lang": "fr", "text": "a"}', id="url-number"),
+        pytest.param('{"url": "http://a.com/x", "lang": "en", "text": 5}',
+                     id="text-number"),
+        pytest.param('{"url": "http://a.com/x", "lang": "en", "html": ["a"]}',
+                     id="html-list"),
         pytest.param('{"url": "http://a.com/x", "text": "a"', id="parse-error"),
         pytest.param('{"url": "http://a.com/x"}', id="schema-error"),
     ])
@@ -192,6 +197,17 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:3: ")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.jsonl"]
+
+    def test_bad_corpus_line_names_file_and_line(self, tmp_path, capsys):
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        part = out / "corpus" / "site00.example" / "en.jsonl"
+        part.write_text(part.read_text() + "{broken\n")
+        lines = len(part.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["vectorize", "--out", str(out), "--pivot", "en"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {part}:{lines}: ")
 
     def test_vectorize_rejects_lexicon_of_another_pivot_vocabulary(self, tmp_path, capsys):
         # a second build-lexicon call rewrites vocab/en.txt with a smaller

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import unicodedata
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from docalign import corpus
-from docalign.errors import ParseError, SchemaError
+from docalign.errors import FormatError, ParseError, SchemaError
 from tests.conftest import make_record
 
 
@@ -162,6 +163,16 @@ class TestParseRecord:
         with pytest.raises(SchemaError):
             corpus.parse_record(b'{"text":"hi"}')
 
+    @pytest.mark.parametrize("line, key", [
+        (b'{"url":"http://a.com/x","text":5}', "text"),
+        (b'{"url":"http://a.com/x","text":null}', "text"),
+        (b'{"url":"http://a.com/x","html":["a"]}', "html"),
+        (b'{"url":"http://a.com/x","html":{"p":"a"}}', "html"),
+    ])
+    def test_content_that_is_not_a_string(self, line, key):
+        with pytest.raises(SchemaError, match=f"field '{key}' is not a string"):
+            corpus.parse_record(line)
+
     def test_malformed_json_names_offset(self):
         with pytest.raises(ParseError, match="byte offset"):
             corpus.parse_record(b'{"url": oops}')
@@ -275,3 +286,17 @@ class TestPartitionIO:
         loaded = corpus.read_partitions(tmp_path)
         assert sorted(loaded) == ["a.com", "b.org"]
         assert loaded["a.com"].docs("fr")[0].tokens == ["héllo"]
+
+    @pytest.mark.parametrize("bad, message", [
+        ('{"url": "http://a.com/z", "tokens"', "Expecting"),
+        ('{"url": "http://a.com/z", "domain": "a.com", "lang": "fr", "tokens": []}',
+         "lacks key 'raw_length'"),
+        ('["http://a.com/z"]', "list indices"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, bad, message):
+        corpus.write_partitions(corpus.group_by_domain(
+            [make_record("http://a.com/x", ["a"], lang="fr")]), tmp_path)
+        path = tmp_path / "a.com" / "fr.jsonl"
+        path.write_text(path.read_text() + "\n" + bad + "\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:3: .*{message}"):
+            corpus.read_partitions(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,20 @@ class TestTableFromEmbeddings:
         emb = lexicon.load_embeddings(path)
         assert set(emb) == {"cat", "dog"}
         assert emb["cat"].tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("text, line", [
+        ("2 x\ncat 1 0 0\n", 1),
+        ("2.0 3\ncat 1 0 0\n", 1),
+        ("2 3 4\ncat 1 0 0\n", 1),
+        ("\n", 1),
+        ("2 3\ncat 1 0 0\ndog 0 x 0\n", 3),
+        ("2 3\ncat 1 0 0\ndog 0 1 \n", 3),
+    ])
+    def test_bad_embeddings_name_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{line}: "):
+            lexicon.load_embeddings(path)
 
 
 # the spec-scale worked example used across build_alignment and map_document

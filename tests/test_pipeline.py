@@ -156,6 +156,17 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match="de"):
             run_pipeline(PipelineConfig.from_dict(cfg_dict))
 
+    def test_unknown_matching_fails_preflight(self, tmp_path):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out")
+        cfg_dict["matching"] = "hungarian"
+        with pytest.raises(ConfigError, match="'hungarian'; choose one of greedy, "
+                                              "top1-then-greedy"):
+            run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        assert not (tmp_path / "out" / "corpus").exists()
+        assert not (tmp_path / "out" / "FAILED").exists()
+
     def test_failed_marker_on_stage_error(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)

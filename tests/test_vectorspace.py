@@ -1,6 +1,8 @@
 import math
-from unittest import mock
+import pickle
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,6 +180,46 @@ class TestDeterminism:
             assert getattr(t1, name).tolist() == getattr(t2, name).tolist()
 
 
+def _pickle_file(path):
+    path.write_bytes(pickle.dumps([0, 1, 2]))
+
+
+def _npz_file(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, a=np.zeros(3, dtype=np.int64))
+
+
+# each case rewrites one file of a saved table of 3 URLs with
+# indptr [0, 2, 2, 3]
+MALFORMED = {
+    "garbage": ("data.npy", lambda p: p.write_bytes(b"not an array")),
+    "empty file": ("indices.npy", lambda p: p.write_bytes(b"")),
+    "truncated": ("data.npy", lambda p: p.write_bytes(p.read_bytes()[:-4])),
+    "missing": ("indptr.npy", lambda p: p.unlink()),
+    "pickle": ("indices.npy", _pickle_file),
+    "object array": ("indices.npy",
+                     lambda p: np.save(p, np.array([1, "a"], dtype=object))),
+    "npz archive": ("indptr.npy", _npz_file),
+    "int32 indptr": ("indptr.npy",
+                     lambda p: np.save(p, np.array([0, 2, 2, 3], dtype=np.int32))),
+    "float indices": ("indices.npy", lambda p: np.save(p, np.array([0.0, 1.0, 2.0]))),
+    "int64 data": ("data.npy", lambda p: np.save(p, np.array([1, 1, 1]))),
+    "big-endian data": ("data.npy", lambda p: np.save(p, np.ones(3, dtype=">f8"))),
+    "2-D data": ("data.npy", lambda p: np.save(p, np.ones((3, 1)))),
+    "URL too many": ("urls.txt", lambda p: p.write_text("a\nb\nc\nd\n")),
+    "URL too few": ("urls.txt", lambda p: p.write_text("a\nb\n")),
+    "indptr from 1": ("indptr.npy",
+                      lambda p: np.save(p, np.array([1, 2, 2, 3], dtype=np.int64))),
+    "indptr decreasing": ("indptr.npy",
+                          lambda p: np.save(p, np.array([0, 2, 1, 3], dtype=np.int64))),
+    "indptr past entries": ("indptr.npy",
+                            lambda p: np.save(p, np.array([0, 2, 2, 4], dtype=np.int64))),
+    "indices short": ("indices.npy", lambda p: np.save(p, np.array([0, 1], dtype=np.int64))),
+    "data long": ("data.npy", lambda p: np.save(p, np.ones(4))),
+    "URLs not UTF-8": ("urls.txt", lambda p: p.write_bytes(b"a\n\xff\nc\n")),
+}
+
+
 class TestIO:
     def test_vocab_roundtrip(self, tmp_path):
         v = vocab_of(["cat", "dog", "état"])
@@ -199,33 +241,47 @@ class TestIO:
     def test_vectors_roundtrip(self, tmp_path):
         vocab = vocab_of(["a", "b", "c"])
         idf = vs.compute_idf([["a", "b"], ["c"]], vocab)
-        table = vs.vectorize(["http://x/1", "http://x/2", "http://x/3"],
-                             [["a", "b", "b"], [], ["c"]], vocab, idf)
-        path = tmp_path / "v.tsv"
-        vs.save_vectors(table, path)
-        loaded = vs.load_vectors(path)
-        assert loaded.urls == table.urls
-        assert loaded.indptr.tolist() == table.indptr.tolist()
-        assert loaded.indices.tolist() == table.indices.tolist()
-        assert loaded.data.tolist() == pytest.approx(table.data.tolist(), rel=1e-8)
+        # URLs that str.splitlines would cut, next to an ASCII one
+        urls = ["http://x/1", "http://x/\u2028\x85\x0c", "http://x/é"]
+        table = vs.vectorize(urls, [["a", "b", "b"], [], ["c"]], vocab, idf)
+        vs.save_vectors(table, tmp_path / "v")
+        assert sorted(f.name for f in (tmp_path / "v").iterdir()) == [
+            "data.npy", "indices.npy", "indptr.npy", "urls.txt"]
+        loaded = vs.load_vectors(tmp_path / "v")
+        assert loaded.urls == urls
+        for name, dtype in (("indptr", "int64"), ("indices", "int64"), ("data", "float64")):
+            got = getattr(loaded, name)
+            assert got.dtype == dtype
+            assert got.tobytes() == getattr(table, name).tobytes()
         # saving what was loaded writes the same bytes
-        first = path.read_bytes()
-        vs.save_vectors(loaded, path)
-        assert path.read_bytes() == first
+        vs.save_vectors(loaded, tmp_path / "again")
+        for f in (tmp_path / "v").iterdir():
+            assert (tmp_path / "again" / f.name).read_bytes() == f.read_bytes()
 
     def test_vectors_load_empty_vector_and_reject_bad_entries(self, tmp_path):
-        path = tmp_path / "v.tsv"
-        path.write_text("http://x/1\t\nhttp://x/2\t3:0.5\n")
-        table = vs.load_vectors(path)
-        assert table.indptr.tolist() == [0, 0, 1]
-        for payload in ("3", "3:0.5:1", "a:0.5", "3:x"):
-            path.write_text(f"http://x/1\t{payload}\n")
-            with pytest.raises(FormatError, match="v.tsv"):
-                vs.load_vectors(path)
+        vocab = vocab_of(["a", "b", "c"])
+        idf = vs.compute_idf([["a", "b"], ["c"]], vocab)
+        table = vs.vectorize(["u1", "u2", "u3"], [["a", "b"], [], ["c"]], vocab, idf)
+        for case, (name, damage) in MALFORMED.items():
+            vs.save_vectors(table, tmp_path / case)
+            assert vs.load_vectors(tmp_path / case).indptr.tolist() == [0, 2, 2, 3]
+            damage(tmp_path / case / name)
+            with pytest.raises(FormatError) as info:
+                vs.load_vectors(tmp_path / case)
+            assert str(info.value).startswith(str(tmp_path / case)), case
+            assert name in str(info.value), case
+
+    def test_empty_table_roundtrip(self, tmp_path):
+        vs.save_vectors(vs.VectorTable.empty(), tmp_path / "v")
+        assert (tmp_path / "v" / "urls.txt").read_bytes() == b""
+        loaded = vs.load_vectors(tmp_path / "v")
+        assert loaded.urls == []
+        assert loaded.indptr.tolist() == [0]
+        assert len(loaded.indices) == len(loaded.data) == 0
 
 
-# --- oracle: compute_idf's per-token loop, the per-document projection and
-# the per-weight formatting that the batch path replaced ------------------
+# --- oracle: compute_idf's per-token loop and the per-document projection
+# that the batch path replaced ---------------------------------------------
 
 
 def idf_file_oracle(docs, vocab):
@@ -239,13 +295,6 @@ def idf_file_oracle(docs, vocab):
     return f"#collection_size\t{n}\t0\n" + "".join(
         f"{word}\t{doc_freq[dim]}\t{math.log(1.0 + n / (1.0 + doc_freq[dim])):.12g}\n"
         for dim, word in enumerate(vocab.words)
-    )
-
-
-def vector_file_oracle(vectors):
-    return "".join(
-        f"{v.doc_url}\t{' '.join(f'{dim}:{w:.9g}' for dim, w in v.entries)}\n"
-        for v in vectors
     )
 
 
@@ -271,13 +320,13 @@ class TestOracleEquivalence:
         tmp = tmp_path_factory.mktemp("lang")
         idf = vs.compute_idf(docs, vocab)
         vs.save_idf(idf, vocab, tmp / "idf.tsv")
-        table = vs.vectorize(urls, docs, vocab, idf)
-        with mock.patch.object(vs, "_ROWS_PER_BATCH", 2):  # several batches
-            vs.save_vectors(table, tmp / "vectors.tsv")
+        vs.save_vectors(vs.vectorize(urls, docs, vocab, idf), tmp / "vectors")
+        table = vs.load_vectors(tmp / "vectors")
 
         oracle = [vectorize_document(t, vocab, idf, doc_url=u) for u, t in zip(urls, docs)]
         assert (tmp / "idf.tsv").read_text() == idf_file_oracle(docs, vocab)
-        assert (tmp / "vectors.tsv").read_text() == vector_file_oracle(oracle)
+        assert table.urls == urls
+        assert table.indptr.tolist() == [0, *accumulate(len(v.entries) for v in oracle)]
         assert list(zip(table.indices.tolist(), table.data.tolist())) == [
             e for v in oracle for e in v.entries]
 
