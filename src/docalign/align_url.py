@@ -116,10 +116,8 @@ def _strip_token_spans(prefix: str, tail: str, ids: IdentifierSet) -> set[str]:
             if left is not None and right is not None:
                 # doubled separator collapses to one; distinct ones both stay
                 mid = [left] if left == right else [left, right]
-            elif left is not None or right is not None:
-                # span at an edge: the dangling separator goes too
-                mid = []
             else:
+                # span at an edge: the dangling separator goes too
                 mid = []
             out.add(prefix + "".join(before + mid + after))
     return out

@@ -20,14 +20,16 @@ from .errors import DocalignError
 log = logging.getLogger("docalign")
 
 _OUT_HELP = "artifact directory, laid out as by `run`"
+# the stage options default to the values `run` takes from the config
+_DEFAULTS = pipeline.PipelineConfig(input="", out="")
 
 
 def _add_ingest(sub):
     p = sub.add_parser("ingest", help="parse records and partition by domain")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
+    p.add_argument("--format", choices=["jsonl", "tsv"], default=_DEFAULTS.format)
     p.add_argument("--out", required=True, help=_OUT_HELP)
-    p.add_argument("--lang-confidence", type=float, default=0.5)
+    p.add_argument("--lang-confidence", type=float, default=_DEFAULTS.lang_confidence)
     p.add_argument("--no-detect", action="store_true",
                    help="keep 'und' instead of running language detection")
     p.set_defaults(func=cmd_ingest)
@@ -58,9 +60,9 @@ def _add_build_lexicon(sub):
     p.add_argument("--table-bwd", help="lang->pivot probability TSV")
     p.add_argument("--emb-pivot", help="pivot embeddings (text format)")
     p.add_argument("--emb-other", help="other-language embeddings")
-    p.add_argument("--top-n", type=int, default=20)
-    p.add_argument("--vocab-size", type=int, default=10000)
-    p.add_argument("--skip-top-k", type=int, default=100)
+    p.add_argument("--top-n", type=int, default=_DEFAULTS.top_n)
+    p.add_argument("--vocab-size", type=int, default=_DEFAULTS.vocab_size)
+    p.add_argument("--skip-top-k", type=int, default=_DEFAULTS.skip_top_k)
     p.add_argument("--stopwords", help="file of words left out of every vocabulary")
     p.set_defaults(func=cmd_build_lexicon)
 
@@ -97,8 +99,9 @@ def _add_align_cda(sub):
     p.add_argument("--out", required=True, help=_OUT_HELP)
     p.add_argument("--pivot", required=True)
     p.add_argument("--langs", required=True)
-    p.add_argument("--threshold", type=float, default=0.1)
-    p.add_argument("--matching", choices=list(align_cda._MATCHERS), default="greedy")
+    p.add_argument("--threshold", type=float, default=_DEFAULTS.threshold)
+    p.add_argument("--matching", choices=list(align_cda._MATCHERS),
+                   default=_DEFAULTS.matching)
     p.set_defaults(func=cmd_align_cda)
 
 
@@ -131,7 +134,7 @@ def cmd_align_url(args) -> int:
 def _add_mine_ids(sub):
     p = sub.add_parser("mine-ids", help="mine language-identifier candidates")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--min-support", type=int, default=1)
+    p.add_argument("--min-support", type=int, default=_DEFAULTS.min_support)
     p.add_argument("--no-indel", action="store_true",
                    help="substitutions only; ignore insertion/deletion diffs")
     p.add_argument("--out", required=True)

@@ -66,16 +66,19 @@ def load_gold(path) -> GoldSet:
 
 
 def refilter_one_to_one(pairs: Iterable[AlignmentPair]) -> list[AlignmentPair]:
-    """Greedy 1-1 filter by descending score; idempotent on 1-1 input."""
-    taken_pivot: set[str] = set()
-    taken_other: set[str] = set()
+    """Greedy 1-1 filter by descending score within each non-pivot language:
+    a pivot page keeps one partner per language, as ``align_corpus`` links
+    it. Idempotent on such input."""
+    taken_pivot: set[tuple[str, str]] = set()
+    taken_other: set[tuple[str, str]] = set()
     out: list[AlignmentPair] = []
     ordered = sorted(pairs, key=lambda p: (-p.score, p.pivot_url, p.other_url))
     for p in ordered:
-        if p.pivot_url in taken_pivot or p.other_url in taken_other:
+        pivot, other = (p.other_lang, p.pivot_url), (p.other_lang, p.other_url)
+        if pivot in taken_pivot or other in taken_other:
             continue
-        taken_pivot.add(p.pivot_url)
-        taken_other.add(p.other_url)
+        taken_pivot.add(pivot)
+        taken_other.add(other)
         out.append(p)
     return out
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Protocol
 
 # A couple of paragraphs of everyday prose per language is enough for
 # trigram profiles to separate these eight languages reliably.
@@ -90,12 +89,6 @@ _SEED_TEXT = {
 }
 
 _NGRAM_ORDER = 3
-
-
-class LanguageDetector(Protocol):
-    def classify(self, text: str) -> tuple[str, float]:
-        """Return (language tag, confidence in [0, 1])."""
-        ...
 
 
 def _ngrams(text: str, n: int) -> list[str]:

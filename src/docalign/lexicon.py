@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -30,38 +29,17 @@ class TranslationTable:
     tgt_lang: str
     probs: dict[tuple[str, str], float] = field(default_factory=dict)
 
-    def by_src(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = defaultdict(list)
-        for (s, t) in self.probs:
-            index[s].append(t)
-        return index
-
-    def by_tgt(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = defaultdict(list)
-        for (s, t) in self.probs:
-            index[t].append(s)
-        return index
-
-    def row_sum_violations(self, tol: float = 1e-6) -> list[str]:
-        """Source words whose outgoing probabilities sum above 1 + tol.
-
-        IBM-1 tables are proper conditional distributions; embedding-derived
-        tables satisfy this by construction.
-        """
-        sums: dict[str, float] = defaultdict(float)
-        for (s, _t), p in self.probs.items():
-            sums[s] += p
-        return sorted(s for s, total in sums.items() if total > 1.0 + tol)
-
 
 @dataclass
 class LexiconAlignment:
-    """Word pairs (pivot, other) plus the derived other -> pivot token map."""
+    """Word pairs (pivot, other) plus the derived other -> pivot token map and
+    the score S of each mapped pair."""
 
     pivot_lang: str
     other_lang: str
     pairs: set[tuple[str, str]] = field(default_factory=set)
     to_pivot: dict[str, str] = field(default_factory=dict)
+    scores: dict[str, float] = field(default_factory=dict)
 
 
 def load_translation_table(path, src_lang: str, tgt_lang: str) -> TranslationTable:
@@ -191,55 +169,55 @@ def table_from_embeddings(
     return fwd, bwd
 
 
+def pair_scores(p_fwd: TranslationTable,
+                p_bwd: TranslationTable) -> dict[tuple[str, str], float]:
+    """S(a, b) = P_fwd(a, b) + P_bwd(b, a) for every (pivot, other) pair with
+    an entry in either table; a missing entry counts as probability 0."""
+    fwd, bwd = p_fwd.probs, p_bwd.probs
+    scores = {(a, b): p + bwd.get((b, a), 0.0) for (a, b), p in fwd.items()}
+    for (b, a), p in bwd.items():
+        if (a, b) not in scores:
+            scores[(a, b)] = 0.0 + p  # 0.0 stands for the missing P_fwd(a, b)
+    return scores
+
+
 def build_alignment(
     p_fwd: TranslationTable,
     p_bwd: TranslationTable,
     v_alpha: Iterable[str],
     v_beta: Iterable[str],
 ) -> LexiconAlignment:
-    """Pair every pivot word a with the argmax over b of
-    P_fwd(a, b) + P_bwd(b, a); pairs with max score 0 are dropped.
+    """Pair every pivot word a with the argmax over b of S(a, b), keeping
+    ties; pairs with max score 0 are dropped.
 
-    Missing table entries count as probability 0. to_pivot keeps, for each
-    non-pivot word, the single best pivot word (ties to the lexicographically
-    smaller one).
+    to_pivot keeps, for each non-pivot word, the single best pivot word
+    (ties to the lexicographically smaller one), and scores its S.
     """
-    alpha = set(v_alpha)
-    beta = set(v_beta)
+    alpha, beta = set(v_alpha), set(v_beta)
     if not alpha or not beta:
         raise ConfigError("alignment vocabularies must be non-empty")
 
-    fwd_by_src = p_fwd.by_src()
-    bwd_by_tgt = p_bwd.by_tgt()  # pivot word -> non-pivot words with P_bwd(b, a) > 0
+    best_for_pivot: dict[str, tuple[float, list[str]]] = {}
+    for (a, b), s in pair_scores(p_fwd, p_bwd).items():
+        if s > 0.0 and a in alpha and b in beta:
+            cur = best_for_pivot.get(a)
+            if cur is None or s > cur[0]:
+                best_for_pivot[a] = (s, [b])
+            elif s == cur[0]:
+                cur[1].append(b)
 
-    pairs: set[tuple[str, str]] = set()
     best_for_other: dict[str, tuple[float, str]] = {}
-    for a in sorted(alpha):
-        candidates = set(fwd_by_src.get(a, ())) | set(bwd_by_tgt.get(a, ()))
-        candidates &= beta
-        if not candidates:
-            continue
-        best = 0.0
-        best_bs: list[str] = []
-        for b in sorted(candidates):
-            s = p_fwd.probs.get((a, b), 0.0) + p_bwd.probs.get((b, a), 0.0)
-            if s > best:
-                best, best_bs = s, [b]
-            elif s == best and best > 0.0:
-                best_bs.append(b)
-        for b in best_bs:
-            pairs.add((a, b))
-            s = best
+    for a, (s, bs) in best_for_pivot.items():
+        for b in bs:
             cur = best_for_other.get(b)
             if cur is None or s > cur[0] or (s == cur[0] and a < cur[1]):
                 best_for_other[b] = (s, a)
 
-    to_pivot = {b: a for b, (_s, a) in best_for_other.items()}
     return LexiconAlignment(
-        pivot_lang=p_fwd.src_lang,
-        other_lang=p_fwd.tgt_lang,
-        pairs=pairs,
-        to_pivot=to_pivot,
+        pivot_lang=p_fwd.src_lang, other_lang=p_fwd.tgt_lang,
+        pairs={(a, b) for a, (_s, bs) in best_for_pivot.items() for b in bs},
+        to_pivot={b: a for b, (_s, a) in best_for_other.items()},
+        scores={b: s for b, (s, _a) in best_for_other.items()},
     )
 
 
@@ -250,25 +228,20 @@ def reverse_condition_violations(
     v_alpha: Iterable[str],
 ) -> int:
     """Diagnostic: pairs (a, b) for which some other pivot word w beats a on
-    P_fwd(w, b) + P_bwd(b, w). The forward construction does not guarantee
-    this count is zero for arbitrary tables.
+    S(w, b). The forward construction does not guarantee this count is zero
+    for arbitrary tables.
 
-    Probabilities are non-negative, so a pivot word with neither entry
-    scores 0 and cannot beat a; only the words that have an entry for b
-    are tried, which costs O(table entries) rather than O(pairs x pivot
-    vocabulary)."""
+    Scores are non-negative, so a pivot word with no table entry for b
+    cannot beat a: each pair is checked against the largest S(w, b) over
+    the table entries with w in v_alpha."""
     alpha = set(v_alpha)
-    fwd_by_tgt = p_fwd.by_tgt()
-    bwd_by_src = p_bwd.by_src()
-    violations = 0
-    for a, b in align.pairs:
-        s_ab = p_fwd.probs.get((a, b), 0.0) + p_bwd.probs.get((b, a), 0.0)
-        rivals = [*fwd_by_tgt.get(b, ()), *bwd_by_src.get(b, ())]
-        if any(w in alpha
-               and p_fwd.probs.get((w, b), 0.0) + p_bwd.probs.get((b, w), 0.0) > s_ab
-               for w in rivals):
-            violations += 1
-    return violations
+    scores = pair_scores(p_fwd, p_bwd)
+    column_max: dict[str, float] = {}
+    for (w, b), s in scores.items():
+        if w in alpha and s > column_max.get(b, 0.0):
+            column_max[b] = s
+    return sum(scores.get(pair, 0.0) < column_max.get(pair[1], 0.0)
+               for pair in align.pairs)
 
 
 def map_document(doc: DocumentRecord, align: LexiconAlignment) -> list[str]:
@@ -282,16 +255,12 @@ def map_document(doc: DocumentRecord, align: LexiconAlignment) -> list[str]:
     return [to_pivot[t] for t in doc.tokens if t in to_pivot]
 
 
-def save_alignment(align: LexiconAlignment, p_fwd: TranslationTable,
-                   p_bwd: TranslationTable, path) -> None:
-    """TSV ``other \\t pivot \\t score`` sorted by other word; reproducible."""
-    rows = []
-    for b in sorted(align.to_pivot):
-        a = align.to_pivot[b]
-        s = p_fwd.probs.get((a, b), 0.0) + p_bwd.probs.get((b, a), 0.0)
-        rows.append(f"{b}\t{a}\t{s:.9g}\n")
+def save_alignment(align: LexiconAlignment, path) -> None:
+    """TSV ``other \t pivot \t score`` sorted by other word, the score at 9
+    significant digits; reproducible."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(rows)
+        fh.writelines(f"{b}\t{align.to_pivot[b]}\t{align.scores[b]:.9g}\n"
+                      for b in sorted(align.to_pivot))
 
 
 def load_alignment(path, pivot_lang: str, other_lang: str,
@@ -301,6 +270,7 @@ def load_alignment(path, pivot_lang: str, other_lang: str,
     map words outside the vector space."""
     pairs: set[tuple[str, str]] = set()
     to_pivot: dict[str, str] = {}
+    scores: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -309,14 +279,19 @@ def load_alignment(path, pivot_lang: str, other_lang: str,
             parts = line.split("\t")
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 fields")
-            b, a, _score = parts
+            b, a, raw = parts
             if a not in pivot_vocab:
                 raise FormatError(
                     f"{path}:{lineno}: pivot word {a!r} is not in the pivot vocabulary"
                 )
+            try:
+                score = float(raw)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: score {raw!r} is not a number") from None
             pairs.add((a, b))
             to_pivot[b] = a
+            scores[b] = score
     return LexiconAlignment(
         pivot_lang=pivot_lang, other_lang=other_lang,
-        pairs=pairs, to_pivot=to_pivot,
+        pairs=pairs, to_pivot=to_pivot, scores=scores,
     )

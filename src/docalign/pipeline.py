@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Optional
 import yaml
 
 from . import align_cda, align_url, corpus, evaluation, lexicon, miner, vectorspace
-from .errors import ConfigError, ParseError, SchemaError
+from .errors import ConfigError, FormatError, ParseError, SchemaError
 
 log = logging.getLogger(__name__)
 
@@ -298,7 +298,7 @@ def build_lexicon(out: Path, partitions: Partitions, pivot: str,
         if violations:
             log.info("lexicon %s: %d pairs violate the reverse argmax condition",
                      lang, violations)
-        lexicon.save_alignment(align, p_fwd, p_bwd, lex_dir / f"{lang}.tsv")
+        lexicon.save_alignment(align, lex_dir / f"{lang}.tsv")
 
 
 def _load_stopwords(path: Optional[str]) -> Optional[set[str]]:
@@ -345,11 +345,15 @@ def _sorted_pairs(pairs: list[align_cda.AlignmentPair]) -> list[align_cda.Alignm
 
 def align_by_content(out: Path, partitions: Partitions, pivot: str, langs,
                      threshold: float, matching: str = "greedy") -> None:
-    """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``."""
-    vectors = {
-        lang: vectorspace.load_vectors(out / "vectors" / lang)
-        for lang in [pivot, *sorted(langs)]
-    }
+    """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``. Every
+    dimension must index a word of ``vocab/<pivot>.txt``."""
+    dims = len(vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt"))
+    vectors = {}
+    for lang in [pivot, *sorted(langs)]:
+        vectors[lang] = table = vectorspace.load_vectors(out / "vectors" / lang)
+        if table.indices.size and (table.indices.min() < 0 or table.indices.max() >= dims):
+            raise FormatError(f"{out / 'vectors' / lang / 'indices.npy'}: dimension "
+                              f"outside the {dims}-word pivot vocabulary")
     stats: dict = {}
     pairs = align_cda.align_corpus(
         partitions, vectors, pivot, langs, threshold, matching=matching, stats=stats,
@@ -419,9 +423,7 @@ def _run_stage(out: Path, manifest: dict, name: str, key: dict, outputs: list[Pa
         if enabled:
             work()
             stage.stamp_path.parent.mkdir(exist_ok=True)
-            stage.stamp_path.write_text(json.dumps(
-                {"digest": stage.digest, "outputs": [p.name for p in outputs]},
-                sort_keys=True))
+            stage.stamp_path.write_text(json.dumps({"digest": stage.digest}))
     except Exception:
         (out / "FAILED").write_text(name + "\n")
         raise

@@ -3,6 +3,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -234,6 +235,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {lexicon}:{line}: pivot word {word!r} is not in the pivot vocabulary\n"
         )
+
+    @pytest.mark.parametrize("bad", [-5, 10**12, None], ids=["negative", "huge", "vocab-size"])
+    def test_align_rejects_dimension_outside_pivot_vocabulary(self, tmp_path, capsys, bad):
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        common = ["--out", str(out), "--pivot", "en"]
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        assert main(["build-lexicon", *common, "--lang", "fr",
+                     "--table-fwd", str(paths["table_fwd"]),
+                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
+        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        dims = len((out / "vocab" / "en.txt").read_text().splitlines())
+        indices_path = out / "vectors" / "fr" / "indices.npy"
+        indices = np.load(indices_path)
+        indices[1] = dims if bad is None else bad
+        np.save(indices_path, indices)
+        capsys.readouterr()
+        assert main(["align-cda", *common, "--langs", "fr"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {indices_path}: dimension outside the {dims}-word pivot vocabulary\n")
+        assert not (out / "pairs.tsv").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "mine-ids"])
     @pytest.mark.parametrize("line, message", [

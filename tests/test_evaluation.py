@@ -56,6 +56,17 @@ class TestEvaluateRecall:
         report = evaluation.evaluate_recall(preds, GOLD4, enforce_one_to_one=False)
         assert report.found == 1
 
+    def test_refilter_is_per_language(self):
+        # a pivot page links one page per other language; its higher-scored
+        # German pair does not push out its French gold pair
+        fr = pred("http://a.com/en/1", "http://a.com/fr/1", score=0.8)
+        de = AlignmentPair(domain="a.com", pivot_url="http://a.com/en/1",
+                           other_url="http://a.com/de/9", other_lang="de",
+                           score=0.9, method="cda")
+        gold = gold_of(("http://a.com/en/1", "http://a.com/fr/1"))
+        assert evaluation.evaluate_recall([fr, de], gold).recall == 100.0
+        assert evaluation.refilter_one_to_one([fr, de]) == [de, fr]
+
     def test_refilter_idempotent_on_one_to_one_input(self):
         preds = [pred(p, o) for p, o in sorted(GOLD4.pairs)]
         once = evaluation.refilter_one_to_one(preds)

@@ -48,12 +48,6 @@ class TestLoadTranslationTable:
         with pytest.raises(ConfigError):
             lexicon.load_translation_table(path, "", "fr")
 
-    def test_row_sum_check(self):
-        t = table("en", "fr", {("cat", "chat"): 0.9, ("cat", "chien"): 0.3})
-        assert t.row_sum_violations() == ["cat"]
-        ok = table("en", "fr", {("cat", "chat"): 0.9, ("cat", "chien"): 0.1})
-        assert ok.row_sum_violations() == []
-
 
 class TestTableFromEmbeddings:
     def test_orthogonal(self):
@@ -151,6 +145,28 @@ def oracle_reverse_condition_violations(align, p_fwd, p_bwd, v_alpha):
     return violations
 
 
+def oracle_build_alignment(p_fwd, p_bwd, v_alpha, v_beta):
+    """The per-pivot-word scan over the whole other vocabulary that the one
+    pass over ``pair_scores`` replaced; returns (pairs, to_pivot, scores)."""
+    pairs = set()
+    best_for_other = {}
+    for a in sorted(set(v_alpha)):
+        best, best_bs = 0.0, []
+        for b in sorted(set(v_beta)):
+            s = p_fwd.probs.get((a, b), 0.0) + p_bwd.probs.get((b, a), 0.0)
+            if s > best:
+                best, best_bs = s, [b]
+            elif s == best and best > 0.0:
+                best_bs.append(b)
+        for b in best_bs:
+            pairs.add((a, b))
+            cur = best_for_other.get(b)
+            if cur is None or best > cur[0] or (best == cur[0] and a < cur[1]):
+                best_for_other[b] = (best, a)
+    return (pairs, {b: a for b, (_s, a) in best_for_other.items()},
+            {b: s for b, (s, _a) in best_for_other.items()})
+
+
 _PIVOT_WORDS = ["p0", "p1", "p2", "p3", "p4"]
 _OTHER_WORDS = ["o0", "o1", "o2", "o3"]
 # few distinct values, so that ties and explicit zero entries are common
@@ -171,6 +187,7 @@ class TestBuildAlignment:
         align = example_alignment()
         assert align.pairs == {("cat", "chat"), ("dog", "chien")}
         assert align.to_pivot == {"chat": "cat", "chien": "dog"}
+        assert align.scores == {"chat": 0.9 + 0.8, "chien": 0.9 + 0.85}
 
     def test_all_zero_gives_empty(self):
         align = lexicon.build_alignment(
@@ -217,11 +234,31 @@ class TestBuildAlignment:
         for b, a in align.to_pivot.items():
             assert (a, b) in align.pairs
 
+    # Pivot words left out of v_alpha and other words left out of v_beta
+    # still have table entries.
+    @given(
+        fwd_rows=st.dictionaries(
+            st.tuples(st.sampled_from(_PIVOT_WORDS), st.sampled_from(_OTHER_WORDS)),
+            _PROBS),
+        bwd_rows=st.dictionaries(
+            st.tuples(st.sampled_from(_OTHER_WORDS), st.sampled_from(_PIVOT_WORDS)),
+            _PROBS),
+        v_alpha=st.sets(st.sampled_from(_PIVOT_WORDS), min_size=1),
+        v_beta=st.sets(st.sampled_from(_OTHER_WORDS), min_size=1),
+    )
+    def test_matches_exhaustive_scan_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
+        fwd = table("en", "fr", fwd_rows)
+        bwd = table("fr", "en", bwd_rows)
+        align = lexicon.build_alignment(fwd, bwd, v_alpha, v_beta)
+        assert (align.pairs, align.to_pivot, align.scores) == \
+            oracle_build_alignment(fwd, bwd, v_alpha, v_beta)
+
     def test_determinism(self):
         one = example_alignment()
         two = example_alignment()
         assert one.pairs == two.pairs
         assert one.to_pivot == two.to_pivot
+        assert one.scores == two.scores
 
     def test_reverse_condition_diagnostic(self):
         # 'big' wins b via the forward scan, but 'bad' beats it on the
@@ -287,18 +324,31 @@ class TestMapDocument:
 class TestAlignmentIO:
     def test_roundtrip_and_sorted(self, tmp_path):
         align = example_alignment()
-        fwd, bwd = table("en", "fr", P_FWD), table("fr", "en", P_BWD)
         path = tmp_path / "lex.tsv"
-        lexicon.save_alignment(align, fwd, bwd, path)
+        lexicon.save_alignment(align, path)
         lines = path.read_text().splitlines()
         assert lines == sorted(lines)
+        assert lines == ["chat\tcat\t1.7", "chien\tdog\t1.75"]
         loaded = lexicon.load_alignment(path, "en", "fr", set(align.to_pivot.values()))
         assert loaded.to_pivot == align.to_pivot
+        assert loaded.pairs == align.pairs
+        assert loaded.scores == pytest.approx(align.scores, rel=1e-8)
+        # saving a loaded lexicon rewrites the same bytes
+        again = tmp_path / "again.tsv"
+        lexicon.save_alignment(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_bit_exact_reproducible(self, tmp_path):
         align = example_alignment()
-        fwd, bwd = table("en", "fr", P_FWD), table("fr", "en", P_BWD)
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        lexicon.save_alignment(align, fwd, bwd, a)
-        lexicon.save_alignment(align, fwd, bwd, b)
+        lexicon.save_alignment(align, a)
+        lexicon.save_alignment(align, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("score", ["high", "", "0.5x"])
+    def test_bad_score_names_file_and_line(self, tmp_path, score):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"chat\tcat\t1.7\nchien\tdog\t{score}\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: "
+                                              rf"score {re.escape(repr(score))} is not a number$"):
+            lexicon.load_alignment(path, "en", "fr", {"cat", "dog"})
