@@ -9,7 +9,8 @@ records that arrive pre-tagged bypass detection entirely.
 from __future__ import annotations
 
 import math
-from collections import Counter
+
+import numpy as np
 
 # A couple of paragraphs of everyday prose per language is enough for
 # trigram profiles to separate these eight languages reliably.
@@ -88,12 +89,16 @@ _SEED_TEXT = {
     ),
 }
 
-_NGRAM_ORDER = 3
+# Sorts after every packed trigram key (the largest is below 2**63).
+_SENTINEL = np.uint64(2**64 - 1)
 
 
-def _ngrams(text: str, n: int) -> list[str]:
-    padded = f" {text.lower()} "
-    return [padded[i : i + n] for i in range(len(padded) - n + 1)]
+def _trigram_keys(text: str) -> np.ndarray:
+    """One uint64 key per character trigram of the lowercased, space-padded
+    text, in text order: three 21-bit code points packed high to low."""
+    padded = f" {text.lower()} ".encode("utf-32-le", "surrogatepass")
+    cp = np.frombuffer(padded, dtype="<u4").astype(np.uint64)
+    return (cp[:-2] << 42) | (cp[1:-1] << 21) | cp[2:]
 
 
 class NgramLanguageDetector:
@@ -102,39 +107,56 @@ class NgramLanguageDetector:
     Confidence is the posterior of the best language under a uniform prior,
     with per-character temperature so short inputs stay comparable to long
     ones.
+
+    The profiles are one sorted key array (every trigram any seed text has,
+    then a sentinel) and one table of log-probabilities with a row per key
+    and a column per language; the sentinel's row holds each language's
+    floor. Each language's score sums its column over the text's trigrams
+    strictly left to right, as a loop over the trigrams would.
     """
 
-    def __init__(self, seed_texts: dict[str, str] | None = None,
-                 order: int = _NGRAM_ORDER):
+    def __init__(self, seed_texts: dict[str, str] | None = None):
         seed_texts = seed_texts or _SEED_TEXT
-        self.order = order
-        self._logprob: dict[str, dict[str, float]] = {}
-        self._floor: dict[str, float] = {}
-        for lang, text in seed_texts.items():
-            counts = Counter(_ngrams(text, order))
-            total = sum(counts.values())
+        self._langs = list(seed_texts)
+        # return_counts/return_inverse keep np.unique off its numpy.ma import
+        profiles = [np.unique(_trigram_keys(text), return_counts=True)
+                    for text in seed_texts.values()]
+        keys, rows = np.unique(np.concatenate([k for k, _ in profiles]),
+                               return_inverse=True)
+        self._keys = np.append(keys, _SENTINEL)
+        table = np.empty((len(self._keys), len(self._langs)))
+        start = 0
+        for col, (_, counts) in enumerate(profiles):
+            counts = counts.tolist()
+            total = sum(counts)
             vocab = len(counts) + 1
-            self._logprob[lang] = {
-                g: math.log((c + 1) / (total + vocab)) for g, c in counts.items()
-            }
-            self._floor[lang] = math.log(1 / (total + vocab))
+            # math.log, not np.log, whose vector paths may round the last
+            # bit differently
+            table[:, col] = math.log(1 / (total + vocab))
+            table[rows[start:start + len(counts)], col] = [
+                math.log((c + 1) / (total + vocab)) for c in counts]
+            start += len(counts)
+        self._table = table
 
     def languages(self) -> list[str]:
-        return sorted(self._logprob)
+        return sorted(self._langs)
 
     def classify(self, text: str) -> tuple[str, float]:
-        grams = _ngrams(text, self.order)
-        if not grams or not self._logprob:
+        grams = _trigram_keys(text)
+        if not grams.size:
             return "und", 0.0
-        scores = {}
-        for lang, model in self._logprob.items():
-            floor = self._floor[lang]
-            scores[lang] = sum(model.get(g, floor) for g in grams) / len(grams)
+        at = np.searchsorted(self._keys, grams)
+        rows = np.where(self._keys[at] == grams, at, len(self._keys) - 1)
+        # cumsum adds in text order; np.sum would sum pairwise
+        totals = np.cumsum(self._table[rows], axis=0)[-1] / len(grams)
+        scores = dict(zip(self._langs, totals.tolist()))
         best = min(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         # posterior over per-gram average log-likelihoods, sharpened by the
         # evidence length (capped so one sentence is already decisive)
         weight = min(len(grams), 40)
-        z = sum(math.exp((s - best[1]) * weight) for s in scores.values())
+        z = 0.0
+        for s in scores.values():
+            z += math.exp((s - best[1]) * weight)
         return best[0], 1.0 / z
 
 

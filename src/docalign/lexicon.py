@@ -90,9 +90,15 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                     f"{path}:{lineno}: expected {dim} values for {parts[0]!r}"
                 )
             try:
-                vectors[parts[0]] = np.asarray(parts[1:], dtype=np.float64)
+                vector = np.asarray(parts[1:], dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            # one nan makes every probability of the other direction nan
+            if not np.isfinite(vector).all():
+                raise FormatError(
+                    f"{path}:{lineno}: non-finite value in the vector for {parts[0]!r}"
+                )
+            vectors[parts[0]] = vector
     return vectors
 
 
@@ -123,7 +129,7 @@ def _directional_table(
 def table_from_embeddings(
     emb_src: Mapping[str, np.ndarray],
     emb_tgt: Mapping[str, np.ndarray],
-    top_n: int = 20,
+    top_n: int,
     src_lang: str = "src",
     tgt_lang: str = "tgt",
 ) -> tuple[TranslationTable, TranslationTable]:
@@ -133,6 +139,8 @@ def table_from_embeddings(
     negatives to 0 and renormalize to sum 1. Both directions are built
     independently. Returns (src->tgt, tgt->src).
     """
+    if top_n < 1:
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
 
     def prepare(emb):
         words, mat, skipped = [], [], 0

@@ -152,7 +152,8 @@ class _Stage:
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
     artifact directory. Fails before any work if a configured language lacks
-    its translation resource or the matching mode is unknown."""
+    its translation resource, the matching mode is unknown, or ``top_n``,
+    ``vocab_size`` or ``skip_top_k`` is out of range."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     # a run that fails leaves no manifest of an earlier run beside FAILED
@@ -170,6 +171,10 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     if cfg.matching not in align_cda._MATCHERS:
         raise ConfigError(f"unknown matching mode {cfg.matching!r}; "
                           f"choose one of {', '.join(align_cda._MATCHERS)}")
+    for name, low in (("top_n", 1), ("vocab_size", 1), ("skip_top_k", 0)):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
     manifest: dict[str, Any] = {
         "parameters": cfg.parameters(),
@@ -214,8 +219,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
 # ``_stage_*`` wrappers below.
 
 
-def ingest(input_path, out: Path, format: str = "jsonl",
-           detect_language: bool = True, lang_confidence: float = 0.5) -> None:
+def ingest(input_path, out: Path, format: str, detect_language: bool,
+           lang_confidence: float) -> None:
     """Parse the input records and partition them by domain into ``corpus/``,
     replacing all of it. A record that does not parse fails the ingest with
     an error that starts ``<input>:<line>:``, before anything is written."""
@@ -254,8 +259,7 @@ def _lang_tokens(partitions, lang: str):
 
 def build_lexicon(out: Path, partitions: Partitions, pivot: str,
                   resources: dict[str, LanguageResource], vocab_size: int,
-                  skip_top_k: int, stopwords: Optional[str] = None,
-                  top_n: int = 20) -> None:
+                  skip_top_k: int, stopwords: Optional[str], top_n: int) -> None:
     """Write ``vocab/<lang>.txt`` for the pivot and every language in
     ``resources``, and ``lexicon/<lang>.tsv`` for every language in
     ``resources``."""
@@ -344,7 +348,7 @@ def _sorted_pairs(pairs: list[align_cda.AlignmentPair]) -> list[align_cda.Alignm
 
 
 def align_by_content(out: Path, partitions: Partitions, pivot: str, langs,
-                     threshold: float, matching: str = "greedy") -> None:
+                     threshold: float, matching: str) -> None:
     """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``. Every
     dimension must index a word of ``vocab/<pivot>.txt``."""
     dims = len(vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt"))

@@ -105,3 +105,18 @@ def test_pipeline_import_leaves_scipy_out():
         env=_env(), capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_first_language_detection_loads_only_langid():
+    """Set-up of the bundled detector stays off ``numpy.ma``, which
+    ``np.unique`` imports when asked for no ``return_*`` array."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, docalign.pipeline\n"
+         "before = set(sys.modules)\n"
+         "from docalign import corpus\n"
+         "assert corpus.detect_language(['le', 'chat', 'est', 'sur', 'la', 'table']) == 'fr'\n"
+         "print(sorted(set(sys.modules) - before))"],
+        env=_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "['docalign.langid', 'encodings.utf_32_le']"

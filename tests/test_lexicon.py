@@ -96,6 +96,13 @@ class TestTableFromEmbeddings:
                 {"a": np.ones(3)}, {"x": np.ones(4)}, top_n=1
             )
 
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_n_below_one(self, top_n):
+        with pytest.raises(ConfigError, match=f"top_n must be >= 1, got {top_n}"):
+            lexicon.table_from_embeddings(
+                {"a": np.ones(2)}, {"x": np.ones(2)}, top_n=top_n
+            )
+
     def test_zero_vector_skipped(self):
         fwd, _ = lexicon.table_from_embeddings(
             {"a": np.array([1.0, 0.0]), "z": np.zeros(2)},
@@ -119,6 +126,10 @@ class TestTableFromEmbeddings:
         ("\n", 1),
         ("2 3\ncat 1 0 0\ndog 0 x 0\n", 3),
         ("2 3\ncat 1 0 0\ndog 0 1 \n", 3),
+        # a nan made every backward probability nan and the lexicon empty
+        ("2 2\ncat 1 0\ndog nan 1\n", 3),
+        ("2 2\ncat inf 0\ndog 0 1\n", 2),
+        ("2 2\ncat 1 0\ndog 0 -inf\n", 3),
     ])
     def test_bad_embeddings_name_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "emb.txt"

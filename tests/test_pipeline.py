@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -163,6 +164,22 @@ class TestRunPipeline:
         cfg_dict["matching"] = "hungarian"
         with pytest.raises(ConfigError, match="'hungarian'; choose one of greedy, "
                                               "top1-then-greedy"):
+            run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        assert not (tmp_path / "out" / "corpus").exists()
+        assert not (tmp_path / "out" / "FAILED").exists()
+
+    # each used to fail only after corpus/ was written, or not at all
+    @pytest.mark.parametrize("name, value, low", [
+        ("top_n", 0, 1), ("top_n", -1, 1), ("vocab_size", 0, 1), ("skip_top_k", -1, 0),
+        ("top_n", "5", 1), ("vocab_size", 10.5, 1), ("skip_top_k", True, 0),
+    ])
+    def test_out_of_range_setting_fails_preflight(self, tmp_path, name, value, low):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out")
+        cfg_dict[name] = value
+        message = f"{name} must be an integer >= {low}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_pipeline(PipelineConfig.from_dict(cfg_dict))
         assert not (tmp_path / "out" / "corpus").exists()
         assert not (tmp_path / "out" / "FAILED").exists()
