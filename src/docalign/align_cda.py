@@ -10,7 +10,7 @@ matching run on the arrays of ``vectorspace.VectorTable``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -23,6 +23,13 @@ from .vectorspace import VectorTable
 # budget, so its temporary arrays stay small however large the block. A
 # document whose own products exceed it forms a chunk alone.
 PRODUCT_BUDGET = 1 << 16
+
+# ``match_one_to_one`` first ranks the FIRST_BAND * n highest-scoring
+# entries of a block that can make n links, and ranks more only while links
+# are missing. Greedy linking mostly ends within a few entries per link, so
+# the first band spares a large block its full sort; a smaller one costs
+# tiny blocks a second band more often than the partition saves.
+FIRST_BAND = 4
 
 
 @dataclass
@@ -149,39 +156,66 @@ def _url_ranks(urls: list[str]) -> np.ndarray:
     return ranks
 
 
-def _ranked(matrix: ScoreMatrix) -> np.ndarray:
-    """Entry indices by descending score, ties by pivot URL, then other URL."""
-    return np.lexsort((
-        _url_ranks(matrix.other_urls)[matrix.other],
-        _url_ranks(matrix.pivot_urls)[matrix.pivot],
-        -matrix.scores,
+def _ranked(matrix: ScoreMatrix, entries: np.ndarray | None = None) -> np.ndarray:
+    """Entry indices by descending score, ties by pivot URL, then other URL:
+    of every entry, or of those in ``entries``."""
+    pivot, other, scores = matrix.pivot, matrix.other, matrix.scores
+    if entries is not None:
+        pivot, other, scores = pivot[entries], other[entries], scores[entries]
+    order = np.lexsort((
+        _url_ranks(matrix.other_urls)[other],
+        _url_ranks(matrix.pivot_urls)[pivot],
+        -scores,
     ))
+    return order if entries is None else entries[order]
 
 
-def _link(matrix: ScoreMatrix, order: np.ndarray) -> list[AlignmentPair]:
-    """Accept entries in ``order`` whose two endpoints are both unmatched."""
+def _bands(matrix: ScoreMatrix, k: int) -> Iterator[np.ndarray]:
+    """``_ranked(matrix)`` one band at a time. A band holds the ``k``
+    highest-scoring entries not yet ranked plus every tie of the lowest of
+    them, and ``k`` doubles from band to band. Every score of a band exceeds
+    every score left after it, so the bands concatenate to the full order."""
+    scores = matrix.scores
+    if len(scores) <= k:  # the common tiny block: no gathers, no partition
+        yield _ranked(matrix)
+        return
+    rest = np.arange(len(scores))
+    while len(rest) > k:
+        left = scores[rest]
+        cut = np.partition(left, len(rest) - k)[len(rest) - k]
+        yield _ranked(matrix, rest[left >= cut])
+        rest = rest[left < cut]
+        k *= 2
+    if len(rest):
+        yield _ranked(matrix, rest)
+
+
+def _link(matrix: ScoreMatrix, bands: Iterable[np.ndarray]) -> list[AlignmentPair]:
+    """Accept entries, band by band in order, whose two endpoints are both
+    unmatched; stop once the smaller side is matched."""
     n_pivot, n_other = len(matrix.pivot_urls), len(matrix.other_urls)
     taken_pivot = bytearray(n_pivot)
     taken_other = bytearray(n_other)
     limit = min(n_pivot, n_other)
     out: list[AlignmentPair] = []
-    for p, o, score in zip(matrix.pivot[order].tolist(),
-                           matrix.other[order].tolist(),
-                           matrix.scores[order].tolist()):
-        if taken_pivot[p] or taken_other[o]:
-            continue
-        taken_pivot[p] = taken_other[o] = 1
-        out.append(
-            AlignmentPair(
-                domain=matrix.domain,
-                pivot_url=matrix.pivot_urls[p],
-                other_url=matrix.other_urls[o],
-                other_lang=matrix.other_lang,
-                score=score,
+    for order in bands:
+        for p, o, score in zip(matrix.pivot[order].tolist(),
+                               matrix.other[order].tolist(),
+                               matrix.scores[order].tolist()):
+            if taken_pivot[p] or taken_other[o]:
+                continue
+            taken_pivot[p] = taken_other[o] = 1
+            out.append(
+                AlignmentPair(
+                    domain=matrix.domain,
+                    pivot_url=matrix.pivot_urls[p],
+                    other_url=matrix.other_urls[o],
+                    other_lang=matrix.other_lang,
+                    score=score,
+                )
             )
-        )
-        if len(out) == limit:
-            break
+            if len(out) == limit:
+                return out
     return out
 
 
@@ -189,9 +223,11 @@ def match_one_to_one(matrix: ScoreMatrix) -> list[AlignmentPair]:
     """Greedy competitive linking over the stored entries.
 
     Entries are taken in descending score order (ties by URL pair); an entry
-    is accepted iff neither endpoint is matched yet.
+    is accepted iff neither endpoint is matched yet. Only the score bands
+    reached before the smaller side is matched are ranked.
     """
-    return _link(matrix, _ranked(matrix))
+    limit = min(len(matrix.pivot_urls), len(matrix.other_urls))
+    return _link(matrix, _bands(matrix, FIRST_BAND * limit))
 
 
 def match_top1_then_greedy(matrix: ScoreMatrix) -> list[AlignmentPair]:
@@ -200,7 +236,7 @@ def match_top1_then_greedy(matrix: ScoreMatrix) -> list[AlignmentPair]:
     order = _ranked(matrix)
     # a pivot's first entry in ranked order is its best candidate
     _, first = np.unique(matrix.pivot[order], return_index=True)
-    return _link(matrix, order[np.sort(first)])
+    return _link(matrix, [order[np.sort(first)]])
 
 
 _MATCHERS = {

@@ -27,11 +27,13 @@ _SPLIT_RE = re.compile("([" + re.escape(SEPARATORS) + "])")
 _MAX_SPAN_TOKENS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentifierSet:
-    """Lowercase identifier strings."""
+    """Lowercase identifier strings, and the first token of each: its part
+    before the first separator, where a matching token span must start."""
 
-    identifiers: set[str] = field(default_factory=set)
+    identifiers: frozenset[str] = frozenset()
+    heads: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.identifiers:
@@ -41,6 +43,9 @@ class IdentifierSet:
                 raise ConfigError(f"identifier {ident!r} must be lowercase and non-empty")
             if any(c in _FORBIDDEN_IN_ID for c in ident):
                 raise ConfigError(f"identifier {ident!r} contains a separator character")
+        object.__setattr__(self, "identifiers", frozenset(self.identifiers))
+        object.__setattr__(self, "heads", frozenset(
+            _SPLIT_RE.split(ident, maxsplit=1)[0] for ident in self.identifiers))
 
     def __contains__(self, token: str) -> bool:
         return token in self.identifiers
@@ -97,8 +102,9 @@ def _strip_token_spans(prefix: str, tail: str, ids: IdentifierSet) -> set[str]:
     parts = _SPLIT_RE.split(tail)
     out: set[str] = set()
     n = len(parts)
+    heads = ids.heads
     for i in range(0, n, 2):
-        if not parts[i]:
+        if parts[i] not in heads:
             continue
         for j in range(i, min(i + 2 * _MAX_SPAN_TOKENS, n), 2):
             if not parts[j]:

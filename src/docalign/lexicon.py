@@ -112,18 +112,21 @@ def _directional_table(
     top_n: int,
 ) -> TranslationTable:
     sims = src_mat @ tgt_mat.T
-    probs: dict[tuple[str, str], float] = {}
+    if not len(src):  # then tgt is empty too, and sims a scalar
+        return TranslationTable(src_lang=src_lang, tgt_lang=tgt_lang)
     k = min(top_n, len(tgt))
-    for i, word in enumerate(src):
-        row = sims[i]
-        top = np.argpartition(-row, k - 1)[:k] if k < len(tgt) else np.arange(len(tgt))
-        kept = np.clip(row[top], 0.0, None)
-        total = kept.sum()
-        if total <= 0:
-            continue
-        for j, score in zip(top, kept):
-            probs[(word, tgt[j])] = float(score / total)
-    return TranslationTable(src_lang=src_lang, tgt_lang=tgt_lang, probs=probs)
+    if k < len(tgt):
+        top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
+    else:
+        top = np.broadcast_to(np.arange(len(tgt)), sims.shape)
+    kept = np.clip(np.take_along_axis(sims, top, axis=1), 0.0, None)
+    totals = kept.sum(axis=1)
+    rows = np.flatnonzero(totals > 0)
+    probs = (kept[rows] / totals[rows, None]).ravel().tolist()
+    pairs = zip([src[i] for i in np.repeat(rows, k).tolist()],
+                [tgt[j] for j in top[rows].ravel().tolist()])
+    return TranslationTable(src_lang=src_lang, tgt_lang=tgt_lang,
+                            probs=dict(zip(pairs, probs)))
 
 
 def table_from_embeddings(

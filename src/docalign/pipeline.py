@@ -15,6 +15,8 @@ import functools
 import hashlib
 import json
 import logging
+import math
+import numbers
 import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -153,7 +155,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
     artifact directory. Fails before any work if a configured language lacks
     its translation resource, the matching mode is unknown, or ``top_n``,
-    ``vocab_size`` or ``skip_top_k`` is out of range."""
+    ``vocab_size``, ``skip_top_k``, ``lang_confidence`` or ``threshold`` is
+    out of range."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     # a run that fails leaves no manifest of an earlier run beside FAILED
@@ -175,6 +178,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_lang_confidence(cfg.lang_confidence)
+    _check_threshold(cfg.threshold)
 
     manifest: dict[str, Any] = {
         "parameters": cfg.parameters(),
@@ -211,6 +216,21 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     return out
 
 
+def _check_lang_confidence(value) -> None:
+    # above 1 no record is ever tagged; nan keeps every tag, however unsure
+    if not _is_real(value) or not 0.0 <= value <= 1.0:
+        raise ConfigError(f"lang_confidence must be a number in [0, 1], got {value!r}")
+
+
+def _check_threshold(value) -> None:
+    if not _is_real(value) or not math.isfinite(value):
+        raise ConfigError(f"threshold must be a finite number, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # --- stage work -----------------------------------------------------------
 #
 # One function per stage does the work for both ``run_pipeline`` and the
@@ -224,6 +244,7 @@ def ingest(input_path, out: Path, format: str, detect_language: bool,
     """Parse the input records and partition them by domain into ``corpus/``,
     replacing all of it. A record that does not parse fails the ingest with
     an error that starts ``<input>:<line>:``, before anything is written."""
+    _check_lang_confidence(lang_confidence)
     records = []
     with open(input_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -351,6 +372,7 @@ def align_by_content(out: Path, partitions: Partitions, pivot: str, langs,
                      threshold: float, matching: str) -> None:
     """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``. Every
     dimension must index a word of ``vocab/<pivot>.txt``."""
+    _check_threshold(threshold)
     dims = len(vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt"))
     vectors = {}
     for lang in [pivot, *sorted(langs)]:

@@ -2,12 +2,14 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from docalign import align_cda
 from docalign.corpus import CorpusPartition
 from docalign.errors import ConfigError
+from docalign.align_cda import ScoreMatrix
 from tests.conftest import (SparseVector, make_record, matrix_entries, score_matrix,
                             vector_table)
 
@@ -337,6 +339,74 @@ class TestOracleEquivalence:
         assert triples(align_cda.match_one_to_one(m)) == greedy_oracle(scores)
         assert triples(align_cda.match_top1_then_greedy(m)) == \
             top1_then_greedy_oracle(scores)
+
+
+# Few distinct scores, so that ties straddle the band cuts; a hub's entries
+# all hold a score above them.
+_LINK_SCORES = (0.2, 0.5, 0.8, 1.0)
+_HUB_SCORE = 2.0
+
+
+@st.composite
+def linking_blocks(draw):
+    """A ScoreMatrix of 0-8 documents per side, listed in an order that is
+    not URL order, with any subset of the pairs stored in any order. One
+    document of either side may be a hub: its entries to every document of
+    the other side rank first, and only one of them can be linked."""
+    n_pivot, n_other = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    pivot_urls = draw(st.permutations([f"p{i}" for i in range(n_pivot)]))
+    other_urls = draw(st.permutations([f"o{i}" for i in range(n_other)]))
+    cells = [(p, o) for p in range(n_pivot) for o in range(n_other)]
+    scores = {}
+    if cells:
+        scores = draw(st.dictionaries(st.sampled_from(cells),
+                                      st.sampled_from(_LINK_SCORES)))
+        hub = draw(st.sampled_from(["none", "pivot", "other"]))
+        if hub == "pivot":
+            h = draw(st.integers(0, n_pivot - 1))
+            scores.update({(h, o): _HUB_SCORE for o in range(n_other)})
+        elif hub == "other":
+            h = draw(st.integers(0, n_other - 1))
+            scores.update({(p, h): _HUB_SCORE for p in range(n_pivot)})
+    entries = draw(st.permutations(sorted(scores.items())))
+    return ScoreMatrix(
+        domain="d.com", other_lang="fr",
+        pivot_urls=list(pivot_urls), other_urls=list(other_urls),
+        pivot=np.array([p for (p, _o), _s in entries], dtype=np.int64),
+        other=np.array([o for (_p, o), _s in entries], dtype=np.int64),
+        scores=np.array([s for _pair, s in entries], dtype=np.float64),
+    )
+
+
+class TestBandedLinking:
+    @pytest.mark.parametrize("first_band", [1, align_cda.FIRST_BAND])
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=linking_blocks())
+    def test_equals_full_ranking(self, first_band, matrix):
+        with mock.patch.object(align_cda, "FIRST_BAND", first_band):
+            got = triples(align_cda.match_one_to_one(matrix))
+        assert got == greedy_oracle(matrix_entries(matrix))
+        assert got == triples(align_cda._link(matrix, [align_cda._ranked(matrix)]))
+
+    def test_links_across_three_bands(self):
+        # each pivot's entries outrank the next pivot's, so p3's link is the
+        # last entry: bands of 4, 8 and the remaining 4 entries
+        m = score_matrix({(f"p{p}", f"o{o}"): 100.0 - 10 * p - o
+                          for p in range(4) for o in range(4)})
+        with mock.patch.object(align_cda, "FIRST_BAND", 1), \
+                mock.patch.object(align_cda, "_ranked", wraps=align_cda._ranked) as ranked:
+            got = triples(align_cda.match_one_to_one(m))
+        assert [len(call.args[1]) for call in ranked.call_args_list] == [4, 8, 4]
+        assert got == greedy_oracle(matrix_entries(m))
+        assert [(p, o) for p, o, _s in got] == [(f"p{i}", f"o{i}") for i in range(4)]
+
+    def test_stops_once_smaller_side_is_matched(self):
+        m = score_matrix({("p0", "o0"): 0.9, ("p0", "o1"): 0.8, ("p0", "o2"): 0.7})
+        with mock.patch.object(align_cda, "FIRST_BAND", 1), \
+                mock.patch.object(align_cda, "_ranked", wraps=align_cda._ranked) as ranked:
+            got = triples(align_cda.match_one_to_one(m))
+        assert got == [("p0", "o0", 0.9)]
+        assert [len(call.args[1]) for call in ranked.call_args_list] == [1]
 
 
 class TestPairsIO:

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from docalign import align_url
-from docalign.align_url import IdentifierSet, default_identifier_set, strip_identifiers
+from docalign.align_url import (SEPARATORS, IdentifierSet, default_identifier_set,
+                                strip_identifiers)
 from docalign.corpus import CorpusPartition
 from docalign.errors import ConfigError
 from tests.conftest import make_record
@@ -101,6 +103,76 @@ class TestStripIdentifiers:
     def test_scheme_preserved(self):
         forms = strip_identifiers("http://xyz.ca/fr/index.htm", ids_of("fr"))
         assert "http://xyz.ca/index.htm" in forms
+
+
+def strip_token_spans_oracle(prefix, tail, ids):
+    """``_strip_token_spans`` before it skipped tokens that start no
+    identifier: every non-empty token is tried as a span start."""
+    parts = align_url._SPLIT_RE.split(tail)
+    out = set()
+    n = len(parts)
+    for i in range(0, n, 2):
+        if not parts[i]:
+            continue
+        for j in range(i, min(i + 2 * align_url._MAX_SPAN_TOKENS, n), 2):
+            if not parts[j]:
+                break
+            if j > i and any(parts[k] not in "-_" for k in range(i + 1, j, 2)):
+                break
+            span = "".join(parts[i : j + 1])
+            if span not in ids:
+                continue
+            left = parts[i - 1] if i > 0 else None
+            right = parts[j + 1] if j + 1 < n else None
+            before = parts[: max(i - 1, 0)]
+            after = parts[j + 2 :]
+            if left is not None and right is not None:
+                mid = [left] if left == right else [left, right]
+            else:
+                mid = []
+            out.add(prefix + "".join(before + mid + after))
+    return out
+
+
+# identifier tokens double as URL tokens; "" makes leading, trailing and
+# doubled separators
+_TOKENS = ["fr", "ca", "zh", "hans", "x", ""]
+
+
+def _joined(tokens, seps):
+    return "".join(t + s for t, s in zip(tokens, seps)) + tokens[-1]
+
+
+@st.composite
+def identifiers(draw):
+    n = draw(st.integers(1, 3))
+    tokens = draw(st.lists(st.sampled_from(_TOKENS), min_size=n, max_size=n))
+    ident = _joined(tokens, draw(st.lists(st.sampled_from("-_"), min_size=n - 1,
+                                          max_size=n - 1)))
+    return ident or "fr"
+
+
+@st.composite
+def url_tails(draw):
+    n = draw(st.integers(1, 10))
+    tokens = draw(st.lists(st.sampled_from(_TOKENS), min_size=n, max_size=n))
+    return _joined(tokens, draw(st.lists(st.sampled_from(SEPARATORS),
+                                         min_size=n - 1, max_size=n - 1)))
+
+
+class TestStripTokenSpansOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(idents=st.lists(identifiers(), min_size=1, max_size=4),
+           tail=url_tails(), prefix=st.sampled_from(["", "http://a.com"]))
+    def test_equals_every_token_tried(self, idents, tail, prefix):
+        ids = IdentifierSet(identifiers=set(idents))
+        assert align_url._strip_token_spans(prefix, tail, ids) == \
+            strip_token_spans_oracle(prefix, tail, ids)
+
+    def test_heads_are_first_tokens(self):
+        s = ids_of("fr", "zh-hans-cn", "vi_vn", "-x")
+        assert s.heads == {"fr", "zh", "vi", ""}
+        assert isinstance(s.identifiers, frozenset)
 
 
 def partition(pivot_urls, other_urls, domain="xyz.ca"):

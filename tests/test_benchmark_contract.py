@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tests.conftest import SyntheticCorpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,19 +84,43 @@ def test_traced_runs_see_every_stage(tmp_path):
     assert fresh["skipped"] == fresh["calls"] == len(stages)
 
 
-def test_traced_cold_run_calls_every_lexicon_and_vectorspace_name(tmp_path):
-    """A cold run with url_align, mine and gold reaches every wrapped
-    ``lexicon.*`` and ``vectorspace.*`` name but the embedding ones (the
-    fixture has translation tables), so a rewrite that stops calling one
-    fails here, not as a ``TraceCoverageError`` of ``bench/run.py --trace 1``."""
+@pytest.fixture(scope="module")
+def cold_counts(tmp_path_factory):
+    """Call counts of one traced cold run with url_align, mine and gold."""
+    tmp_path = tmp_path_factory.mktemp("cold")
     config = _fixture_config(tmp_path)
     assert config["gold"]
-    counts = _traced_run(tmp_path, config, "cold")
-    unreachable = {"lexicon.load_embeddings", "lexicon.table_from_embeddings"}
+    return _traced_run(tmp_path, config, "cold")
+
+
+def _never_called(counts, modules, unreachable=()):
     names = [n for n in _tracing_module().TARGETS
-             if n.split(".")[0] in ("lexicon", "vectorspace") and n not in unreachable]
+             if n.split(".")[0] in modules and n not in unreachable]
+    return names, [n for n in names if counts[n]["calls"] == 0]
+
+
+def test_traced_cold_run_calls_every_lexicon_and_vectorspace_name(cold_counts):
+    """A cold run reaches every wrapped ``lexicon.*`` and ``vectorspace.*``
+    name but the embedding ones (the fixture has translation tables), so a
+    rewrite that stops calling one fails here, not as a
+    ``TraceCoverageError`` of ``bench/run.py --trace 1``."""
+    names, missing = _never_called(
+        cold_counts, ("lexicon", "vectorspace"),
+        unreachable={"lexicon.load_embeddings", "lexicon.table_from_embeddings"})
     assert "vectorspace.vectorize" in names
-    assert [n for n in names if counts[n]["calls"] == 0] == []
+    assert missing == []
+
+
+def test_traced_cold_run_calls_every_align_name(cold_counts):
+    """The same for every wrapped ``align_cda.*``, ``align_url.*``,
+    ``miner.*`` and ``evaluation.*`` name; ``score_domain`` also records the
+    counters the per-layer scoring metrics divide."""
+    names, missing = _never_called(
+        cold_counts, ("align_cda", "align_url", "miner", "evaluation"))
+    assert "align_url.strip_identifiers" in names
+    assert missing == []
+    score = cold_counts["align_cda.score_domain"]
+    assert 0 < score["kept"] <= score["scored"] <= score["possible"]
 
 
 def test_pipeline_import_leaves_scipy_out():

@@ -257,6 +257,32 @@ class TestExitCodes:
             f"error: {indices_path}: dimension outside the {dims}-word pivot vocabulary\n")
         assert not (out / "pairs.tsv").exists()
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan"])
+    def test_ingest_rejects_lang_confidence_outside_0_1(self, tmp_path, capsys, value):
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out),
+                     "--lang-confidence", value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: lang_confidence must be a number in [0, 1], got {float(value)!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_align_rejects_threshold_that_is_not_finite(self, tmp_path, capsys, value):
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        common = ["--out", str(out), "--pivot", "en"]
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        assert main(["build-lexicon", *common, "--lang", "fr",
+                     "--table-fwd", str(paths["table_fwd"]),
+                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
+        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        capsys.readouterr()
+        assert main(["align-cda", *common, "--langs", "fr", "--threshold", value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: threshold must be a finite number, got {float(value)!r}\n")
+        assert not (out / "pairs.tsv").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "mine-ids"])
     @pytest.mark.parametrize("line, message", [
         pytest.param("a.com\thttp://a.com/en\thttp://a.com/fr\tfr\t0.5",

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from docalign import lexicon
 from docalign.errors import ConfigError, FormatError, UsageError
@@ -141,6 +141,57 @@ class TestTableFromEmbeddings:
 # the spec-scale worked example used across build_alignment and map_document
 P_FWD = {("cat", "chat"): 0.9, ("cat", "chien"): 0.1, ("dog", "chien"): 0.9}
 P_BWD = {("chat", "cat"): 0.8, ("chien", "cat"): 0.05, ("chien", "dog"): 0.85}
+
+
+def oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n):
+    """The per-source-word loop that ``_directional_table`` replaced."""
+    sims = src_mat @ tgt_mat.T
+    probs = {}
+    k = min(top_n, len(tgt))
+    for i, word in enumerate(src):
+        row = sims[i]
+        top = np.argpartition(-row, k - 1)[:k] if k < len(tgt) else np.arange(len(tgt))
+        kept = np.clip(row[top], 0.0, None)
+        total = kept.sum()
+        if total <= 0:
+            continue
+        for j, score in zip(top, kept):
+            probs[(word, tgt[j])] = float(score / total)
+    return probs
+
+
+# rounded coordinates give tied similarities, and rows with no positive one
+_COORD = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0, width=32)
+
+
+@st.composite
+def embedding_spaces(draw):
+    """Source and target words with raw vectors of one dimensionality; up to
+    24 targets, so that some rows sum more than 8 kept values."""
+    dim = draw(st.integers(1, 3))
+
+    def space(prefix, max_words):
+        n = draw(st.integers(1, max_words))
+        mat = draw(st.lists(st.lists(_COORD, min_size=dim, max_size=dim),
+                            min_size=n, max_size=n))
+        return [f"{prefix}{i}" for i in range(n)], np.array(mat, dtype=np.float64)
+
+    return (*space("s", 8), *space("t", 24))
+
+
+class TestDirectionalTableOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(spaces=embedding_spaces(), top_n=st.integers(1, 30))
+    def test_equals_per_word_loop(self, spaces, top_n):
+        src, src_mat, tgt, tgt_mat = spaces
+        got = lexicon._directional_table(src, src_mat, tgt, tgt_mat, "en", "fr", top_n)
+        expected = oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n)
+        assert list(got.probs.items()) == list(expected.items())
+
+    def test_no_words(self):
+        empty = np.asarray([])
+        got = lexicon._directional_table([], empty, [], empty, "en", "fr", 3)
+        assert got.probs == {}
 
 
 def oracle_reverse_condition_violations(align, p_fwd, p_bwd, v_alpha):

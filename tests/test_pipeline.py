@@ -184,6 +184,31 @@ class TestRunPipeline:
         assert not (tmp_path / "out" / "corpus").exists()
         assert not (tmp_path / "out" / "FAILED").exists()
 
+    # lang_confidence above 1 turned detection off and nan let any tag stand;
+    # a string threshold failed only in align, and a nan one wrote no pairs
+    @pytest.mark.parametrize("name, value, rule", [
+        ("lang_confidence", 1.5, "a number in [0, 1]"),
+        ("lang_confidence", -0.1, "a number in [0, 1]"),
+        ("lang_confidence", float("nan"), "a number in [0, 1]"),
+        ("lang_confidence", "0.5", "a number in [0, 1]"),
+        ("lang_confidence", True, "a number in [0, 1]"),
+        ("threshold", "0.1", "a finite number"),
+        ("threshold", float("nan"), "a finite number"),
+        ("threshold", float("inf"), "a finite number"),
+        ("threshold", True, "a finite number"),
+        ("threshold", None, "a finite number"),
+    ])
+    def test_bad_number_fails_preflight(self, tmp_path, name, value, rule):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out")
+        cfg_dict[name] = value
+        message = f"{name} must be {rule}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        assert not (tmp_path / "out" / "corpus").exists()
+        assert not (tmp_path / "out" / "FAILED").exists()
+
     def test_failed_marker_on_stage_error(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
