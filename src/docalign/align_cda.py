@@ -112,7 +112,7 @@ def score_domain(
     by_dim = np.argsort(p_dim, kind="stable")
     post_doc, post_dim, post_w = p_owner[by_dim], p_dim[by_dim], p_w[by_dim]
 
-    # each other entry's matching postings: post_dim[first:first + hits]
+    # each other entry's postings: post_dim[first:first + hits]
     o_owner, o_dim, o_w, o_offsets = _entries(o_table, o_rows)
     first = np.searchsorted(post_dim, o_dim, side="left")
     hits = np.searchsorted(post_dim, o_dim, side="right") - first
@@ -130,8 +130,8 @@ def score_domain(
         r1 = min(max(r1, r0 + 1), r0 + rows_per_chunk, n_other)
         e0, e1 = o_offsets[r0], o_offsets[r1]
         n = hits[e0:e1]
-        # every (other entry, matching posting) product, in other-entry
-        # order; bincount adds each pair's products in that order
+        # every (other entry, posting of its dimension) product, in
+        # other-entry order; bincount adds each pair's products in that order
         post = np.arange(n.sum()) + np.repeat(first[e0:e1] - (np.cumsum(n) - n), n)
         prod = np.repeat(o_w[e0:e1], n) * post_w[post]
         pair = np.repeat(o_owner[e0:e1] - r0, n) * n_pivot + post_doc[post]
@@ -230,28 +230,12 @@ def match_one_to_one(matrix: ScoreMatrix) -> list[AlignmentPair]:
     return _link(matrix, _bands(matrix, FIRST_BAND * limit))
 
 
-def match_top1_then_greedy(matrix: ScoreMatrix) -> list[AlignmentPair]:
-    """Variant: keep each pivot document's single best candidate first, then
-    resolve collisions with the same greedy pass."""
-    order = _ranked(matrix)
-    # a pivot's first entry in ranked order is its best candidate
-    _, first = np.unique(matrix.pivot[order], return_index=True)
-    return _link(matrix, [order[np.sort(first)]])
-
-
-_MATCHERS = {
-    "greedy": match_one_to_one,
-    "top1-then-greedy": match_top1_then_greedy,
-}
-
-
 def align_corpus(
     partitions: Mapping[str, CorpusPartition],
     vectors: Mapping[str, VectorTable],
     pivot_lang: str,
     langs: Iterable[str],
     threshold: float,
-    matching: str = "greedy",
     stats: dict | None = None,
 ) -> list[AlignmentPair]:
     """Align every (domain, other-language) block independently.
@@ -262,12 +246,9 @@ def align_corpus(
     receives ``scored_pairs`` and ``possible_pairs`` totals.
     """
     langs = sorted(langs)
-    if matching not in _MATCHERS:
-        raise ConfigError(f"unknown matching mode {matching!r}")
     for lang in [pivot_lang, *langs]:
         if lang not in vectors:
             raise ConfigError(f"no vectors supplied for language {lang!r}")
-    matcher = _MATCHERS[matching]
 
     pairs: list[AlignmentPair] = []
     scored = 0
@@ -278,7 +259,7 @@ def align_corpus(
             if lang == pivot_lang:
                 continue
             matrix = score_domain(part, vectors, pivot_lang, lang, threshold)
-            pairs.extend(matcher(matrix))
+            pairs.extend(match_one_to_one(matrix))
             possible += len(part.docs(pivot_lang)) * len(part.docs(lang))
             scored += matrix.scored_pairs
     if stats is not None:

@@ -1,4 +1,4 @@
-"""URL-matching baseline: documents align when their URLs become equal
+"""URL baseline: documents align when their URLs become equal
 after removing a language identifier token.
 
 Each domain is processed independently with no shared state.
@@ -30,7 +30,7 @@ _MAX_SPAN_TOKENS = 3
 @dataclass(frozen=True)
 class IdentifierSet:
     """Lowercase identifier strings, and the first token of each: its part
-    before the first separator, where a matching token span must start."""
+    before the first separator, where a span of identifier tokens must start."""
 
     identifiers: frozenset[str] = frozenset()
     heads: frozenset[str] = field(init=False, repr=False)

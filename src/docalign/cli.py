@@ -100,33 +100,28 @@ def _add_align_cda(sub):
     p.add_argument("--pivot", required=True)
     p.add_argument("--langs", required=True)
     p.add_argument("--threshold", type=float, default=_DEFAULTS.threshold)
-    p.add_argument("--matching", choices=list(align_cda._MATCHERS),
-                   default=_DEFAULTS.matching)
     p.set_defaults(func=cmd_align_cda)
 
 
 def cmd_align_cda(args) -> int:
     pipeline.align_by_content(Path(args.out), _partitions(args), args.pivot,
-                              _langs(args), args.threshold, args.matching)
+                              _langs(args), args.threshold)
     print(f"wrote {Path(args.out) / 'pairs.tsv'}")
     return 0
 
 
 def _add_align_url(sub):
-    p = sub.add_parser("align-url", help="URL-matching baseline alignment")
+    p = sub.add_parser("align-url", help="URL baseline alignment")
     p.add_argument("--out", required=True, help=_OUT_HELP)
     p.add_argument("--pivot", required=True)
     p.add_argument("--langs", required=True)
     p.add_argument("--ids", help="identifier file (default: bundled set)")
-    p.add_argument("--strip-hostname", action="store_true")
-    p.add_argument("--no-query-values", action="store_true")
     p.set_defaults(func=cmd_align_url)
 
 
 def cmd_align_url(args) -> int:
     pipeline.align_by_url(Path(args.out), _partitions(args), args.pivot, _langs(args),
-                          args.ids, strip_query_params=not args.no_query_values,
-                          strip_hostname=args.strip_hostname)
+                          args.ids)
     print(f"wrote {Path(args.out) / 'pairs_url.tsv'}")
     return 0
 
@@ -135,17 +130,13 @@ def _add_mine_ids(sub):
     p = sub.add_parser("mine-ids", help="mine language-identifier candidates")
     p.add_argument("--pairs", required=True)
     p.add_argument("--min-support", type=int, default=_DEFAULTS.min_support)
-    p.add_argument("--no-indel", action="store_true",
-                   help="substitutions only; ignore insertion/deletion diffs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine_ids)
 
 
 def cmd_mine_ids(args) -> int:
     pairs = align_cda.load_pairs(args.pairs)
-    candidates = miner.mine_identifiers(
-        pairs, min_support=args.min_support, allow_indel=not args.no_indel
-    )
+    candidates = miner.mine_identifiers(pairs, min_support=args.min_support)
     miner.save_candidates(candidates, args.out)
     print(f"{len(candidates)} candidates written to {args.out} for curation")
     return 0

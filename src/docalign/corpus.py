@@ -270,16 +270,13 @@ def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
     )
 
 
-def detect_language(tokens: list[str], detector=None,
-                    confidence_floor: float = 0.5) -> str:
-    """Language tag from the pluggable classifier; "und" when unsure."""
+def detect_language(tokens: list[str], confidence_floor: float = 0.5) -> str:
+    """Language tag from the bundled trigram detector; "und" when unsure."""
     if not tokens:
         return "und"
-    if detector is None:
-        from .langid import default_detector
+    from .langid import default_detector
 
-        detector = default_detector()
-    lang, confidence = detector.classify(" ".join(tokens))
+    lang, confidence = default_detector().classify(" ".join(tokens))
     if confidence < confidence_floor:
         return "und"
     return lang

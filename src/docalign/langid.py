@@ -1,8 +1,8 @@
 """Character n-gram language identification.
 
 The default detector builds trigram log-probability profiles from small
-bundled seed texts. It is deliberately lightweight: the ingest step accepts
-any object with a ``classify(text) -> (lang, confidence)`` method, and
+bundled seed texts. It is deliberately lightweight: ingest classifies only
+records without a language tag, through ``corpus.detect_language``, and
 records that arrive pre-tagged bypass detection entirely.
 """
 
@@ -137,9 +137,6 @@ class NgramLanguageDetector:
                 math.log((c + 1) / (total + vocab)) for c in counts]
             start += len(counts)
         self._table = table
-
-    def languages(self) -> list[str]:
-        return sorted(self._langs)
 
     def classify(self, text: str) -> tuple[str, float]:
         grams = _trigram_keys(text)

@@ -74,8 +74,10 @@ def load_translation_table(path, src_lang: str, tgt_lang: str) -> TranslationTab
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Word vectors in the common text format: ``count dim`` header, then
-    ``word v1 ... vdim`` per line."""
+    ``word v1 ... vdim`` per line. A file with no non-zero vector gives no
+    translation probability and is a ``FormatError``."""
     vectors: dict[str, np.ndarray] = {}
+    usable = False
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         try:
@@ -99,6 +101,9 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                     f"{path}:{lineno}: non-finite value in the vector for {parts[0]!r}"
                 )
             vectors[parts[0]] = vector
+            usable = usable or vector.any()
+    if not usable:
+        raise FormatError(f"{path}: no word has a non-zero vector")
     return vectors
 
 
@@ -140,7 +145,8 @@ def table_from_embeddings(
 
     Per source word: cosine to every target word, keep the top_n, clamp
     negatives to 0 and renormalize to sum 1. Both directions are built
-    independently. Returns (src->tgt, tgt->src).
+    independently. Returns (src->tgt, tgt->src). A side with no non-zero
+    vector is a ``FormatError``.
     """
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
@@ -169,7 +175,10 @@ def table_from_embeddings(
 
     src_words, src_mat = prepare(emb_src)
     tgt_words, tgt_mat = prepare(emb_tgt)
-    if src_mat.size and tgt_mat.size and src_mat.shape[1] != tgt_mat.shape[1]:
+    for lang, words in ((src_lang, src_words), (tgt_lang, tgt_words)):
+        if not words:
+            raise FormatError(f"no {lang} embedding word has a non-zero vector")
+    if src_mat.shape[1] != tgt_mat.shape[1]:
         raise FormatError(
             f"embedding spaces disagree: {src_mat.shape[1]} vs {tgt_mat.shape[1]} dims"
         )

@@ -74,7 +74,6 @@ class PipelineConfig:
     skip_top_k: int = 100
     stopwords: Optional[str] = None
     threshold: float = 0.1
-    matching: str = "greedy"
     top_n: int = 20
     lang_confidence: float = 0.5
     detect_language: bool = True
@@ -87,16 +86,31 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path, out_override: Optional[str] = None) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            try:
+                raw = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{path}: not a YAML document: {exc}") from None
         return cls.from_dict(raw, out_override=out_override)
 
     @classmethod
     def from_dict(cls, raw: dict, out_override: Optional[str] = None) -> "PipelineConfig":
+        """A config from a mapping of field names to values. A document that
+        is not a mapping, an unknown key or a resource spec that is not a
+        mapping of ``LanguageResource`` fields is a ``ConfigError``."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a mapping of keys to values, "
+                              f"got {type(raw).__name__}")
         raw = dict(raw)
-        resources = {
-            lang: LanguageResource(**spec)
-            for lang, spec in (raw.pop("resources", {}) or {}).items()
-        }
+        specs = raw.pop("resources", None) or {}
+        if not isinstance(specs, dict):
+            raise ConfigError(f"resources must map each language to its files, "
+                              f"got {type(specs).__name__}")
+        resources = {}
+        for lang, spec in specs.items():
+            try:  # an unknown key, or a spec that is not a mapping
+                resources[lang] = LanguageResource(**spec)
+            except TypeError as exc:
+                raise ConfigError(f"resources of language {lang!r}: {exc}") from None
         if out_override:
             raw["out"] = out_override
         try:
@@ -154,9 +168,8 @@ class _Stage:
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
     artifact directory. Fails before any work if a configured language lacks
-    its translation resource, the matching mode is unknown, or ``top_n``,
-    ``vocab_size``, ``skip_top_k``, ``lang_confidence`` or ``threshold`` is
-    out of range."""
+    its translation resource, or ``top_n``, ``vocab_size``, ``skip_top_k``,
+    ``lang_confidence`` or ``threshold`` is out of range."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     # a run that fails leaves no manifest of an earlier run beside FAILED
@@ -171,9 +184,6 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         res.validate(lang)
     if not Path(cfg.input).is_file():
         raise ConfigError(f"input file not found: {cfg.input}")
-    if cfg.matching not in align_cda._MATCHERS:
-        raise ConfigError(f"unknown matching mode {cfg.matching!r}; "
-                          f"choose one of {', '.join(align_cda._MATCHERS)}")
     for name, low in (("top_n", 1), ("vocab_size", 1), ("skip_top_k", 0)):
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -234,9 +244,9 @@ def _is_real(value) -> bool:
 # --- stage work -----------------------------------------------------------
 #
 # One function per stage does the work for both ``run_pipeline`` and the
-# matching CLI subcommand. Each reads and writes the standard layout under
-# the artifact directory ``out``; stamps and the manifest stay with the
-# ``_stage_*`` wrappers below.
+# CLI subcommand of the same stage. Each reads and writes the standard
+# layout under the artifact directory ``out``; stamps and the manifest stay
+# with the ``_stage_*`` wrappers below.
 
 
 def ingest(input_path, out: Path, format: str, detect_language: bool,
@@ -369,7 +379,7 @@ def _sorted_pairs(pairs: list[align_cda.AlignmentPair]) -> list[align_cda.Alignm
 
 
 def align_by_content(out: Path, partitions: Partitions, pivot: str, langs,
-                     threshold: float, matching: str) -> None:
+                     threshold: float) -> None:
     """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``. Every
     dimension must index a word of ``vocab/<pivot>.txt``."""
     _check_threshold(threshold)
@@ -381,17 +391,15 @@ def align_by_content(out: Path, partitions: Partitions, pivot: str, langs,
             raise FormatError(f"{out / 'vectors' / lang / 'indices.npy'}: dimension "
                               f"outside the {dims}-word pivot vocabulary")
     stats: dict = {}
-    pairs = align_cda.align_corpus(
-        partitions, vectors, pivot, langs, threshold, matching=matching, stats=stats,
-    )
+    pairs = align_cda.align_corpus(partitions, vectors, pivot, langs, threshold,
+                                   stats=stats)
     align_cda.save_pairs(_sorted_pairs(pairs), out / "pairs.tsv")
     log.info("align: %d pairs; scored %d of %d possible candidates",
              len(pairs), stats["scored_pairs"], stats["possible_pairs"])
 
 
 def align_by_url(out: Path, partitions: Partitions, pivot: str, langs,
-                 identifiers: Optional[str] = None, strip_query_params: bool = True,
-                 strip_hostname: bool = False) -> None:
+                 identifiers: Optional[str] = None) -> None:
     """URL-baseline alignment into ``pairs_url.tsv``; ``identifiers`` is an
     identifier file, the bundled set when None."""
     ids = (
@@ -399,10 +407,7 @@ def align_by_url(out: Path, partitions: Partitions, pivot: str, langs,
         if identifiers
         else align_url.default_identifier_set()
     )
-    pairs = align_url.align_corpus_by_url(
-        partitions, pivot, langs, ids,
-        strip_query_params=strip_query_params, strip_hostname=strip_hostname,
-    )
+    pairs = align_url.align_corpus_by_url(partitions, pivot, langs, ids)
     align_cda.save_pairs(_sorted_pairs(pairs), out / "pairs_url.tsv")
     log.info("align-url: %d pairs", len(pairs))
 
@@ -501,15 +506,13 @@ def _stage_vectorize(cfg: PipelineConfig, out: Path, manifest: dict,
 def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict,
                  partitions: Callable[[], Partitions]) -> None:
     def work() -> None:
-        align_by_content(out, partitions(), cfg.pivot, cfg.langs, cfg.threshold,
-                         cfg.matching)
+        align_by_content(out, partitions(), cfg.pivot, cfg.langs, cfg.threshold)
         if cfg.url_align:
             align_by_url(out, partitions(), cfg.pivot, cfg.langs, cfg.identifiers)
 
     _run_stage(out, manifest, "align", {
         "vectorize": manifest["stages"]["vectorize"],
         "threshold": cfg.threshold,
-        "matching": cfg.matching,
         "url_align": cfg.url_align,
         "identifiers": manifest["inputs"].get(cfg.identifiers),
     }, [out / "pairs.tsv"] + ([out / "pairs_url.tsv"] if cfg.url_align else []),

@@ -82,17 +82,6 @@ def greedy_oracle(scores):
     return out
 
 
-def top1_then_greedy_oracle(scores):
-    """Each pivot's best candidate (ties toward the smaller other URL),
-    then the greedy pass over those."""
-    best = {}
-    for (purl, ourl), score in scores.items():
-        cur = best.get(purl)
-        if cur is None or score > cur[0] or (score == cur[0] and ourl < cur[1]):
-            best[purl] = (score, ourl)
-    return greedy_oracle({(p, o): s for p, (s, o) in best.items()})
-
-
 def triples(pairs):
     return [(p.pivot_url, p.other_url, p.score) for p in pairs]
 
@@ -198,18 +187,6 @@ class TestMatchOneToOne:
         m = score_matrix({(f"p{i}", f"o{i}"): rng.random() for i in range(10)})
         scores = [p.score for p in align_cda.match_one_to_one(m)]
         assert scores == sorted(scores, reverse=True)
-
-
-class TestTop1ThenGreedy:
-    def test_keeps_only_best_per_pivot(self):
-        m = score_matrix({("e1", "f1"): 0.9, ("e1", "f2"): 0.8,
-                    ("e2", "f1"): 0.85, ("e2", "f2"): 0.7})
-        got = [(p.pivot_url, p.other_url) for p in align_cda.match_top1_then_greedy(m)]
-        # e1 keeps f1 (0.9); e2 keeps f1 (0.85) but loses it to e1; e2's f2
-        # candidate was pruned by the top-1 cut, unlike plain greedy
-        assert got == [("e1", "f1")]
-        greedy = [(p.pivot_url, p.other_url) for p in align_cda.match_one_to_one(m)]
-        assert greedy == [("e1", "f1"), ("e2", "f2")]
 
 
 class TestAlignCorpus:
@@ -337,8 +314,6 @@ class TestOracleEquivalence:
         assert m.scored_pairs == scored_pairs
         assert matrix_entries(m) == scores  # exact: same sums, same order
         assert triples(align_cda.match_one_to_one(m)) == greedy_oracle(scores)
-        assert triples(align_cda.match_top1_then_greedy(m)) == \
-            top1_then_greedy_oracle(scores)
 
 
 # Few distinct scores, so that ties straddle the band cuts; a hub's entries

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from docalign.cli import build_parser, main
+from docalign.pipeline import PipelineConfig
 from tests.conftest import SyntheticCorpus
 
 
@@ -120,11 +121,16 @@ class TestChainMatchesRun:
         assert _artifacts(chain) == expected
 
 
+def _readme_blocks(lang):
+    """The bodies of README's fenced ``lang`` blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, re.S | re.M)
+
+
 def _readme_commands():
     """Every ``docalign ...`` line of README's fenced ``sh`` blocks, split
     into arguments, with backslash continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+    blocks = _readme_blocks("sh")
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     return [shlex.split(line) for line in lines if line.startswith("docalign ")]
 
@@ -139,6 +145,11 @@ class TestReadme:
             except SystemExit:
                 pytest.fail(f"README command rejected: {' '.join(argv)}\n"
                             f"{capsys.readouterr().err}")
+
+    def test_documented_config_loads(self):
+        # a key dropped from PipelineConfig but left in README fails here
+        (block,) = _readme_blocks("yaml")
+        PipelineConfig.from_dict(yaml.safe_load(block))
 
 
 class TestRunCommand:
@@ -160,6 +171,41 @@ class TestExitCodes:
         (tmp_path / "missing.jsonl").touch()
         code = main(["run", "--config", str(cfg_path.with_name("nope.yaml"))])
         assert code == 2  # unreadable config file is an I/O problem
+
+    # each used to end in a traceback
+    @pytest.mark.parametrize("text", [
+        pytest.param("input: x\nout: y\nresources:\n  fr: {table: a.tsv}\n",
+                     id="resource-key"),
+        pytest.param("input: [x\n", id="not-yaml"),
+    ])
+    def test_bad_config_document_is_1(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    # one side's embeddings give no translation probability: used to end in
+    # numpy's matmul ValueError
+    @pytest.mark.parametrize("side, text", [
+        pytest.param("embeddings_pivot", "0 3\n", id="header-only"),
+        pytest.param("embeddings_other", "2 3\nun 0 0 0\ndeux 0 0 0\n", id="all-zero"),
+    ])
+    def test_embeddings_with_no_usable_word_fail_lexicon(self, tmp_path, capsys,
+                                                          side, text):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        files = {}
+        for key in ("embeddings_pivot", "embeddings_other"):
+            files[key] = tmp_path / f"{key}.txt"
+            files[key].write_text(text if key == side else "1 3\nw 1 0 0\n")
+        cfg = corpus.config(tmp_path / "fx", tmp_path / "out")
+        cfg["resources"] = {"fr": {k: str(v) for k, v in files.items()}}
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert (tmp_path / "out" / "FAILED").read_text() == "lexicon\n"
+        assert (f"error: {files[side]}: no word has a non-zero vector"
+                in capsys.readouterr().err)
 
     def test_data_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

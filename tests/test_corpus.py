@@ -216,13 +216,6 @@ class TestDetectLanguage:
         tokens = ["the", "quick", "brown", "fox"]
         assert corpus.detect_language(tokens, confidence_floor=1.1) == "und"
 
-    def test_custom_detector(self):
-        class Fixed:
-            def classify(self, text):
-                return "xx", 0.9
-
-        assert corpus.detect_language(["a"], detector=Fixed()) == "xx"
-
 
 class TestGroupByDomain:
     def test_host_grouping(self):

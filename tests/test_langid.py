@@ -134,7 +134,6 @@ class TestClassify:
 
     def test_custom_profiles(self):
         d = NgramLanguageDetector({"aa": "abab abab abab", "bb": "cdcd cdcd cdcd"})
-        assert d.languages() == ["aa", "bb"]
         assert d.classify("ababab")[0] == "aa"
         assert d.classify("cdcdcd")[0] == "bb"
 

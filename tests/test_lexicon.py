@@ -112,6 +112,26 @@ class TestTableFromEmbeddings:
         assert ("z", "x") not in fwd.probs
         assert fwd.probs[("a", "x")] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("src, tgt, side", [
+        pytest.param({}, {"a": np.array([1.0, 0.0])}, "en", id="src-empty"),
+        pytest.param({"a": np.array([1.0, 0.0])}, {"z": np.zeros(2)}, "fr",
+                     id="tgt-all-zero"),
+    ])
+    def test_side_with_no_usable_word(self, src, tgt, side):
+        # used to be numpy's "matmul: ... core dimension 0" ValueError
+        with pytest.raises(FormatError,
+                           match=f"^no {side} embedding word has a non-zero vector$"):
+            lexicon.table_from_embeddings(src, tgt, top_n=3, src_lang="en", tgt_lang="fr")
+
+    @pytest.mark.parametrize("text", ["0 3\n", "2 2\ncat 0 0\ndog 0 -0\n"],
+                             ids=["header-only", "all-zero"])
+    def test_embeddings_with_no_usable_word_name_file(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        message = f"{path}: no word has a non-zero vector"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            lexicon.load_embeddings(path)
+
     def test_embeddings_file_roundtrip(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 3\ncat 1 0 0\ndog 0 1 0\n")

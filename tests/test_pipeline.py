@@ -2,7 +2,9 @@ import json
 import re
 
 import pytest
+import yaml
 
+from docalign.cli import main
 from docalign.errors import ConfigError
 from docalign.pipeline import PipelineConfig, run_pipeline
 from tests.conftest import SyntheticCorpus
@@ -157,16 +159,18 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match="de"):
             run_pipeline(PipelineConfig.from_dict(cfg_dict))
 
-    def test_unknown_matching_fails_preflight(self, tmp_path):
+    def test_unknown_matching_fails_preflight(self, tmp_path, capsys):
+        # the key chose between two linkers; with one left it is unknown
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
-        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out")
-        cfg_dict["matching"] = "hungarian"
-        with pytest.raises(ConfigError, match="'hungarian'; choose one of greedy, "
-                                              "top1-then-greedy"):
-            run_pipeline(PipelineConfig.from_dict(cfg_dict))
-        assert not (tmp_path / "out" / "corpus").exists()
-        assert not (tmp_path / "out" / "FAILED").exists()
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out", matching="greedy")
+        with pytest.raises(ConfigError, match="'matching'"):
+            PipelineConfig.from_dict(cfg_dict)
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg_dict))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "'matching'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     # each used to fail only after corpus/ was written, or not at all
     @pytest.mark.parametrize("name, value, low", [
@@ -280,9 +284,21 @@ class TestPipelineConfig:
         assert cfg.threshold == 0.2
         assert cfg.resources["fr"].table_fwd == "f.tsv"
 
-    def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            PipelineConfig.from_dict({"input": "x", "out": "y", "bogus": 1})
+    # each but the first used to end in a TypeError or AttributeError
+    @pytest.mark.parametrize("raw, named", [
+        pytest.param({"bogus": 1}, "'bogus'", id="top-level-key"),
+        pytest.param({"resources": {"fr": {"table": "a.tsv"}}}, "'fr'.*'table'",
+                     id="resource-key"),
+        pytest.param({"resources": {"fr": "a.tsv"}}, "'fr'", id="resource-not-mapping"),
+        pytest.param({"resources": ["fr"]}, "^resources", id="resources-not-mapping"),
+        pytest.param(["input", "out"], "^config must be a mapping",
+                     id="document-not-mapping"),
+    ])
+    def test_unknown_key_rejected(self, raw, named):
+        if isinstance(raw, dict):
+            raw = {"input": "x", "out": "y", **raw}
+        with pytest.raises(ConfigError, match=named):
+            PipelineConfig.from_dict(raw)
 
     def test_out_override(self, tmp_path):
         cfg = PipelineConfig.from_dict({"input": "x", "out": "y"},
