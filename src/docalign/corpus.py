@@ -1,9 +1,19 @@
 """Corpus ingestion: record parsing, HTML text extraction, tokenization,
-language tagging and per-domain partitioning.
+language tagging, per-domain partitioning and the ``corpus/`` files.
 
 Parsing, extraction and tokenization are pure per-record functions; only
 ``group_by_domain`` accumulates state and acts as the merge point of the
 ingest pipeline.
+
+``corpus/`` holds the whole partitioned corpus in three files, one row per
+document in (lang, domain, URL) order, the order of ``vectors/<lang>/``:
+
+- ``docs.tsv``: ``lang``, ``domain``, ``url``, ``raw_length`` and the
+  token count of each row, tab-separated;
+- ``words.json``: a JSON array of the distinct tokens in first-use order,
+  so any token, even one holding a tab or a newline, is kept intact;
+- ``ids.npy``: one 1-D int32 array of every row's token ids (indices into
+  ``words.json``), concatenated in row order.
 """
 
 from __future__ import annotations
@@ -14,8 +24,12 @@ import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+from itertools import chain, count
+from pathlib import Path
 from typing import Iterable, Optional
 from urllib.parse import urlsplit
+
+import numpy as np
 
 from .errors import FormatError, ParseError, SchemaError, UsageError
 
@@ -26,6 +40,10 @@ TEXT_TAGS = frozenset(
 )
 
 _SKIP_TAGS = frozenset(["script", "style"])
+
+# The three files of corpus/: one line per document, the distinct tokens,
+# and every document's token ids concatenated.
+DOCS, WORDS, IDS = "docs.tsv", "words.json", "ids.npy"
 
 # Scripts segmented one token per code point.
 _CJK_RANGES = (
@@ -51,7 +69,8 @@ class DocumentRecord:
     raw_length: int
 
     def serialized(self) -> str:
-        """Canonical one-line JSON form, used for files and tie-breaking."""
+        """Canonical one-line JSON form, used to break ties between
+        duplicates."""
         return json.dumps(
             {
                 "url": self.url,
@@ -62,17 +81,6 @@ class DocumentRecord:
             },
             ensure_ascii=False,
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_serialized(cls, line: str) -> "DocumentRecord":
-        obj = json.loads(line)
-        return cls(
-            url=obj["url"],
-            domain=obj["domain"],
-            lang=obj["lang"],
-            tokens=list(obj["tokens"]),
-            raw_length=int(obj["raw_length"]),
         )
 
 
@@ -191,8 +199,9 @@ def tokenize(text: str) -> list[str]:
     return low.translate(_TRANSLATE).split()
 
 
-# Language tags name files under corpus/<domain>/, so they are kept to
-# characters that cannot climb out of that directory.
+# Language tags are fields of docs.tsv and of the TSV artifacts, and a
+# configured one names files such as vocab/<lang>.txt, so they are kept to
+# characters that need no quoting and cannot climb out of a directory.
 _LANG_TAG = re.compile(r"[A-Za-z0-9_-]+")
 
 
@@ -202,15 +211,33 @@ def _unescape_tsv(value: str) -> str:
     )
 
 
+def _field_problem(lang: str, domain: str, url: str) -> Optional[str]:
+    """Why a record with these fields cannot be a ``docs.tsv`` row, or None."""
+    for name, value in (("URL", url), ("domain", domain)):
+        if not value:
+            return f"empty {name}"
+        if "\t" in value or "\n" in value or "\r" in value:
+            return f"{name} {value!r} contains a tab, newline or carriage return"
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
+                return f"{name} {value!r} is not valid Unicode"
+    if not isinstance(lang, str) or not _LANG_TAG.fullmatch(lang):
+        return (f"language tag {lang!r} is not made of ASCII letters, digits, "
+                "'-' and '_'")
+    return None
+
+
 def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
     """Parse one serialized input record into a DocumentRecord.
 
     jsonl records carry ``url``, optional ``lang`` and exactly one of
     ``html`` | ``text``. tsv records are ``url \\t lang \\t text``. The
-    URL must have a host and the language tag may hold only ASCII
-    letters, digits, ``-`` and ``_``: both name the record's partition file.
-    The URL may hold no tab, newline or carriage return: it is a field of
-    the line-based TSV artifacts.
+    URL must have a host, which is the record's domain, and the language
+    tag may hold only ASCII letters, digits, ``-`` and ``_``. The URL may
+    hold no tab, newline, carriage return or lone surrogate. All three are
+    fields of ``corpus/docs.tsv`` and of the other line-based TSV artifacts.
     """
     text_line = line.decode("utf-8", errors="replace").rstrip("\r\n")
     if format == "jsonl":
@@ -251,16 +278,14 @@ def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
 
     if not isinstance(url, str):
         raise SchemaError(f"URL {url!r} is not a string")
-    if "\t" in url or "\n" in url or "\r" in url:
-        raise SchemaError(f"URL {url!r} contains a tab, newline or carriage return")
     domain = domain_of(url)
     if not domain:
         raise SchemaError(f"URL {url!r} has no host")
     if domain in (".", ".."):
         raise SchemaError(f"URL {url!r} has host {domain!r}, which names no domain")
-    if not isinstance(lang, str) or not _LANG_TAG.fullmatch(lang):
-        raise SchemaError(f"language tag {lang!r} is not made of ASCII letters, "
-                          "digits, '-' and '_'")
+    problem = _field_problem(lang, domain, url)
+    if problem:
+        raise SchemaError(problem)
     return DocumentRecord(
         url=url,
         domain=domain,
@@ -316,42 +341,111 @@ def group_by_domain(
 
 
 def write_partitions(partitions: dict[str, CorpusPartition], out_dir) -> None:
-    """One directory per domain, one JSON-lines file per language."""
-    from pathlib import Path
+    """Write ``docs.tsv``, ``words.json`` and ``ids.npy`` into ``out_dir``.
 
+    Rows go in (lang, domain) order, each partition's documents in list
+    order. Tokens are interned in first-use order. A record whose URL or
+    domain is empty or holds a tab, newline or carriage return, or whose
+    language tag is not ``[A-Za-z0-9_-]+``, is a ``SchemaError``.
+    """
     out = Path(out_dir)
-    for domain, part in sorted(partitions.items()):
-        ddir = out / domain
-        ddir.mkdir(parents=True, exist_ok=True)
-        for lang, docs in sorted(part.by_lang.items()):
-            with open(ddir / f"{lang}.jsonl", "w", encoding="utf-8") as fh:
-                for rec in docs:
-                    fh.write(rec.serialized() + "\n")
+    groups = sorted((lang, domain, docs) for domain, part in partitions.items()
+                    for lang, docs in part.by_lang.items())
+    records = [rec for *_key, docs in groups for rec in docs]
+    for rec in records:
+        problem = _field_problem(rec.lang, rec.domain, rec.url)
+        if problem:
+            raise SchemaError(f"record {rec.url!r}: {problem}")
+    lines = [f"{rec.lang}\t{rec.domain}\t{rec.url}\t{rec.raw_length}\t{len(rec.tokens)}\n"
+             for rec in records]
+    word_ids = defaultdict(count().__next__)
+    ids = np.fromiter(map(word_ids.__getitem__,
+                          chain.from_iterable(rec.tokens for rec in records)),
+                      dtype=np.int32)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / DOCS).write_text("".join(lines), encoding="utf-8")
+    (out / WORDS).write_text(json.dumps(list(word_ids), ensure_ascii=False),
+                             encoding="utf-8")
+    np.save(out / IDS, ids)
 
 
 def read_partitions(corpus_dir) -> dict[str, CorpusPartition]:
-    """Inverse of write_partitions. A line that is not a record raises
-    ``FormatError`` naming ``file:line``."""
-    from pathlib import Path
-
+    """The partitions that ``write_partitions`` wrote into ``corpus_dir``,
+    domains and languages in sorted order. A ``docs.tsv`` line without five
+    fields, with a length or token count that is not a non-negative integer,
+    or with fields ``write_partitions`` refuses is a ``FormatError`` naming
+    ``docs.tsv:<line>``. An ``ids.npy`` that is not a 1-D int32 array, holds
+    an id outside ``words.json`` or not as many ids as ``docs.tsv`` counts,
+    and a ``words.json`` that is not a list of strings, are ``FormatError``s
+    naming the file."""
     root = Path(corpus_dir)
-    partitions: dict[str, CorpusPartition] = {}
-    for ddir in sorted(p for p in root.iterdir() if p.is_dir()):
-        by_lang: dict[str, list[DocumentRecord]] = {}
-        for f in sorted(ddir.glob("*.jsonl")):
-            docs = []
-            with open(f, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        docs.append(DocumentRecord.from_serialized(line))
-                    except KeyError as exc:
-                        raise FormatError(f"{f}:{lineno}: record lacks key {exc}") from exc
-                    except (TypeError, ValueError) as exc:
-                        raise FormatError(f"{f}:{lineno}: {exc}") from exc
-            if docs:
-                by_lang[f.stem] = docs
-        if by_lang:
-            partitions[ddir.name] = CorpusPartition(domain=ddir.name, by_lang=by_lang)
-    return partitions
+    rows = _read_docs(root / DOCS)
+    words = _read_words(root / WORDS)
+    ids = _read_ids(root / IDS)
+    total = sum(row[4] for row in rows)
+    if total != len(ids):
+        raise FormatError(f"{root / IDS}: {len(ids)} token ids, but {root / DOCS} "
+                          f"counts {total}")
+    if ids.size and (ids.min() < 0 or ids.max() >= len(words)):
+        raise FormatError(f"{root / IDS}: token id outside the {len(words)} words "
+                          f"of {root / WORDS}")
+    tokens = np.array(words, dtype=object)[ids].tolist()
+    grouped: dict[str, dict[str, list[DocumentRecord]]] = {}
+    start = 0
+    for lang, domain, url, raw_length, n in rows:
+        doc = DocumentRecord(url=url, domain=domain, lang=lang,
+                             tokens=tokens[start:start + n], raw_length=raw_length)
+        start += n
+        grouped.setdefault(domain, {}).setdefault(lang, []).append(doc)
+    return {domain: CorpusPartition(domain, dict(sorted(grouped[domain].items())))
+            for domain in sorted(grouped)}
+
+
+def _read_docs(path: Path) -> list[tuple[str, str, str, int, int]]:
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8: {exc.reason}") from exc
+    rows = []
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields, "
+                              f"got {len(fields)}")
+        lang, domain, url, raw_length, n = fields
+        for name, value in (("length", raw_length), ("token count", n)):
+            if not (value.isascii() and value.isdigit()):
+                raise FormatError(f"{path}:{lineno}: {name} {value!r} is not a "
+                                  "non-negative integer")
+        problem = _field_problem(lang, domain, url)
+        if problem:
+            raise FormatError(f"{path}:{lineno}: {problem}")
+        rows.append((lang, domain, url, int(raw_length), int(n)))
+    return rows
+
+
+def _read_words(path: Path) -> list[str]:
+    try:
+        words = json.loads(path.read_bytes())
+    except ValueError as exc:  # JSON and UTF-8 errors both
+        raise FormatError(f"{path}: {exc}") from exc
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise FormatError(f"{path}: not a JSON list of strings")
+    return words
+
+
+def _read_ids(path: Path) -> np.ndarray:
+    try:
+        with open(path, "rb") as fh:
+            ids = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if ids.dtype != np.int32 or ids.ndim != 1:
+        raise FormatError(f"{path}: {ids.ndim}-D {ids.dtype}, not 1-D int32")
+    return ids
+

@@ -117,8 +117,6 @@ def _directional_table(
     top_n: int,
 ) -> TranslationTable:
     sims = src_mat @ tgt_mat.T
-    if not len(src):  # then tgt is empty too, and sims a scalar
-        return TranslationTable(src_lang=src_lang, tgt_lang=tgt_lang)
     k = min(top_n, len(tgt))
     if k < len(tgt):
         top = np.argpartition(-sims, k - 1, axis=1)[:, :k]

@@ -95,8 +95,10 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict, out_override: Optional[str] = None) -> "PipelineConfig":
         """A config from a mapping of field names to values. A document that
-        is not a mapping, an unknown key or a resource spec that is not a
-        mapping of ``LanguageResource`` fields is a ``ConfigError``."""
+        is not a mapping, an unknown key, a resource spec that is not a
+        mapping of ``LanguageResource`` fields to paths, a path or name that
+        is not a string, ``langs`` that is not a list of strings and a switch
+        that is not a bool are each a ``ConfigError`` naming the key."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a mapping of keys to values, "
                               f"got {type(raw).__name__}")
@@ -111,14 +113,28 @@ class PipelineConfig:
                 resources[lang] = LanguageResource(**spec)
             except TypeError as exc:
                 raise ConfigError(f"resources of language {lang!r}: {exc}") from None
+            for key, value in spec.items():
+                if value is not None and not isinstance(value, str):
+                    raise ConfigError(f"resources of language {lang!r}: {key} must be "
+                                      f"a file path, got {value!r}")
         if out_override:
             raw["out"] = out_override
         try:
             cfg = cls(resources=resources, **raw)
         except TypeError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
+        for name in ("input", "out", "pivot", "format", "stopwords", "identifiers", "gold"):
+            value = getattr(cfg, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         if not cfg.input or not cfg.out:
             raise ConfigError("config requires 'input' and 'out'")
+        if not isinstance(cfg.langs, list) or not all(isinstance(x, str) for x in cfg.langs):
+            raise ConfigError(f"langs must be a list of language tags, got {cfg.langs!r}")
+        for name in ("detect_language", "url_align", "mine"):
+            if not isinstance(getattr(cfg, name), bool):
+                raise ConfigError(f"{name} must be true or false, "
+                                  f"got {getattr(cfg, name)!r}")
         return cfg
 
     def parameters(self) -> dict[str, Any]:
@@ -466,9 +482,10 @@ def _stage_ingest(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
         "format": cfg.format,
         "lang_confidence": cfg.lang_confidence,
         "detect_language": cfg.detect_language,
-    }, [out / "corpus"],
+    }, [out / "corpus" / name for name in (corpus.DOCS, corpus.WORDS, corpus.IDS)],
         lambda: ingest(cfg.input, out, cfg.format, cfg.detect_language,
-                       cfg.lang_confidence))
+                       cfg.lang_confidence),
+        owns=[out / "corpus"])
 
 
 def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict,

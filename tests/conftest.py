@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from docalign.align_cda import ScoreMatrix
-from docalign.corpus import DocumentRecord, domain_of
+from docalign.corpus import CorpusPartition, DocumentRecord, domain_of
 from docalign.vectorspace import VectorTable
 
 
@@ -21,6 +21,35 @@ def make_record(url, tokens, lang="en", raw_length=None):
         tokens=list(tokens),
         raw_length=raw_length if raw_length is not None else len(" ".join(tokens)),
     )
+
+
+def write_jsonl_partitions(partitions, out_dir):
+    """The ``corpus/`` layout that the three-file format replaced, kept as
+    its oracle: one directory per domain, one JSON-lines file per language,
+    one ``DocumentRecord.serialized()`` line per document."""
+    out = Path(out_dir)
+    for domain, part in sorted(partitions.items()):
+        ddir = out / domain
+        ddir.mkdir(parents=True, exist_ok=True)
+        for lang, docs in sorted(part.by_lang.items()):
+            with open(ddir / f"{lang}.jsonl", "w", encoding="utf-8") as fh:
+                for rec in docs:
+                    fh.write(rec.serialized() + "\n")
+
+
+def read_jsonl_partitions(corpus_dir):
+    """Inverse of ``write_jsonl_partitions``."""
+    partitions = {}
+    for ddir in sorted(p for p in Path(corpus_dir).iterdir() if p.is_dir()):
+        by_lang = {}
+        for f in sorted(ddir.glob("*.jsonl")):
+            with open(f, encoding="utf-8") as fh:
+                docs = [DocumentRecord(**json.loads(line)) for line in fh if line.strip()]
+            if docs:
+                by_lang[f.stem] = docs
+        if by_lang:
+            partitions[ddir.name] = CorpusPartition(domain=ddir.name, by_lang=by_lang)
+    return partitions
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from docalign.cli import build_parser, main
+from docalign.corpus import read_partitions
 from docalign.pipeline import PipelineConfig
 from tests.conftest import SyntheticCorpus
 
@@ -26,7 +27,7 @@ class TestStageCommands:
 
         assert main(["ingest", "--input", str(paths["input"]),
                      "--format", "jsonl", "--out", str(out)]) == 0
-        assert (out / "corpus" / "site00.example" / "en.jsonl").is_file()
+        assert read_partitions(out / "corpus")["site00.example"].docs("en")
 
         assert main(["build-lexicon", *common, "--lang", "fr",
                      "--table-fwd", str(paths["table_fwd"]),
@@ -228,6 +229,8 @@ class TestExitCodes:
         pytest.param('{"url": "http://a.com/x\\ry", "lang": "fr", "text": "a"}',
                      id="url-carriage-return"),
         pytest.param('{"url": 5, "lang": "fr", "text": "a"}', id="url-number"),
+        pytest.param('{"url": "http://a.com/\\ud800", "lang": "fr", "text": "a"}',
+                     id="url-lone-surrogate"),
         pytest.param('{"url": "http://a.com/x", "lang": "en", "text": 5}',
                      id="text-number"),
         pytest.param('{"url": "http://a.com/x", "lang": "en", "html": ["a"]}',
@@ -249,12 +252,13 @@ class TestExitCodes:
         corpus, paths = write_fixture(tmp_path)
         out = tmp_path / "out"
         assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
-        part = out / "corpus" / "site00.example" / "en.jsonl"
-        part.write_text(part.read_text() + "{broken\n")
-        lines = len(part.read_text().splitlines())
+        docs = out / "corpus" / "docs.tsv"
+        docs.write_text(docs.read_text() + "en\tsite00.example\thttp://site00.example/x\t5\n")
+        lines = len(docs.read_text().splitlines())
         capsys.readouterr()
         assert main(["vectorize", "--out", str(out), "--pivot", "en"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {part}:{lines}: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {docs}:{lines}: expected 5 tab-separated fields, got 4")
 
     def test_vectorize_rejects_lexicon_of_another_pivot_vocabulary(self, tmp_path, capsys):
         # a second build-lexicon call rewrites vocab/en.txt with a smaller

@@ -1,15 +1,18 @@
 import json
 import re
 import sys
+import tempfile
 import unicodedata
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from docalign import corpus
 from docalign.errors import FormatError, ParseError, SchemaError
-from tests.conftest import make_record
+from tests.conftest import make_record, read_jsonl_partitions, write_jsonl_partitions
 
 
 class TestExtractText:
@@ -269,6 +272,42 @@ class TestGroupByDomain:
             assert all(d.lang == lang and d.domain == "a.com" for d in docs)
 
 
+def _write_two(tmp_path):
+    corpus.write_partitions(corpus.group_by_domain(
+        [make_record("http://a.com/x", ["a", "b"], lang="fr"),
+         make_record("http://a.com/y", ["b"], lang="fr")]), tmp_path)
+    return tmp_path / "docs.tsv", tmp_path / "words.json", tmp_path / "ids.npy"
+
+
+_URL_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")
+# tokens with spaces, quotes, tabs and newlines, and a pool that makes the
+# same word turn up in several languages
+_TOKENS = st.one_of(
+    st.sampled_from(["chat", "le", "a b", '"q"', "x\ty", "x\ny", "ü", "猫"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+)
+
+
+@st.composite
+def partitions(draw):
+    """Deduplicated partitions of up to 12 records, as ``group_by_domain``
+    gives them; often none, and often with untagged records."""
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        domain = draw(st.sampled_from(["a.com", "b.org", "例え.jp"]))
+        url = f"http://{domain}/" + draw(st.text(_URL_CHARS, max_size=8))
+        records.append(corpus.DocumentRecord(
+            url=url, domain=domain,
+            lang=draw(st.sampled_from(["en", "fr", "und", "zh-Hant", "de_CH"])),
+            tokens=draw(st.lists(_TOKENS, max_size=5)),
+            raw_length=draw(st.integers(0, 10**6))))
+    return corpus.group_by_domain(records)
+
+
+def _layout(parts):
+    return [(domain, list(part.by_lang)) for domain, part in parts.items()]
+
+
 class TestPartitionIO:
     def test_roundtrip(self, tmp_path):
         recs = [make_record("http://a.com/x", ["héllo"], lang="fr"),
@@ -279,17 +318,92 @@ class TestPartitionIO:
         loaded = corpus.read_partitions(tmp_path)
         assert sorted(loaded) == ["a.com", "b.org"]
         assert loaded["a.com"].docs("fr")[0].tokens == ["héllo"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "docs.tsv", "ids.npy", "words.json"]
+        # rows in (lang, domain, URL) order, as in vectors/<lang>/
+        assert (tmp_path / "docs.tsv").read_text() == (
+            "en\ta.com\thttp://a.com/y\t1\t1\n"
+            "en\tb.org\thttp://b.org/z\t1\t1\n"
+            "fr\ta.com\thttp://a.com/x\t5\t1\n")
+        assert json.loads((tmp_path / "words.json").read_text()) == ["b", "c", "héllo"]
+        assert np.load(tmp_path / "ids.npy").tolist() == [0, 1, 2]
+
+    @settings(deadline=None)
+    @given(parts=partitions())
+    def test_roundtrip_matches_jsonl_oracle(self, parts):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new"), Path(tmp, "old")
+            old.mkdir()  # ingest made it before writing
+            corpus.write_partitions(parts, new)
+            write_jsonl_partitions(parts, old)
+            loaded = corpus.read_partitions(new)
+            assert loaded == parts == read_jsonl_partitions(old)
+            assert _layout(loaded) == _layout(read_jsonl_partitions(old))
 
     @pytest.mark.parametrize("bad, message", [
-        ('{"url": "http://a.com/z", "tokens"', "Expecting"),
-        ('{"url": "http://a.com/z", "domain": "a.com", "lang": "fr", "tokens": []}',
-         "lacks key 'raw_length'"),
-        ('["http://a.com/z"]', "list indices"),
+        pytest.param(b"fr\ta.com\thttp://a.com/z\t5", "expected 5 tab-separated fields, got 4",
+                     id="four-fields"),
+        pytest.param(b"", "expected 5 tab-separated fields, got 1", id="blank"),
+        pytest.param(b"fr\ta.com\thttp://a.com/z\t-5\t0",
+                     "length '-5' is not a non-negative integer", id="negative-length"),
+        pytest.param("fr\ta.com\thttp://a.com/z\t5\t١".encode(),
+                     "token count '١' is not a non-negative integer", id="non-ascii-count"),
+        pytest.param(b"fr\ta.com\t\t5\t0", "empty URL", id="empty-url"),
+        pytest.param(b"fr\t\thttp://a.com/z\t5\t0", "empty domain", id="empty-domain"),
+        pytest.param(b"../x\ta.com\thttp://a.com/z\t5\t0", "language tag '../x'",
+                     id="lang-path"),
+        pytest.param(b"fr\ta.com\thttp://a.com/z\r\t5\t0", "URL 'http://a.com/z\\r' contains",
+                     id="url-carriage-return"),
+        pytest.param(b"fr\ta.com\thttp://a.com/\xff\t5\t0", "not UTF-8", id="not-utf8"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, bad, message):
-        corpus.write_partitions(corpus.group_by_domain(
-            [make_record("http://a.com/x", ["a"], lang="fr")]), tmp_path)
-        path = tmp_path / "a.com" / "fr.jsonl"
-        path.write_text(path.read_text() + "\n" + bad + "\n")
-        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:3: .*{message}"):
+        docs, _words, _ids = _write_two(tmp_path)
+        docs.write_bytes(docs.read_bytes() + bad + b"\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(docs))}:3: {re.escape(message)}"):
             corpus.read_partitions(tmp_path)
+
+    @pytest.mark.parametrize("ids, message", [
+        pytest.param(np.array([0, 1], dtype=np.int32), "2 token ids, but .* counts 3",
+                     id="short"),
+        pytest.param(np.array([0, 1, 2], dtype=np.int32), "token id outside the 2 words",
+                     id="id-past-words"),
+        pytest.param(np.array([0, -1, 1], dtype=np.int32), "token id outside the 2 words",
+                     id="negative-id"),
+        pytest.param(np.array([[0, 1, 1]], dtype=np.int32), "2-D int32, not 1-D int32",
+                     id="two-d"),
+        pytest.param(np.array([0, 1, 1], dtype=np.int64), "1-D int64, not 1-D int32",
+                     id="int64"),
+        pytest.param(np.array(["a", "b", "b"], dtype=object), "allow_pickle=False",
+                     id="pickled"),
+    ])
+    def test_bad_ids_names_file(self, tmp_path, ids, message):
+        _docs, _words, path = _write_two(tmp_path)
+        np.save(path, ids, allow_pickle=True)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: .*{message}"):
+            corpus.read_partitions(tmp_path)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param('{"a": 0}', "not a JSON list of strings", id="object"),
+        pytest.param('["a", 5]', "not a JSON list of strings", id="number"),
+        pytest.param('["a", "b"', "Expecting", id="truncated"),
+    ])
+    def test_bad_words_names_file(self, tmp_path, text, message):
+        _docs, path, _ids = _write_two(tmp_path)
+        path.write_text(text)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: .*{message}"):
+            corpus.read_partitions(tmp_path)
+
+    # parse_record refuses each of these; write_partitions used to write
+    # them, or fail half way on the lone surrogate
+    @pytest.mark.parametrize("field, value", [
+        ("url", "http://a.com/x\ty"), ("url", "http://a.com/x\ny"),
+        ("domain", "a.com\n"), ("lang", "f\tr"), ("url", ""),
+        ("url", "http://a.com/\ud800"),
+    ])
+    def test_write_refuses_unsafe_field(self, tmp_path, field, value):
+        rec = make_record("http://a.com/x", ["a"])
+        setattr(rec, field, value)
+        part = corpus.CorpusPartition(rec.domain, {rec.lang: [rec]})
+        with pytest.raises(SchemaError):
+            corpus.write_partitions({rec.domain: part}, tmp_path)
+        assert not list(tmp_path.iterdir())

@@ -208,11 +208,6 @@ class TestDirectionalTableOracle:
         expected = oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n)
         assert list(got.probs.items()) == list(expected.items())
 
-    def test_no_words(self):
-        empty = np.asarray([])
-        got = lexicon._directional_table([], empty, [], empty, "en", "fr", 3)
-        assert got.probs == {}
-
 
 def oracle_reverse_condition_violations(align, p_fwd, p_bwd, v_alpha):
     """The O(|pairs| x |V_pivot|) scan that the indexed version replaced."""

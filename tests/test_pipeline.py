@@ -1,13 +1,15 @@
 import json
 import re
+import shutil
 
 import pytest
 import yaml
 
 from docalign.cli import main
+from docalign.corpus import CorpusPartition, read_partitions
 from docalign.errors import ConfigError
 from docalign.pipeline import PipelineConfig, run_pipeline
-from tests.conftest import SyntheticCorpus
+from tests.conftest import SyntheticCorpus, write_jsonl_partitions
 
 
 def run_tiny(tmp_path, out_name="out", corpus=None, **overrides):
@@ -92,11 +94,30 @@ class TestRunPipeline:
         # the same input without one domain, or without one of its languages
         corpus.records = [r for r in corpus.records if dropped not in r["url"]]
         out, _ = run_tiny(tmp_path, corpus=corpus, vocab_size=50)
-        assert sorted(p.name for p in (out / "corpus").iterdir()) == domains
-        assert not (out / "corpus" / "site01.example" / "fr.jsonl").exists()
+        parts = read_partitions(out / "corpus")
+        assert sorted(parts) == domains
+        assert "fr" not in parts.get("site01.example", CorpusPartition("")).by_lang
         assert not (out / "corpus.tmp").exists()
         assert (out / "pairs.tsv").read_text()
         assert site01_pairs() == []
+
+    def test_old_corpus_layout_is_reingested(self, tmp_path, caplog):
+        import logging
+
+        out, corpus = run_tiny(tmp_path, vocab_size=50)
+        pairs = (out / "pairs.tsv").read_bytes()
+        # corpus/ as an earlier version wrote it, under a fresh ingest stamp
+        parts = read_partitions(out / "corpus")
+        shutil.rmtree(out / "corpus")
+        write_jsonl_partitions(parts, out / "corpus")
+        with caplog.at_level(logging.INFO, logger="docalign.pipeline"):
+            run_tiny(tmp_path, corpus=corpus, vocab_size=50)
+        assert "ingest: up to date, skipping" not in caplog.messages
+        assert any(m.startswith("ingest: ") and "records" in m for m in caplog.messages)
+        assert sorted(p.name for p in (out / "corpus").iterdir()) == [
+            "docs.tsv", "ids.npy", "words.json"]
+        assert read_partitions(out / "corpus") == parts
+        assert (out / "pairs.tsv").read_bytes() == pairs
 
     def test_failed_rerun_leaves_no_fresh_stamp(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
@@ -299,6 +320,27 @@ class TestPipelineConfig:
             raw = {"input": "x", "out": "y", **raw}
         with pytest.raises(ConfigError, match=named):
             PipelineConfig.from_dict(raw)
+
+    # a string of languages was iterated by character, "no" was a true
+    # switch and a number as a path ended in a TypeError
+    @pytest.mark.parametrize("raw, named", [
+        pytest.param({"langs": "fr"}, "^langs must be a list of language tags, got 'fr'$",
+                     id="langs-string"),
+        pytest.param({"mine": "no"}, "^mine must be true or false, got 'no'$",
+                     id="switch-string"),
+        pytest.param({"input": 5}, "^input must be a string, got 5$", id="path-number"),
+        pytest.param({"resources": {"fr": {"table_fwd": 5, "table_bwd": 6}}},
+                     "^resources of language 'fr': table_fwd must be a file path, got 5$",
+                     id="resource-path-number"),
+    ])
+    def test_wrong_type_rejected(self, tmp_path, capsys, raw, named):
+        raw = {"input": "x", "out": "y", **raw}
+        with pytest.raises(ConfigError, match=named):
+            PipelineConfig.from_dict(raw)
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_out_override(self, tmp_path):
         cfg = PipelineConfig.from_dict({"input": "x", "out": "y"},
