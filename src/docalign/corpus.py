@@ -23,6 +23,7 @@ import re
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, field
+from html import unescape
 from html.parser import HTMLParser
 from itertools import chain, count
 from pathlib import Path
@@ -142,8 +143,8 @@ class _TextExtractor(HTMLParser):
                 self.pieces.append(text)
 
 
-def extract_text(html: str) -> str:
-    """Visible text under the tag whitelist, newline-joined in document order."""
+def _parse_text(html: str) -> str:
+    """``extract_text`` through the stdlib parser, for any markup at all."""
     parser = _TextExtractor()
     try:
         parser.feed(html)
@@ -152,6 +153,85 @@ def extract_text(html: str) -> str:
         # lenient: keep whatever was recovered before the parser gave up
         pass
     return "\n".join(parser.pieces)
+
+
+# Whitespace that ends a tag name for html.parser, a tag name, and the
+# attributes of a start tag: each a plain name with an optional
+# double-quoted, single-quoted or bare value. A bare value runs to
+# whitespace or ">", so "<a href=x/>" is a start tag, as it is for
+# html.parser, and not an empty element.
+_WS = r"[ \t\n\r\f]"
+_NAME = r"[A-Za-z][-.:A-Za-z0-9_]*"
+_ATTRS = (rf"""(?:{_WS}+[^\s"'<>/=]+(?:{_WS}*={_WS}*"""
+          rf"""(?:"[^"]*"|'[^']*'|[^\s"'=<>`][^\s"'<>`]*))?)*{_WS}*""")
+
+
+def _ascii_case(word: str) -> str:
+    """``word`` in any ASCII case: html.parser lowers tag names with
+    ``str.lower`` and never folds "ſ" to "s" as ``re.IGNORECASE`` would."""
+    return "".join(f"[{c.upper()}{c}]" for c in word)
+
+
+def _cdata_element(name: str) -> str:
+    """A whole script or style element: html.parser ends one at the first
+    ``</name>`` with optional whitespace inside, so "</scripts>" does not
+    end a script."""
+    close = rf"/\s*{_ascii_case(name)}\s*>"
+    return rf"{_ascii_case(name)}{_ATTRS}>[^<]*(?:<(?!{close})[^<]*)*<{close}"
+
+
+# One token of markup per match, in document order: a text run (group 1),
+# an end tag (name in group 2), a start tag that opens no script or style
+# (name in group 3, its closing "/" in group 4), a whole script or style
+# element, a comment (ended, as by html.parser, at the first "--" and ">"
+# with only whitespace between) or a doctype. Group 5 takes the rest of
+# the page from the first "<" that starts none of these, so a page outside
+# this grammar costs one scan before it goes to html.parser. No
+# alternative that fails after a long scan is followed by one that can
+# match, so the scan stays linear in the page.
+_TOKEN = re.compile(
+    r"([^<]+)"
+    rf"|<(?:/({_NAME})\s*>"
+    rf"|(?!(?:{_ascii_case('script')}|{_ascii_case('style')})[\s>])"
+    rf"({_NAME}){_ATTRS}(/?)>"
+    rf"|{_cdata_element('script')}|{_cdata_element('style')}"
+    r"|!--[\s\S]*?--\s*>"
+    rf"|!{_ascii_case('doctype')}[^>]*>)"
+    r"|(<[\s\S]*)"
+)
+
+
+def extract_text(html: str) -> str:
+    """Visible text under the tag whitelist, newline-joined in document order.
+
+    Well-formed markup is read in one ``_TOKEN`` scan that keeps the
+    counters of ``_TextExtractor``; a page with any other markup, such as
+    a stray "<" or an unterminated script, goes whole through html.parser.
+    Both give the same text.
+    """
+    pieces = []
+    keep = opened = 0
+    for text, end, start, slash, rest in _TOKEN.findall(html):
+        if text:
+            # a text node counts once however many whitelisted ancestors
+            # wrap it; text outside any element (plain-text input) is kept
+            if keep or not opened:
+                text = unescape(text).strip()
+                if text:
+                    pieces.append(text)
+        elif end:
+            if opened:
+                opened -= 1
+            if keep and end.lower() in TEXT_TAGS:
+                keep -= 1
+        elif start:
+            if not slash:  # <tag/> is a start and an end tag, which cancel
+                opened += 1
+                if start.lower() in TEXT_TAGS:
+                    keep += 1
+        elif rest:
+            return _parse_text(html)
+    return "\n".join(pieces)
 
 
 def _is_cjk(ch: str) -> bool:

@@ -200,13 +200,15 @@ def pair_scores(p_fwd: TranslationTable,
 
 
 def build_alignment(
-    p_fwd: TranslationTable,
-    p_bwd: TranslationTable,
+    scores: Mapping[tuple[str, str], float],
+    pivot_lang: str,
+    other_lang: str,
     v_alpha: Iterable[str],
     v_beta: Iterable[str],
 ) -> LexiconAlignment:
     """Pair every pivot word a with the argmax over b of S(a, b), keeping
-    ties; pairs with max score 0 are dropped.
+    ties; pairs with max score 0 are dropped. ``scores`` is the
+    ``pair_scores`` table of the two translation tables.
 
     to_pivot keeps, for each non-pivot word, the single best pivot word
     (ties to the lexicographically smaller one), and scores its S.
@@ -216,7 +218,7 @@ def build_alignment(
         raise ConfigError("alignment vocabularies must be non-empty")
 
     best_for_pivot: dict[str, tuple[float, list[str]]] = {}
-    for (a, b), s in pair_scores(p_fwd, p_bwd).items():
+    for (a, b), s in scores.items():
         if s > 0.0 and a in alpha and b in beta:
             cur = best_for_pivot.get(a)
             if cur is None or s > cur[0]:
@@ -232,7 +234,7 @@ def build_alignment(
                 best_for_other[b] = (s, a)
 
     return LexiconAlignment(
-        pivot_lang=p_fwd.src_lang, other_lang=p_fwd.tgt_lang,
+        pivot_lang=pivot_lang, other_lang=other_lang,
         pairs={(a, b) for a, (_s, bs) in best_for_pivot.items() for b in bs},
         to_pivot={b: a for b, (_s, a) in best_for_other.items()},
         scores={b: s for b, (s, _a) in best_for_other.items()},
@@ -241,19 +243,18 @@ def build_alignment(
 
 def reverse_condition_violations(
     align: LexiconAlignment,
-    p_fwd: TranslationTable,
-    p_bwd: TranslationTable,
+    scores: Mapping[tuple[str, str], float],
     v_alpha: Iterable[str],
 ) -> int:
     """Diagnostic: pairs (a, b) for which some other pivot word w beats a on
-    S(w, b). The forward construction does not guarantee this count is zero
-    for arbitrary tables.
+    S(w, b), the ``pair_scores`` table that ``build_alignment`` took. The
+    forward construction does not guarantee this count is zero for
+    arbitrary tables.
 
     Scores are non-negative, so a pivot word with no table entry for b
     cannot beat a: each pair is checked against the largest S(w, b) over
     the table entries with w in v_alpha."""
     alpha = set(v_alpha)
-    scores = pair_scores(p_fwd, p_bwd)
     column_max: dict[str, float] = {}
     for (w, b), s in scores.items():
         if w in alpha and s > column_max.get(b, 0.0):

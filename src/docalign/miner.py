@@ -12,6 +12,7 @@ from collections import Counter
 from typing import Iterable
 
 from .align_cda import AlignmentPair
+from .errors import ConfigError
 
 # '-' and '_' stay inside tokens so compound identifiers (vi_vn, zh-hans)
 # survive as single candidates.
@@ -56,10 +57,11 @@ def mine_identifiers(
     insertion/deletion — the missing side reported as "") apart.
 
     Only content-aligned pairs are informative; URL-aligned pairs are skipped.
-    Output is sorted by descending support, then token pair.
+    Output is sorted by descending support, then token pair. A
+    ``min_support`` below 1 is a ``ConfigError``.
     """
     if min_support < 1:
-        min_support = 1
+        raise ConfigError(f"min_support must be an integer >= 1, got {min_support!r}")
     counts: Counter[tuple[str, str]] = Counter()
     for pair in pairs:
         if pair.method != "cda":

@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
-import yaml
-
 from . import align_cda, align_url, corpus, evaluation, lexicon, miner, vectorspace
 from .errors import ConfigError, FormatError, ParseError, SchemaError
 
@@ -85,6 +83,8 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, out_override: Optional[str] = None) -> "PipelineConfig":
+        import yaml  # here, not at the top: callers of from_dict never load it
+
         with open(path, encoding="utf-8") as fh:
             try:
                 raw = yaml.safe_load(fh) or {}
@@ -185,7 +185,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
     artifact directory. Fails before any work if a configured language lacks
     its translation resource, or ``top_n``, ``vocab_size``, ``skip_top_k``,
-    ``lang_confidence`` or ``threshold`` is out of range."""
+    ``min_support``, ``lang_confidence`` or ``threshold`` is out of range."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     # a run that fails leaves no manifest of an earlier run beside FAILED
@@ -200,7 +200,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         res.validate(lang)
     if not Path(cfg.input).is_file():
         raise ConfigError(f"input file not found: {cfg.input}")
-    for name, low in (("top_n", 1), ("vocab_size", 1), ("skip_top_k", 0)):
+    for name, low in (("top_n", 1), ("vocab_size", 1), ("skip_top_k", 0),
+                      ("min_support", 1)):
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -340,11 +341,12 @@ def build_lexicon(out: Path, partitions: Partitions, pivot: str,
             # no documents for one side: emit an empty lexicon
             (lex_dir / f"{lang}.tsv").write_text("")
             continue
+        scores = lexicon.pair_scores(p_fwd, p_bwd)
         align = lexicon.build_alignment(
-            p_fwd, p_bwd, vocabs[pivot].words, vocabs[lang].words
+            scores, pivot, lang, vocabs[pivot].words, vocabs[lang].words
         )
         violations = lexicon.reverse_condition_violations(
-            align, p_fwd, p_bwd, vocabs[pivot].words
+            align, scores, vocabs[pivot].words
         )
         if violations:
             log.info("lexicon %s: %d pairs violate the reverse argmax condition",

@@ -123,14 +123,23 @@ def test_traced_cold_run_calls_every_align_name(cold_counts):
     assert 0 < score["kept"] <= score["scored"] <= score["possible"]
 
 
-def test_pipeline_import_leaves_scipy_out():
+def _modules_after_pipeline_import(package: str) -> str:
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, docalign.pipeline; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
+         f"if m.split('.')[0] == {package!r}))"],
         env=_env(), capture_output=True, text=True, timeout=60, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_pipeline_import_leaves_scipy_out():
+    assert _modules_after_pipeline_import("scipy") == "[]"
+
+
+def test_pipeline_import_leaves_yaml_out():
+    # only PipelineConfig.from_file reads YAML; the benchmark uses from_dict
+    assert _modules_after_pipeline_import("yaml") == "[]"
 
 
 def test_first_language_detection_loads_only_langid():

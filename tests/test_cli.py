@@ -333,6 +333,18 @@ class TestExitCodes:
             f"error: threshold must be a finite number, got {float(value)!r}\n")
         assert not (out / "pairs.tsv").exists()
 
+    # was read as 1
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_mine_ids_rejects_min_support_below_1(self, tmp_path, capsys, value):
+        pairs_path = tmp_path / "pairs.tsv"
+        pairs_path.write_text("a.com\thttp://a.com/en/x\thttp://a.com/fr/x\tfr\t0.5\tcda\n")
+        cand_path = tmp_path / "candidates.tsv"
+        assert main(["mine-ids", "--pairs", str(pairs_path), "--min-support", value,
+                     "--out", str(cand_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: min_support must be an integer >= 1, got {int(value)}\n")
+        assert not cand_path.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "mine-ids"])
     @pytest.mark.parametrize("line, message", [
         pytest.param("a.com\thttp://a.com/en\thttp://a.com/fr\tfr\t0.5",

@@ -2,17 +2,51 @@ import json
 import re
 import sys
 import tempfile
+import time
 import unicodedata
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from docalign import corpus
 from docalign.errors import FormatError, ParseError, SchemaError
 from tests.conftest import make_record, read_jsonl_partitions, write_jsonl_partitions
+
+
+# Markup that the scan in extract_text reads itself: tags in both cases,
+# quoted attribute values holding ">", bare values ending in "/", empty
+# elements, whitespace before the ">" of an end tag, whole script and style
+# elements whose text holds "<" or a near miss of their end tag, comments
+# closed by "-- >", doctypes, character references with and without ";",
+# and non-ASCII text.
+_SCANNED = [
+    "<p>", "</p>", "<P>", "</P >", "<div>", "</DIV>", "<title>", "</title>",
+    "<h1>", "</h1>", "<span>", "</span>", "<q>", "<br/>", "<br />", "<x:y>",
+    '<div class="a>b">', "<a href='x>y'>", '<a href = "x" />', "<a href=x/>",
+    "<a href=/x>", "<input disabled>", "<p a=b=c>", "<script/>", "</script>",
+    "<script>a<b</script>", "<SCRIPT type='t'>x</scripts></ ſcript></Script >",
+    "<style>p{}</style\n>", "<!-- c -->", "<!-- a -- >", "<!---->", "-->",
+    "<!DOCTYPE html>", "&amp;", "&copy", "&#60;", "&#x3c;", "&lt;p&gt;", "&",
+    ">", "héllo", "中文", " word ", "\n", "\xa0",
+]
+# Markup that the scan leaves to html.parser: stray "<", "<!doctype"
+# without its ">", "</" followed by whitespace, unterminated script and
+# style elements and comments, bogus comments, processing instructions,
+# "</>", a vertical tab after a tag name and attributes html.parser reads
+# in its own way.
+_PARSED = [
+    "<", " < ", "<!doctype", "</ script >", "<script>", "<style>", "<!--",
+    "<!--->", "<!x>", "<?pi?>", "<![CDATA[x]]>", "</>", "<p\x0b>", "<p \x0b>",
+    "</p\x85>", "<p a==b>", '<p "x">',
+]
+_SCANNED_PAGES = st.lists(
+    st.one_of(st.sampled_from(_SCANNED),
+              st.text(st.characters(exclude_characters="<"), max_size=4)),
+    max_size=24,
+).map("".join)
 
 
 class TestExtractText:
@@ -50,6 +84,51 @@ class TestExtractText:
         html = "<title>T</title><div>a<p>b</p></div><span>z</span>"
         once = corpus.extract_text(html)
         assert corpus.extract_text(once) == once
+
+    # html.parser, through the fallback path, is the oracle of the scan
+    @settings(max_examples=400, deadline=None)
+    @example("<script>a</ſcript>b</script>c<script>d</ script >e</script>f")
+    @example("<style>a</scripts></STYLE\n>b<a href=x/>c<script/>d")
+    @example("<!-- a -- >b<!-- c --!>d-->e<!---->f")
+    @example("<p\x0b>a</p>b")
+    @given(st.lists(st.one_of(st.sampled_from(_SCANNED + _PARSED), st.text(max_size=4)),
+                    max_size=24).map("".join))
+    def test_matches_parser_oracle(self, html):
+        assert corpus.extract_text(html) == corpus._parse_text(html)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SCANNED_PAGES)
+    def test_scans_well_formed_markup_itself(self, html):
+        expected = corpus._parse_text(html)
+        with mock.patch.object(corpus, "_parse_text", side_effect=AssertionError):
+            assert corpus.extract_text(html) == expected
+
+    def test_crawl_page_takes_one_scan(self):
+        page = (
+            '<!DOCTYPE html><html><head><meta charset="utf-8">'
+            "<title>Le chat</title>"
+            "<script>for(var i=0;i<n.length;i++){f('</p>')}</script>"
+            "<style>.nav li{padding:4px}</style></head><body>"
+            '<ul class="nav"><li><a href="/a.html">a</a></li>'
+            "<li><a href='/b.html'>b</a></li></ul>"
+            '<div class="main"><h1>Titre &amp; co</h1><p>Un  chat\n noir.</p><br/></div>'
+            "<footer>&copy; 2020 a &amp; co</footer></body></html>"
+        )
+        expected = corpus._parse_text(page)
+        assert expected == "Le chat\nTitre & co\nUn  chat\n noir."
+        with mock.patch.object(corpus, "_parse_text", side_effect=AssertionError):
+            assert corpus.extract_text(page) == expected
+
+    @pytest.mark.parametrize("html", [
+        pytest.param("a" * 100_000 + " < x", id="text-then-stray-lt"),
+        pytest.param("<script>" * 12_500, id="unterminated-scripts"),
+        pytest.param("<a" + " b" * 50_000 + '"', id="unclosed-start-tag"),
+    ])
+    def test_page_outside_grammar_costs_one_scan(self, html):
+        start = time.perf_counter()
+        out = corpus.extract_text(html)
+        assert time.perf_counter() - start < 1.0
+        assert out == corpus._parse_text(html)
 
 
 def oracle_tokenize(text: str) -> list[str]:

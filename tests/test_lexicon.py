@@ -74,7 +74,7 @@ class TestTableFromEmbeddings:
         rng = np.random.default_rng(3)
         emb = {f"w{i}": rng.normal(size=8) for i in range(30)}
         fwd, bwd = lexicon.table_from_embeddings(emb, emb, top_n=5)
-        align = lexicon.build_alignment(fwd, bwd, emb.keys(), emb.keys())
+        align = align_tables(fwd, bwd, emb.keys(), emb.keys())
         assert align.to_pivot == {w: w for w in emb}
 
     def test_rows_sum_to_one(self):
@@ -209,6 +209,12 @@ class TestDirectionalTableOracle:
         assert list(got.probs.items()) == list(expected.items())
 
 
+def align_tables(p_fwd, p_bwd, v_alpha, v_beta):
+    """``build_alignment`` on the S(a, b) table of two translation tables."""
+    return lexicon.build_alignment(lexicon.pair_scores(p_fwd, p_bwd), p_fwd.src_lang,
+                                   p_fwd.tgt_lang, v_alpha, v_beta)
+
+
 def oracle_reverse_condition_violations(align, p_fwd, p_bwd, v_alpha):
     """The O(|pairs| x |V_pivot|) scan that the indexed version replaced."""
     alpha = sorted(set(v_alpha))
@@ -251,10 +257,8 @@ _PROBS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0])
 
 
 def example_alignment():
-    return lexicon.build_alignment(
-        table("en", "fr", P_FWD), table("fr", "en", P_BWD),
-        ["cat", "dog"], ["chat", "chien"],
-    )
+    return align_tables(table("en", "fr", P_FWD), table("fr", "en", P_BWD),
+                        ["cat", "dog"], ["chat", "chien"])
 
 
 class TestBuildAlignment:
@@ -267,22 +271,20 @@ class TestBuildAlignment:
         assert align.scores == {"chat": 0.9 + 0.8, "chien": 0.9 + 0.85}
 
     def test_all_zero_gives_empty(self):
-        align = lexicon.build_alignment(
-            table("en", "fr", {}), table("fr", "en", {}), ["a"], ["b"]
-        )
+        align = align_tables(table("en", "fr", {}), table("fr", "en", {}), ["a"], ["b"])
         assert align.pairs == set()
         assert align.to_pivot == {}
 
     def test_tie_broken_lexicographically(self):
         fwd = table("en", "fr", {("aa", "b"): 0.5, ("zz", "b"): 0.5})
         bwd = table("fr", "en", {})
-        align = lexicon.build_alignment(fwd, bwd, ["aa", "zz"], ["b"])
+        align = align_tables(fwd, bwd, ["aa", "zz"], ["b"])
         assert align.pairs == {("aa", "b"), ("zz", "b")}
         assert align.to_pivot == {"b": "aa"}
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(ConfigError):
-            lexicon.build_alignment(table("en", "fr", {}), table("fr", "en", {}), [], ["b"])
+            lexicon.build_alignment({}, "en", "fr", [], ["b"])
 
     def test_forward_argmax_condition_holds(self):
         # property: every emitted pair survives an exhaustive re-scan
@@ -297,7 +299,7 @@ class TestBuildAlignment:
             (b, a): round(rng.random(), 3)
             for a in v_a for b in v_b if rng.random() < 0.3
         })
-        align = lexicon.build_alignment(fwd, bwd, v_a, v_b)
+        align = align_tables(fwd, bwd, v_a, v_b)
         assert align.pairs
 
         def s(a, b):
@@ -326,7 +328,7 @@ class TestBuildAlignment:
     def test_matches_exhaustive_scan_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
         fwd = table("en", "fr", fwd_rows)
         bwd = table("fr", "en", bwd_rows)
-        align = lexicon.build_alignment(fwd, bwd, v_alpha, v_beta)
+        align = align_tables(fwd, bwd, v_alpha, v_beta)
         assert (align.pairs, align.to_pivot, align.scores) == \
             oracle_build_alignment(fwd, bwd, v_alpha, v_beta)
 
@@ -342,10 +344,10 @@ class TestBuildAlignment:
         # reverse condition through the backward table
         fwd = table("en", "fr", {("big", "b"): 0.6, ("bad", "b"): 0.5})
         bwd = table("fr", "en", {("b", "bad"): 0.3})
-        align = lexicon.build_alignment(fwd, bwd, ["bad", "big"], ["b"])
+        align = align_tables(fwd, bwd, ["bad", "big"], ["b"])
         assert ("big", "b") in align.pairs
         assert lexicon.reverse_condition_violations(
-            align, fwd, bwd, ["bad", "big"]) >= 1
+            align, lexicon.pair_scores(fwd, bwd), ["bad", "big"]) >= 1
 
     # Pivot words left out of v_alpha still have table entries, and pair
     # sets not built by build_alignment may hold words outside both
@@ -366,11 +368,11 @@ class TestBuildAlignment:
                                               v_alpha, v_beta, extra_pairs):
         fwd = table("en", "fr", fwd_rows)
         bwd = table("fr", "en", bwd_rows)
-        built = lexicon.build_alignment(fwd, bwd, v_alpha, v_beta)
+        built = align_tables(fwd, bwd, v_alpha, v_beta)
         arbitrary = lexicon.LexiconAlignment("en", "fr", pairs=extra_pairs)
         for align in (built, arbitrary):
             assert lexicon.reverse_condition_violations(
-                align, fwd, bwd, v_alpha
+                align, lexicon.pair_scores(fwd, bwd), v_alpha
             ) == oracle_reverse_condition_violations(align, fwd, bwd, v_alpha)
 
 

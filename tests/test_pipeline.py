@@ -1,10 +1,12 @@
 import json
 import re
 import shutil
+from unittest import mock
 
 import pytest
 import yaml
 
+from docalign import lexicon
 from docalign.cli import main
 from docalign.corpus import CorpusPartition, read_partitions
 from docalign.errors import ConfigError
@@ -197,6 +199,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("name, value, low", [
         ("top_n", 0, 1), ("top_n", -1, 1), ("vocab_size", 0, 1), ("skip_top_k", -1, 0),
         ("top_n", "5", 1), ("vocab_size", 10.5, 1), ("skip_top_k", True, 0),
+        ("min_support", 0, 1), ("min_support", -3, 1), ("min_support", True, 1),
     ])
     def test_out_of_range_setting_fails_preflight(self, tmp_path, name, value, low):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
@@ -255,6 +258,19 @@ class TestRunPipeline:
         assert url_pairs  # /en/ vs /fr/ URLs match via the default identifiers
         candidates = (out / "candidates.tsv").read_text().splitlines()
         assert any(line.startswith("en\tfr\t") for line in candidates)
+
+    def test_lexicon_scores_each_language_once(self, tmp_path):
+        # the S(a, b) table feeds both the alignment and its diagnostic
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=4, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg = PipelineConfig.from_dict(corpus.config(tmp_path / "fx", tmp_path / "out"))
+        with mock.patch.object(lexicon, "pair_scores", wraps=lexicon.pair_scores) as scores, \
+                mock.patch.object(lexicon, "build_alignment",
+                                  wraps=lexicon.build_alignment) as build, \
+                mock.patch.object(lexicon, "reverse_condition_violations",
+                                  wraps=lexicon.reverse_condition_violations) as check:
+            run_pipeline(cfg)
+        assert (scores.call_count, build.call_count, check.call_count) == (1, 1, 1)
 
     def test_embedding_resources(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=4, vocab_size=20,
@@ -341,6 +357,22 @@ class TestPipelineConfig:
         cfg_path.write_text(yaml.safe_dump(raw))
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    # a string failed only in the mine stage, after four stages had run, and
+    # a negative value was read as 1
+    @pytest.mark.parametrize("value", ["x", -1])
+    def test_bad_min_support_fails_before_ingest(self, tmp_path, capsys, value):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out",
+                                 mine=True, min_support=value)
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg_dict))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        message = f"min_support must be an integer >= 1, got {value!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "corpus").exists()
+        assert not (tmp_path / "out" / "FAILED").exists()
 
     def test_out_override(self, tmp_path):
         cfg = PipelineConfig.from_dict({"input": "x", "out": "y"},
