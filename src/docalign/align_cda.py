@@ -9,6 +9,7 @@ matching run on the arrays of ``vectorspace.VectorTable``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .corpus import CorpusPartition, DocumentRecord
 from .errors import ConfigError, FormatError
+from .textfile import read_lines
 from .vectorspace import VectorTable
 
 # The most weight products, and pair sums, that ``score_domain`` holds at
@@ -279,31 +281,16 @@ def save_pairs(pairs: Iterable[AlignmentPair], path) -> None:
 
 
 def load_pairs(path) -> list[AlignmentPair]:
-    """Inverse of ``save_pairs``; a malformed line is a ``FormatError``
-    naming the file and line."""
+    """Inverse of ``save_pairs``; a malformed line, or a score that is not a
+    finite number, is a ``FormatError`` naming the file and line."""
     out: list[AlignmentPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise FormatError(f"{path}:{lineno}: expected 6 tab-separated fields, "
-                                  f"got {len(fields)}")
-            domain, purl, ourl, lang, score, method = fields
-            try:
-                value = float(score)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: score {score!r} is not a number") from None
-            out.append(
-                AlignmentPair(
-                    domain=domain,
-                    pivot_url=purl,
-                    other_url=ourl,
-                    other_lang=lang,
-                    score=value,
-                    method=method,
-                )
-            )
+    for lineno, (domain, purl, ourl, lang, score, method) in read_lines(path, 6):
+        try:
+            value = float(score)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: score {score!r} is not a number") from None
+        if not math.isfinite(value):
+            raise FormatError(f"{path}:{lineno}: score {score!r} is not a finite number")
+        out.append(AlignmentPair(domain=domain, pivot_url=purl, other_url=ourl,
+                                 other_lang=lang, score=value, method=method))
     return out

@@ -14,6 +14,7 @@ from typing import Iterable
 from .align_cda import AlignmentPair
 from .corpus import CorpusPartition
 from .errors import ConfigError
+from .textfile import read_lines
 
 SEPARATORS = "/_-.=?&"
 
@@ -53,13 +54,8 @@ class IdentifierSet:
 
 def load_identifier_set(path) -> IdentifierSet:
     """One identifier per line; '#' comments and blank lines ignored."""
-    idents: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                idents.add(line.lower())
-    return IdentifierSet(identifiers=idents)
+    idents = {line.split("#", 1)[0].strip().lower() for _lineno, line in read_lines(path)}
+    return IdentifierSet(identifiers=idents - {""})
 
 
 def default_identifier_set() -> IdentifierSet:
@@ -129,29 +125,13 @@ def _strip_token_spans(prefix: str, tail: str, ids: IdentifierSet) -> set[str]:
     return out
 
 
-def strip_identifiers(
-    url: str,
-    ids: IdentifierSet,
-    strip_query_params: bool = True,
-    strip_hostname: bool = False,
-) -> set[str]:
+def strip_identifiers(url: str, ids: IdentifierSet) -> set[str]:
     """All normalized forms of a URL: the lowercased original plus every
-    variant with one identifier token removed (one at a time)."""
+    variant with one identifier token, or one query parameter whose value is
+    an identifier, removed (one at a time). The host is never changed."""
     lowered = url.strip().lower()
-    forms = {lowered}
     host, tail = _split_host(lowered)
-    forms |= _strip_token_spans(host, tail, ids)
-    if strip_query_params:
-        forms |= _drop_query_param(lowered, ids)
-    if strip_hostname:
-        scheme = ""
-        bare = host
-        if "://" in bare:
-            scheme, bare = bare.split("://", 1)
-            scheme += "://"
-        for variant in _strip_token_spans("", bare, ids):
-            forms.add(scheme + variant.strip(".") + tail)
-    return forms
+    return {lowered} | _strip_token_spans(host, tail, ids) | _drop_query_param(lowered, ids)
 
 
 def match_urls(
@@ -159,22 +139,13 @@ def match_urls(
     pivot_lang: str,
     other_lang: str,
     ids: IdentifierSet,
-    strip_query_params: bool = True,
-    strip_hostname: bool = False,
 ) -> list[AlignmentPair]:
     """Match documents whose normalized URL forms intersect; 1-1 enforced by
     first-match-wins in lexicographic URL order. Pairs carry score 1."""
 
-    def forms(u: str) -> set[str]:
-        return strip_identifiers(
-            u, ids,
-            strip_query_params=strip_query_params,
-            strip_hostname=strip_hostname,
-        )
-
     index: dict[str, str] = {}
     for doc in sorted(partition.docs(pivot_lang), key=lambda d: d.url):
-        for form in sorted(forms(doc.url)):
+        for form in sorted(strip_identifiers(doc.url, ids)):
             index.setdefault(form, doc.url)
 
     taken_pivot: set[str] = set()
@@ -183,7 +154,7 @@ def match_urls(
         candidates = sorted(
             {
                 index[form]
-                for form in forms(doc.url)
+                for form in strip_identifiers(doc.url, ids)
                 if form in index and index[form] not in taken_pivot
             }
         )
@@ -209,14 +180,11 @@ def align_corpus_by_url(
     pivot_lang: str,
     langs: Iterable[str],
     ids: IdentifierSet,
-    **kwargs,
 ) -> list[AlignmentPair]:
     pairs: list[AlignmentPair] = []
     for domain in sorted(partitions):
         for lang in sorted(langs):
             if lang == pivot_lang:
                 continue
-            pairs.extend(
-                match_urls(partitions[domain], pivot_lang, lang, ids, **kwargs)
-            )
+            pairs.extend(match_urls(partitions[domain], pivot_lang, lang, ids))
     return pairs

@@ -33,6 +33,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import FormatError, ParseError, SchemaError, UsageError
+from .textfile import read_lines
 
 # Only text under these tags is kept; everything else is boilerplate.
 TEXT_TAGS = frozenset(
@@ -482,22 +483,9 @@ def read_partitions(corpus_dir) -> dict[str, CorpusPartition]:
 
 
 def _read_docs(path: Path) -> list[tuple[str, str, str, int, int]]:
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"{path}:{line}: not UTF-8: {exc.reason}") from exc
     rows = []
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields, "
-                              f"got {len(fields)}")
-        lang, domain, url, raw_length, n = fields
+    lines = read_lines(path, 5, skip_blank=False)  # a blank line has 1 field, not 5
+    for lineno, (lang, domain, url, raw_length, n) in lines:
         for name, value in (("length", raw_length), ("token count", n)):
             if not (value.isascii() and value.isdigit()):
                 raise FormatError(f"{path}:{lineno}: {name} {value!r} is not a "

@@ -9,6 +9,7 @@ from typing import Iterable
 from .align_cda import AlignmentPair
 from .corpus import domain_of
 from .errors import FormatError, UsageError
+from .textfile import read_lines
 
 
 @dataclass
@@ -46,22 +47,13 @@ def load_gold(path) -> GoldSet:
     """TSV ``pivot_url \\t other_url``; URLs lowercased for comparison."""
     pairs: set[tuple[str, str]] = set()
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields")
-            purl, ourl = parts[0].lower(), parts[1].lower()
-            for u in (purl, ourl):
-                if u in seen:
-                    raise FormatError(
-                        f"{path}:{lineno}: URL {u!r} appears in two gold pairs"
-                    )
-                seen.add(u)
-            pairs.add((purl, ourl))
+    for lineno, (purl, ourl) in read_lines(path, 2):
+        purl, ourl = purl.lower(), ourl.lower()
+        for u in (purl, ourl):
+            if u in seen:
+                raise FormatError(f"{path}:{lineno}: URL {u!r} appears in two gold pairs")
+            seen.add(u)
+        pairs.add((purl, ourl))
     return GoldSet(pairs=pairs)
 
 

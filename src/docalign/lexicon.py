@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import DocumentRecord
 from .errors import ConfigError, FormatError, UsageError
+from .textfile import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -47,61 +48,48 @@ def load_translation_table(path, src_lang: str, tgt_lang: str) -> TranslationTab
     if not src_lang or not tgt_lang:
         raise ConfigError("translation table needs both language tags")
     probs: dict[tuple[str, str], float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 3 fields, got {len(parts)}"
-                )
-            src, tgt, raw = parts
-            try:
-                p = float(raw)
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: non-numeric probability {raw!r}"
-                ) from None
-            if not (0.0 <= p <= 1.0) or math.isnan(p):
-                raise FormatError(
-                    f"{path}:{lineno}: probability {p} outside [0, 1]"
-                )
-            probs[(src, tgt)] = p
+    for lineno, (src, tgt, raw) in read_lines(path, 3):
+        try:
+            p = float(raw)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric probability {raw!r}") from None
+        if not (0.0 <= p <= 1.0) or math.isnan(p):
+            raise FormatError(f"{path}:{lineno}: probability {p} outside [0, 1]")
+        probs[(src, tgt)] = p
     return TranslationTable(src_lang=src_lang, tgt_lang=tgt_lang, probs=probs)
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Word vectors in the common text format: ``count dim`` header, then
-    ``word v1 ... vdim`` per line. A file with no non-zero vector gives no
-    translation probability and is a ``FormatError``."""
+    ``word v1 ... vdim`` per line, which may end in a space as in fastText's
+    ``.vec`` files. A file with no non-zero vector gives no translation
+    probability and is a ``FormatError``."""
     vectors: dict[str, np.ndarray] = {}
     usable = False
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+    lines = read_lines(path, skip_blank=False)  # the header is line 1, even blank
+    header = next(lines, (1, ""))[1].split()
+    try:
+        _count, dim = map(int, header)
+    except ValueError:
+        raise FormatError(f"{path}:1: bad embeddings header {header!r}, "
+                          "expected 'count dim'") from None
+    for lineno, line in lines:
+        if not line:
+            continue
+        parts = line.rstrip(" ").split(" ")
+        if len(parts) != dim + 1:
+            raise FormatError(f"{path}:{lineno}: expected {dim} values for {parts[0]!r}")
         try:
-            _count, dim = map(int, header)
-        except ValueError:
-            raise FormatError(f"{path}:1: bad embeddings header {header!r}, "
-                              "expected 'count dim'") from None
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {dim} values for {parts[0]!r}"
-                )
-            try:
-                vector = np.asarray(parts[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            # one nan makes every probability of the other direction nan
-            if not np.isfinite(vector).all():
-                raise FormatError(
-                    f"{path}:{lineno}: non-finite value in the vector for {parts[0]!r}"
-                )
-            vectors[parts[0]] = vector
-            usable = usable or vector.any()
+            vector = np.asarray(parts[1:], dtype=np.float64)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        # one nan makes every probability of the other direction nan
+        if not np.isfinite(vector).all():
+            raise FormatError(
+                f"{path}:{lineno}: non-finite value in the vector for {parts[0]!r}"
+            )
+        vectors[parts[0]] = vector
+        usable = usable or vector.any()
     if not usable:
         raise FormatError(f"{path}: no word has a non-zero vector")
     return vectors
@@ -290,26 +278,18 @@ def load_alignment(path, pivot_lang: str, other_lang: str,
     pairs: set[tuple[str, str]] = set()
     to_pivot: dict[str, str] = {}
     scores: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 fields")
-            b, a, raw = parts
-            if a not in pivot_vocab:
-                raise FormatError(
-                    f"{path}:{lineno}: pivot word {a!r} is not in the pivot vocabulary"
-                )
-            try:
-                score = float(raw)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: score {raw!r} is not a number") from None
-            pairs.add((a, b))
-            to_pivot[b] = a
-            scores[b] = score
+    for lineno, (b, a, raw) in read_lines(path, 3):
+        if a not in pivot_vocab:
+            raise FormatError(
+                f"{path}:{lineno}: pivot word {a!r} is not in the pivot vocabulary"
+            )
+        try:
+            score = float(raw)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: score {raw!r} is not a number") from None
+        pairs.add((a, b))
+        to_pivot[b] = a
+        scores[b] = score
     return LexiconAlignment(
         pivot_lang=pivot_lang, other_lang=other_lang,
         pairs=pairs, to_pivot=to_pivot, scores=scores,

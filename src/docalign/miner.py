@@ -28,14 +28,13 @@ def _url_tokens(url: str) -> list[str]:
     return [t for t in _SPLIT_RE.split(lowered) if t]
 
 
-def _one_token_diff(a: list[str], b: list[str],
-                    allow_indel: bool) -> tuple[str, str] | None:
+def _one_token_diff(a: list[str], b: list[str]) -> tuple[str, str] | None:
     if len(a) == len(b):
         diffs = [(x, y) for x, y in zip(a, b) if x != y]
         if len(diffs) == 1:
             return diffs[0]
         return None
-    if not allow_indel or abs(len(a) - len(b)) != 1:
+    if abs(len(a) - len(b)) != 1:
         return None
     longer, shorter, flip = (a, b, False) if len(a) > len(b) else (b, a, True)
     i = 0
@@ -50,11 +49,10 @@ def _one_token_diff(a: list[str], b: list[str],
 def mine_identifiers(
     pairs: Iterable[AlignmentPair],
     min_support: int = 1,
-    allow_indel: bool = True,
 ) -> list[tuple[str, str, int]]:
     """Candidate (pivot token, other token, support) triples from URL pairs
-    whose token sequences are one substitution (or, with allow_indel, one
-    insertion/deletion — the missing side reported as "") apart.
+    whose token sequences are one substitution or one insertion/deletion
+    (the missing side reported as "") apart.
 
     Only content-aligned pairs are informative; URL-aligned pairs are skipped.
     Output is sorted by descending support, then token pair. A
@@ -66,9 +64,7 @@ def mine_identifiers(
     for pair in pairs:
         if pair.method != "cda":
             continue
-        diff = _one_token_diff(
-            _url_tokens(pair.pivot_url), _url_tokens(pair.other_url), allow_indel
-        )
+        diff = _one_token_diff(_url_tokens(pair.pivot_url), _url_tokens(pair.other_url))
         if diff is not None:
             counts[diff] += 1
     return sorted(

@@ -24,6 +24,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from . import align_cda, align_url, corpus, evaluation, lexicon, miner, vectorspace
 from .errors import ConfigError, FormatError, ParseError, SchemaError
+from .textfile import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -85,11 +86,12 @@ class PipelineConfig:
     def from_file(cls, path, out_override: Optional[str] = None) -> "PipelineConfig":
         import yaml  # here, not at the top: callers of from_dict never load it
 
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = yaml.safe_load(fh) or {}
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"{path}: not a YAML document: {exc}") from None
+        try:
+            raw = yaml.safe_load(Path(path).read_bytes().decode("utf-8")) or {}
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc.reason}") from None
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not a YAML document: {exc}") from None
         return cls.from_dict(raw, out_override=out_override)
 
     @classmethod
@@ -173,10 +175,10 @@ class _Stage:
         if not self.stamp_path.is_file():
             return False
         try:
-            stamp = json.loads(self.stamp_path.read_text())
-        except (OSError, json.JSONDecodeError):
+            stamp = json.loads(self.stamp_path.read_bytes())
+        except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
             return False
-        if stamp.get("digest") != self.digest:
+        if not isinstance(stamp, dict) or stamp.get("digest") != self.digest:
             return False
         return all(p.exists() for p in self.outputs)
 
@@ -357,8 +359,7 @@ def build_lexicon(out: Path, partitions: Partitions, pivot: str,
 def _load_stopwords(path: Optional[str]) -> Optional[set[str]]:
     if not path:
         return None
-    with open(path, encoding="utf-8") as fh:
-        return {line.strip().lower() for line in fh if line.strip()}
+    return {word.strip().lower() for _lineno, word in read_lines(path)} - {""}
 
 
 def vectorize_corpus(out: Path, partitions: Partitions, pivot: str, langs) -> None:

@@ -1,0 +1,44 @@
+"""The one reader of the line-based text files the pipeline loads.
+
+Every such file is UTF-8. A line ends at "\\n", and one "\\r" just before it
+is dropped, so LF and CRLF files read the same; a lone "\\r" is part of its
+line. A byte that is not UTF-8, and a line without the expected number of
+tab-separated fields, is a ``FormatError`` naming the file and the line.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterator, Optional
+
+from .errors import FormatError
+
+
+def read_lines(path, fields: Optional[int] = None,
+               skip_blank: bool = True) -> Iterator[tuple[int, Any]]:
+    """Yield ``(line number, line)`` for each line of the file at ``path``,
+    numbered from 1, without its line end. With ``fields``, each line comes
+    split at tabs into a list of exactly that many fields. Empty lines are
+    skipped unless ``skip_blank`` is false.
+
+    The file is read as a stream of blocks of whole lines: one decode per
+    block costs less than one per line."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16) + fh.readline():
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = lineno + block.count(b"\n", 0, exc.start) + 1
+                raise FormatError(f"{path}:{bad}: not UTF-8: {exc.reason}") from None
+            for line in text.replace("\r\n", "\n").removesuffix("\n").split("\n"):
+                lineno += 1
+                if skip_blank and not line:
+                    continue
+                if fields is None:
+                    yield lineno, line
+                    continue
+                parts = line.split("\t")
+                if len(parts) != fields:
+                    raise FormatError(f"{path}:{lineno}: expected {fields} tab-separated "
+                                      f"fields, got {len(parts)}")
+                yield lineno, parts

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .textfile import read_lines
 
 
 @dataclass
@@ -159,9 +160,7 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        words = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    return Vocabulary(words=words)
+    return Vocabulary(words=[word for _lineno, word in read_lines(path)])
 
 
 def save_idf(idf: IdfModel, vocab: Vocabulary, path) -> None:
@@ -202,10 +201,9 @@ def load_vectors(path) -> VectorTable:
         if array.dtype != dtype or array.ndim != 1:
             raise FormatError(f"{file}: {array.ndim}-D {array.dtype}, not 1-D {np.dtype(dtype)}")
     try:
-        text = (path / "urls.txt").read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        urls = [url for _lineno, url in read_lines(path / "urls.txt")]
+    except OSError as exc:
         raise FormatError(f"{path / 'urls.txt'}: {exc}") from exc
-    urls = text.removesuffix("\n").split("\n") if text else []
     indptr, indices, data = arrays["indptr"], arrays["indices"], arrays["data"]
     if len(indptr) != len(urls) + 1:
         raise FormatError(f"{path}: indptr.npy holds {len(indptr)} offsets for the "

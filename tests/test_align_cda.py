@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from docalign import align_cda
 from docalign.corpus import CorpusPartition
-from docalign.errors import ConfigError
+from docalign.errors import ConfigError, FormatError
 from docalign.align_cda import ScoreMatrix
 from tests.conftest import (SparseVector, make_record, matrix_entries, score_matrix,
                             vector_table)
@@ -399,3 +400,13 @@ class TestPairsIO:
         loaded = align_cda.load_pairs(path)
         assert [(p.pivot_url, p.method) for p in loaded] == \
                [(p.pivot_url, p.method) for p in pairs]
+
+    # the refilter's sort cannot order nan, so recall depended on line order
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_names_file_and_line(self, tmp_path, score):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a.com\thttp://a.com/en/a\thttp://a.com/fr/b\tfr\t0.400000\tcda\n"
+                        f"a.com\thttp://a.com/en/a\thttp://a.com/fr/a\tfr\t{score}\tcda\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: score "
+                                              rf"'{score}' is not a finite number$"):
+            align_cda.load_pairs(path)

@@ -78,11 +78,6 @@ class TestStripIdentifiers:
         forms = strip_identifiers("a.com/x?lang=fr", ids_of("fr"))
         assert "a.com/x" in forms
 
-    def test_query_value_kept_when_flag_off(self):
-        forms = strip_identifiers("a.com/x?lang=fr", ids_of("fr"),
-                                  strip_query_params=False)
-        assert "a.com/x" not in forms
-
     def test_query_param_among_others(self):
         forms = strip_identifiers("a.com/x?id=3&lang=fr", ids_of("fr"))
         assert "a.com/x?id=3" in forms
@@ -90,11 +85,6 @@ class TestStripIdentifiers:
     def test_hostname_untouched_by_default(self):
         forms = strip_identifiers("fr.example.com/x", ids_of("fr"))
         assert all(f.startswith("fr.example.com") for f in forms)
-
-    def test_hostname_flag(self):
-        forms = strip_identifiers("fr.example.com/x", ids_of("fr"),
-                                  strip_hostname=True)
-        assert "example.com/x" in forms
 
     def test_identifier_inside_word_not_stripped(self):
         forms = strip_identifiers("a.com/freight/x", ids_of("fr"))

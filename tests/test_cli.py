@@ -208,6 +208,35 @@ class TestExitCodes:
         assert (f"error: {files[side]}: no word has a non-zero vector"
                 in capsys.readouterr().err)
 
+    # each used to end in a UnicodeDecodeError traceback and exit 1
+    def test_evaluate_gold_not_utf8_is_2(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a.com\thttp://a.com/en/1\thttp://a.com/fr/1\tfr\t0.9\tcda\n")
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes(b"http://a.com/en/1\thttp://a.com/fr/1\n"
+                         b"http://a.com/en/\xe9\thttp://a.com/fr/\xe9\n")
+        assert main(["evaluate", "--pred", str(pairs), "--gold", str(gold)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {gold}:2: not UTF-8")
+
+    def test_run_with_latin1_table_fails_lexicon(self, tmp_path, capsys):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg = corpus.config(tmp_path / "fx", tmp_path / "out")
+        table = Path(cfg["resources"]["fr"]["table_fwd"])
+        first, rest = table.read_bytes().split(b"\n", 1)
+        table.write_bytes(first + b"\n" + "e0000\tété\t0.5\n".encode("latin-1") + rest)
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert (tmp_path / "out" / "FAILED").read_text() == "lexicon\n"
+        assert capsys.readouterr().err.startswith(f"error: {table}:2: not UTF-8")
+
+    def test_config_not_utf8_is_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_bytes(b"input: x\nout: caf\xe9\n")
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not UTF-8")
+
     def test_data_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json}\n")

@@ -139,6 +139,14 @@ class TestTableFromEmbeddings:
         assert set(emb) == {"cat", "dog"}
         assert emb["cat"].tolist() == [1.0, 0.0, 0.0]
 
+    def test_embedding_rows_may_end_in_a_space(self, tmp_path):
+        # fastText's .vec writer ends every row with a space
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\ncat 1.0 0.0 \ndog 0.0 1.0 \n")
+        emb = lexicon.load_embeddings(path)
+        assert {w: v.tolist() for w, v in emb.items()} == {"cat": [1.0, 0.0],
+                                                          "dog": [0.0, 1.0]}
+
     @pytest.mark.parametrize("text, line", [
         ("2 x\ncat 1 0 0\n", 1),
         ("2.0 3\ncat 1 0 0\n", 1),

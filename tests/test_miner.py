@@ -30,10 +30,6 @@ class TestMineIdentifiers:
         pairs = [pair("xyz.ca/en/index.htm", "xyz.ca/index.htm")]
         assert mine_identifiers(pairs) == [("en", "", 1)]
 
-    def test_indel_disabled(self):
-        pairs = [pair("xyz.ca/index.htm", "xyz.ca/fr/index.htm")]
-        assert mine_identifiers(pairs, allow_indel=False) == []
-
     def test_support_counts_and_min_support(self):
         pairs = [pair(f"a.com/en/p{i}", f"a.com/cesky/p{i}") for i in range(5)]
         pairs.append(pair("a.com/en/q", "a.com/zz/q"))

@@ -164,6 +164,18 @@ class TestRunPipeline:
         assert set(tree(run("out", **first))) - set(fresh)  # files to drop
         assert tree(run("out", **final)) == fresh
 
+    # a stamp that did not decode raised UnicodeDecodeError out of the stage
+    @pytest.mark.parametrize("stamp", [b"\xff", b"[]", b"{"])
+    def test_unreadable_stamp_is_stale(self, tmp_path, caplog, stamp):
+        out, _ = run_tiny(tmp_path)
+        before = tree(out)
+        (out / ".stamps" / "align.json").write_bytes(stamp)
+        with caplog.at_level("INFO", logger="docalign"):
+            run_tiny(tmp_path)
+        assert "align: up to date" not in caplog.text
+        assert "vectorize: up to date" in caplog.text
+        assert tree(out) == before
+
     def test_missing_resource_fails_preflight(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
@@ -320,6 +332,12 @@ class TestPipelineConfig:
         cfg = PipelineConfig.from_file(cfg_file)
         assert cfg.threshold == 0.2
         assert cfg.resources["fr"].table_fwd == "f.tsv"
+
+    def test_config_not_utf8_names_file(self, tmp_path):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_bytes(b"input: in.jsonl\nout: caf\xe9\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(cfg_file))}: not UTF-8: "):
+            PipelineConfig.from_file(cfg_file)
 
     # each but the first used to end in a TypeError or AttributeError
     @pytest.mark.parametrize("raw, named", [

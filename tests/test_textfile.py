@@ -1,0 +1,165 @@
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import docalign
+from docalign import align_cda, align_url, corpus, evaluation, lexicon, pipeline
+from docalign import vectorspace as vs
+from docalign.errors import FormatError
+from docalign.textfile import read_lines
+from tests.conftest import make_record
+
+
+class TestReadLines:
+    def test_numbers_lines_and_drops_line_ends(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\n\nb\r\nc")
+        assert list(read_lines(path)) == [(1, "a"), (3, "b"), (4, "c")]
+        assert list(read_lines(path, skip_blank=False)) == [
+            (1, "a"), (2, ""), (3, "b"), (4, "c")]
+
+    def test_lone_carriage_return_stays_in_its_line(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\rb\nc\r\r\n")
+        assert list(read_lines(path)) == [(1, "a\rb"), (2, "c\r")]
+
+    def test_fields(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"a\tb\n\nc\td\te\n")
+        lines = read_lines(path, 2)
+        assert next(lines) == (1, ["a", "b"])
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:3: expected 2 "
+                                              r"tab-separated fields, got 3$"):
+            next(lines)
+
+    def test_blank_line_has_one_field_when_kept(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"a\tb\n\n")
+        with pytest.raises(FormatError, match=r":2: expected 2 tab-separated fields, got 1$"):
+            list(read_lines(path, 2, skip_blank=False))
+
+    @pytest.mark.parametrize("data, reason", [
+        (b"ok\nbad \xff byte\n", "invalid start byte"),
+        (b"ok\ncut \xc3\n", "invalid continuation byte"),
+        (b"ok\ncut \xc3", "unexpected end of data"),
+    ])
+    def test_bad_byte_names_file_and_line(self, tmp_path, data, reason):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: not UTF-8: "
+                                              rf"{reason}$"):
+            list(read_lines(path))
+
+
+# loader -> (file name, a valid first and second line, the call that loads
+# the file at a path, as data that compares with ==)
+LOADERS = {
+    "translation table": ("t.tsv", b"cat\tchat\t0.5\ndog\tchien\t1",
+                          lambda p: lexicon.load_translation_table(p, "en", "fr")),
+    "embeddings": ("e.txt", b"1 2\ncat 1 0",
+                   lambda p: {w: v.tolist() for w, v in lexicon.load_embeddings(p).items()}),
+    "lexicon": ("l.tsv", b"chat\tcat\t1\nchien\tcat\t0.5",
+                lambda p: lexicon.load_alignment(p, "en", "fr", {"cat"})),
+    "vocabulary": ("v.txt", b"cat\ndog", vs.load_vocabulary),
+    "pairs": ("p.tsv", b"a.com\thttp://a.com/en\thttp://a.com/fr\tfr\t0.5\tcda\n"
+                       b"a.com\thttp://a.com/en/2\thttp://a.com/fr/2\tfr\t0.25\tcda",
+              align_cda.load_pairs),
+    "gold": ("g.tsv", b"http://a.com/en\thttp://a.com/fr\nhttp://a.com/en/2\thttp://a.com/fr/2",
+             evaluation.load_gold),
+    "identifiers": ("i.txt", b"fr\nde # German", align_url.load_identifier_set),
+    "stopwords": ("s.txt", b"the\nof", pipeline._load_stopwords),
+}
+
+
+def _write(root: Path, name: str):
+    """Write a valid file for ``name`` under ``root``; return its path and a
+    call that loads it."""
+    root.mkdir(parents=True)
+    if name == "urls.txt":
+        vocab = vs.Vocabulary(words=["a", "b"])
+        idf = vs.compute_idf([["a"], ["b"]], vocab)
+        vs.save_vectors(vs.vectorize(["u1", "u2"], [["a"], ["b"]], vocab, idf), root)
+        return root / "urls.txt", lambda: vs.load_vectors(root).urls
+    if name == "docs.tsv":
+        corpus.write_partitions(corpus.group_by_domain([
+            make_record("http://a.com/1", ["x"]), make_record("http://a.com/2", ["y"])]),
+            root)
+        return root / corpus.DOCS, lambda: corpus.read_partitions(root)
+    file, lines, load = LOADERS[name]
+    (root / file).write_bytes(lines + b"\n")
+    return root / file, lambda: load(root / file)
+
+
+@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv"])
+def test_bad_byte_on_line_2_names_file_and_line(tmp_path, name):
+    path, load = _write(tmp_path / "d", name)
+    first, second, *rest = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join([first, b"\xff" + second, *rest]))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: not UTF-8"):
+        load()
+
+
+@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv"])
+def test_crlf_file_loads_as_its_lf_copy(tmp_path, name):
+    _lf_path, load_lf = _write(tmp_path / "lf", name)
+    crlf_path, load_crlf = _write(tmp_path / "crlf", name)
+    crlf_path.write_bytes(crlf_path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_crlf() == load_lf()
+
+
+SRC = Path(docalign.__file__).parent
+
+
+def _text_reads(path: Path):
+    """Line numbers of the calls in ``path`` that open a file for reading in
+    text mode: ``open`` or ``.open`` with a mode (default "r") that reads
+    and has no "b", and ``.read_text``."""
+    for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "read_text":
+            yield node.lineno
+            continue
+        if isinstance(func, ast.Name) and func.id == "open":
+            positional = node.args[1:2]
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            positional = node.args[:1]  # Path.open(mode)
+        else:
+            continue
+        mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                    positional[0] if positional else ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            yield node.lineno  # a mode computed at run time could read text
+        elif "b" not in mode.value and ("r" in mode.value or "+" in mode.value):
+            yield node.lineno
+
+
+def test_no_text_mode_reads_outside_the_line_reader():
+    """Every text file is read through ``textfile.read_lines`` (or as bytes),
+    so the UTF-8 and line-end rule holds for every loader."""
+    found = [f"{path.relative_to(SRC.parent)}:{line}"
+             for path in sorted(SRC.glob("*.py")) for line in _text_reads(path)]
+    assert not found, "text-mode reads: " + ", ".join(found)
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('open(p)', True),
+    ('open(p, encoding="utf-8")', True),
+    ('open(p, "r+b")', False),
+    ('open(p, "w", encoding="utf-8")', False),
+    ('open(p, "a+")', True),
+    ('open(p, mode="rb")', False),
+    ('open(p, m)', True),
+    ('Path(p).open()', True),
+    ('Path(p).open("rb")', False),
+    ('Path(p).read_text()', True),
+    ('Path(p).read_bytes()', False),
+    ('Path(p).write_text("x")', False),
+])
+def test_guard_flags_text_mode_reads(tmp_path, source, flagged):
+    path = tmp_path / "m.py"
+    path.write_text(f"x = 1\n{source}\n")
+    assert list(_text_reads(path)) == ([2] if flagged else [])
