@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import align_cda, corpus, evaluation, miner, pipeline
@@ -20,7 +21,8 @@ from .errors import DocalignError
 log = logging.getLogger("docalign")
 
 _OUT_HELP = "artifact directory, laid out as by `run`"
-# the stage options default to the values `run` takes from the config
+# the stage options default to the values `run` takes from the config; each
+# stage subcommand hands its stage a replace() of it, checked as `run`'s is
 _DEFAULTS = pipeline.PipelineConfig(input="", out="")
 
 
@@ -36,19 +38,21 @@ def _add_ingest(sub):
 
 
 def cmd_ingest(args) -> int:
-    pipeline.ingest(args.input, Path(args.out), args.format,
-                    detect_language=not args.no_detect,
-                    lang_confidence=args.lang_confidence)
+    pipeline.ingest(replace(_DEFAULTS, input=args.input, out=args.out, format=args.format,
+                            detect_language=not args.no_detect,
+                            lang_confidence=args.lang_confidence))
     print(f"wrote {Path(args.out) / 'corpus'}")
     return 0
 
 
-def _partitions(args):
-    return corpus.read_partitions(Path(args.out) / "corpus")
+def _partitions(cfg):
+    return corpus.read_partitions(Path(cfg.out) / "corpus")
 
 
-def _langs(args) -> list[str]:
-    return [lang for lang in args.langs.split(",") if lang]
+def _config_with_langs(args, **fields) -> pipeline.PipelineConfig:
+    """The config of `vectorize`, `align-cda` or `align-url`."""
+    langs = [lang for lang in args.langs.split(",") if lang]
+    return replace(_DEFAULTS, out=args.out, pivot=args.pivot, langs=langs, **fields)
 
 
 def _add_build_lexicon(sub):
@@ -72,10 +76,12 @@ def cmd_build_lexicon(args) -> int:
         table_fwd=args.table_fwd, table_bwd=args.table_bwd,
         embeddings_pivot=args.emb_pivot, embeddings_other=args.emb_other,
     )
+    cfg = replace(_DEFAULTS, out=args.out, pivot=args.pivot, langs=[args.lang],
+                  resources={args.lang: res}, top_n=args.top_n,
+                  vocab_size=args.vocab_size, skip_top_k=args.skip_top_k,
+                  stopwords=args.stopwords)
     res.validate(args.lang)
-    pipeline.build_lexicon(Path(args.out), _partitions(args), args.pivot,
-                           {args.lang: res}, args.vocab_size, args.skip_top_k,
-                           args.stopwords, args.top_n)
+    pipeline.build_lexicon(cfg, _partitions(cfg))
     print(f"wrote {Path(args.out) / 'lexicon' / (args.lang + '.tsv')}")
     return 0
 
@@ -89,7 +95,8 @@ def _add_vectorize(sub):
 
 
 def cmd_vectorize(args) -> int:
-    pipeline.vectorize_corpus(Path(args.out), _partitions(args), args.pivot, _langs(args))
+    cfg = _config_with_langs(args)
+    pipeline.vectorize_corpus(cfg, _partitions(cfg))
     print(f"wrote {Path(args.out) / 'vectors'}")
     return 0
 
@@ -104,8 +111,8 @@ def _add_align_cda(sub):
 
 
 def cmd_align_cda(args) -> int:
-    pipeline.align_by_content(Path(args.out), _partitions(args), args.pivot,
-                              _langs(args), args.threshold)
+    cfg = _config_with_langs(args, threshold=args.threshold)
+    pipeline.align_by_content(cfg, _partitions(cfg))
     print(f"wrote {Path(args.out) / 'pairs.tsv'}")
     return 0
 
@@ -120,8 +127,8 @@ def _add_align_url(sub):
 
 
 def cmd_align_url(args) -> int:
-    pipeline.align_by_url(Path(args.out), _partitions(args), args.pivot, _langs(args),
-                          args.ids)
+    cfg = _config_with_langs(args, identifiers=args.ids)
+    pipeline.align_by_url(cfg, _partitions(cfg))
     print(f"wrote {Path(args.out) / 'pairs_url.tsv'}")
     return 0
 
@@ -135,8 +142,9 @@ def _add_mine_ids(sub):
 
 
 def cmd_mine_ids(args) -> int:
+    cfg = replace(_DEFAULTS, min_support=args.min_support)
     pairs = align_cda.load_pairs(args.pairs)
-    candidates = miner.mine_identifiers(pairs, min_support=args.min_support)
+    candidates = miner.mine_identifiers(pairs, min_support=cfg.min_support)
     miner.save_candidates(candidates, args.out)
     print(f"{len(candidates)} candidates written to {args.out} for curation")
     return 0

@@ -283,7 +283,7 @@ def tokenize(text: str) -> list[str]:
 # Language tags are fields of docs.tsv and of the TSV artifacts, and a
 # configured one names files such as vocab/<lang>.txt, so they are kept to
 # characters that need no quoting and cannot climb out of a directory.
-_LANG_TAG = re.compile(r"[A-Za-z0-9_-]+")
+LANG_TAG = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def _unescape_tsv(value: str) -> str:
@@ -304,14 +304,14 @@ def _field_problem(lang: str, domain: str, url: str) -> Optional[str]:
                 value.encode("utf-8")
             except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
                 return f"{name} {value!r} is not valid Unicode"
-    if not isinstance(lang, str) or not _LANG_TAG.fullmatch(lang):
+    if not isinstance(lang, str) or not LANG_TAG.fullmatch(lang):
         return (f"language tag {lang!r} is not made of ASCII letters, digits, "
                 "'-' and '_'")
     return None
 
 
-def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
-    """Parse one serialized input record into a DocumentRecord.
+def parse_record(line: str, format: str = "jsonl") -> DocumentRecord:
+    """Parse one decoded input line into a DocumentRecord.
 
     jsonl records carry ``url``, optional ``lang`` and exactly one of
     ``html`` | ``text``. tsv records are ``url \\t lang \\t text``. The
@@ -320,7 +320,7 @@ def parse_record(line: bytes, format: str = "jsonl") -> DocumentRecord:
     hold no tab, newline, carriage return or lone surrogate. All three are
     fields of ``corpus/docs.tsv`` and of the other line-based TSV artifacts.
     """
-    text_line = line.decode("utf-8", errors="replace").rstrip("\r\n")
+    text_line = line.rstrip("\r\n")
     if format == "jsonl":
         try:
             obj = json.loads(text_line)

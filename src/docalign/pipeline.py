@@ -61,6 +61,10 @@ class LanguageResource:
                 raise ConfigError(f"language {lang!r}: resource file not found: {p}")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class PipelineConfig:
     input: str
@@ -98,9 +102,9 @@ class PipelineConfig:
     def from_dict(cls, raw: dict, out_override: Optional[str] = None) -> "PipelineConfig":
         """A config from a mapping of field names to values. A document that
         is not a mapping, an unknown key, a resource spec that is not a
-        mapping of ``LanguageResource`` fields to paths, a path or name that
-        is not a string, ``langs`` that is not a list of strings and a switch
-        that is not a bool are each a ``ConfigError`` naming the key."""
+        mapping of ``LanguageResource`` fields to paths and a missing
+        ``input`` or ``out`` are each a ``ConfigError``, as is a value that
+        breaks a field rule of ``__post_init__``."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a mapping of keys to values, "
                               f"got {type(raw).__name__}")
@@ -125,19 +129,46 @@ class PipelineConfig:
             cfg = cls(resources=resources, **raw)
         except TypeError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
-        for name in ("input", "out", "pivot", "format", "stopwords", "identifiers", "gold"):
-            value = getattr(cfg, name)
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
         if not cfg.input or not cfg.out:
             raise ConfigError("config requires 'input' and 'out'")
-        if not isinstance(cfg.langs, list) or not all(isinstance(x, str) for x in cfg.langs):
-            raise ConfigError(f"langs must be a list of language tags, got {cfg.langs!r}")
-        for name in ("detect_language", "url_align", "mine"):
-            if not isinstance(getattr(cfg, name), bool):
-                raise ConfigError(f"{name} must be true or false, "
-                                  f"got {getattr(cfg, name)!r}")
         return cfg
+
+    def __post_init__(self) -> None:
+        """Every field rule, so a config that exists is valid: ``run`` and
+        each stage subcommand pass the same checks. A field that breaks its
+        rule is a ``ConfigError`` naming it."""
+        for name in ("input", "out", "pivot", "format", "stopwords", "identifiers", "gold"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        if not isinstance(self.langs, list) or not all(isinstance(x, str) for x in self.langs):
+            raise ConfigError(f"langs must be a list of language tags, got {self.langs!r}")
+        # a tag names files such as vocab/<lang>.txt, which must stay in out/
+        for tag in [self.pivot, *self.langs]:
+            if tag is None or not corpus.LANG_TAG.fullmatch(tag):
+                raise ConfigError(f"language tag {tag!r} is not made of ASCII letters, "
+                                  "digits, '-' and '_'")
+        if self.pivot in self.langs:
+            raise ConfigError(f"langs must not list the pivot {self.pivot!r}")
+        if len(set(self.langs)) < len(self.langs):
+            raise ConfigError(f"langs must not list a language twice, got {self.langs!r}")
+        if self.format not in ("jsonl", "tsv"):
+            raise ConfigError(f"format must be 'jsonl' or 'tsv', got {self.format!r}")
+        for name in ("detect_language", "url_align", "mine"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, "
+                                  f"got {getattr(self, name)!r}")
+        for name, low in (("top_n", 1), ("vocab_size", 1), ("skip_top_k", 0),
+                          ("min_support", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        # above 1 no record is ever tagged; nan keeps every tag, however unsure
+        if not _is_real(self.lang_confidence) or not 0.0 <= self.lang_confidence <= 1.0:
+            raise ConfigError(f"lang_confidence must be a number in [0, 1], "
+                              f"got {self.lang_confidence!r}")
+        if not _is_real(self.threshold) or not math.isfinite(self.threshold):
+            raise ConfigError(f"threshold must be a finite number, got {self.threshold!r}")
 
     def parameters(self) -> dict[str, Any]:
         """Every field except the output location, with the unset paths of
@@ -186,8 +217,8 @@ class _Stage:
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
     artifact directory. Fails before any work if a configured language lacks
-    its translation resource, or ``top_n``, ``vocab_size``, ``skip_top_k``,
-    ``min_support``, ``lang_confidence`` or ``threshold`` is out of range."""
+    its translation resource or the input file is missing; every other
+    parameter was checked when ``cfg`` was made."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     # a run that fails leaves no manifest of an earlier run beside FAILED
@@ -202,13 +233,6 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         res.validate(lang)
     if not Path(cfg.input).is_file():
         raise ConfigError(f"input file not found: {cfg.input}")
-    for name, low in (("top_n", 1), ("vocab_size", 1), ("skip_top_k", 0),
-                      ("min_support", 1)):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-    _check_lang_confidence(cfg.lang_confidence)
-    _check_threshold(cfg.threshold)
 
     manifest: dict[str, Any] = {
         "parameters": cfg.parameters(),
@@ -245,51 +269,36 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _check_lang_confidence(value) -> None:
-    # above 1 no record is ever tagged; nan keeps every tag, however unsure
-    if not _is_real(value) or not 0.0 <= value <= 1.0:
-        raise ConfigError(f"lang_confidence must be a number in [0, 1], got {value!r}")
-
-
-def _check_threshold(value) -> None:
-    if not _is_real(value) or not math.isfinite(value):
-        raise ConfigError(f"threshold must be a finite number, got {value!r}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 # --- stage work -----------------------------------------------------------
 #
 # One function per stage does the work for both ``run_pipeline`` and the
-# CLI subcommand of the same stage. Each reads and writes the standard
-# layout under the artifact directory ``out``; stamps and the manifest stay
-# with the ``_stage_*`` wrappers below.
+# CLI subcommand of the same stage, with its parameters taken from one
+# ``PipelineConfig``. Each reads and writes the standard layout under the
+# artifact directory ``cfg.out``; stamps and the manifest stay with the
+# ``_stage_*`` wrappers below.
 
 
-def ingest(input_path, out: Path, format: str, detect_language: bool,
-           lang_confidence: float) -> None:
-    """Parse the input records and partition them by domain into ``corpus/``,
-    replacing all of it. A record that does not parse fails the ingest with
-    an error that starts ``<input>:<line>:``, before anything is written."""
-    _check_lang_confidence(lang_confidence)
+def ingest(cfg: PipelineConfig) -> None:
+    """Parse the records of ``cfg.input`` and partition them by domain into
+    ``corpus/``, replacing all of it. A line that is not UTF-8 or a record
+    that does not parse fails the ingest with an error that starts
+    ``<input>:<line>:``, before anything is written."""
     records = []
-    with open(input_path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = corpus.parse_record(line, format)
-            except (ParseError, SchemaError) as exc:
-                raise type(exc)(f"{input_path}:{lineno}: {exc}") from exc
-            if rec.lang == "und" and detect_language:
-                rec.lang = corpus.detect_language(rec.tokens,
-                                                  confidence_floor=lang_confidence)
-            records.append(rec)
+    for lineno, line in read_lines(cfg.input):
+        if not line.strip(" \t\r\v\f"):  # only ASCII whitespace makes a line blank
+            continue
+        try:
+            rec = corpus.parse_record(line, cfg.format)
+        except (ParseError, SchemaError) as exc:
+            raise type(exc)(f"{cfg.input}:{lineno}: {exc}") from exc
+        if rec.lang == "und" and cfg.detect_language:
+            rec.lang = corpus.detect_language(rec.tokens,
+                                              confidence_floor=cfg.lang_confidence)
+        records.append(rec)
     partitions = corpus.group_by_domain(records)
     # written aside, then swapped in: no domain or language of an earlier
     # input survives, and corpus/ is never half written
+    out = Path(cfg.out)
     corpus_dir = out / "corpus"
     staging = out / "corpus.tmp"
     shutil.rmtree(staging, ignore_errors=True)
@@ -307,16 +316,14 @@ def _lang_tokens(partitions, lang: str):
             yield doc
 
 
-def build_lexicon(out: Path, partitions: Partitions, pivot: str,
-                  resources: dict[str, LanguageResource], vocab_size: int,
-                  skip_top_k: int, stopwords: Optional[str], top_n: int) -> None:
-    """Write ``vocab/<lang>.txt`` for the pivot and every language in
-    ``resources``, and ``lexicon/<lang>.tsv`` for every language in
-    ``resources``."""
-    vocab_dir = out / "vocab"
-    lex_dir = out / "lexicon"
-    langs = sorted(resources)
-    stoplist = _load_stopwords(stopwords)
+def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
+    """Write ``vocab/<lang>.txt`` for the pivot and every language of
+    ``cfg.langs``, and ``lexicon/<lang>.tsv`` for every language of
+    ``cfg.langs`` from its translation resource."""
+    vocab_dir = Path(cfg.out) / "vocab"
+    lex_dir = Path(cfg.out) / "lexicon"
+    pivot, langs = cfg.pivot, sorted(cfg.langs)
+    stoplist = _load_stopwords(cfg.stopwords)
     vocab_dir.mkdir(parents=True, exist_ok=True)
     lex_dir.mkdir(parents=True, exist_ok=True)
 
@@ -324,12 +331,12 @@ def build_lexicon(out: Path, partitions: Partitions, pivot: str,
     for lang in [pivot, *langs]:
         docs = (d.tokens for d in _lang_tokens(partitions, lang))
         vocabs[lang] = vectorspace.build_vocabulary(
-            docs, skip_top_k, vocab_size, stoplist
+            docs, cfg.skip_top_k, cfg.vocab_size, stoplist
         )
         vectorspace.save_vocabulary(vocabs[lang], vocab_dir / f"{lang}.txt")
 
     for lang in langs:
-        res = resources[lang]
+        res = cfg.resources[lang]
         if res.table_fwd:
             p_fwd = lexicon.load_translation_table(res.table_fwd, pivot, lang)
             p_bwd = lexicon.load_translation_table(res.table_bwd, lang, pivot)
@@ -337,7 +344,7 @@ def build_lexicon(out: Path, partitions: Partitions, pivot: str,
             emb_pivot = lexicon.load_embeddings(res.embeddings_pivot)
             emb_other = lexicon.load_embeddings(res.embeddings_other)
             p_fwd, p_bwd = lexicon.table_from_embeddings(
-                emb_pivot, emb_other, top_n=top_n, src_lang=pivot, tgt_lang=lang,
+                emb_pivot, emb_other, top_n=cfg.top_n, src_lang=pivot, tgt_lang=lang,
             )
         if not vocabs[pivot].words or not vocabs[lang].words:
             # no documents for one side: emit an empty lexicon
@@ -362,17 +369,18 @@ def _load_stopwords(path: Optional[str]) -> Optional[set[str]]:
     return {word.strip().lower() for _lineno, word in read_lines(path)} - {""}
 
 
-def vectorize_corpus(out: Path, partitions: Partitions, pivot: str, langs) -> None:
-    """Project the pivot and every language in ``langs`` into the pivot
+def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
+    """Project the pivot and every language of ``cfg.langs`` into the pivot
     space of ``vocab/<pivot>.txt`` through ``lexicon/<lang>.tsv``; writes
     ``vectors/<lang>/`` and ``idf/<lang>.tsv``."""
+    out, pivot = Path(cfg.out), cfg.pivot
     vec_dir = out / "vectors"
     idf_dir = out / "idf"
     pivot_vocab = vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt")
     vec_dir.mkdir(parents=True, exist_ok=True)
     idf_dir.mkdir(parents=True, exist_ok=True)
 
-    for lang in [pivot, *sorted(langs)]:
+    for lang in [pivot, *sorted(cfg.langs)]:
         docs = list(_lang_tokens(partitions, lang))
         if lang == pivot:
             tokens = [d.tokens for d in docs]
@@ -397,47 +405,51 @@ def _sorted_pairs(pairs: list[align_cda.AlignmentPair]) -> list[align_cda.Alignm
     )
 
 
-def align_by_content(out: Path, partitions: Partitions, pivot: str, langs,
-                     threshold: float) -> None:
-    """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``. Every
-    dimension must index a word of ``vocab/<pivot>.txt``."""
-    _check_threshold(threshold)
+def align_by_content(cfg: PipelineConfig, partitions: Partitions) -> None:
+    """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``. Each
+    ``vectors/<lang>/urls.txt`` must list the language's ``corpus/`` URLs in
+    row order, and every dimension must index a word of
+    ``vocab/<pivot>.txt``."""
+    out, pivot = Path(cfg.out), cfg.pivot
     dims = len(vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt"))
     vectors = {}
-    for lang in [pivot, *sorted(langs)]:
+    for lang in [pivot, *sorted(cfg.langs)]:
         vectors[lang] = table = vectorspace.load_vectors(out / "vectors" / lang)
+        if table.urls != [doc.url for doc in _lang_tokens(partitions, lang)]:
+            raise FormatError(f"{out / 'vectors' / lang / 'urls.txt'}: not the {lang} "
+                              f"documents of {out / 'corpus'}; run vectorize again")
         if table.indices.size and (table.indices.min() < 0 or table.indices.max() >= dims):
             raise FormatError(f"{out / 'vectors' / lang / 'indices.npy'}: dimension "
                               f"outside the {dims}-word pivot vocabulary")
     stats: dict = {}
-    pairs = align_cda.align_corpus(partitions, vectors, pivot, langs, threshold,
+    pairs = align_cda.align_corpus(partitions, vectors, pivot, cfg.langs, cfg.threshold,
                                    stats=stats)
     align_cda.save_pairs(_sorted_pairs(pairs), out / "pairs.tsv")
     log.info("align: %d pairs; scored %d of %d possible candidates",
              len(pairs), stats["scored_pairs"], stats["possible_pairs"])
 
 
-def align_by_url(out: Path, partitions: Partitions, pivot: str, langs,
-                 identifiers: Optional[str] = None) -> None:
-    """URL-baseline alignment into ``pairs_url.tsv``; ``identifiers`` is an
-    identifier file, the bundled set when None."""
+def align_by_url(cfg: PipelineConfig, partitions: Partitions) -> None:
+    """URL-baseline alignment into ``pairs_url.tsv``, stripping the
+    identifiers of ``cfg.identifiers``, the bundled set when None."""
     ids = (
-        align_url.load_identifier_set(identifiers)
-        if identifiers
+        align_url.load_identifier_set(cfg.identifiers)
+        if cfg.identifiers
         else align_url.default_identifier_set()
     )
-    pairs = align_url.align_corpus_by_url(partitions, pivot, langs, ids)
-    align_cda.save_pairs(_sorted_pairs(pairs), out / "pairs_url.tsv")
+    pairs = align_url.align_corpus_by_url(partitions, cfg.pivot, cfg.langs, ids)
+    align_cda.save_pairs(_sorted_pairs(pairs), Path(cfg.out) / "pairs_url.tsv")
     log.info("align-url: %d pairs", len(pairs))
 
 
-def write_report(out: Path, gold: str, url_align: bool) -> None:
-    """Recall of ``pairs.tsv``, and of ``pairs_url.tsv`` when ``url_align``,
-    against the gold file, into ``report.json``."""
-    gold_pairs = evaluation.load_gold(gold)
+def write_report(cfg: PipelineConfig) -> None:
+    """Recall of ``pairs.tsv``, and of ``pairs_url.tsv`` when
+    ``cfg.url_align``, against ``cfg.gold``, into ``report.json``."""
+    out = Path(cfg.out)
+    gold_pairs = evaluation.load_gold(cfg.gold)
     reports = {"cda": evaluation.evaluate_recall(
         align_cda.load_pairs(out / "pairs.tsv"), gold_pairs).as_dict()}
-    if url_align:
+    if cfg.url_align:
         reports["url"] = evaluation.evaluate_recall(
             align_cda.load_pairs(out / "pairs_url.tsv"), gold_pairs).as_dict()
     (out / "report.json").write_text(
@@ -486,8 +498,7 @@ def _stage_ingest(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
         "lang_confidence": cfg.lang_confidence,
         "detect_language": cfg.detect_language,
     }, [out / "corpus" / name for name in (corpus.DOCS, corpus.WORDS, corpus.IDS)],
-        lambda: ingest(cfg.input, out, cfg.format, cfg.detect_language,
-                       cfg.lang_confidence),
+        lambda: ingest(cfg),
         owns=[out / "corpus"])
 
 
@@ -506,9 +517,7 @@ def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict,
         "pivot": cfg.pivot,
     }, [out / "vocab" / f"{lang}.txt" for lang in [cfg.pivot, *langs]]
         + [out / "lexicon" / f"{lang}.tsv" for lang in langs],
-        lambda: build_lexicon(out, partitions(), cfg.pivot,
-                              {lang: cfg.resources[lang] for lang in langs},
-                              cfg.vocab_size, cfg.skip_top_k, cfg.stopwords, cfg.top_n),
+        lambda: build_lexicon(cfg, partitions()),
         owns=[out / "vocab", out / "lexicon"])
 
 
@@ -519,16 +528,16 @@ def _stage_vectorize(cfg: PipelineConfig, out: Path, manifest: dict,
         "lexicon": manifest["stages"]["lexicon"],
     }, [out / "vectors" / lang for lang in langs]
         + [out / "idf" / f"{lang}.tsv" for lang in langs],
-        lambda: vectorize_corpus(out, partitions(), cfg.pivot, cfg.langs),
+        lambda: vectorize_corpus(cfg, partitions()),
         owns=[out / "vectors", out / "idf"])
 
 
 def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict,
                  partitions: Callable[[], Partitions]) -> None:
     def work() -> None:
-        align_by_content(out, partitions(), cfg.pivot, cfg.langs, cfg.threshold)
+        align_by_content(cfg, partitions())
         if cfg.url_align:
-            align_by_url(out, partitions(), cfg.pivot, cfg.langs, cfg.identifiers)
+            align_by_url(cfg, partitions())
 
     _run_stage(out, manifest, "align", {
         "vectorize": manifest["stages"]["vectorize"],
@@ -557,5 +566,5 @@ def _stage_evaluate(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
         "align": manifest["stages"]["align"],
         "gold": manifest["inputs"].get(cfg.gold),
     }, [out / "report.json"],
-        lambda: write_report(out, cfg.gold, cfg.url_align),
+        lambda: write_report(cfg),
         enabled=bool(cfg.gold))

@@ -346,6 +346,71 @@ class TestExitCodes:
             f"error: lang_confidence must be a number in [0, 1], got {float(value)!r}\n")
         assert not out.exists()
 
+    # vocab/../../x.txt and lexicon/../../x.tsv landed outside --out, and a
+    # language listed twice, or the pivot listed again, was processed twice
+    @pytest.mark.parametrize("command, message", [
+        pytest.param("build-lexicon --pivot en --lang ../../x", "language tag '../../x'",
+                     id="build-lexicon-lang"),
+        pytest.param("build-lexicon --pivot ../../x --lang fr", "language tag '../../x'",
+                     id="build-lexicon-pivot"),
+        pytest.param("vectorize --pivot en --langs fr,fr", "list a language twice",
+                     id="vectorize-twice"),
+        pytest.param("vectorize --pivot en --langs ../../x", "language tag '../../x'",
+                     id="vectorize-lang"),
+        pytest.param("align-cda --pivot en --langs fr,en", "list the pivot 'en'",
+                     id="align-cda-pivot"),
+        pytest.param("align-url --pivot en --langs ../x", "language tag '../x'",
+                     id="align-url-lang"),
+    ])
+    def test_bad_language_list_is_1_and_writes_nothing(self, tmp_path, capsys, command,
+                                                       message):
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        common = ["--out", str(out), "--pivot", "en"]
+        tables = ["--table-fwd", str(paths["table_fwd"]),
+                  "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        assert main(["build-lexicon", *common, "--lang", "fr", *tables]) == 0
+        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        argv = [*command.split(), "--out", str(out)]
+        assert main(argv + tables if argv[0] == "build-lexicon" else argv) == 1
+        assert message in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    # was ingested as http://a.com/caf\ufffd with the tokens caf, cr and me
+    def test_input_not_utf8_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "in.jsonl"
+        bad.write_bytes(b'{"url": "http://a.com/x", "lang": "en", "text": "a"}\n'
+                        + '{"url": "http://a.com/caf\u00e9", "lang": "fr", '
+                          '"text": "caf\u00e9 cr\u00e8me"}\n'.encode("latin-1"))
+        code = main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: not UTF-8: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.jsonl"]
+
+    # align-cda aligned the documents of the old vectors/ and left the rest of
+    # the new corpus/ out, with exit 0
+    def test_align_rejects_vectors_of_another_corpus(self, tmp_path, capsys):
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        common = ["--out", str(out), "--pivot", "en"]
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        assert main(["build-lexicon", *common, "--lang", "fr",
+                     "--table-fwd", str(paths["table_fwd"]),
+                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
+        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        bigger = SyntheticCorpus(n_domains=3, docs_per_domain=4, vocab_size=40,
+                                 doc_len=(15, 25), seed=11).write(tmp_path / "fx2")
+        assert main(["ingest", "--input", str(bigger["input"]), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["align-cda", *common, "--langs", "fr"]) == 2
+        urls = out / "vectors" / "en" / "urls.txt"
+        assert capsys.readouterr().err == (
+            f"error: {urls}: not the en documents of {out / 'corpus'}; run vectorize again\n")
+        assert not (out / "pairs.tsv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_align_rejects_threshold_that_is_not_finite(self, tmp_path, capsys, value):
         corpus, paths = write_fixture(tmp_path)

@@ -220,7 +220,7 @@ class TestTokenize:
 
 class TestParseRecord:
     def test_text_record(self):
-        rec = corpus.parse_record(b'{"url":"http://a.com/x","text":"Hello World"}')
+        rec = corpus.parse_record('{"url":"http://a.com/x","text":"Hello World"}')
         assert rec.url == "http://a.com/x"
         assert rec.domain == "a.com"
         assert rec.tokens == ["hello", "world"]
@@ -228,28 +228,28 @@ class TestParseRecord:
 
     def test_missing_content_is_schema_error(self):
         with pytest.raises(SchemaError):
-            corpus.parse_record(b'{"url":"http://a.com/x"}')
+            corpus.parse_record('{"url":"http://a.com/x"}')
 
     def test_html_record_with_lang(self):
         rec = corpus.parse_record(
-            b'{"url":"http://a.com/y","html":"<p>Bonjour</p>","lang":"fr"}'
+            '{"url":"http://a.com/y","html":"<p>Bonjour</p>","lang":"fr"}'
         )
         assert rec.lang == "fr"
         assert rec.tokens == ["bonjour"]
 
     def test_both_content_fields_rejected(self):
         with pytest.raises(SchemaError):
-            corpus.parse_record(b'{"url":"u","html":"<p>a</p>","text":"a"}')
+            corpus.parse_record('{"url":"u","html":"<p>a</p>","text":"a"}')
 
     def test_missing_url(self):
         with pytest.raises(SchemaError):
-            corpus.parse_record(b'{"text":"hi"}')
+            corpus.parse_record('{"text":"hi"}')
 
     @pytest.mark.parametrize("line, key", [
-        (b'{"url":"http://a.com/x","text":5}', "text"),
-        (b'{"url":"http://a.com/x","text":null}', "text"),
-        (b'{"url":"http://a.com/x","html":["a"]}', "html"),
-        (b'{"url":"http://a.com/x","html":{"p":"a"}}', "html"),
+        ('{"url":"http://a.com/x","text":5}', "text"),
+        ('{"url":"http://a.com/x","text":null}', "text"),
+        ('{"url":"http://a.com/x","html":["a"]}', "html"),
+        ('{"url":"http://a.com/x","html":{"p":"a"}}', "html"),
     ])
     def test_content_that_is_not_a_string(self, line, key):
         with pytest.raises(SchemaError, match=f"field '{key}' is not a string"):
@@ -257,19 +257,19 @@ class TestParseRecord:
 
     def test_malformed_json_names_offset(self):
         with pytest.raises(ParseError, match="byte offset"):
-            corpus.parse_record(b'{"url": oops}')
+            corpus.parse_record('{"url": oops}')
 
     def test_tsv_record(self):
-        rec = corpus.parse_record(b"http://a.com/x\tfr\tbonjour le\\tmonde", "tsv")
+        rec = corpus.parse_record("http://a.com/x\tfr\tbonjour le\\tmonde", "tsv")
         assert rec.lang == "fr"
         assert rec.tokens == ["bonjour", "le", "monde"]
 
     def test_tsv_missing_field(self):
         with pytest.raises(ParseError):
-            corpus.parse_record(b"http://a.com/x\tfr", "tsv")
+            corpus.parse_record("http://a.com/x\tfr", "tsv")
 
     def test_raw_length_counts_extracted_chars(self):
-        rec = corpus.parse_record(b'{"url":"u.com/a","text":"abcde"}')
+        rec = corpus.parse_record('{"url":"u.com/a","text":"abcde"}')
         assert rec.raw_length == 5
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -249,6 +250,32 @@ class TestRunPipeline:
         assert not (tmp_path / "out" / "corpus").exists()
         assert not (tmp_path / "out" / "FAILED").exists()
 
+    # a path-like tag wrote vocab/../../esc.txt outside out/, a language
+    # listed twice wrote each of its pairs twice, the pivot listed in langs
+    # got a lexicon built against itself, and format xml failed only in ingest
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"langs": ["../../esc"]}, "language tag '../../esc' is not made of "
+                     "ASCII letters, digits, '-' and '_'", id="path-like-lang"),
+        pytest.param({"pivot": "../en"}, "language tag '../en' is not made of "
+                     "ASCII letters, digits, '-' and '_'", id="path-like-pivot"),
+        pytest.param({"langs": ["fr", "fr"]},
+                     "langs must not list a language twice, got ['fr', 'fr']", id="twice"),
+        pytest.param({"langs": ["fr", "en"]}, "langs must not list the pivot 'en'",
+                     id="pivot-in-langs"),
+        pytest.param({"format": "xml"}, "format must be 'jsonl' or 'tsv', got 'xml'",
+                     id="format"),
+    ])
+    def test_bad_language_list_or_format_fails_preflight(self, tmp_path, changes, message):
+        corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out", **changes)
+        # every listed language has a resource, so only the rule under test stops the run
+        cfg_dict["resources"] = {lang: cfg_dict["resources"]["fr"]
+                                 for lang in ["fr", *cfg_dict["langs"]]}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fx"]
+
     def test_failed_marker_on_stage_error(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
@@ -391,6 +418,17 @@ class TestPipelineConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out" / "corpus").exists()
         assert not (tmp_path / "out" / "FAILED").exists()
+
+    # a config made other than by from_dict was not checked at all
+    @pytest.mark.parametrize("changes, message", [
+        ({"threshold": float("nan")}, "^threshold must be a finite number, got nan$"),
+        ({"langs": ["fr", "fr"]}, "^langs must not list a language twice"),
+        ({"top_n": 0}, r"^top_n must be an integer >= 1, got 0$"),
+    ])
+    def test_replace_checks_the_same_rules(self, changes, message):
+        cfg = PipelineConfig.from_dict({"input": "x", "out": "y", "langs": ["fr"]})
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(cfg, **changes)
 
     def test_out_override(self, tmp_path):
         cfg = PipelineConfig.from_dict({"input": "x", "out": "y"},

@@ -87,12 +87,22 @@ def _write(root: Path, name: str):
             make_record("http://a.com/1", ["x"]), make_record("http://a.com/2", ["y"])]),
             root)
         return root / corpus.DOCS, lambda: corpus.read_partitions(root)
+    if name == "input":
+        path = root / "in.jsonl"
+        path.write_bytes(b'{"url": "http://a.com/1", "lang": "en", "text": "a"}\n'
+                         b'{"url": "http://a.com/2", "lang": "fr", "text": "b"}\n')
+
+        def ingest():
+            pipeline.ingest(pipeline.PipelineConfig(input=str(path), out=str(root / "out")))
+            return corpus.read_partitions(root / "out" / "corpus")
+
+        return path, ingest
     file, lines, load = LOADERS[name]
     (root / file).write_bytes(lines + b"\n")
     return root / file, lambda: load(root / file)
 
 
-@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv"])
+@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv", "input"])
 def test_bad_byte_on_line_2_names_file_and_line(tmp_path, name):
     path, load = _write(tmp_path / "d", name)
     first, second, *rest = path.read_bytes().split(b"\n")
@@ -101,7 +111,7 @@ def test_bad_byte_on_line_2_names_file_and_line(tmp_path, name):
         load()
 
 
-@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv"])
+@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv", "input"])
 def test_crlf_file_loads_as_its_lf_copy(tmp_path, name):
     _lf_path, load_lf = _write(tmp_path / "lf", name)
     crlf_path, load_crlf = _write(tmp_path / "crlf", name)
