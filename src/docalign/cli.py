@@ -169,7 +169,7 @@ def cmd_evaluate(args) -> int:
     print(evaluation.format_report(report))
     if args.json_out:
         Path(args.json_out).write_text(
-            json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+            json.dumps(vars(report), sort_keys=True, indent=2) + "\n"
         )
     return 0
 

@@ -33,7 +33,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import FormatError, ParseError, SchemaError, UsageError
-from .textfile import read_lines
+from .textfile import read_array, read_lines
 
 # Only text under these tags is kept; everything else is boilerplate.
 TEXT_TAGS = frozenset(
@@ -325,7 +325,8 @@ def parse_record(line: str, format: str = "jsonl") -> DocumentRecord:
         try:
             obj = json.loads(text_line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc.msg}", offset=exc.pos) from exc
+            offset = len(text_line[:exc.pos].encode("utf-8", "surrogatepass"))
+            raise ParseError(f"malformed JSON: {exc.msg} (byte offset {offset})") from exc
         if not isinstance(obj, dict):
             raise SchemaError("record is not a JSON object")
         url = obj.get("url")
@@ -347,9 +348,7 @@ def parse_record(line: str, format: str = "jsonl") -> DocumentRecord:
     elif format == "tsv":
         parts = text_line.split("\t")
         if len(parts) != 3:
-            raise ParseError(
-                f"expected 3 tab-separated fields, got {len(parts)}", offset=0
-            )
+            raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}")
         url, lang, raw = parts[0], parts[1], _unescape_tsv(parts[2])
         if not url:
             raise SchemaError("record missing required field 'url'")
@@ -462,7 +461,7 @@ def read_partitions(corpus_dir) -> dict[str, CorpusPartition]:
     root = Path(corpus_dir)
     rows = _read_docs(root / DOCS)
     words = _read_words(root / WORDS)
-    ids = _read_ids(root / IDS)
+    ids = read_array(root / IDS, np.int32)
     total = sum(row[4] for row in rows)
     if total != len(ids):
         raise FormatError(f"{root / IDS}: {len(ids)} token ids, but {root / DOCS} "
@@ -505,15 +504,3 @@ def _read_words(path: Path) -> list[str]:
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise FormatError(f"{path}: not a JSON list of strings")
     return words
-
-
-def _read_ids(path: Path) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            ids = np.lib.format.read_array(fh, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if ids.dtype != np.int32 or ids.ndim != 1:
-        raise FormatError(f"{path}: {ids.ndim}-D {ids.dtype}, not 1-D int32")
-    return ids
-

@@ -23,12 +23,6 @@ class ConfigError(UsageError):
 class ParseError(DocalignError):
     """A serialized record could not be decoded."""
 
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset
-
 
 class SchemaError(DocalignError):
     """A record decoded fine but is missing or duplicating required fields."""

@@ -1,9 +1,9 @@
-"""Recall scoring of predicted alignments against a 1-1 gold set."""
+"""Recall scoring of predicted alignments against a set of gold pairs."""
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable
 
 from .align_cda import AlignmentPair
@@ -12,19 +12,9 @@ from .errors import FormatError, UsageError
 from .textfile import read_lines
 
 
-@dataclass
-class GoldSet:
-    """Gold (pivot_url, other_url) pairs; 1-1 by construction."""
-
-    pairs: set[tuple[str, str]]
-    per_domain: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.per_domain:
-            counts: dict[str, int] = defaultdict(int)
-            for purl, _ourl in self.pairs:
-                counts[domain_of(purl)] += 1
-            self.per_domain = dict(counts)
+# Gold (pivot_url, other_url) pairs, URLs lowercased: each non-pivot page
+# has one pivot partner, and a pivot page one partner per language.
+GoldSet = set[tuple[str, str]]
 
 
 @dataclass
@@ -34,27 +24,26 @@ class RecallReport:
     total: int
     per_domain: dict[str, dict[str, int]]
 
-    def as_dict(self) -> dict:
-        return {
-            "recall": self.recall,
-            "found": self.found,
-            "total": self.total,
-            "per_domain": self.per_domain,
-        }
-
 
 def load_gold(path) -> GoldSet:
-    """TSV ``pivot_url \\t other_url``; URLs lowercased for comparison."""
-    pairs: set[tuple[str, str]] = set()
-    seen: set[str] = set()
+    """TSV ``pivot_url \\t other_url``; URLs lowercased for comparison. A
+    pivot URL may be on several lines, one per language of its counterparts;
+    a non-pivot URL on one line only, and no URL on both sides."""
+    pairs: GoldSet = set()
+    pivots: set[str] = set()
+    others: set[str] = set()
     for lineno, (purl, ourl) in read_lines(path, 2):
         purl, ourl = purl.lower(), ourl.lower()
+        if ourl in others:
+            raise FormatError(f"{path}:{lineno}: URL {ourl!r} appears in two gold pairs")
+        pivots.add(purl)
+        others.add(ourl)
         for u in (purl, ourl):
-            if u in seen:
-                raise FormatError(f"{path}:{lineno}: URL {u!r} appears in two gold pairs")
-            seen.add(u)
+            if u in pivots and u in others:
+                raise FormatError(f"{path}:{lineno}: URL {u!r} is both a pivot and "
+                                  "a non-pivot URL")
         pairs.add((purl, ourl))
-    return GoldSet(pairs=pairs)
+    return pairs
 
 
 def refilter_one_to_one(pairs: Iterable[AlignmentPair]) -> list[AlignmentPair]:
@@ -86,25 +75,25 @@ def evaluate_recall(
     ``load_gold`` lowercases the gold pairs and this function the predicted
     ones. Ingest keeps URLs as they are.
     """
-    if not gold.pairs:
+    if not gold:
         raise UsageError("gold set is empty; recall is undefined")
     pairs = list(predicted)
     if enforce_one_to_one:
         pairs = refilter_one_to_one(pairs)
     predicted_set = {(p.pivot_url.lower(), p.other_url.lower()) for p in pairs}
-    hits = predicted_set & gold.pairs
-
-    found_per_domain: dict[str, int] = defaultdict(int)
-    for purl, _ourl in hits:
-        found_per_domain[domain_of(purl)] += 1
-    per_domain = {
-        dom: {"found": found_per_domain.get(dom, 0), "total": total}
-        for dom, total in sorted(gold.per_domain.items())
-    }
+    totals: Counter[str] = Counter()
+    found: Counter[str] = Counter()
+    for pair in gold:
+        domain = domain_of(pair[0])
+        totals[domain] += 1
+        found[domain] += pair in predicted_set
+    hits = sum(found.values())
+    per_domain = {dom: {"found": found[dom], "total": total}
+                  for dom, total in sorted(totals.items())}
     return RecallReport(
-        recall=100.0 * len(hits) / len(gold.pairs),
-        found=len(hits),
-        total=len(gold.pairs),
+        recall=100.0 * hits / len(gold),
+        found=hits,
+        total=len(gold),
         per_domain=per_domain,
     )
 

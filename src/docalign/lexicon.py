@@ -22,13 +22,8 @@ from .textfile import read_lines
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class TranslationTable:
-    """Directed lexical translation probabilities P(src -> tgt)."""
-
-    src_lang: str
-    tgt_lang: str
-    probs: dict[tuple[str, str], float] = field(default_factory=dict)
+# Directed lexical translation probabilities P(src -> tgt), keyed (src, tgt).
+TranslationTable = dict[tuple[str, str], float]
 
 
 @dataclass
@@ -36,18 +31,15 @@ class LexiconAlignment:
     """Word pairs (pivot, other) plus the derived other -> pivot token map and
     the score S of each mapped pair."""
 
-    pivot_lang: str
     other_lang: str
     pairs: set[tuple[str, str]] = field(default_factory=set)
     to_pivot: dict[str, str] = field(default_factory=dict)
     scores: dict[str, float] = field(default_factory=dict)
 
 
-def load_translation_table(path, src_lang: str, tgt_lang: str) -> TranslationTable:
+def load_translation_table(path) -> TranslationTable:
     """Read a TSV table ``src \\t tgt \\t prob``; later duplicates win."""
-    if not src_lang or not tgt_lang:
-        raise ConfigError("translation table needs both language tags")
-    probs: dict[tuple[str, str], float] = {}
+    probs: TranslationTable = {}
     for lineno, (src, tgt, raw) in read_lines(path, 3):
         try:
             p = float(raw)
@@ -56,7 +48,7 @@ def load_translation_table(path, src_lang: str, tgt_lang: str) -> TranslationTab
         if not (0.0 <= p <= 1.0) or math.isnan(p):
             raise FormatError(f"{path}:{lineno}: probability {p} outside [0, 1]")
         probs[(src, tgt)] = p
-    return TranslationTable(src_lang=src_lang, tgt_lang=tgt_lang, probs=probs)
+    return probs
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
@@ -100,8 +92,6 @@ def _directional_table(
     src_mat: np.ndarray,
     tgt: Sequence[str],
     tgt_mat: np.ndarray,
-    src_lang: str,
-    tgt_lang: str,
     top_n: int,
 ) -> TranslationTable:
     sims = src_mat @ tgt_mat.T
@@ -116,8 +106,7 @@ def _directional_table(
     probs = (kept[rows] / totals[rows, None]).ravel().tolist()
     pairs = zip([src[i] for i in np.repeat(rows, k).tolist()],
                 [tgt[j] for j in top[rows].ravel().tolist()])
-    return TranslationTable(src_lang=src_lang, tgt_lang=tgt_lang,
-                            probs=dict(zip(pairs, probs)))
+    return dict(zip(pairs, probs))
 
 
 def table_from_embeddings(
@@ -168,18 +157,14 @@ def table_from_embeddings(
         raise FormatError(
             f"embedding spaces disagree: {src_mat.shape[1]} vs {tgt_mat.shape[1]} dims"
         )
-    fwd = _directional_table(src_words, src_mat, tgt_words, tgt_mat,
-                             src_lang, tgt_lang, top_n)
-    bwd = _directional_table(tgt_words, tgt_mat, src_words, src_mat,
-                             tgt_lang, src_lang, top_n)
-    return fwd, bwd
+    return (_directional_table(src_words, src_mat, tgt_words, tgt_mat, top_n),
+            _directional_table(tgt_words, tgt_mat, src_words, src_mat, top_n))
 
 
-def pair_scores(p_fwd: TranslationTable,
-                p_bwd: TranslationTable) -> dict[tuple[str, str], float]:
+def pair_scores(fwd: TranslationTable,
+                bwd: TranslationTable) -> dict[tuple[str, str], float]:
     """S(a, b) = P_fwd(a, b) + P_bwd(b, a) for every (pivot, other) pair with
     an entry in either table; a missing entry counts as probability 0."""
-    fwd, bwd = p_fwd.probs, p_bwd.probs
     scores = {(a, b): p + bwd.get((b, a), 0.0) for (a, b), p in fwd.items()}
     for (b, a), p in bwd.items():
         if (a, b) not in scores:
@@ -189,7 +174,6 @@ def pair_scores(p_fwd: TranslationTable,
 
 def build_alignment(
     scores: Mapping[tuple[str, str], float],
-    pivot_lang: str,
     other_lang: str,
     v_alpha: Iterable[str],
     v_beta: Iterable[str],
@@ -222,7 +206,7 @@ def build_alignment(
                 best_for_other[b] = (s, a)
 
     return LexiconAlignment(
-        pivot_lang=pivot_lang, other_lang=other_lang,
+        other_lang=other_lang,
         pairs={(a, b) for a, (_s, bs) in best_for_pivot.items() for b in bs},
         to_pivot={b: a for b, (_s, a) in best_for_other.items()},
         scores={b: s for b, (s, _a) in best_for_other.items()},
@@ -270,8 +254,7 @@ def save_alignment(align: LexiconAlignment, path) -> None:
                       for b in sorted(align.to_pivot))
 
 
-def load_alignment(path, pivot_lang: str, other_lang: str,
-                   pivot_vocab: Container[str]) -> LexiconAlignment:
+def load_alignment(path, other_lang: str, pivot_vocab: Container[str]) -> LexiconAlignment:
     """Inverse of ``save_alignment``. Every pivot word must be in
     ``pivot_vocab``: a lexicon built against another pivot vocabulary would
     map words outside the vector space."""
@@ -290,7 +273,5 @@ def load_alignment(path, pivot_lang: str, other_lang: str,
         pairs.add((a, b))
         to_pivot[b] = a
         scores[b] = score
-    return LexiconAlignment(
-        pivot_lang=pivot_lang, other_lang=other_lang,
-        pairs=pairs, to_pivot=to_pivot, scores=scores,
-    )
+    return LexiconAlignment(other_lang=other_lang, pairs=pairs, to_pivot=to_pivot,
+                            scores=scores)

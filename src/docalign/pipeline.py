@@ -216,23 +216,25 @@ class _Stage:
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
-    artifact directory. Fails before any work if a configured language lacks
-    its translation resource or the input file is missing; every other
-    parameter was checked when ``cfg`` was made."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # a run that fails leaves no manifest of an earlier run beside FAILED
-    (out / "FAILED").unlink(missing_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)
-
+    artifact directory. Fails with ``out/`` untouched if a configured
+    language lacks its translation resource or a configured file is
+    missing; every other parameter was checked when ``cfg`` was made."""
     # pre-flight: every configured language must have a usable resource
     for lang in sorted(cfg.langs):
         res = cfg.resources.get(lang)
         if res is None:
             raise ConfigError(f"no translation resource configured for language {lang!r}")
         res.validate(lang)
-    if not Path(cfg.input).is_file():
-        raise ConfigError(f"input file not found: {cfg.input}")
+    for key in ("input", "gold", "identifiers", "stopwords"):
+        path = getattr(cfg, key)
+        if path and not Path(path).is_file():
+            raise ConfigError(f"{key} file not found: {path}")
+
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    # a run that fails leaves no manifest of an earlier run beside FAILED
+    (out / "FAILED").unlink(missing_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
 
     manifest: dict[str, Any] = {
         "parameters": cfg.parameters(),
@@ -338,8 +340,8 @@ def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
     for lang in langs:
         res = cfg.resources[lang]
         if res.table_fwd:
-            p_fwd = lexicon.load_translation_table(res.table_fwd, pivot, lang)
-            p_bwd = lexicon.load_translation_table(res.table_bwd, lang, pivot)
+            p_fwd = lexicon.load_translation_table(res.table_fwd)
+            p_bwd = lexicon.load_translation_table(res.table_bwd)
         else:
             emb_pivot = lexicon.load_embeddings(res.embeddings_pivot)
             emb_other = lexicon.load_embeddings(res.embeddings_other)
@@ -352,7 +354,7 @@ def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
             continue
         scores = lexicon.pair_scores(p_fwd, p_bwd)
         align = lexicon.build_alignment(
-            scores, pivot, lang, vocabs[pivot].words, vocabs[lang].words
+            scores, lang, vocabs[pivot].words, vocabs[lang].words
         )
         violations = lexicon.reverse_condition_violations(
             align, scores, vocabs[pivot].words
@@ -385,7 +387,7 @@ def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
         if lang == pivot:
             tokens = [d.tokens for d in docs]
         else:
-            align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", pivot, lang,
+            align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", lang,
                                            pivot_vocab.index)
             tokens = [lexicon.map_document(d, align) for d in docs]
         if not docs:
@@ -446,12 +448,12 @@ def write_report(cfg: PipelineConfig) -> None:
     """Recall of ``pairs.tsv``, and of ``pairs_url.tsv`` when
     ``cfg.url_align``, against ``cfg.gold``, into ``report.json``."""
     out = Path(cfg.out)
-    gold_pairs = evaluation.load_gold(cfg.gold)
-    reports = {"cda": evaluation.evaluate_recall(
-        align_cda.load_pairs(out / "pairs.tsv"), gold_pairs).as_dict()}
+    gold = evaluation.load_gold(cfg.gold)
+    reports = {"cda": vars(evaluation.evaluate_recall(
+        align_cda.load_pairs(out / "pairs.tsv"), gold))}
     if cfg.url_align:
-        reports["url"] = evaluation.evaluate_recall(
-            align_cda.load_pairs(out / "pairs_url.tsv"), gold_pairs).as_dict()
+        reports["url"] = vars(evaluation.evaluate_recall(
+            align_cda.load_pairs(out / "pairs_url.tsv"), gold))
     (out / "report.json").write_text(
         json.dumps(reports, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     )

@@ -1,14 +1,21 @@
-"""The one reader of the line-based text files the pipeline loads.
+"""The one reader of the line-based text files, and the one of the ``.npy``
+arrays, that the pipeline loads.
 
-Every such file is UTF-8. A line ends at "\\n", and one "\\r" just before it
+Every text file is UTF-8. A line ends at "\\n", and one "\\r" just before it
 is dropped, so LF and CRLF files read the same; a lone "\\r" is part of its
 line. A byte that is not UTF-8, and a line without the expected number of
 tab-separated fields, is a ``FormatError`` naming the file and the line.
+
+Every array file holds one 1-D array of a known dtype, stored without
+pickling; a file that cannot be read, or holds anything else, is a
+``FormatError`` naming the file.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -42,3 +49,15 @@ def read_lines(path, fields: Optional[int] = None,
                     raise FormatError(f"{path}:{lineno}: expected {fields} tab-separated "
                                       f"fields, got {len(parts)}")
                 yield lineno, parts
+
+
+def read_array(path, dtype) -> np.ndarray:
+    """The 1-D ``dtype`` array of the ``.npy`` file at ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if array.dtype != dtype or array.ndim != 1:
+        raise FormatError(f"{path}: {array.ndim}-D {array.dtype}, not 1-D {np.dtype(dtype)}")
+    return array

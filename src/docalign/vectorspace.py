@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .textfile import read_lines
+from .textfile import read_array, read_lines
 
 
 @dataclass
@@ -29,17 +29,13 @@ class Vocabulary:
     """Frequency-ranked token list with dense dimension ids."""
 
     words: list[str]
-    index: dict[str, int] = field(default_factory=dict)
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.index and self.words:
-            self.index = {w: i for i, w in enumerate(self.words)}
+        self.index = {w: i for i, w in enumerate(self.words)}
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
 
 
 @dataclass
@@ -190,16 +186,7 @@ def load_vectors(path) -> VectorTable:
     """Inverse of ``save_vectors``: the same arrays, bit for bit. A file
     that does not fit the layout raises ``FormatError`` naming it."""
     path = Path(path)
-    arrays = {}
-    for name, dtype in _ARRAYS:
-        file = path / f"{name}.npy"
-        try:
-            with open(file, "rb") as fh:
-                arrays[name] = array = np.lib.format.read_array(fh, allow_pickle=False)
-        except (OSError, ValueError, EOFError) as exc:
-            raise FormatError(f"{file}: {exc}") from exc
-        if array.dtype != dtype or array.ndim != 1:
-            raise FormatError(f"{file}: {array.ndim}-D {array.dtype}, not 1-D {np.dtype(dtype)}")
+    arrays = {name: read_array(path / f"{name}.npy", dtype) for name, dtype in _ARRAYS}
     try:
         urls = [url for _lineno, url in read_lines(path / "urls.txt")]
     except OSError as exc:

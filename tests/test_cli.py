@@ -289,6 +289,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             f"error: {docs}:{lines}: expected 5 tab-separated fields, got 4")
 
+    def test_missing_ids_file_names_it(self, tmp_path, capsys):
+        # was the bare FileNotFoundError, as "error: [Errno 2] ..."
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        ids = out / "corpus" / "ids.npy"
+        ids.unlink()
+        capsys.readouterr()
+        assert main(["vectorize", "--out", str(out), "--pivot", "en"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {ids}: ")
+
     def test_vectorize_rejects_lexicon_of_another_pivot_vocabulary(self, tmp_path, capsys):
         # a second build-lexicon call rewrites vocab/en.txt with a smaller
         # vocabulary than the one lexicon/fr.tsv was built against

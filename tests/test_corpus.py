@@ -259,6 +259,11 @@ class TestParseRecord:
         with pytest.raises(ParseError, match="byte offset"):
             corpus.parse_record('{"url": oops}')
 
+    def test_malformed_json_offset_counts_bytes(self):
+        # each "é" is two bytes; json's character index said 28
+        with pytest.raises(ParseError, match=r"\(byte offset 31\)$"):
+            corpus.parse_record('{"url": "http://a.com/ééé", oops}')
+
     def test_tsv_record(self):
         rec = corpus.parse_record("http://a.com/x\tfr\tbonjour le\\tmonde", "tsv")
         assert rec.lang == "fr"
@@ -266,6 +271,10 @@ class TestParseRecord:
 
     def test_tsv_missing_field(self):
         with pytest.raises(ParseError):
+            corpus.parse_record("http://a.com/x\tfr", "tsv")
+
+    def test_tsv_field_count_message(self):
+        with pytest.raises(ParseError, match="^expected 3 tab-separated fields, got 2$"):
             corpus.parse_record("http://a.com/x\tfr", "tsv")
 
     def test_raw_length_counts_extracted_chars(self):

@@ -3,7 +3,6 @@ import pytest
 from docalign import evaluation
 from docalign.align_cda import AlignmentPair
 from docalign.errors import FormatError, UsageError
-from docalign.evaluation import GoldSet
 
 
 def pred(purl, ourl, score=0.9):
@@ -13,16 +12,12 @@ def pred(purl, ourl, score=0.9):
     )
 
 
-def gold_of(*pairs):
-    return GoldSet(pairs=set(pairs))
-
-
-GOLD4 = gold_of(
+GOLD4 = {
     ("http://a.com/e1", "http://a.com/f1"),
     ("http://a.com/e2", "http://a.com/f2"),
     ("http://b.com/e3", "http://b.com/f3"),
     ("http://b.com/e4", "http://b.com/f4"),
-)
+}
 
 
 class TestEvaluateRecall:
@@ -36,7 +31,7 @@ class TestEvaluateRecall:
         assert (report.found, report.total) == (3, 4)
 
     def test_perfect(self):
-        preds = [pred(p, o) for p, o in GOLD4.pairs]
+        preds = [pred(p, o) for p, o in GOLD4]
         report = evaluation.evaluate_recall(preds, GOLD4)
         assert report.recall == 100.0
 
@@ -45,7 +40,7 @@ class TestEvaluateRecall:
 
     def test_empty_gold_rejected(self):
         with pytest.raises(UsageError):
-            evaluation.evaluate_recall([], GoldSet(pairs=set()))
+            evaluation.evaluate_recall([], set())
 
     def test_refilter_enforces_one_to_one(self):
         # the same pivot predicted twice: only the higher-scored pair counts
@@ -63,12 +58,12 @@ class TestEvaluateRecall:
         de = AlignmentPair(domain="a.com", pivot_url="http://a.com/en/1",
                            other_url="http://a.com/de/9", other_lang="de",
                            score=0.9, method="cda")
-        gold = gold_of(("http://a.com/en/1", "http://a.com/fr/1"))
+        gold = {("http://a.com/en/1", "http://a.com/fr/1")}
         assert evaluation.evaluate_recall([fr, de], gold).recall == 100.0
         assert evaluation.refilter_one_to_one([fr, de]) == [de, fr]
 
     def test_refilter_idempotent_on_one_to_one_input(self):
-        preds = [pred(p, o) for p, o in sorted(GOLD4.pairs)]
+        preds = [pred(p, o) for p, o in sorted(GOLD4)]
         once = evaluation.refilter_one_to_one(preds)
         twice = evaluation.refilter_one_to_one(once)
         assert [(p.pivot_url, p.other_url) for p in once] == \
@@ -98,14 +93,35 @@ class TestGoldIO:
         path = tmp_path / "gold.tsv"
         path.write_text("http://A.com/e1\thttp://a.com/f1\nhttp://a.com/e2\thttp://a.com/f2\n")
         gold = evaluation.load_gold(path)
-        assert ("http://a.com/e1", "http://a.com/f1") in gold.pairs
-        assert gold.per_domain == {"a.com": 2}
+        assert ("http://a.com/e1", "http://a.com/f1") in gold
+        assert evaluation.evaluate_recall([], gold).per_domain == {
+            "a.com": {"found": 0, "total": 2}}
 
     def test_reused_url_rejected(self, tmp_path):
         path = tmp_path / "gold.tsv"
-        path.write_text("e1\tf1\ne1\tf2\n")
-        with pytest.raises(FormatError):
+        path.write_text("e1\tf1\ne2\tf1\n")
+        with pytest.raises(FormatError, match=r"gold\.tsv:2: URL 'f1' appears in two "):
             evaluation.load_gold(path)
+
+    @pytest.mark.parametrize("text", ["e1\tf1\nf1\tf2\n", "e1\tf1\ne2\te1\n",
+                                      "e1\tf1\ne2\te2\n"])
+    def test_url_on_both_sides_rejected(self, tmp_path, text):
+        path = tmp_path / "gold.tsv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=r"gold\.tsv:2: URL '.*' is both a pivot"):
+            evaluation.load_gold(path)
+
+    def test_pivot_page_with_one_counterpart_per_language(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        langs = ["fr", "de", "es", "it"]
+        path.write_text("".join(f"http://a.com/en/1\thttp://a.com/{lang}/1\n"
+                                for lang in langs))
+        gold = evaluation.load_gold(path)
+        assert len(gold) == 4
+        preds = [AlignmentPair(domain="a.com", pivot_url="http://a.com/en/1",
+                               other_url=f"http://a.com/{lang}/1", other_lang=lang,
+                               score=0.5, method="cda") for lang in langs]
+        assert evaluation.evaluate_recall(preds, gold).recall == 100.0
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "gold.tsv"

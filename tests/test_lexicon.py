@@ -8,45 +8,34 @@ from hypothesis import given, settings, strategies as st
 
 from docalign import lexicon
 from docalign.errors import ConfigError, FormatError, UsageError
-from docalign.lexicon import TranslationTable
 from tests.conftest import make_record
-
-
-def table(src_lang, tgt_lang, rows):
-    return TranslationTable(src_lang, tgt_lang, probs=dict(rows))
 
 
 class TestLoadTranslationTable:
     def test_single_row(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("cat\tchat\t0.9\n")
-        t = lexicon.load_translation_table(path, "en", "fr")
-        assert t.probs[("cat", "chat")] == 0.9
+        t = lexicon.load_translation_table(path)
+        assert t[("cat", "chat")] == 0.9
 
     def test_out_of_range(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("cat\tchat\t1.5\n")
         with pytest.raises(FormatError, match=":1"):
-            lexicon.load_translation_table(path, "en", "fr")
+            lexicon.load_translation_table(path)
 
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("cat\tchat\tx\n")
         with pytest.raises(FormatError, match=":1"):
-            lexicon.load_translation_table(path, "en", "fr")
+            lexicon.load_translation_table(path)
 
     def test_duplicate_last_wins(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("cat\tchat\t0.9\ncat\tchien\t0.1\ncat\tchat\t0.2\n")
-        t = lexicon.load_translation_table(path, "en", "fr")
-        assert len(t.probs) == 2
-        assert t.probs[("cat", "chat")] == 0.2
-
-    def test_missing_lang_tag(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_text("a\tb\t0.5\n")
-        with pytest.raises(ConfigError):
-            lexicon.load_translation_table(path, "", "fr")
+        t = lexicon.load_translation_table(path)
+        assert len(t) == 2
+        assert t[("cat", "chat")] == 0.2
 
 
 class TestTableFromEmbeddings:
@@ -56,8 +45,8 @@ class TestTableFromEmbeddings:
             {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])},
             top_n=2,
         )
-        assert fwd.probs[("a", "x")] == pytest.approx(1.0)
-        assert fwd.probs.get(("a", "y"), 0.0) == pytest.approx(0.0)
+        assert fwd[("a", "x")] == pytest.approx(1.0)
+        assert fwd.get(("a", "y"), 0.0) == pytest.approx(0.0)
 
     def test_normalized_to_sum_one(self):
         # cosines 1 and cos(45deg); kept scores renormalize to sum 1
@@ -67,8 +56,8 @@ class TestTableFromEmbeddings:
             top_n=2,
         )
         c = math.cos(math.pi / 4)
-        assert fwd.probs[("a", "x")] == pytest.approx(1 / (1 + c), abs=1e-9)
-        assert fwd.probs[("a", "y")] == pytest.approx(c / (1 + c), abs=1e-9)
+        assert fwd[("a", "x")] == pytest.approx(1 / (1 + c), abs=1e-9)
+        assert fwd[("a", "y")] == pytest.approx(c / (1 + c), abs=1e-9)
 
     def test_identical_spaces_argmax_is_identity(self):
         rng = np.random.default_rng(3)
@@ -84,7 +73,7 @@ class TestTableFromEmbeddings:
         fwd, bwd = lexicon.table_from_embeddings(src, tgt, top_n=4)
         for t in (fwd, bwd):
             sums = {}
-            for (s, _w), p in t.probs.items():
+            for (s, _w), p in t.items():
                 assert p >= 0.0
                 sums[s] = sums.get(s, 0.0) + p
             for s, total in sums.items():
@@ -109,8 +98,8 @@ class TestTableFromEmbeddings:
             {"x": np.array([1.0, 0.0])},
             top_n=1,
         )
-        assert ("z", "x") not in fwd.probs
-        assert fwd.probs[("a", "x")] == pytest.approx(1.0)
+        assert ("z", "x") not in fwd
+        assert fwd[("a", "x")] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("src, tgt, side", [
         pytest.param({}, {"a": np.array([1.0, 0.0])}, "en", id="src-empty"),
@@ -212,15 +201,15 @@ class TestDirectionalTableOracle:
     @given(spaces=embedding_spaces(), top_n=st.integers(1, 30))
     def test_equals_per_word_loop(self, spaces, top_n):
         src, src_mat, tgt, tgt_mat = spaces
-        got = lexicon._directional_table(src, src_mat, tgt, tgt_mat, "en", "fr", top_n)
+        got = lexicon._directional_table(src, src_mat, tgt, tgt_mat, top_n)
         expected = oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n)
-        assert list(got.probs.items()) == list(expected.items())
+        assert list(got.items()) == list(expected.items())
 
 
 def align_tables(p_fwd, p_bwd, v_alpha, v_beta):
     """``build_alignment`` on the S(a, b) table of two translation tables."""
-    return lexicon.build_alignment(lexicon.pair_scores(p_fwd, p_bwd), p_fwd.src_lang,
-                                   p_fwd.tgt_lang, v_alpha, v_beta)
+    return lexicon.build_alignment(lexicon.pair_scores(p_fwd, p_bwd), "fr",
+                                   v_alpha, v_beta)
 
 
 def oracle_reverse_condition_violations(align, p_fwd, p_bwd, v_alpha):
@@ -228,9 +217,9 @@ def oracle_reverse_condition_violations(align, p_fwd, p_bwd, v_alpha):
     alpha = sorted(set(v_alpha))
     violations = 0
     for a, b in align.pairs:
-        s_ab = p_fwd.probs.get((a, b), 0.0) + p_bwd.probs.get((b, a), 0.0)
+        s_ab = p_fwd.get((a, b), 0.0) + p_bwd.get((b, a), 0.0)
         for w in alpha:
-            if p_fwd.probs.get((w, b), 0.0) + p_bwd.probs.get((b, w), 0.0) > s_ab:
+            if p_fwd.get((w, b), 0.0) + p_bwd.get((b, w), 0.0) > s_ab:
                 violations += 1
                 break
     return violations
@@ -244,7 +233,7 @@ def oracle_build_alignment(p_fwd, p_bwd, v_alpha, v_beta):
     for a in sorted(set(v_alpha)):
         best, best_bs = 0.0, []
         for b in sorted(set(v_beta)):
-            s = p_fwd.probs.get((a, b), 0.0) + p_bwd.probs.get((b, a), 0.0)
+            s = p_fwd.get((a, b), 0.0) + p_bwd.get((b, a), 0.0)
             if s > best:
                 best, best_bs = s, [b]
             elif s == best and best > 0.0:
@@ -265,8 +254,7 @@ _PROBS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0])
 
 
 def example_alignment():
-    return align_tables(table("en", "fr", P_FWD), table("fr", "en", P_BWD),
-                        ["cat", "dog"], ["chat", "chien"])
+    return align_tables(P_FWD, P_BWD, ["cat", "dog"], ["chat", "chien"])
 
 
 class TestBuildAlignment:
@@ -279,39 +267,39 @@ class TestBuildAlignment:
         assert align.scores == {"chat": 0.9 + 0.8, "chien": 0.9 + 0.85}
 
     def test_all_zero_gives_empty(self):
-        align = align_tables(table("en", "fr", {}), table("fr", "en", {}), ["a"], ["b"])
+        align = align_tables({}, {}, ["a"], ["b"])
         assert align.pairs == set()
         assert align.to_pivot == {}
 
     def test_tie_broken_lexicographically(self):
-        fwd = table("en", "fr", {("aa", "b"): 0.5, ("zz", "b"): 0.5})
-        bwd = table("fr", "en", {})
+        fwd = {("aa", "b"): 0.5, ("zz", "b"): 0.5}
+        bwd = {}
         align = align_tables(fwd, bwd, ["aa", "zz"], ["b"])
         assert align.pairs == {("aa", "b"), ("zz", "b")}
         assert align.to_pivot == {"b": "aa"}
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(ConfigError):
-            lexicon.build_alignment({}, "en", "fr", [], ["b"])
+            lexicon.build_alignment({}, "fr", [], ["b"])
 
     def test_forward_argmax_condition_holds(self):
         # property: every emitted pair survives an exhaustive re-scan
         rng = random.Random(5)
         v_a = [f"a{i}" for i in range(12)]
         v_b = [f"b{i}" for i in range(15)]
-        fwd = table("en", "fr", {
+        fwd = {
             (a, b): round(rng.random(), 3)
             for a in v_a for b in v_b if rng.random() < 0.3
-        })
-        bwd = table("fr", "en", {
+        }
+        bwd = {
             (b, a): round(rng.random(), 3)
             for a in v_a for b in v_b if rng.random() < 0.3
-        })
+        }
         align = align_tables(fwd, bwd, v_a, v_b)
         assert align.pairs
 
         def s(a, b):
-            return fwd.probs.get((a, b), 0.0) + bwd.probs.get((b, a), 0.0)
+            return fwd.get((a, b), 0.0) + bwd.get((b, a), 0.0)
 
         for a, b in align.pairs:
             assert s(a, b) > 0.0
@@ -334,8 +322,7 @@ class TestBuildAlignment:
         v_beta=st.sets(st.sampled_from(_OTHER_WORDS), min_size=1),
     )
     def test_matches_exhaustive_scan_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
-        fwd = table("en", "fr", fwd_rows)
-        bwd = table("fr", "en", bwd_rows)
+        fwd, bwd = fwd_rows, bwd_rows
         align = align_tables(fwd, bwd, v_alpha, v_beta)
         assert (align.pairs, align.to_pivot, align.scores) == \
             oracle_build_alignment(fwd, bwd, v_alpha, v_beta)
@@ -350,8 +337,8 @@ class TestBuildAlignment:
     def test_reverse_condition_diagnostic(self):
         # 'big' wins b via the forward scan, but 'bad' beats it on the
         # reverse condition through the backward table
-        fwd = table("en", "fr", {("big", "b"): 0.6, ("bad", "b"): 0.5})
-        bwd = table("fr", "en", {("b", "bad"): 0.3})
+        fwd = {("big", "b"): 0.6, ("bad", "b"): 0.5}
+        bwd = {("b", "bad"): 0.3}
         align = align_tables(fwd, bwd, ["bad", "big"], ["b"])
         assert ("big", "b") in align.pairs
         assert lexicon.reverse_condition_violations(
@@ -374,10 +361,9 @@ class TestBuildAlignment:
     )
     def test_reverse_condition_matches_oracle(self, fwd_rows, bwd_rows,
                                               v_alpha, v_beta, extra_pairs):
-        fwd = table("en", "fr", fwd_rows)
-        bwd = table("fr", "en", bwd_rows)
+        fwd, bwd = fwd_rows, bwd_rows
         built = align_tables(fwd, bwd, v_alpha, v_beta)
-        arbitrary = lexicon.LexiconAlignment("en", "fr", pairs=extra_pairs)
+        arbitrary = lexicon.LexiconAlignment("fr", pairs=extra_pairs)
         for align in (built, arbitrary):
             assert lexicon.reverse_condition_violations(
                 align, lexicon.pair_scores(fwd, bwd), v_alpha
@@ -416,7 +402,7 @@ class TestAlignmentIO:
         lines = path.read_text().splitlines()
         assert lines == sorted(lines)
         assert lines == ["chat\tcat\t1.7", "chien\tdog\t1.75"]
-        loaded = lexicon.load_alignment(path, "en", "fr", set(align.to_pivot.values()))
+        loaded = lexicon.load_alignment(path, "fr", set(align.to_pivot.values()))
         assert loaded.to_pivot == align.to_pivot
         assert loaded.pairs == align.pairs
         assert loaded.scores == pytest.approx(align.scores, rel=1e-8)
@@ -438,4 +424,4 @@ class TestAlignmentIO:
         path.write_text(f"chat\tcat\t1.7\nchien\tdog\t{score}\n")
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: "
                                               rf"score {re.escape(repr(score))} is not a number$"):
-            lexicon.load_alignment(path, "en", "fr", {"cat", "dog"})
+            lexicon.load_alignment(path, "fr", {"cat", "dog"})

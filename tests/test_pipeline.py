@@ -187,6 +187,30 @@ class TestRunPipeline:
         assert not (tmp_path / "out" / "pairs.tsv").exists()
         assert not (tmp_path / "out" / "corpus").exists()
 
+    # a missing table left the earlier run's outputs with no manifest, and a
+    # missing gold, identifiers or stopwords file failed later, in
+    # file_digest, as a FileNotFoundError
+    @pytest.mark.parametrize("key, message", [
+        ("table_fwd", "language 'fr': resource file not found: {}"),
+        ("gold", "gold file not found: {}"),
+        ("identifiers", "identifiers file not found: {}"),
+        ("stopwords", "stopwords file not found: {}"),
+    ])
+    def test_rerun_with_missing_file_leaves_out_unchanged(self, tmp_path, key, message):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out")
+        out = run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        before = tree(out)
+        missing = str(tmp_path / "missing.txt")
+        if key == "table_fwd":
+            cfg_dict["resources"]["fr"][key] = missing
+        else:
+            cfg_dict[key] = missing
+        with pytest.raises(ConfigError, match=f"^{re.escape(message.format(missing))}$"):
+            run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        assert tree(out) == before
+
     def test_unconfigured_language_fails(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)

@@ -57,11 +57,11 @@ class TestReadLines:
 # the file at a path, as data that compares with ==)
 LOADERS = {
     "translation table": ("t.tsv", b"cat\tchat\t0.5\ndog\tchien\t1",
-                          lambda p: lexicon.load_translation_table(p, "en", "fr")),
+                          lexicon.load_translation_table),
     "embeddings": ("e.txt", b"1 2\ncat 1 0",
                    lambda p: {w: v.tolist() for w, v in lexicon.load_embeddings(p).items()}),
     "lexicon": ("l.tsv", b"chat\tcat\t1\nchien\tcat\t0.5",
-                lambda p: lexicon.load_alignment(p, "en", "fr", {"cat"})),
+                lambda p: lexicon.load_alignment(p, "fr", {"cat"})),
     "vocabulary": ("v.txt", b"cat\ndog", vs.load_vocabulary),
     "pairs": ("p.tsv", b"a.com\thttp://a.com/en\thttp://a.com/fr\tfr\t0.5\tcda\n"
                        b"a.com\thttp://a.com/en/2\thttp://a.com/fr/2\tfr\t0.25\tcda",
@@ -153,6 +153,43 @@ def test_no_text_mode_reads_outside_the_line_reader():
     found = [f"{path.relative_to(SRC.parent)}:{line}"
              for path in sorted(SRC.glob("*.py")) for line in _text_reads(path)]
     assert not found, "text-mode reads: " + ", ".join(found)
+
+
+def _unread_dataclass_fields(paths):
+    """``(path, line, "Class.field")`` for each field of a ``@dataclass`` in
+    ``paths`` whose name is never read as an attribute in any of them."""
+    trees = {path: ast.parse(path.read_bytes(), filename=str(path)) for path in paths}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                       for d in decorators):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read):
+                    yield path, stmt.lineno, f"{cls.name}.{stmt.target.id}"
+
+
+def test_every_dataclass_field_is_read():
+    """A field that nothing reads is state kept for no one."""
+    found = [f"{path.relative_to(SRC.parent)}:{line} {name}"
+             for path, line, name in _unread_dataclass_fields(sorted(SRC.glob("*.py")))]
+    assert not found, "unread dataclass fields: " + ", ".join(found)
+
+
+def test_guard_lists_unread_dataclass_fields(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import dataclasses\n"
+                    "@dataclasses.dataclass(frozen=True)\n"
+                    "class A:\n    a: int\n    b: int = 0\n"
+                    "class B:\n    c: int\n"
+                    "A(1).a\n")
+    assert list(_unread_dataclass_fields([path])) == [(path, 5, "A.b")]
 
 
 @pytest.mark.parametrize("source, flagged", [
