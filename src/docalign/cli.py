@@ -21,15 +21,21 @@ from .errors import DocalignError
 log = logging.getLogger("docalign")
 
 _OUT_HELP = "artifact directory, laid out as by `run`"
-# the stage options default to the values `run` takes from the config; each
-# stage subcommand hands its stage a replace() of it, checked as `run`'s is
+# the stage options default to the values `run` takes from the config
 _DEFAULTS = pipeline.PipelineConfig(input="", out="")
+
+
+def _config(**fields) -> pipeline.PipelineConfig:
+    """A stage subcommand's config, checked as `run`'s is, its files too."""
+    cfg = replace(_DEFAULTS, **fields)
+    cfg.input_files()
+    return cfg
 
 
 def _add_ingest(sub):
     p = sub.add_parser("ingest", help="parse records and partition by domain")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["jsonl", "tsv"], default=_DEFAULTS.format)
+    p.add_argument("--format", default=_DEFAULTS.format, help="jsonl or tsv")
     p.add_argument("--out", required=True, help=_OUT_HELP)
     p.add_argument("--lang-confidence", type=float, default=_DEFAULTS.lang_confidence)
     p.add_argument("--no-detect", action="store_true",
@@ -38,7 +44,7 @@ def _add_ingest(sub):
 
 
 def cmd_ingest(args) -> int:
-    pipeline.ingest(replace(_DEFAULTS, input=args.input, out=args.out, format=args.format,
+    pipeline.ingest(_config(input=args.input, out=args.out, format=args.format,
                             detect_language=not args.no_detect,
                             lang_confidence=args.lang_confidence))
     print(f"wrote {Path(args.out) / 'corpus'}")
@@ -52,7 +58,7 @@ def _partitions(cfg):
 def _config_with_langs(args, **fields) -> pipeline.PipelineConfig:
     """The config of `vectorize`, `align-cda` or `align-url`."""
     langs = [lang for lang in args.langs.split(",") if lang]
-    return replace(_DEFAULTS, out=args.out, pivot=args.pivot, langs=langs, **fields)
+    return _config(out=args.out, pivot=args.pivot, langs=langs, **fields)
 
 
 def _add_build_lexicon(sub):
@@ -76,11 +82,10 @@ def cmd_build_lexicon(args) -> int:
         table_fwd=args.table_fwd, table_bwd=args.table_bwd,
         embeddings_pivot=args.emb_pivot, embeddings_other=args.emb_other,
     )
-    cfg = replace(_DEFAULTS, out=args.out, pivot=args.pivot, langs=[args.lang],
+    cfg = _config(out=args.out, pivot=args.pivot, langs=[args.lang],
                   resources={args.lang: res}, top_n=args.top_n,
                   vocab_size=args.vocab_size, skip_top_k=args.skip_top_k,
                   stopwords=args.stopwords)
-    res.validate(args.lang)
     pipeline.build_lexicon(cfg, _partitions(cfg))
     print(f"wrote {Path(args.out) / 'lexicon' / (args.lang + '.tsv')}")
     return 0
@@ -142,7 +147,7 @@ def _add_mine_ids(sub):
 
 
 def cmd_mine_ids(args) -> int:
-    cfg = replace(_DEFAULTS, min_support=args.min_support)
+    cfg = _config(min_support=args.min_support)
     pairs = align_cda.load_pairs(args.pairs)
     candidates = miner.mine_identifiers(pairs, min_support=cfg.min_support)
     miner.save_candidates(candidates, args.out)
@@ -161,7 +166,7 @@ def _add_evaluate(sub):
 
 
 def cmd_evaluate(args) -> int:
-    gold = evaluation.load_gold(args.gold)
+    gold = evaluation.load_gold(_config(gold=args.gold).gold)
     report = evaluation.evaluate_recall(
         align_cda.load_pairs(args.pred), gold,
         enforce_one_to_one=not args.no_refilter,

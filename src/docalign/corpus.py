@@ -240,15 +240,22 @@ def _is_cjk(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
 
 
-# ord(ch) -> what ch becomes before splitting on whitespace: itself for a
-# letter, digit or mark, " ch " for a CJK character, " " for anything else.
-# Kept characters map to themselves because a lookup that misses costs
-# str.translate more than one that hits. Filled lazily, one entry per
-# distinct character seen; scanning the whole code space up front would
-# cost more than tokenizing a typical run.
-_TRANSLATE: dict[int, str] = {}
-# The characters that already have an entry in _TRANSLATE.
-_CLASSIFIED: set[str] = set()
+class _Translation(dict):
+    """ord(ch) -> what ch becomes before splitting on whitespace: itself for
+    a letter, digit or mark, " ch " for a CJK character, " " for anything
+    else. Kept characters map to themselves because a lookup that misses
+    costs str.translate more than one that hits. Filled lazily: a miss
+    classifies the one character and stores it, since scanning the whole
+    code space up front would cost more than tokenizing a typical run."""
+
+    def __missing__(self, cp: int) -> str:
+        ch = chr(cp)
+        kept = unicodedata.category(ch)[0] in ("L", "N", "M")
+        self[cp] = f" {ch} " if _is_cjk(ch) else ch if kept else " "
+        return self[cp]
+
+
+_TRANSLATE = _Translation()
 
 
 def tokenize(text: str) -> list[str]:
@@ -260,24 +267,11 @@ def tokenize(text: str) -> list[str]:
     Each distinct character is classified once per process into a shared
     translate table. An entry depends only on the character, never on the
     text it came from, so the tokens do not depend on what filled the
-    table or in which order; concurrent callers at worst classify a
-    character twice, with the same result. ``str.split`` then stands in
-    for a flush-on-separator loop, which holds because no letter, digit
-    or mark is whitespace.
+    table or in which order. ``str.split`` then stands in for a
+    flush-on-separator loop, which holds because no letter, digit or mark
+    is whitespace.
     """
-    low = text.lower()
-    new = set(low) - _CLASSIFIED
-    for ch in new:
-        if _is_cjk(ch):
-            _TRANSLATE[ord(ch)] = f" {ch} "
-        elif unicodedata.category(ch)[0] in ("L", "N", "M"):
-            _TRANSLATE[ord(ch)] = ch
-        else:
-            _TRANSLATE[ord(ch)] = " "
-    # only after their entries exist, so a concurrent caller never skips a
-    # character that has none yet
-    _CLASSIFIED.update(new)
-    return low.translate(_TRANSLATE).split()
+    return text.lower().translate(_TRANSLATE).split()
 
 
 # Language tags are fields of docs.tsv and of the TSV artifacts, and a

@@ -46,6 +46,7 @@ class LanguageResource:
                             self.embeddings_pivot, self.embeddings_other) if p]
 
     def validate(self, lang: str) -> None:
+        """Tables or embeddings, not both, and both halves of either."""
         has_tables = bool(self.table_fwd or self.table_bwd)
         has_emb = bool(self.embeddings_pivot or self.embeddings_other)
         if has_tables and has_emb:
@@ -56,9 +57,6 @@ class LanguageResource:
             raise ConfigError(f"language {lang!r}: both embedding files required")
         if not has_tables and not has_emb:
             raise ConfigError(f"language {lang!r}: no translation resource configured")
-        for p in self.paths():
-            if not Path(p).is_file():
-                raise ConfigError(f"language {lang!r}: resource file not found: {p}")
 
 
 def _is_real(value) -> bool:
@@ -169,6 +167,21 @@ class PipelineConfig:
                               f"got {self.lang_confidence!r}")
         if not _is_real(self.threshold) or not math.isfinite(self.threshold):
             raise ConfigError(f"threshold must be a finite number, got {self.threshold!r}")
+        for lang, res in self.resources.items():
+            res.validate(lang)
+
+    def input_files(self) -> list[str]:
+        """Every file the config names: the resource files of each configured
+        language, then ``input``, ``gold``, ``identifiers`` and ``stopwords``
+        when set, each once. The first that is not a file is a ``ConfigError``."""
+        named = [(f"language {lang!r}: resource", path)
+                 for lang, res in sorted(self.resources.items()) for path in res.paths()]
+        named += [(key, getattr(self, key)) for key in ("input", "gold", "identifiers",
+                                                        "stopwords") if getattr(self, key)]
+        for what, path in named:
+            if not Path(path).is_file():
+                raise ConfigError(f"{what} file not found: {path}")
+        return list(dict.fromkeys(path for _what, path in named))
 
     def parameters(self) -> dict[str, Any]:
         """Every field except the output location, with the unset paths of
@@ -217,18 +230,12 @@ class _Stage:
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute all configured stages in dependency order; returns the
     artifact directory. Fails with ``out/`` untouched if a configured
-    language lacks its translation resource or a configured file is
+    language lacks its translation resource or a file the config names is
     missing; every other parameter was checked when ``cfg`` was made."""
-    # pre-flight: every configured language must have a usable resource
     for lang in sorted(cfg.langs):
-        res = cfg.resources.get(lang)
-        if res is None:
+        if lang not in cfg.resources:
             raise ConfigError(f"no translation resource configured for language {lang!r}")
-        res.validate(lang)
-    for key in ("input", "gold", "identifiers", "stopwords"):
-        path = getattr(cfg, key)
-        if path and not Path(path).is_file():
-            raise ConfigError(f"{key} file not found: {path}")
+    inputs = cfg.input_files()
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,17 +245,10 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
 
     manifest: dict[str, Any] = {
         "parameters": cfg.parameters(),
-        "inputs": {},
+        "inputs": {path: file_digest(path) for path in inputs},
         "stages": {},
         "outputs": {},
     }
-    manifest["inputs"][cfg.input] = file_digest(cfg.input)
-    for lang, res in sorted(cfg.resources.items()):
-        for p in res.paths():
-            manifest["inputs"][p] = file_digest(p)
-    for optional in (cfg.gold, cfg.identifiers, cfg.stopwords):
-        if optional:
-            manifest["inputs"][optional] = file_digest(optional)
 
     # read corpus/ once, by the first stage that is not fresh and needs it
     @functools.cache
@@ -513,8 +513,8 @@ def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict,
         "skip_top_k": cfg.skip_top_k,
         "stopwords": manifest["inputs"].get(cfg.stopwords),
         "top_n": cfg.top_n,
-        "resources": {lang: [manifest["inputs"][p] for p in res.paths()]
-                      for lang, res in cfg.resources.items()},
+        "resources": {lang: [manifest["inputs"][p] for p in cfg.resources[lang].paths()]
+                      for lang in langs},
         "langs": langs,
         "pivot": cfg.pivot,
     }, [out / "vocab" / f"{lang}.txt" for lang in [cfg.pivot, *langs]]

@@ -7,8 +7,8 @@ line. A byte that is not UTF-8, and a line without the expected number of
 tab-separated fields, is a ``FormatError`` naming the file and the line.
 
 Every array file holds one 1-D array of a known dtype, stored without
-pickling; a file that cannot be read, or holds anything else, is a
-``FormatError`` naming the file.
+pickling. A file of either kind that cannot be opened, and an array file
+that holds anything else, is a ``FormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ def read_lines(path, fields: Optional[int] = None,
     The file is read as a stream of blocks of whole lines: one decode per
     block costs less than one per line."""
     lineno = 0
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from None
+    with fh:
         while block := fh.read(1 << 16) + fh.readline():
             try:
                 text = block.decode("utf-8")

@@ -2,7 +2,7 @@
 
 Both corpus passes (vocabulary counting, document frequencies) are
 associative merges over per-document counts; the resulting models are
-immutable and safe to read concurrently. ``vectorize`` is pure and projects
+immutable. ``vectorize`` is pure and projects
 the documents of one language in one call, as array operations over the
 flattened token ids, into one array table (``VectorTable``). Each
 language's table is saved as its CSR arrays in ``.npy`` files plus a URL
@@ -187,10 +187,7 @@ def load_vectors(path) -> VectorTable:
     that does not fit the layout raises ``FormatError`` naming it."""
     path = Path(path)
     arrays = {name: read_array(path / f"{name}.npy", dtype) for name, dtype in _ARRAYS}
-    try:
-        urls = [url for _lineno, url in read_lines(path / "urls.txt")]
-    except OSError as exc:
-        raise FormatError(f"{path / 'urls.txt'}: {exc}") from exc
+    urls = [url for _lineno, url in read_lines(path / "urls.txt")]
     indptr, indices, data = arrays["indptr"], arrays["indices"], arrays["data"]
     if len(indptr) != len(urls) + 1:
         raise FormatError(f"{path}: indptr.npy holds {len(indptr)} offsets for the "

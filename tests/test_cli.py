@@ -390,6 +390,62 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
+    # each ended in the bare "error: [Errno 2] ..." with exit 2: only `run`
+    # checked that the files it names exist
+    @pytest.mark.parametrize("command, key", [
+        pytest.param(["ingest", "--input", "{missing}", "--out", "{out}"], "input",
+                     id="ingest-input"),
+        pytest.param(["build-lexicon", "--out", "{out}", "--pivot", "en", "--lang", "fr",
+                      "--table-fwd", "{fwd}", "--table-bwd", "{bwd}",
+                      "--stopwords", "{missing}"], "stopwords", id="build-lexicon-stopwords"),
+        pytest.param(["align-url", "--out", "{out}", "--pivot", "en", "--langs", "fr",
+                      "--ids", "{missing}"], "identifiers", id="align-url-ids"),
+        pytest.param(["evaluate", "--pred", "{out}/pairs.tsv", "--gold", "{missing}"],
+                     "gold", id="evaluate-gold"),
+    ])
+    def test_missing_file_is_1_and_writes_nothing(self, tmp_path, capsys, command, key):
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        common = ["--out", str(out), "--pivot", "en"]
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        assert main(["build-lexicon", *common, "--lang", "fr",
+                     "--table-fwd", str(paths["table_fwd"]),
+                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
+        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        assert main(["align-cda", *common, "--langs", "fr"]) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        missing = tmp_path / "missing.txt"
+        argv = [arg.format(missing=missing, out=out, fwd=paths["table_fwd"],
+                           bwd=paths["table_bwd"]) for arg in command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {key} file not found: {missing}\n"
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    # argparse's choices made it exit 2, unlike every other bad option value
+    def test_ingest_rejects_unknown_format(self, tmp_path, capsys):
+        corpus, paths = write_fixture(tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(["ingest", "--input", str(paths["input"]), "--format", "xml",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: format must be 'jsonl' or 'tsv', got 'xml'\n"
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    # each was the bare "error: [Errno 2] No such file or directory: '<path>'"
+    @pytest.mark.parametrize("argv, path", [
+        pytest.param(["evaluate", "--pred", "nope.tsv", "--gold", "gold.tsv"], "nope.tsv",
+                     id="evaluate-pred"),
+        pytest.param(["mine-ids", "--pairs", "nope.tsv", "--out", "c.tsv"], "nope.tsv",
+                     id="mine-ids-pairs"),
+        pytest.param(["vectorize", "--out", "empty", "--pivot", "en"],
+                     str(Path("empty", "corpus", "docs.tsv")), id="vectorize-empty-out"),
+    ])
+    def test_unopenable_file_names_it(self, tmp_path, monkeypatch, capsys, argv, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gold.tsv").write_text("http://a.com/en/1\thttp://a.com/fr/1\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     # was ingested as http://a.com/caf\ufffd with the tokens caf, cr and me
     def test_input_not_utf8_is_2(self, tmp_path, capsys):
         bad = tmp_path / "in.jsonl"

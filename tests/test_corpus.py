@@ -202,8 +202,7 @@ class TestTokenize:
     # and the second reuses the entries the first one made.
     @given(edge_text, edge_text)
     def test_matches_oracle_from_empty_table(self, first, second):
-        with mock.patch.object(corpus, "_TRANSLATE", {}), \
-                mock.patch.object(corpus, "_CLASSIFIED", set()):
+        with mock.patch.object(corpus, "_TRANSLATE", corpus._Translation()):
             assert corpus.tokenize(first) == oracle_tokenize(first)
             assert corpus.tokenize(second) == oracle_tokenize(second)
             assert corpus.tokenize(first) == oracle_tokenize(first)

@@ -211,6 +211,56 @@ class TestRunPipeline:
             run_pipeline(PipelineConfig.from_dict(cfg_dict))
         assert tree(out) == before
 
+    # a resource of a language outside langs was not checked: its missing
+    # file ended in file_digest's FileNotFoundError, after manifest.json was
+    # deleted
+    def test_rerun_with_missing_unlisted_resource_leaves_out_unchanged(self, tmp_path):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out")
+        out = run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        before = tree(out)
+        missing = str(tmp_path / "missing.tsv")
+        cfg_dict["resources"]["de"] = {**cfg_dict["resources"]["fr"], "table_fwd": missing}
+        message = f"language 'de': resource file not found: {missing}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        assert tree(out) == before
+
+    # the lexicon key held the resource digests of every configured
+    # language, so this edit reran lexicon and every stage after it
+    def test_unlisted_resource_edit_keeps_lexicon_fresh(self, tmp_path, caplog):
+        import logging
+
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out")
+        table = tmp_path / "de_fwd.tsv"
+        shutil.copy(cfg_dict["resources"]["fr"]["table_fwd"], table)
+        cfg_dict["resources"]["de"] = {**cfg_dict["resources"]["fr"], "table_fwd": str(table)}
+        run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        table.write_text(table.read_text() + "w0\tv0\t0.5\n")
+        with caplog.at_level(logging.INFO, logger="docalign.pipeline"):
+            run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        assert "lexicon: up to date, skipping" in caplog.messages
+
+    def test_manifest_inputs_are_the_files_the_config_names(self, tmp_path):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\n")
+        identifiers = tmp_path / "identifiers.txt"
+        identifiers.write_text("en\nfr\n")
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out", url_align=True,
+                                 stopwords=str(stopwords), identifiers=str(identifiers))
+        cfg_dict["resources"]["de"] = cfg_dict["resources"]["fr"]
+        cfg = PipelineConfig.from_dict(cfg_dict)
+        out = run_pipeline(cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(cfg.input_files())
+        assert {cfg.input, cfg.gold, str(stopwords), str(identifiers),
+                cfg_dict["resources"]["fr"]["table_bwd"]} <= manifest["inputs"].keys()
+
     def test_unconfigured_language_fails(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
@@ -442,6 +492,14 @@ class TestPipelineConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out" / "corpus").exists()
         assert not (tmp_path / "out" / "FAILED").exists()
+
+    # a half resource passed until run_pipeline's pre-flight, and one of a
+    # language outside langs was never checked
+    @pytest.mark.parametrize("langs", [["fr"], []])
+    def test_half_resource_rejected(self, langs):
+        raw = {"input": "x", "out": "y", "langs": langs, "resources": {"fr": {"table_fwd": "x"}}}
+        with pytest.raises(ConfigError, match="^language 'fr': both table directions required$"):
+            PipelineConfig.from_dict(raw)
 
     # a config made other than by from_dict was not checked at all
     @pytest.mark.parametrize("changes, message", [
