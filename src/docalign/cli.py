@@ -174,8 +174,7 @@ def cmd_evaluate(args) -> int:
     print(evaluation.format_report(report))
     if args.json_out:
         Path(args.json_out).write_text(
-            json.dumps(vars(report), sort_keys=True, indent=2) + "\n"
-        )
+            json.dumps(vars(report), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -217,8 +216,9 @@ def main(argv=None) -> int:
     except DocalignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # an output or config path; a stage's reads are FormatErrors
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else exc
+        print(f"error: {where}", file=sys.stderr)
         return 2
 
 

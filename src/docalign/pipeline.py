@@ -1,9 +1,10 @@
 """End-to-end pipeline: ingest -> lexicon -> vectorize -> align -> mine ->
 evaluate, driven by one declarative config document.
 
-Every stage is stamped with a content hash of its parameters and inputs;
-a rerun with unchanged inputs skips the stage. A stage that runs first drops
-its stamp and every path it owns, so no output of an earlier config or of a
+Every stage is stamped with a content hash of its parameters and inputs
+and the list of files it wrote; a rerun with unchanged inputs and every
+listed file in place skips the stage. A stage that runs first drops its
+stamp and every path it owns, so no output of an earlier config or of a
 failed run is ever taken for fresh. The manifest records every
 parameter and input digest, so identical configs and inputs reproduce every
 artifact byte-for-byte.
@@ -17,10 +18,11 @@ import json
 import logging
 import math
 import numbers
+import os
 import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from . import align_cda, align_url, corpus, evaluation, lexicon, miner, vectorspace
 from .errors import ConfigError, FormatError, ParseError, SchemaError
@@ -46,7 +48,12 @@ class LanguageResource:
                             self.embeddings_pivot, self.embeddings_other) if p]
 
     def validate(self, lang: str) -> None:
-        """Tables or embeddings, not both, and both halves of either."""
+        """File paths only; tables or embeddings, not both, and both halves
+        of either."""
+        for key, value in vars(self).items():
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"resources of language {lang!r}: {key} must be "
+                                  f"a file path, got {value!r}")
         has_tables = bool(self.table_fwd or self.table_bwd)
         has_emb = bool(self.embeddings_pivot or self.embeddings_other)
         if has_tables and has_emb:
@@ -117,10 +124,6 @@ class PipelineConfig:
                 resources[lang] = LanguageResource(**spec)
             except TypeError as exc:
                 raise ConfigError(f"resources of language {lang!r}: {exc}") from None
-            for key, value in spec.items():
-                if value is not None and not isinstance(value, str):
-                    raise ConfigError(f"resources of language {lang!r}: {key} must be "
-                                      f"a file path, got {value!r}")
         if out_override:
             raw["out"] = out_override
         try:
@@ -208,23 +211,24 @@ def digest_of(obj: Any) -> str:
 
 
 class _Stage:
-    """Content-hash stamp of one stage and the outputs it must find."""
+    """Stamp of one stage: the content hash of its key and the files it
+    wrote, as POSIX paths relative to ``out/``."""
 
-    def __init__(self, out_dir: Path, name: str, digest: str, outputs: list[Path]):
+    def __init__(self, out_dir: Path, name: str, digest: str):
+        self.out_dir = out_dir
         self.digest = digest
-        self.outputs = outputs
         self.stamp_path = out_dir / ".stamps" / f"{name}.json"
 
     def fresh(self) -> bool:
-        if not self.stamp_path.is_file():
-            return False
         try:
             stamp = json.loads(self.stamp_path.read_bytes())
-        except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
+        except (OSError, ValueError):  # missing, unreadable, not UTF-8 or not JSON
             return False
         if not isinstance(stamp, dict) or stamp.get("digest") != self.digest:
             return False
-        return all(p.exists() for p in self.outputs)
+        outputs = stamp.get("outputs")
+        return isinstance(outputs, list) and all(
+            isinstance(p, str) and (self.out_dir / p).is_file() for p in outputs)
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
@@ -266,8 +270,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         if path.is_file() and ".stamps" not in path.parts and path.name != "manifest.json":
             manifest["outputs"][path.relative_to(out).as_posix()] = file_digest(path)
     (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    )
+        json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+        encoding="utf-8")
     return out
 
 
@@ -350,7 +354,7 @@ def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
             )
         if not vocabs[pivot].words or not vocabs[lang].words:
             # no documents for one side: emit an empty lexicon
-            (lex_dir / f"{lang}.tsv").write_text("")
+            (lex_dir / f"{lang}.tsv").write_text("", encoding="utf-8")
             continue
         scores = lexicon.pair_scores(p_fwd, p_bwd)
         align = lexicon.build_alignment(
@@ -392,7 +396,8 @@ def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
             tokens = [lexicon.map_document(d, align) for d in docs]
         if not docs:
             vectorspace.save_vectors(vectorspace.VectorTable.empty(), vec_dir / lang)
-            (idf_dir / f"{lang}.tsv").write_text("#collection_size\t0\t0\n")
+            (idf_dir / f"{lang}.tsv").write_text("#collection_size\t0\t0\n",
+                                                 encoding="utf-8")
             continue
         idf = vectorspace.compute_idf(tokens, pivot_vocab)
         vectorspace.save_idf(idf, pivot_vocab, idf_dir / f"{lang}.tsv")
@@ -455,23 +460,24 @@ def write_report(cfg: PipelineConfig) -> None:
         reports["url"] = vars(evaluation.evaluate_recall(
             align_cda.load_pairs(out / "pairs_url.tsv"), gold))
     (out / "report.json").write_text(
-        json.dumps(reports, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    )
+        json.dumps(reports, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+        encoding="utf-8")
 
 
 # --- stages ----------------------------------------------------------------
 #
-# Each ``_stage_*`` declares its digest key, the outputs a fresh stage must
-# have, the paths it owns and its work; ``_run_stage`` does the rest.
+# Each ``_stage_*`` declares its digest key, the paths it owns (every file
+# its work writes is at or under one of them) and its work; ``_run_stage``
+# does the rest.
 
 
-def _run_stage(out: Path, manifest: dict, name: str, key: dict, outputs: list[Path],
-               work: Callable[[], None], owns: Iterable[Path] = (),
-               enabled: bool = True) -> None:
-    """Skip the stage if it is fresh. Otherwise drop its stamp, its outputs
-    and every path in ``owns``, run ``work`` and stamp. A stage the config
-    turns off is only dropped. A failure leaves ``FAILED`` naming the stage."""
-    stage = _Stage(out, name, digest_of({"stage": name, **key}), outputs)
+def _run_stage(out: Path, manifest: dict, name: str, key: dict, owns: list[Path],
+               work: Callable[[], None], enabled: bool = True) -> None:
+    """Skip the stage if it is fresh. Otherwise drop its stamp and every
+    path in ``owns``, run ``work`` and stamp it with the files now under
+    ``owns``. A stage the config turns off is only dropped. A failure leaves
+    ``FAILED`` naming the stage."""
+    stage = _Stage(out, name, digest_of({"stage": name, **key}))
     try:
         if enabled:
             manifest["stages"][name] = stage.digest
@@ -479,17 +485,22 @@ def _run_stage(out: Path, manifest: dict, name: str, key: dict, outputs: list[Pa
                 log.info("%s: up to date, skipping", name)
                 return
         stage.stamp_path.unlink(missing_ok=True)
-        for path in [*outputs, *owns]:
+        for path in owns:
             if path.is_dir():
                 shutil.rmtree(path)
             else:
                 path.unlink(missing_ok=True)
         if enabled:
             work()
+            written = [Path(top, f) for path in owns
+                       for top, _dirs, files in os.walk(path) for f in files]
+            written += [path for path in owns if path.is_file()]
+            outputs = sorted(path.relative_to(out).as_posix() for path in written)
             stage.stamp_path.parent.mkdir(exist_ok=True)
-            stage.stamp_path.write_text(json.dumps({"digest": stage.digest}))
+            stage.stamp_path.write_text(
+                json.dumps({"digest": stage.digest, "outputs": outputs}), encoding="utf-8")
     except Exception:
-        (out / "FAILED").write_text(name + "\n")
+        (out / "FAILED").write_text(name + "\n", encoding="utf-8")
         raise
 
 
@@ -499,9 +510,7 @@ def _stage_ingest(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
         "format": cfg.format,
         "lang_confidence": cfg.lang_confidence,
         "detect_language": cfg.detect_language,
-    }, [out / "corpus" / name for name in (corpus.DOCS, corpus.WORDS, corpus.IDS)],
-        lambda: ingest(cfg),
-        owns=[out / "corpus"])
+    }, [out / "corpus"], lambda: ingest(cfg))
 
 
 def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict,
@@ -517,21 +526,14 @@ def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict,
                       for lang in langs},
         "langs": langs,
         "pivot": cfg.pivot,
-    }, [out / "vocab" / f"{lang}.txt" for lang in [cfg.pivot, *langs]]
-        + [out / "lexicon" / f"{lang}.tsv" for lang in langs],
-        lambda: build_lexicon(cfg, partitions()),
-        owns=[out / "vocab", out / "lexicon"])
+    }, [out / "vocab", out / "lexicon"], lambda: build_lexicon(cfg, partitions()))
 
 
 def _stage_vectorize(cfg: PipelineConfig, out: Path, manifest: dict,
                      partitions: Callable[[], Partitions]) -> None:
-    langs = [cfg.pivot, *sorted(cfg.langs)]
     _run_stage(out, manifest, "vectorize", {
         "lexicon": manifest["stages"]["lexicon"],
-    }, [out / "vectors" / lang for lang in langs]
-        + [out / "idf" / f"{lang}.tsv" for lang in langs],
-        lambda: vectorize_corpus(cfg, partitions()),
-        owns=[out / "vectors", out / "idf"])
+    }, [out / "vectors", out / "idf"], lambda: vectorize_corpus(cfg, partitions()))
 
 
 def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict,
@@ -546,8 +548,7 @@ def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict,
         "threshold": cfg.threshold,
         "url_align": cfg.url_align,
         "identifiers": manifest["inputs"].get(cfg.identifiers),
-    }, [out / "pairs.tsv"] + ([out / "pairs_url.tsv"] if cfg.url_align else []),
-        work, owns=[out / "pairs_url.tsv"])
+    }, [out / "pairs.tsv", out / "pairs_url.tsv"], work)
 
 
 def _stage_mine(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
@@ -555,11 +556,8 @@ def _stage_mine(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
     _run_stage(out, manifest, "mine", {
         "align": manifest["stages"]["align"],
         "min_support": cfg.min_support,
-    }, [candidates],
-        lambda: miner.save_candidates(
-            miner.mine_identifiers(align_cda.load_pairs(out / "pairs.tsv"),
-                                   min_support=cfg.min_support),
-            candidates),
+    }, [candidates], lambda: miner.save_candidates(miner.mine_identifiers(
+        align_cda.load_pairs(out / "pairs.tsv"), min_support=cfg.min_support), candidates),
         enabled=cfg.mine)
 
 
@@ -567,6 +565,4 @@ def _stage_evaluate(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
     _run_stage(out, manifest, "evaluate", {
         "align": manifest["stages"]["align"],
         "gold": manifest["inputs"].get(cfg.gold),
-    }, [out / "report.json"],
-        lambda: write_report(cfg),
-        enabled=bool(cfg.gold))
+    }, [out / "report.json"], lambda: write_report(cfg), enabled=bool(cfg.gold))

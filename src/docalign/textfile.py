@@ -60,7 +60,9 @@ def read_array(path, dtype) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
             array = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from None
+    except (ValueError, EOFError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if array.dtype != dtype or array.ndim != 1:
         raise FormatError(f"{path}: {array.ndim}-D {array.dtype}, not 1-D {np.dtype(dtype)}")

@@ -1,12 +1,16 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import docalign
 from docalign.cli import build_parser, main
 from docalign.corpus import read_partitions
 from docalign.pipeline import PipelineConfig
@@ -163,6 +167,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["cda"]["total"] == len(corpus.gold)
+
+    # report.json was written in the locale's encoding: a UnicodeEncodeError
+    # traceback, FAILED naming evaluate and no manifest.json
+    def test_run_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        for rec in corpus.records:
+            rec["url"] = rec["url"].replace("site00.example", "b\u00fccher.example")
+        corpus.gold = [(en.replace("site00.example", "b\u00fccher.example"),
+                        fr.replace("site00.example", "b\u00fccher.example"))
+                       for en, fr in corpus.gold]
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(corpus.config(tmp_path / "fx", tmp_path / "out")))
+        src = str(Path(docalign.__file__).parents[1])
+        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "docalign.cli", "run", "--config",
+                               str(cfg_path)], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        report = json.loads((tmp_path / "out" / "report.json").read_bytes().decode("utf-8"))
+        assert list(report["cda"]["per_domain"]) == ["b\u00fccher.example"]
 
 
 class TestExitCodes:
@@ -439,12 +463,35 @@ class TestExitCodes:
                      id="mine-ids-pairs"),
         pytest.param(["vectorize", "--out", "empty", "--pivot", "en"],
                      str(Path("empty", "corpus", "docs.tsv")), id="vectorize-empty-out"),
+        pytest.param(["evaluate", "--pred", "pairs.tsv", "--gold", "gold.tsv",
+                      "--json", "nodir/r.json"], "nodir/r.json", id="evaluate-json"),
+        pytest.param(["mine-ids", "--pairs", "pairs.tsv", "--out", "nodir/c.tsv"],
+                     "nodir/c.tsv", id="mine-ids-out"),
+        pytest.param(["run", "--config", "nope.yaml"], "nope.yaml", id="run-config"),
     ])
     def test_unopenable_file_names_it(self, tmp_path, monkeypatch, capsys, argv, path):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "gold.tsv").write_text("http://a.com/en/1\thttp://a.com/fr/1\n")
+        (tmp_path / "pairs.tsv").write_text(
+            "a.com\thttp://a.com/en/1\thttp://a.com/fr/1\tfr\t0.5\tcda\n")
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+    # was "error: <path>: [Errno 2] No such file or directory: '<path>'"
+    def test_lost_vector_array_names_it(self, tmp_path, capsys):
+        corpus, paths = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        common = ["--out", str(out), "--pivot", "en"]
+        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        assert main(["build-lexicon", *common, "--lang", "fr",
+                     "--table-fwd", str(paths["table_fwd"]),
+                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
+        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        (out / "vectors" / "fr" / "data.npy").unlink()
+        capsys.readouterr()
+        assert main(["align-cda", *common, "--langs", "fr"]) == 2
+        missing = out / "vectors" / "fr" / "data.npy"
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
     # was ingested as http://a.com/caf\ufffd with the tokens caf, cr and me
     def test_input_not_utf8_is_2(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from docalign import lexicon
 from docalign.cli import main
 from docalign.corpus import CorpusPartition, read_partitions
 from docalign.errors import ConfigError
-from docalign.pipeline import PipelineConfig, run_pipeline
+from docalign.pipeline import LanguageResource, PipelineConfig, run_pipeline
 from tests.conftest import SyntheticCorpus, write_jsonl_partitions
 
 
@@ -164,6 +164,44 @@ class TestRunPipeline:
         fresh = tree(run("fresh", **final))
         assert set(tree(run("out", **first))) - set(fresh)  # files to drop
         assert tree(run("out", **final)) == fresh
+
+    # vectorize counted as fresh with data.npy gone, so this rerun, and every
+    # later one that had to redo align, failed on the missing file
+    def test_lost_output_reruns_its_stage(self, tmp_path, caplog):
+        out, corpus = run_tiny(tmp_path, threshold=0.1)
+        (out / "vectors" / "fr" / "data.npy").unlink()
+        with caplog.at_level("INFO", logger="docalign.pipeline"):
+            run_tiny(tmp_path, corpus=corpus, threshold=0.15)
+        assert "vectorize: up to date, skipping" not in caplog.messages
+        fresh, _ = run_tiny(tmp_path, out_name="fresh", corpus=corpus, threshold=0.15)
+        assert tree(out) == tree(fresh)
+
+    def test_stamps_list_the_files_their_stages_wrote(self, tmp_path):
+        out, _ = run_tiny(tmp_path, url_align=True, mine=True)
+        owns = {"ingest": ["corpus"], "lexicon": ["vocab", "lexicon"],
+                "vectorize": ["vectors", "idf"], "align": ["pairs.tsv", "pairs_url.tsv"],
+                "mine": ["candidates.tsv"], "evaluate": ["report.json"]}
+        assert sorted(p.stem for p in (out / ".stamps").iterdir()) == sorted(owns)
+        listed = []
+        for stage, paths in owns.items():
+            outputs = json.loads((out / ".stamps" / f"{stage}.json").read_bytes())["outputs"]
+            assert outputs == sorted(name for name in tree(out) if name.split("/")[0] in paths)
+            listed += outputs
+        manifest = json.loads((out / "manifest.json").read_bytes())
+        assert sorted(listed) == sorted(manifest["outputs"])
+
+    # a stamp of the {"digest": ...} form, which lists no outputs
+    @pytest.mark.parametrize("stage", ["ingest", "lexicon", "vectorize", "align", "mine",
+                                       "evaluate"])
+    def test_stamp_without_outputs_is_stale(self, tmp_path, caplog, stage):
+        out, corpus = run_tiny(tmp_path, url_align=True, mine=True)
+        before = tree(out)
+        stamp = out / ".stamps" / f"{stage}.json"
+        stamp.write_text(json.dumps({"digest": json.loads(stamp.read_bytes())["digest"]}))
+        with caplog.at_level("INFO", logger="docalign.pipeline"):
+            run_tiny(tmp_path, corpus=corpus, url_align=True, mine=True)
+        assert f"{stage}: up to date, skipping" not in caplog.messages
+        assert tree(out) == before
 
     # a stamp that did not decode raised UnicodeDecodeError out of the stage
     @pytest.mark.parametrize("stamp", [b"\xff", b"[]", b"{"])
@@ -506,6 +544,8 @@ class TestPipelineConfig:
         ({"threshold": float("nan")}, "^threshold must be a finite number, got nan$"),
         ({"langs": ["fr", "fr"]}, "^langs must not list a language twice"),
         ({"top_n": 0}, r"^top_n must be an integer >= 1, got 0$"),
+        ({"resources": {"fr": LanguageResource(table_fwd=3, table_bwd="b.tsv")}},
+         "^resources of language 'fr': table_fwd must be a file path, got 3$"),
     ])
     def test_replace_checks_the_same_rules(self, changes, message):
         cfg = PipelineConfig.from_dict({"input": "x", "out": "y", "langs": ["fr"]})

@@ -122,28 +122,51 @@ def test_crlf_file_loads_as_its_lf_copy(tmp_path, name):
 SRC = Path(docalign.__file__).parent
 
 
+def _calls(path: Path):
+    return [node for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path)))
+            if isinstance(node, ast.Call)]
+
+
+def _open_mode(node: ast.Call):
+    """The mode of an ``open`` or ``.open`` call: "r" when not given, None
+    when computed at run time. Any other call has the empty mode, which
+    neither reads nor writes."""
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        positional = node.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        positional = node.args[:1]  # Path.open(mode)
+    else:
+        return ""
+    mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                positional[0] if positional else ast.Constant("r"))
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return mode.value
+    return None  # a mode computed at run time could read or write text
+
+
 def _text_reads(path: Path):
     """Line numbers of the calls in ``path`` that open a file for reading in
     text mode: ``open`` or ``.open`` with a mode (default "r") that reads
     and has no "b", and ``.read_text``."""
-    for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "read_text":
+    for node in _calls(path):
+        mode = _open_mode(node)
+        if (isinstance(node.func, ast.Attribute) and node.func.attr == "read_text"
+                or mode is None or ("b" not in mode and ("r" in mode or "+" in mode))):
             yield node.lineno
+
+
+def _text_writes(path: Path):
+    """Line numbers of the calls in ``path`` that write a file in text mode
+    and give no ``encoding=``, so write in the locale's encoding:
+    ``.write_text``, and ``open`` or ``.open`` with a mode that writes and
+    has no "b"."""
+    for node in _calls(path):
+        if any(kw.arg == "encoding" for kw in node.keywords):
             continue
-        if isinstance(func, ast.Name) and func.id == "open":
-            positional = node.args[1:2]
-        elif isinstance(func, ast.Attribute) and func.attr == "open":
-            positional = node.args[:1]  # Path.open(mode)
-        else:
-            continue
-        mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
-                    positional[0] if positional else ast.Constant("r"))
-        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
-            yield node.lineno  # a mode computed at run time could read text
-        elif "b" not in mode.value and ("r" in mode.value or "+" in mode.value):
+        mode = _open_mode(node)
+        if (isinstance(node.func, ast.Attribute) and node.func.attr == "write_text"
+                or mode is None or ("b" not in mode and any(c in mode for c in "wax+"))):
             yield node.lineno
 
 
@@ -153,6 +176,13 @@ def test_no_text_mode_reads_outside_the_line_reader():
     found = [f"{path.relative_to(SRC.parent)}:{line}"
              for path in sorted(SRC.glob("*.py")) for line in _text_reads(path)]
     assert not found, "text-mode reads: " + ", ".join(found)
+
+
+def test_every_text_write_names_its_encoding():
+    """Every text file the pipeline writes is UTF-8, whatever the locale."""
+    found = [f"{path.relative_to(SRC.parent)}:{line}"
+             for path in sorted(SRC.glob("*.py")) for line in _text_writes(path)]
+    assert not found, "text writes without an encoding: " + ", ".join(found)
 
 
 def _unread_dataclass_fields(paths):
@@ -210,3 +240,26 @@ def test_guard_flags_text_mode_reads(tmp_path, source, flagged):
     path = tmp_path / "m.py"
     path.write_text(f"x = 1\n{source}\n")
     assert list(_text_reads(path)) == ([2] if flagged else [])
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('Path(p).write_text("x")', True),
+    ('Path(p).write_text("x", encoding="utf-8")', False),
+    ('Path(p).write_bytes(b"x")', False),
+    ('open(p, "w")', True),
+    ('open(p, "w", encoding="utf-8")', False),
+    ('open(p, mode="a")', True),
+    ('open(p, "x")', True),
+    ('open(p, "r+")', True),
+    ('open(p, "wb")', False),
+    ('open(p)', False),
+    ('open(p, m)', True),
+    ('open(p, m, encoding="utf-8")', False),
+    ('Path(p).open("w")', True),
+    ('Path(p).open("w", encoding="utf-8")', False),
+    ('Path(p).open("ab")', False),
+])
+def test_guard_flags_text_writes_without_encoding(tmp_path, source, flagged):
+    path = tmp_path / "m.py"
+    path.write_text(f"x = 1\n{source}\n")
+    assert list(_text_writes(path)) == ([2] if flagged else [])
