@@ -9,7 +9,6 @@ subcommand reads and writes the artifact directory `--out` in the layout
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
@@ -173,8 +172,7 @@ def cmd_evaluate(args) -> int:
     )
     print(evaluation.format_report(report))
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(vars(report), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        pipeline.write_json(vars(report), args.json_out)
     return 0
 
 

@@ -53,21 +53,22 @@ def load_translation_table(path) -> TranslationTable:
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Word vectors in the common text format: ``count dim`` header, then
-    ``word v1 ... vdim`` per line, which may end in a space as in fastText's
-    ``.vec`` files. A file with no non-zero vector gives no translation
-    probability and is a ``FormatError``."""
+    ``count`` lines ``word v1 ... vdim``, which may end in a space as in
+    fastText's ``.vec`` files. A file with another number of non-blank rows,
+    or with no non-zero vector (no translation probability), is a ``FormatError``."""
     vectors: dict[str, np.ndarray] = {}
-    usable = False
+    usable, rows = False, 0
     lines = read_lines(path, skip_blank=False)  # the header is line 1, even blank
     header = next(lines, (1, ""))[1].split()
     try:
-        _count, dim = map(int, header)
+        count, dim = map(int, header)
     except ValueError:
         raise FormatError(f"{path}:1: bad embeddings header {header!r}, "
                           "expected 'count dim'") from None
     for lineno, line in lines:
         if not line:
             continue
+        rows += 1
         parts = line.rstrip(" ").split(" ")
         if len(parts) != dim + 1:
             raise FormatError(f"{path}:{lineno}: expected {dim} values for {parts[0]!r}")
@@ -82,6 +83,8 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
             )
         vectors[parts[0]] = vector
         usable = usable or vector.any()
+    if rows != count:  # a cut-off download
+        raise FormatError(f"{path}: the header counts {count} words, the file has {rows}")
     if not usable:
         raise FormatError(f"{path}: no word has a non-zero vector")
     return vectors

@@ -2,12 +2,12 @@
 evaluate, driven by one declarative config document.
 
 Every stage is stamped with a content hash of its parameters and inputs
-and the list of files it wrote; a rerun with unchanged inputs and every
-listed file in place skips the stage. A stage that runs first drops its
-stamp and every path it owns, so no output of an earlier config or of a
-failed run is ever taken for fresh. The manifest records every
-parameter and input digest, so identical configs and inputs reproduce every
-artifact byte-for-byte.
+and the sha256 of each file it wrote; a rerun with unchanged inputs and
+every listed file unchanged skips the stage. A stage that runs first drops
+its stamp and every path it owns, so no output of an earlier config or of a
+failed run is ever taken for fresh. The manifest records every parameter
+and input digest and, from the stamps, every output digest, so identical
+configs and inputs reproduce every artifact byte-for-byte.
 """
 
 from __future__ import annotations
@@ -200,9 +200,15 @@ class PipelineConfig:
 def file_digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):  # 64 KiB keeps peak RSS down
             h.update(chunk)
     return h.hexdigest()
+
+
+def write_json(obj: Any, path) -> None:
+    """``obj`` as UTF-8 JSON with sorted keys, indented by 2, ending in a newline."""
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def digest_of(obj: Any) -> str:
@@ -211,24 +217,28 @@ def digest_of(obj: Any) -> str:
 
 
 class _Stage:
-    """Stamp of one stage: the content hash of its key and the files it
-    wrote, as POSIX paths relative to ``out/``."""
+    """Stamp of one stage: its key's hash and the sha256 of each file it wrote."""
 
     def __init__(self, out_dir: Path, name: str, digest: str):
         self.out_dir = out_dir
         self.digest = digest
         self.stamp_path = out_dir / ".stamps" / f"{name}.json"
+        self.outputs: dict[str, str] = {}
 
     def fresh(self) -> bool:
+        """The digest matches and every listed file is unchanged; keeps ``outputs``."""
         try:
             stamp = json.loads(self.stamp_path.read_bytes())
         except (OSError, ValueError):  # missing, unreadable, not UTF-8 or not JSON
             return False
         if not isinstance(stamp, dict) or stamp.get("digest") != self.digest:
             return False
-        outputs = stamp.get("outputs")
-        return isinstance(outputs, list) and all(
-            isinstance(p, str) and (self.out_dir / p).is_file() for p in outputs)
+        outputs = stamp.get("outputs")  # {POSIX path under out/: sha256}
+        unchanged = isinstance(outputs, dict) and all(
+            (self.out_dir / p).is_file() and file_digest(self.out_dir / p) == sha
+            for p, sha in outputs.items())
+        self.outputs = outputs if unchanged else {}
+        return unchanged
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
@@ -265,13 +275,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     _stage_align(cfg, out, manifest, partitions)
     _stage_mine(cfg, out, manifest)
     _stage_evaluate(cfg, out, manifest)
-
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and ".stamps" not in path.parts and path.name != "manifest.json":
-            manifest["outputs"][path.relative_to(out).as_posix()] = file_digest(path)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    write_json(manifest, out / "manifest.json")
     return out
 
 
@@ -405,13 +409,6 @@ def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
         vectorspace.save_vectors(table, vec_dir / lang)
 
 
-def _sorted_pairs(pairs: list[align_cda.AlignmentPair]) -> list[align_cda.AlignmentPair]:
-    return sorted(
-        pairs,
-        key=lambda p: (p.domain, p.other_lang, -p.score, p.pivot_url, p.other_url),
-    )
-
-
 def align_by_content(cfg: PipelineConfig, partitions: Partitions) -> None:
     """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``. Each
     ``vectors/<lang>/urls.txt`` must list the language's ``corpus/`` URLs in
@@ -431,7 +428,7 @@ def align_by_content(cfg: PipelineConfig, partitions: Partitions) -> None:
     stats: dict = {}
     pairs = align_cda.align_corpus(partitions, vectors, pivot, cfg.langs, cfg.threshold,
                                    stats=stats)
-    align_cda.save_pairs(_sorted_pairs(pairs), out / "pairs.tsv")
+    align_cda.save_pairs(pairs, out / "pairs.tsv")
     log.info("align: %d pairs; scored %d of %d possible candidates",
              len(pairs), stats["scored_pairs"], stats["possible_pairs"])
 
@@ -445,7 +442,8 @@ def align_by_url(cfg: PipelineConfig, partitions: Partitions) -> None:
         else align_url.default_identifier_set()
     )
     pairs = align_url.align_corpus_by_url(partitions, cfg.pivot, cfg.langs, ids)
-    align_cda.save_pairs(_sorted_pairs(pairs), Path(cfg.out) / "pairs_url.tsv")
+    pairs.sort(key=lambda p: (p.domain, p.other_lang, p.pivot_url, p.other_url))
+    align_cda.save_pairs(pairs, Path(cfg.out) / "pairs_url.tsv")
     log.info("align-url: %d pairs", len(pairs))
 
 
@@ -459,9 +457,7 @@ def write_report(cfg: PipelineConfig) -> None:
     if cfg.url_align:
         reports["url"] = vars(evaluation.evaluate_recall(
             align_cda.load_pairs(out / "pairs_url.tsv"), gold))
-    (out / "report.json").write_text(
-        json.dumps(reports, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    write_json(reports, out / "report.json")
 
 
 # --- stages ----------------------------------------------------------------
@@ -474,31 +470,34 @@ def write_report(cfg: PipelineConfig) -> None:
 def _run_stage(out: Path, manifest: dict, name: str, key: dict, owns: list[Path],
                work: Callable[[], None], enabled: bool = True) -> None:
     """Skip the stage if it is fresh. Otherwise drop its stamp and every
-    path in ``owns``, run ``work`` and stamp it with the files now under
-    ``owns``. A stage the config turns off is only dropped. A failure leaves
-    ``FAILED`` naming the stage."""
+    path in ``owns``, run ``work`` and stamp it with the sha256 of each file
+    now under ``owns``. Either way the stamp's outputs go into
+    ``manifest["outputs"]``. A stage the config turns off is only dropped.
+    A failure leaves ``FAILED`` naming the stage."""
     stage = _Stage(out, name, digest_of({"stage": name, **key}))
     try:
-        if enabled:
-            manifest["stages"][name] = stage.digest
-            if stage.fresh():
-                log.info("%s: up to date, skipping", name)
+        if enabled and stage.fresh():
+            log.info("%s: up to date, skipping", name)
+        else:
+            stage.stamp_path.unlink(missing_ok=True)
+            for path in owns:
+                if path.is_dir():
+                    shutil.rmtree(path)
+                else:
+                    path.unlink(missing_ok=True)
+            if not enabled:
                 return
-        stage.stamp_path.unlink(missing_ok=True)
-        for path in owns:
-            if path.is_dir():
-                shutil.rmtree(path)
-            else:
-                path.unlink(missing_ok=True)
-        if enabled:
             work()
             written = [Path(top, f) for path in owns
                        for top, _dirs, files in os.walk(path) for f in files]
             written += [path for path in owns if path.is_file()]
-            outputs = sorted(path.relative_to(out).as_posix() for path in written)
+            stage.outputs = {path.relative_to(out).as_posix(): file_digest(path)
+                             for path in written}
+            stamp = {"digest": stage.digest, "outputs": stage.outputs}
             stage.stamp_path.parent.mkdir(exist_ok=True)
-            stage.stamp_path.write_text(
-                json.dumps({"digest": stage.digest, "outputs": outputs}), encoding="utf-8")
+            stage.stamp_path.write_text(json.dumps(stamp, sort_keys=True), encoding="utf-8")
+        manifest["stages"][name] = stage.digest
+        manifest["outputs"].update(stage.outputs)
     except Exception:
         (out / "FAILED").write_text(name + "\n", encoding="utf-8")
         raise

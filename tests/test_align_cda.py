@@ -221,6 +221,14 @@ class TestAlignCorpus:
             sub = [p for p in pairs if (p.domain, p.other_lang) == (domain, lang)]
             assert len({p.pivot_url for p in sub}) == len(sub)
 
+    # pairs.tsv is written in this order, with no sort of its own
+    def test_pairs_come_sorted_by_block_then_score(self):
+        partitions, vectors = self.build(domains=("b.com", "a.com"))
+        pairs = align_cda.align_corpus(partitions, vectors, "en", ["fr", "de"], 0.5)
+        assert len(pairs) == 8
+        assert pairs == sorted(pairs, key=lambda p: (p.domain, p.other_lang, -p.score,
+                                                     p.pivot_url, p.other_url))
+
     def test_deterministic_across_runs(self):
         partitions, vectors = self.build()
         runs = [

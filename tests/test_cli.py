@@ -71,6 +71,22 @@ class TestStageCommands:
         assert lines
         assert all(line.split("\t")[5] == "url" for line in lines)
 
+    # --json wrote "b\\u00fccher.example", report.json of run "bücher.example"
+    def test_evaluate_json_is_raw_utf8(self, tmp_path):
+        host = "b\u00fccher.example"
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"{host}\thttp://{host}/en/1\thttp://{host}/fr/1\tfr\t0.9\tcda\n",
+                         encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(f"http://{host}/en/1\thttp://{host}/fr/1\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--pred", str(pairs), "--gold", str(gold),
+                     "--json", str(report)]) == 0
+        text = report.read_bytes().decode("utf-8")
+        assert f'"{host}"' in text
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2,
+                                  ensure_ascii=False) + "\n"
+
     def test_build_lexicon_without_resource_is_usage_error(self, tmp_path, capsys):
         corpus, paths = write_fixture(tmp_path)
         out = tmp_path / "out"

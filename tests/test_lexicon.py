@@ -136,6 +136,18 @@ class TestTableFromEmbeddings:
         assert {w: v.tolist() for w, v in emb.items()} == {"cat": [1.0, 0.0],
                                                           "dog": [0.0, 1.0]}
 
+    # a cut-off file loaded as a smaller vocabulary
+    @pytest.mark.parametrize("text, count, rows", [
+        ("3 2\ncat 1 0\ndog 0 1\n", 3, 2),
+        ("1 2\ncat 1 0\n\ndog 0 1\n", 1, 2),
+    ], ids=["too-few", "too-many"])
+    def test_row_count_must_match_header(self, tmp_path, text, count, rows):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        message = f"{path}: the header counts {count} words, the file has {rows}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            lexicon.load_embeddings(path)
+
     @pytest.mark.parametrize("text, line", [
         ("2 x\ncat 1 0 0\n", 1),
         ("2.0 3\ncat 1 0 0\n", 1),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import shutil
@@ -165,16 +166,40 @@ class TestRunPipeline:
         assert set(tree(run("out", **first))) - set(fresh)  # files to drop
         assert tree(run("out", **final)) == fresh
 
-    # vectorize counted as fresh with data.npy gone, so this rerun, and every
-    # later one that had to redo align, failed on the missing file
-    def test_lost_output_reruns_its_stage(self, tmp_path, caplog):
+    # vectorize counted as fresh with data.npy gone or cut short, so this
+    # rerun, and every later one that had to redo align, failed on the file
+    @pytest.mark.parametrize("damage", [
+        lambda path: path.unlink(),
+        lambda path: path.write_bytes(path.read_bytes()[:40]),
+    ], ids=["lost", "cut-short"])
+    def test_lost_output_reruns_its_stage(self, tmp_path, caplog, damage):
         out, corpus = run_tiny(tmp_path, threshold=0.1)
-        (out / "vectors" / "fr" / "data.npy").unlink()
+        damage(out / "vectors" / "fr" / "data.npy")
         with caplog.at_level("INFO", logger="docalign.pipeline"):
             run_tiny(tmp_path, corpus=corpus, threshold=0.15)
         assert "vectorize: up to date, skipping" not in caplog.messages
         fresh, _ = run_tiny(tmp_path, out_name="fresh", corpus=corpus, threshold=0.15)
         assert tree(out) == tree(fresh)
+
+    # the edited lexicon was kept, and the manifest vouched for it beside
+    # vectors built from the original
+    def test_edited_lexicon_is_rebuilt(self, tmp_path):
+        out, corpus = run_tiny(tmp_path)
+        before = tree(out)
+        lex = out / "lexicon" / "fr.tsv"
+        lines = lex.read_bytes().splitlines(keepends=True)
+        lex.write_bytes(b"".join(lines[:len(lines) // 2]))
+        run_tiny(tmp_path, corpus=corpus)
+        assert tree(out) == before
+
+    # the walk of out/ listed every file in it, whoever wrote it
+    def test_manifest_lists_only_stage_outputs(self, tmp_path):
+        out, corpus = run_tiny(tmp_path)
+        (out / "notes.txt").write_text("mine\n", encoding="utf-8")
+        run_tiny(tmp_path, corpus=corpus)
+        manifest = json.loads((out / "manifest.json").read_bytes())
+        assert "pairs.tsv" in manifest["outputs"]
+        assert "notes.txt" not in manifest["outputs"]
 
     def test_stamps_list_the_files_their_stages_wrote(self, tmp_path):
         out, _ = run_tiny(tmp_path, url_align=True, mine=True)
@@ -182,22 +207,31 @@ class TestRunPipeline:
                 "vectorize": ["vectors", "idf"], "align": ["pairs.tsv", "pairs_url.tsv"],
                 "mine": ["candidates.tsv"], "evaluate": ["report.json"]}
         assert sorted(p.stem for p in (out / ".stamps").iterdir()) == sorted(owns)
-        listed = []
+        listed = {}
         for stage, paths in owns.items():
             outputs = json.loads((out / ".stamps" / f"{stage}.json").read_bytes())["outputs"]
-            assert outputs == sorted(name for name in tree(out) if name.split("/")[0] in paths)
-            listed += outputs
+            assert outputs == {name: hashlib.sha256(data).hexdigest()
+                               for name, data in tree(out).items()
+                               if name.split("/")[0] in paths}
+            listed.update(outputs)
         manifest = json.loads((out / "manifest.json").read_bytes())
-        assert sorted(listed) == sorted(manifest["outputs"])
+        assert listed == manifest["outputs"]
 
-    # a stamp of the {"digest": ...} form, which lists no outputs
-    @pytest.mark.parametrize("stage", ["ingest", "lexicon", "vectorize", "align", "mine",
-                                       "evaluate"])
-    def test_stamp_without_outputs_is_stale(self, tmp_path, caplog, stage):
+    # stamps of the {"digest": ...} form, which lists no outputs, and of the
+    # list form, which names the files but not their contents
+    @pytest.mark.parametrize("stage, listed", [
+        pytest.param(stage, listed, id=stage + "-listed" * listed)
+        for listed in (False, True)
+        for stage in ("ingest", "lexicon", "vectorize", "align", "mine", "evaluate")])
+    def test_stamp_without_outputs_is_stale(self, tmp_path, caplog, stage, listed):
         out, corpus = run_tiny(tmp_path, url_align=True, mine=True)
         before = tree(out)
         stamp = out / ".stamps" / f"{stage}.json"
-        stamp.write_text(json.dumps({"digest": json.loads(stamp.read_bytes())["digest"]}))
+        written = json.loads(stamp.read_bytes())
+        old = {"digest": written["digest"]}
+        if listed:
+            old["outputs"] = sorted(written["outputs"])
+        stamp.write_text(json.dumps(old))
         with caplog.at_level("INFO", logger="docalign.pipeline"):
             run_tiny(tmp_path, corpus=corpus, url_align=True, mine=True)
         assert f"{stage}: up to date, skipping" not in caplog.messages

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -185,6 +186,27 @@ def test_every_text_write_names_its_encoding():
     assert not found, "text writes without an encoding: " + ", ".join(found)
 
 
+def _indented_json(path: Path):
+    """Line numbers of the calls in ``path`` that lay JSON out for a reader:
+    ``json.dumps`` or ``json.dump`` with an ``indent=``."""
+    for node in _calls(path):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                and isinstance(func.value, ast.Name) and func.value.id == "json"
+                and any(kw.arg == "indent" for kw in node.keywords)):
+            yield node.lineno
+
+
+def test_json_reports_have_one_writer():
+    """``manifest.json``, ``report.json`` and ``evaluate --json`` share one
+    layout, so they are written by ``pipeline.write_json`` alone."""
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in _indented_json(path)]
+    source, start = inspect.getsourcelines(pipeline.write_json)
+    assert len(found) == 1, "indented JSON written at: " + ", ".join(map(str, found))
+    assert found[0][0] == "pipeline.py" and start <= found[0][1] < start + len(source)
+
+
 def _unread_dataclass_fields(paths):
     """``(path, line, "Class.field")`` for each field of a ``@dataclass`` in
     ``paths`` whose name is never read as an attribute in any of them."""
@@ -263,3 +285,18 @@ def test_guard_flags_text_writes_without_encoding(tmp_path, source, flagged):
     path = tmp_path / "m.py"
     path.write_text(f"x = 1\n{source}\n")
     assert list(_text_writes(path)) == ([2] if flagged else [])
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('json.dumps(x, indent=2)', True),
+    ('json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False)', True),
+    ('json.dump(x, fh, indent=2)', True),
+    ('json.dumps(x)', False),
+    ('json.dumps(x, sort_keys=True, ensure_ascii=False)', False),
+    ('json.loads(s)', False),
+    ('yaml.dump(x, indent=2)', False),
+])
+def test_guard_flags_indented_json(tmp_path, source, flagged):
+    path = tmp_path / "m.py"
+    path.write_text(f"x = 1\n{source}\n")
+    assert list(_indented_json(path)) == ([2] if flagged else [])
