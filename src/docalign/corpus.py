@@ -308,11 +308,12 @@ def parse_record(line: str, format: str = "jsonl") -> DocumentRecord:
     """Parse one decoded input line into a DocumentRecord.
 
     jsonl records carry ``url``, optional ``lang`` and exactly one of
-    ``html`` | ``text``. tsv records are ``url \\t lang \\t text``. The
-    URL must have a host, which is the record's domain, and the language
-    tag may hold only ASCII letters, digits, ``-`` and ``_``. The URL may
-    hold no tab, newline, carriage return or lone surrogate. All three are
-    fields of ``corpus/docs.tsv`` and of the other line-based TSV artifacts.
+    ``html`` | ``text``. tsv records are ``url \\t lang \\t text``. An
+    absent, null or empty ``lang`` is ``und``. The URL must have a host,
+    which is the record's domain, and the language tag must be a string of
+    only ASCII letters, digits, ``-`` and ``_``. The URL may hold no tab,
+    newline, carriage return or lone surrogate. All three are fields of
+    ``corpus/docs.tsv`` and of the other line-based TSV artifacts.
     """
     text_line = line.rstrip("\r\n")
     if format == "jsonl":
@@ -338,7 +339,7 @@ def parse_record(line: str, format: str = "jsonl") -> DocumentRecord:
             raise SchemaError(f"field {key!r} is not a string")
         if has_html:
             raw = extract_text(raw)
-        lang = obj.get("lang") or "und"
+        lang = "und" if obj.get("lang") in (None, "") else obj["lang"]
     elif format == "tsv":
         parts = text_line.split("\t")
         if len(parts) != 3:

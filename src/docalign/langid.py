@@ -8,6 +8,7 @@ records that arrive pre-tagged bypass detection entirely.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -157,11 +158,6 @@ class NgramLanguageDetector:
         return best[0], 1.0 / z
 
 
-_DEFAULT: NgramLanguageDetector | None = None
-
-
+@functools.cache
 def default_detector() -> NgramLanguageDetector:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = NgramLanguageDetector()
-    return _DEFAULT
+    return NgramLanguageDetector()

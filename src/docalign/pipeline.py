@@ -96,12 +96,12 @@ class PipelineConfig:
         import yaml  # here, not at the top: callers of from_dict never load it
 
         try:
-            raw = yaml.safe_load(Path(path).read_bytes().decode("utf-8")) or {}
+            raw = yaml.safe_load(Path(path).read_bytes().decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8: {exc.reason}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not a YAML document: {exc}") from None
-        return cls.from_dict(raw, out_override=out_override)
+        return cls.from_dict({} if raw is None else raw, out_override=out_override)
 
     @classmethod
     def from_dict(cls, raw: dict, out_override: Optional[str] = None) -> "PipelineConfig":
@@ -114,30 +114,29 @@ class PipelineConfig:
             raise ConfigError(f"config must be a mapping of keys to values, "
                               f"got {type(raw).__name__}")
         raw = dict(raw)
-        specs = raw.pop("resources", None) or {}
-        if not isinstance(specs, dict):
+        specs = raw.pop("resources", None)
+        if specs is not None and not isinstance(specs, dict):
             raise ConfigError(f"resources must map each language to its files, "
                               f"got {type(specs).__name__}")
         resources = {}
-        for lang, spec in specs.items():
+        for lang, spec in (specs or {}).items():
             try:  # an unknown key, or a spec that is not a mapping
                 resources[lang] = LanguageResource(**spec)
             except TypeError as exc:
                 raise ConfigError(f"resources of language {lang!r}: {exc}") from None
         if out_override:
             raw["out"] = out_override
+        if any(raw.get(key) in (None, "") for key in ("input", "out")):
+            raise ConfigError("config requires 'input' and 'out'")
         try:
-            cfg = cls(resources=resources, **raw)
+            return cls(resources=resources, **raw)
         except TypeError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
-        if not cfg.input or not cfg.out:
-            raise ConfigError("config requires 'input' and 'out'")
-        return cfg
 
     def __post_init__(self) -> None:
         """Every field rule, so a config that exists is valid: ``run`` and
         each stage subcommand pass the same checks. A field that breaks its
-        rule is a ``ConfigError`` naming it."""
+        rule is a ``ConfigError`` naming it. ``langs`` is kept sorted."""
         for name in ("input", "out", "pivot", "format", "stopwords", "identifiers", "gold"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
@@ -172,6 +171,7 @@ class PipelineConfig:
             raise ConfigError(f"threshold must be a finite number, got {self.threshold!r}")
         for lang, res in self.resources.items():
             res.validate(lang)
+        self.langs = sorted(self.langs)
 
     def input_files(self) -> list[str]:
         """Every file the config names: the resource files of each configured
@@ -191,7 +191,6 @@ class PipelineConfig:
         each language resource left out."""
         params = asdict(self)
         del params["out"]
-        params["langs"] = sorted(self.langs)
         params["resources"] = {lang: {k: v for k, v in spec.items() if v}
                                for lang, spec in params["resources"].items()}
         return params
@@ -246,7 +245,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     artifact directory. Fails with ``out/`` untouched if a configured
     language lacks its translation resource or a file the config names is
     missing; every other parameter was checked when ``cfg`` was made."""
-    for lang in sorted(cfg.langs):
+    for lang in cfg.langs:
         if lang not in cfg.resources:
             raise ConfigError(f"no translation resource configured for language {lang!r}")
     inputs = cfg.input_files()
@@ -332,20 +331,20 @@ def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
     ``cfg.langs`` from its translation resource."""
     vocab_dir = Path(cfg.out) / "vocab"
     lex_dir = Path(cfg.out) / "lexicon"
-    pivot, langs = cfg.pivot, sorted(cfg.langs)
+    pivot = cfg.pivot
     stoplist = _load_stopwords(cfg.stopwords)
     vocab_dir.mkdir(parents=True, exist_ok=True)
     lex_dir.mkdir(parents=True, exist_ok=True)
 
     vocabs: dict[str, vectorspace.Vocabulary] = {}
-    for lang in [pivot, *langs]:
+    for lang in [pivot, *cfg.langs]:
         docs = (d.tokens for d in _lang_tokens(partitions, lang))
         vocabs[lang] = vectorspace.build_vocabulary(
             docs, cfg.skip_top_k, cfg.vocab_size, stoplist
         )
         vectorspace.save_vocabulary(vocabs[lang], vocab_dir / f"{lang}.txt")
 
-    for lang in langs:
+    for lang in cfg.langs:
         res = cfg.resources[lang]
         if res.table_fwd:
             p_fwd = lexicon.load_translation_table(res.table_fwd)
@@ -390,7 +389,7 @@ def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
     vec_dir.mkdir(parents=True, exist_ok=True)
     idf_dir.mkdir(parents=True, exist_ok=True)
 
-    for lang in [pivot, *sorted(cfg.langs)]:
+    for lang in [pivot, *cfg.langs]:
         docs = list(_lang_tokens(partitions, lang))
         if lang == pivot:
             tokens = [d.tokens for d in docs]
@@ -417,7 +416,7 @@ def align_by_content(cfg: PipelineConfig, partitions: Partitions) -> None:
     out, pivot = Path(cfg.out), cfg.pivot
     dims = len(vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt"))
     vectors = {}
-    for lang in [pivot, *sorted(cfg.langs)]:
+    for lang in [pivot, *cfg.langs]:
         vectors[lang] = table = vectorspace.load_vectors(out / "vectors" / lang)
         if table.urls != [doc.url for doc in _lang_tokens(partitions, lang)]:
             raise FormatError(f"{out / 'vectors' / lang / 'urls.txt'}: not the {lang} "
@@ -514,7 +513,6 @@ def _stage_ingest(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
 
 def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict,
                    partitions: Callable[[], Partitions]) -> None:
-    langs = sorted(cfg.langs)
     _run_stage(out, manifest, "lexicon", {
         "ingest": manifest["stages"]["ingest"],
         "vocab_size": cfg.vocab_size,
@@ -522,8 +520,8 @@ def _stage_lexicon(cfg: PipelineConfig, out: Path, manifest: dict,
         "stopwords": manifest["inputs"].get(cfg.stopwords),
         "top_n": cfg.top_n,
         "resources": {lang: [manifest["inputs"][p] for p in cfg.resources[lang].paths()]
-                      for lang in langs},
-        "langs": langs,
+                      for lang in cfg.langs},
+        "langs": cfg.langs,
         "pivot": cfg.pivot,
     }, [out / "vocab", out / "lexicon"], lambda: build_lexicon(cfg, partitions()))
 

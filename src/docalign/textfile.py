@@ -1,10 +1,11 @@
 """The one reader of the line-based text files, and the one of the ``.npy``
 arrays, that the pipeline loads.
 
-Every text file is UTF-8. A line ends at "\\n", and one "\\r" just before it
-is dropped, so LF and CRLF files read the same; a lone "\\r" is part of its
-line. A byte that is not UTF-8, and a line without the expected number of
-tab-separated fields, is a ``FormatError`` naming the file and the line.
+Every text file is UTF-8; a leading byte order mark is dropped. A line ends
+at "\\n", and one "\\r" just before it is dropped, so LF and CRLF files read
+the same; a lone "\\r" is part of its line. A byte that is not UTF-8, and a
+line without the expected number of tab-separated fields, is a
+``FormatError`` naming the file and the line.
 
 Every array file holds one 1-D array of a known dtype, stored without
 pickling. A file of either kind that cannot be opened, and an array file
@@ -36,6 +37,8 @@ def read_lines(path, fields: Optional[int] = None,
         raise FormatError(f"{path}: {exc.strerror}") from None
     with fh:
         while block := fh.read(1 << 16) + fh.readline():
+            if not lineno:  # the first block
+                block = block.removeprefix(b"\xef\xbb\xbf")
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:

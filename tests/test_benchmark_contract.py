@@ -137,6 +137,18 @@ def test_pipeline_import_leaves_scipy_out():
     assert _modules_after_pipeline_import("scipy") == "[]"
 
 
+def test_package_import_loads_no_submodule():
+    """The package root re-exports nothing, so importing it loads no
+    ``docalign.*`` module."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, docalign; print(sorted(m for m in sys.modules "
+         "if m.startswith('docalign.')))"],
+        env=_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_pipeline_import_leaves_yaml_out():
     # only PipelineConfig.from_file reads YAML; the benchmark uses from_dict
     assert _modules_after_pipeline_import("yaml") == "[]"

@@ -291,6 +291,8 @@ class TestExitCodes:
         pytest.param('{"url": "http://a.com/x", "lang": "../../x", "text": "a"}',
                      id="lang-path"),
         pytest.param('{"url": "http://a.com/x", "lang": 5, "text": "a"}', id="lang-number"),
+        pytest.param('{"url": "http://a.com/x", "lang": false, "text": "a"}',
+                     id="lang-false"),
         pytest.param('{"url": "http://a.com/x\\ty", "lang": "fr", "text": "a"}',
                      id="url-tab"),
         pytest.param('{"url": "http://a.com/x\\ny", "lang": "fr", "text": "a"}',

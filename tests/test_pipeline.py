@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from docalign import lexicon
-from docalign.cli import main
+from docalign.cli import _config_with_langs, build_parser, main
 from docalign.corpus import CorpusPartition, read_partitions
 from docalign.errors import ConfigError
 from docalign.pipeline import LanguageResource, PipelineConfig, run_pipeline
@@ -519,6 +519,9 @@ class TestPipelineConfig:
                      id="resource-key"),
         pytest.param({"resources": {"fr": "a.tsv"}}, "'fr'", id="resource-not-mapping"),
         pytest.param({"resources": ["fr"]}, "^resources", id="resources-not-mapping"),
+        # an empty list and false were taken for no resources
+        pytest.param({"resources": []}, "^resources", id="resources-empty-list"),
+        pytest.param({"resources": False}, "^resources", id="resources-false"),
         pytest.param(["input", "out"], "^config must be a mapping",
                      id="document-not-mapping"),
     ])
@@ -527,6 +530,29 @@ class TestPipelineConfig:
             raw = {"input": "x", "out": "y", **raw}
         with pytest.raises(ConfigError, match=named):
             PipelineConfig.from_dict(raw)
+
+    # an empty list, false or 0 as the document failed as missing arguments
+    @pytest.mark.parametrize("document, kind", [("[]", "list"), ("false", "bool"),
+                                                ("0", "int")])
+    def test_config_document_not_mapping(self, tmp_path, document, kind):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(document + "\n")
+        with pytest.raises(ConfigError, match="^config must be a mapping of keys to "
+                                              f"values, got {kind}$"):
+            PipelineConfig.from_file(cfg_file)
+
+    # a missing key leaked the TypeError of the constructor
+    def test_missing_input_named(self):
+        with pytest.raises(ConfigError, match="^config requires 'input' and 'out'$"):
+            PipelineConfig.from_dict({"out": "y"})
+
+    def test_langs_are_kept_sorted(self):
+        cfg = PipelineConfig(input="x", out="y", langs=["fr", "de"])
+        assert cfg.langs == ["de", "fr"]
+        assert dataclasses.replace(cfg, langs=["fr", "de"]).langs == ["de", "fr"]
+        args = build_parser().parse_args(["vectorize", "--out", "y", "--pivot", "en",
+                                          "--langs", "fr,de"])
+        assert _config_with_langs(args).langs == ["de", "fr"]
 
     # a string of languages was iterated by character, "no" was a true
     # switch and a number as a path ended in a TypeError

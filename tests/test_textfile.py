@@ -120,6 +120,14 @@ def test_crlf_file_loads_as_its_lf_copy(tmp_path, name):
     assert load_crlf() == load_lf()
 
 
+@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv", "input"])
+def test_bom_file_loads_as_its_plain_copy(tmp_path, name):
+    _plain_path, load_plain = _write(tmp_path / "plain", name)
+    bom_path, load_bom = _write(tmp_path / "bom", name)
+    bom_path.write_bytes(b"\xef\xbb\xbf" + bom_path.read_bytes())
+    assert load_bom() == load_plain()
+
+
 SRC = Path(docalign.__file__).parent
 
 
