@@ -240,7 +240,8 @@ def align_corpus(
     threshold: float,
     stats: dict | None = None,
 ) -> list[AlignmentPair]:
-    """Align every (domain, other-language) block independently.
+    """Align every (domain, language) block independently; ``langs`` are the
+    non-pivot languages.
 
     A pivot document matches at most one document per other language but may
     appear across languages. ``vectors`` maps lang -> vector table; the
@@ -258,8 +259,6 @@ def align_corpus(
     for domain in sorted(partitions):
         part = partitions[domain]
         for lang in langs:
-            if lang == pivot_lang:
-                continue
             matrix = score_domain(part, vectors, pivot_lang, lang, threshold)
             pairs.extend(match_one_to_one(matrix))
             possible += len(part.docs(pivot_lang)) * len(part.docs(lang))

@@ -184,7 +184,5 @@ def align_corpus_by_url(
     pairs: list[AlignmentPair] = []
     for domain in sorted(partitions):
         for lang in sorted(langs):
-            if lang == pivot_lang:
-                continue
             pairs.extend(match_urls(partitions[domain], pivot_lang, lang, ids))
     return pairs

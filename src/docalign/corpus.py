@@ -144,12 +144,17 @@ class _TextExtractor(HTMLParser):
                 self.pieces.append(text)
 
 
-def _parse_text(html: str) -> str:
-    """``extract_text`` through the stdlib parser, for any markup at all."""
-    parser = _TextExtractor()
+def _parse_text(html: str, parser: Optional[_TextExtractor] = None) -> str:
+    """``extract_text`` through the stdlib parser, for any markup at all, fed
+    into ``parser`` when given, whose counters and pieces then hold the page
+    before ``html``. A construct still open at the end, such as an
+    unterminated tag or comment, is dropped: ``close()`` would emit it as
+    text, in time quadratic in its length."""
+    parser = parser or _TextExtractor()
     try:
         parser.feed(html)
-        parser.close()
+        if not parser.rawdata.startswith("<"):
+            parser.close()  # text held back for a trailing "&"
     except Exception:
         # lenient: keep whatever was recovered before the parser gave up
         pass
@@ -186,10 +191,9 @@ def _cdata_element(name: str) -> str:
 # (name in group 3, its closing "/" in group 4), a whole script or style
 # element, a comment (ended, as by html.parser, at the first "--" and ">"
 # with only whitespace between) or a doctype. Group 5 takes the rest of
-# the page from the first "<" that starts none of these, so a page outside
-# this grammar costs one scan before it goes to html.parser. No
-# alternative that fails after a long scan is followed by one that can
-# match, so the scan stays linear in the page.
+# the page from the first "<" that starts none of these, which alone goes
+# to html.parser. No alternative that fails after a long scan is followed
+# by one that can match, so the scan stays linear in the page.
 _TOKEN = re.compile(
     r"([^<]+)"
     rf"|<(?:/({_NAME})\s*>"
@@ -205,34 +209,25 @@ _TOKEN = re.compile(
 def extract_text(html: str) -> str:
     """Visible text under the tag whitelist, newline-joined in document order.
 
-    Well-formed markup is read in one ``_TOKEN`` scan that keeps the
-    counters of ``_TextExtractor``; a page with any other markup, such as
-    a stray "<" or an unterminated script, goes whole through html.parser.
-    Both give the same text.
+    One ``_TOKEN`` scan makes, for each piece of markup it reads, the
+    handler call of ``_TextExtractor`` that html.parser makes for it. From
+    the first "<" it cannot read, such as a stray "<" or an unterminated
+    script, html.parser reads the rest of the page into the same extractor.
+    The text is that of ``_parse_text(html)``.
     """
-    pieces = []
-    keep = opened = 0
+    parser = _TextExtractor()
     for text, end, start, slash, rest in _TOKEN.findall(html):
         if text:
-            # a text node counts once however many whitelisted ancestors
-            # wrap it; text outside any element (plain-text input) is kept
-            if keep or not opened:
-                text = unescape(text).strip()
-                if text:
-                    pieces.append(text)
+            parser.handle_data(unescape(text))
         elif end:
-            if opened:
-                opened -= 1
-            if keep and end.lower() in TEXT_TAGS:
-                keep -= 1
+            parser.handle_endtag(end.lower())
         elif start:
-            if not slash:  # <tag/> is a start and an end tag, which cancel
-                opened += 1
-                if start.lower() in TEXT_TAGS:
-                    keep += 1
+            parser.handle_starttag(start.lower(), [])
+            if slash:  # <tag/>, as html.parser's handle_startendtag
+                parser.handle_endtag(start.lower())
         elif rest:
-            return _parse_text(html)
-    return "\n".join(pieces)
+            return _parse_text(rest, parser)
+    return "\n".join(parser.pieces)
 
 
 def _is_cjk(ch: str) -> bool:

@@ -305,17 +305,9 @@ def ingest(cfg: PipelineConfig) -> None:
                                               confidence_floor=cfg.lang_confidence)
         records.append(rec)
     partitions = corpus.group_by_domain(records)
-    # written aside, then swapped in: no domain or language of an earlier
-    # input survives, and corpus/ is never half written
-    out = Path(cfg.out)
-    corpus_dir = out / "corpus"
-    staging = out / "corpus.tmp"
-    shutil.rmtree(staging, ignore_errors=True)
-    staging.mkdir(parents=True)
-    corpus.write_partitions(partitions, staging)
-    if corpus_dir.exists():
-        shutil.rmtree(corpus_dir)
-    staging.rename(corpus_dir)
+    corpus_dir = Path(cfg.out) / "corpus"
+    shutil.rmtree(corpus_dir, ignore_errors=True)  # no earlier domain or language survives
+    corpus.write_partitions(partitions, corpus_dir)
     log.info("ingest: %d records over %d domains", len(records), len(partitions))
 
 

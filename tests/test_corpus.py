@@ -91,6 +91,7 @@ class TestExtractText:
     @example("<style>a</scripts></STYLE\n>b<a href=x/>c<script/>d")
     @example("<!-- a -- >b<!-- c --!>d-->e<!---->f")
     @example("<p\x0b>a</p>b")
+    @example("<p>x<span>y</span><?pi>z</p>w")
     @given(st.lists(st.one_of(st.sampled_from(_SCANNED + _PARSED), st.text(max_size=4)),
                     max_size=24).map("".join))
     def test_matches_parser_oracle(self, html):
@@ -123,12 +124,24 @@ class TestExtractText:
         pytest.param("a" * 100_000 + " < x", id="text-then-stray-lt"),
         pytest.param("<script>" * 12_500, id="unterminated-scripts"),
         pytest.param("<a" + " b" * 50_000 + '"', id="unclosed-start-tag"),
+        pytest.param('<a b="' * 17_000, id="unclosed-attribute-values"),
+        pytest.param("<!-- a" * 17_000, id="unclosed-comments"),
+        pytest.param("<a" * 50_000, id="unclosed-start-tags"),
     ])
     def test_page_outside_grammar_costs_one_scan(self, html):
         start = time.perf_counter()
         out = corpus.extract_text(html)
         assert time.perf_counter() - start < 1.0
         assert out == corpus._parse_text(html)
+
+    # html.parser's close() emitted the open construct as text, so markup
+    # such as "a href" became tokens
+    @pytest.mark.parametrize("html, text", [
+        ('<p>Hello</p><p>More<a href="foo', "Hello\nMore"),
+        ("<p>a < b</p><!-- open", "a\n<\nb"),
+    ])
+    def test_construct_open_at_end_of_page_is_dropped(self, html, text):
+        assert corpus.extract_text(html) == corpus._parse_text(html) == text
 
 
 def oracle_tokenize(text: str) -> list[str]:

@@ -5,10 +5,11 @@ import re
 import shutil
 from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 
-from docalign import lexicon
+from docalign import align_cda, corpus as corpus_io, evaluation, lexicon, miner, vectorspace
 from docalign.cli import _config_with_langs, build_parser, main
 from docalign.corpus import CorpusPartition, read_partitions
 from docalign.errors import ConfigError
@@ -144,6 +145,36 @@ class TestRunPipeline:
                             threshold=0.1)
         assert tree(out) == tree(fresh)
 
+    # ingest wrote corpus.tmp/ beside corpus/, and a failed write left it there
+    @pytest.mark.parametrize("stage, module, name", [
+        ("ingest", corpus_io, "write_partitions"),
+        ("lexicon", lexicon, "save_alignment"),
+        ("vectorize", vectorspace, "save_vectors"),
+        ("align", align_cda, "save_pairs"),
+        ("mine", miner, "save_candidates"),
+        ("evaluate", evaluation, "evaluate_recall"),
+    ])
+    def test_failed_stage_leaves_only_what_run_owns(self, tmp_path, stage, module, name):
+        real = getattr(module, name)
+
+        def writes_then_fails(*args, **kwargs):
+            if stage != "evaluate":  # evaluate_recall writes nothing
+                real(*args, **kwargs)
+            raise RuntimeError("injected")
+
+        with mock.patch.object(module, name, writes_then_fails), \
+                pytest.raises(RuntimeError, match="injected"):
+            run_tiny(tmp_path, mine=True)
+        out = tmp_path / "out"
+        assert not (out / "manifest.json").exists()
+        assert (out / "FAILED").read_text() == stage + "\n"
+        owned = {"FAILED", ".stamps", "corpus", "vocab", "lexicon", "vectors", "idf",
+                 "pairs.tsv", "pairs_url.tsv", "candidates.tsv", "report.json"}
+        assert {p.relative_to(out).parts[0] for p in out.rglob("*")} <= owned
+        run_tiny(tmp_path, mine=True)
+        fresh, _ = run_tiny(tmp_path, out_name="fresh", mine=True)
+        assert tree(out) == tree(fresh)
+
     @pytest.mark.parametrize("first,final", [
         ({"url_align": True, "mine": True}, {}),
         ({}, {"gold": None}),
@@ -200,6 +231,18 @@ class TestRunPipeline:
         manifest = json.loads((out / "manifest.json").read_bytes())
         assert "pairs.tsv" in manifest["outputs"]
         assert "notes.txt" not in manifest["outputs"]
+
+    # ingest deleted corpus.tmp/, its staging directory, whoever wrote it
+    @pytest.mark.parametrize("name", ["notes.txt", "corpus.tmp/note.txt"])
+    def test_run_keeps_a_file_it_does_not_own(self, tmp_path, name):
+        note = tmp_path / "out" / name
+        note.parent.mkdir(parents=True)
+        note.write_text("mine\n", encoding="utf-8")
+        out, corpus = run_tiny(tmp_path)
+        run_tiny(tmp_path, corpus=corpus)
+        assert note.read_text(encoding="utf-8") == "mine\n"
+        manifest = json.loads((out / "manifest.json").read_bytes())
+        assert name not in manifest["outputs"]
 
     def test_stamps_list_the_files_their_stages_wrote(self, tmp_path):
         out, _ = run_tiny(tmp_path, url_align=True, mine=True)
@@ -492,6 +535,55 @@ class TestRunPipeline:
         out = run_pipeline(PipelineConfig.from_dict(cfg_dict))
         report = json.loads((out / "report.json").read_text())
         assert report["cda"]["recall"] > 50.0
+
+    # ingest's language detection, a configured language with no page and
+    # the lexicon's reverse-condition log line ran only in subprocess tests
+    def test_untagged_pages_and_a_language_with_no_page(self, tmp_path, caplog):
+        pages = {"en/fox": "the quick brown fox jumps over the lazy dog near the river bank",
+                 "fr/chat": "le chat est sur la table et le chien dort dans le jardin",
+                 "en/park": "children play in the park while their parents watch "
+                            "from the bench",
+                 "fr/parc": "les enfants jouent dans le parc pendant que leurs parents "
+                            "regardent"}
+        (tmp_path / "crawl.jsonl").write_text("".join(
+            json.dumps({"url": f"http://a.example/{page}.html", "text": text}) + "\n"
+            for page, text in pages.items()), encoding="utf-8")
+        words = [("fox", "chat"), ("dog", "chien"), ("river", "jardin"), ("bank", "table"),
+                 ("children", "enfants"), ("play", "jouent"), ("park", "parc"),
+                 ("parents", "parents"), ("watch", "regardent")]
+        # S(fox, chien) = 0.4 + 0.7 beats S(dog, chien) = 0.5 + 0.3, but fox
+        # goes to chat and chien to dog
+        fwd = [(en, fr, 1.0) for en, fr in words if en not in ("fox", "dog")]
+        fwd += [("fox", "chat", 0.6), ("fox", "chien", 0.4), ("dog", "chien", 0.5)]
+        bwd = [(fr, en, 1.0) for en, fr in words if en != "dog"]
+        bwd += [("chien", "dog", 0.3), ("chien", "fox", 0.7)]
+        tables = {"fr_fwd": fwd, "fr_bwd": bwd, "de_fwd": [("dog", "hund", 1.0)],
+                  "de_bwd": [("hund", "dog", 1.0)]}
+        for name, rows in tables.items():
+            (tmp_path / f"{name}.tsv").write_text(
+                "".join(f"{a}\t{b}\t{p}\n" for a, b, p in rows), encoding="utf-8")
+        cfg = PipelineConfig.from_dict({
+            "input": str(tmp_path / "crawl.jsonl"), "out": str(tmp_path / "out"),
+            "langs": ["de", "fr"], "skip_top_k": 0,
+            "resources": {lang: {"table_fwd": str(tmp_path / f"{lang}_fwd.tsv"),
+                                 "table_bwd": str(tmp_path / f"{lang}_bwd.tsv")}
+                          for lang in ("de", "fr")}})
+        with caplog.at_level("INFO", logger="docalign.pipeline"):
+            out = run_pipeline(cfg)
+        docs = (out / "corpus" / "docs.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[:3:2] for line in docs] == [
+            ["en", "http://a.example/en/fox.html"], ["en", "http://a.example/en/park.html"],
+            ["fr", "http://a.example/fr/chat.html"], ["fr", "http://a.example/fr/parc.html"]]
+        assert (out / "vectors" / "de" / "urls.txt").read_bytes() == b""
+        assert np.load(out / "vectors" / "de" / "indptr.npy").tolist() == [0]
+        assert (out / "idf" / "de.tsv").read_bytes() == b"#collection_size\t0\t0\n"
+        assert (out / "lexicon" / "de.tsv").read_bytes() == b""
+        assert "lexicon fr: 1 pairs violate the reverse argmax condition" in caplog.messages
+        assert (out / "pairs.tsv").read_text(encoding="utf-8") == (
+            "a.example\thttp://a.example/en/park.html\thttp://a.example/fr/parc.html"
+            "\tfr\t0.640908\tcda\n"
+            "a.example\thttp://a.example/en/fox.html\thttp://a.example/fr/chat.html"
+            "\tfr\t0.518335\tcda\n")
 
 
 class TestPipelineConfig:
