@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .align_cda import AlignmentPair
 from .corpus import CorpusPartition
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .textfile import read_lines
 
 SEPARATORS = "/_-.=?&"
@@ -40,10 +40,7 @@ class IdentifierSet:
         if not self.identifiers:
             raise ConfigError("identifier set must be non-empty")
         for ident in self.identifiers:
-            if not ident or ident != ident.lower():
-                raise ConfigError(f"identifier {ident!r} must be lowercase and non-empty")
-            if any(c in _FORBIDDEN_IN_ID for c in ident):
-                raise ConfigError(f"identifier {ident!r} contains a separator character")
+            _check_identifier(ident)
         object.__setattr__(self, "identifiers", frozenset(self.identifiers))
         object.__setattr__(self, "heads", frozenset(
             _SPLIT_RE.split(ident, maxsplit=1)[0] for ident in self.identifiers))
@@ -52,10 +49,30 @@ class IdentifierSet:
         return token in self.identifiers
 
 
+def _check_identifier(ident: str) -> None:
+    if not ident or ident != ident.lower():
+        raise ConfigError(f"identifier {ident!r} must be lowercase and non-empty")
+    if any(c in _FORBIDDEN_IN_ID for c in ident):
+        raise ConfigError(f"identifier {ident!r} contains a separator character")
+
+
 def load_identifier_set(path) -> IdentifierSet:
-    """One identifier per line; '#' comments and blank lines ignored."""
-    idents = {line.split("#", 1)[0].strip().lower() for _lineno, line in read_lines(path)}
-    return IdentifierSet(identifiers=idents - {""})
+    """One identifier per line, lowercased; '#' comments and blank lines
+    ignored. An identifier that breaks ``IdentifierSet``'s rule, and a file
+    with none, is a ``FormatError`` naming the file (and the line)."""
+    idents = set()
+    for lineno, line in read_lines(path):
+        ident = line.split("#", 1)[0].strip().lower()
+        if not ident:
+            continue
+        try:
+            _check_identifier(ident)
+        except ConfigError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        idents.add(ident)
+    if not idents:
+        raise FormatError(f"{path}: no identifiers")
+    return IdentifierSet(identifiers=frozenset(idents))
 
 
 def default_identifier_set() -> IdentifierSet:

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages and call the same stage code as
-`run`, which executes everything from a single config document. Every stage
-subcommand reads and writes the artifact directory `--out` in the layout
-`run` uses. Exit codes: 0 success, 1 usage error, 2 data error.
+`run` executes the whole pipeline from a single config document. `ingest`,
+`build-lexicon`, `vectorize` and `align-cda` take the same options and run
+the same stages, under the same stamps, up to their own stage; only `run`
+writes `manifest.json`. `mine-ids` and `evaluate` work on any pairs file.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -12,128 +13,37 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
-from pathlib import Path
 
-from . import align_cda, corpus, evaluation, miner, pipeline
+from . import align_cda, evaluation, miner, pipeline
 from .errors import DocalignError
 
-log = logging.getLogger("docalign")
-
-_OUT_HELP = "artifact directory, laid out as by `run`"
-# the stage options default to the values `run` takes from the config
+# the options of mine-ids and evaluate default to the values `run` takes from the config
 _DEFAULTS = pipeline.PipelineConfig(input="", out="")
+
+# each command of the pipeline and the last stage it runs
+_PIPELINE_COMMANDS = {"ingest": "ingest", "build-lexicon": "lexicon",
+                      "vectorize": "vectorize", "align-cda": "align", "run": "evaluate"}
 
 
 def _config(**fields) -> pipeline.PipelineConfig:
-    """A stage subcommand's config, checked as `run`'s is, its files too."""
+    """The config of `mine-ids` or `evaluate`, checked as `run`'s is, its files too."""
     cfg = replace(_DEFAULTS, **fields)
     cfg.input_files()
     return cfg
 
 
-def _add_ingest(sub):
-    p = sub.add_parser("ingest", help="parse records and partition by domain")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", default=_DEFAULTS.format, help="jsonl or tsv")
-    p.add_argument("--out", required=True, help=_OUT_HELP)
-    p.add_argument("--lang-confidence", type=float, default=_DEFAULTS.lang_confidence)
-    p.add_argument("--no-detect", action="store_true",
-                   help="keep 'und' instead of running language detection")
-    p.set_defaults(func=cmd_ingest)
+def _add_pipeline(sub):
+    for command, through in _PIPELINE_COMMANDS.items():
+        p = sub.add_parser(command, help=f"run the config's pipeline through {through}")
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", help="override the config's output directory")
+        p.set_defaults(func=cmd_pipeline, through=through)
 
 
-def cmd_ingest(args) -> int:
-    pipeline.ingest(_config(input=args.input, out=args.out, format=args.format,
-                            detect_language=not args.no_detect,
-                            lang_confidence=args.lang_confidence))
-    print(f"wrote {Path(args.out) / 'corpus'}")
-    return 0
-
-
-def _partitions(cfg):
-    return corpus.read_partitions(Path(cfg.out) / "corpus")
-
-
-def _config_with_langs(args, **fields) -> pipeline.PipelineConfig:
-    """The config of `vectorize`, `align-cda` or `align-url`."""
-    langs = [lang for lang in args.langs.split(",") if lang]
-    return _config(out=args.out, pivot=args.pivot, langs=langs, **fields)
-
-
-def _add_build_lexicon(sub):
-    p = sub.add_parser("build-lexicon", help="build the pivot lexicon alignment")
-    p.add_argument("--out", required=True, help=_OUT_HELP)
-    p.add_argument("--pivot", required=True)
-    p.add_argument("--lang", required=True)
-    p.add_argument("--table-fwd", help="pivot->lang probability TSV")
-    p.add_argument("--table-bwd", help="lang->pivot probability TSV")
-    p.add_argument("--emb-pivot", help="pivot embeddings (text format)")
-    p.add_argument("--emb-other", help="other-language embeddings")
-    p.add_argument("--top-n", type=int, default=_DEFAULTS.top_n)
-    p.add_argument("--vocab-size", type=int, default=_DEFAULTS.vocab_size)
-    p.add_argument("--skip-top-k", type=int, default=_DEFAULTS.skip_top_k)
-    p.add_argument("--stopwords", help="file of words left out of every vocabulary")
-    p.set_defaults(func=cmd_build_lexicon)
-
-
-def cmd_build_lexicon(args) -> int:
-    res = pipeline.LanguageResource(
-        table_fwd=args.table_fwd, table_bwd=args.table_bwd,
-        embeddings_pivot=args.emb_pivot, embeddings_other=args.emb_other,
-    )
-    cfg = _config(out=args.out, pivot=args.pivot, langs=[args.lang],
-                  resources={args.lang: res}, top_n=args.top_n,
-                  vocab_size=args.vocab_size, skip_top_k=args.skip_top_k,
-                  stopwords=args.stopwords)
-    pipeline.build_lexicon(cfg, _partitions(cfg))
-    print(f"wrote {Path(args.out) / 'lexicon' / (args.lang + '.tsv')}")
-    return 0
-
-
-def _add_vectorize(sub):
-    p = sub.add_parser("vectorize", help="TF-IDF vectors in the pivot space")
-    p.add_argument("--out", required=True, help=_OUT_HELP)
-    p.add_argument("--pivot", required=True)
-    p.add_argument("--langs", default="", help="comma-separated non-pivot languages")
-    p.set_defaults(func=cmd_vectorize)
-
-
-def cmd_vectorize(args) -> int:
-    cfg = _config_with_langs(args)
-    pipeline.vectorize_corpus(cfg, _partitions(cfg))
-    print(f"wrote {Path(args.out) / 'vectors'}")
-    return 0
-
-
-def _add_align_cda(sub):
-    p = sub.add_parser("align-cda", help="content-based alignment")
-    p.add_argument("--out", required=True, help=_OUT_HELP)
-    p.add_argument("--pivot", required=True)
-    p.add_argument("--langs", required=True)
-    p.add_argument("--threshold", type=float, default=_DEFAULTS.threshold)
-    p.set_defaults(func=cmd_align_cda)
-
-
-def cmd_align_cda(args) -> int:
-    cfg = _config_with_langs(args, threshold=args.threshold)
-    pipeline.align_by_content(cfg, _partitions(cfg))
-    print(f"wrote {Path(args.out) / 'pairs.tsv'}")
-    return 0
-
-
-def _add_align_url(sub):
-    p = sub.add_parser("align-url", help="URL baseline alignment")
-    p.add_argument("--out", required=True, help=_OUT_HELP)
-    p.add_argument("--pivot", required=True)
-    p.add_argument("--langs", required=True)
-    p.add_argument("--ids", help="identifier file (default: bundled set)")
-    p.set_defaults(func=cmd_align_url)
-
-
-def cmd_align_url(args) -> int:
-    cfg = _config_with_langs(args, identifiers=args.ids)
-    pipeline.align_by_url(cfg, _partitions(cfg))
-    print(f"wrote {Path(args.out) / 'pairs_url.tsv'}")
+def cmd_pipeline(args) -> int:
+    cfg = pipeline.PipelineConfig.from_file(args.config, out_override=args.out)
+    out = pipeline.run_pipeline(cfg, through=args.through)
+    print(f"pipeline complete through {args.through}; artifacts in {out}")
     return 0
 
 
@@ -176,20 +86,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _add_run(sub):
-    p = sub.add_parser("run", help="run the full pipeline from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", help="override the config's output directory")
-    p.set_defaults(func=cmd_run)
-
-
-def cmd_run(args) -> int:
-    cfg = pipeline.PipelineConfig.from_file(args.config, out_override=args.out)
-    out = pipeline.run_pipeline(cfg)
-    print(f"pipeline complete; artifacts in {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="docalign",
@@ -197,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for add in (_add_ingest, _add_build_lexicon, _add_vectorize, _add_align_cda,
-                _add_align_url, _add_mine_ids, _add_evaluate, _add_run):
+    for add in (_add_pipeline, _add_mine_ids, _add_evaluate):
         add(sub)
     return parser
 

@@ -28,7 +28,8 @@ class RecallReport:
 def load_gold(path) -> GoldSet:
     """TSV ``pivot_url \\t other_url``; URLs lowercased for comparison. A
     pivot URL may be on several lines, one per language of its counterparts;
-    a non-pivot URL on one line only, and no URL on both sides."""
+    a non-pivot URL on one line only, and no URL on both sides. A file with
+    no pair is a ``FormatError``: recall over it is undefined."""
     pairs: GoldSet = set()
     pivots: set[str] = set()
     others: set[str] = set()
@@ -43,6 +44,8 @@ def load_gold(path) -> GoldSet:
                 raise FormatError(f"{path}:{lineno}: URL {u!r} is both a pivot and "
                                   "a non-pivot URL")
         pairs.add((purl, ourl))
+    if not pairs:
+        raise FormatError(f"{path}: no gold pairs")
     return pairs
 
 

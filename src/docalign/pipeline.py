@@ -134,9 +134,9 @@ class PipelineConfig:
             raise ConfigError(f"bad config: {exc}") from exc
 
     def __post_init__(self) -> None:
-        """Every field rule, so a config that exists is valid: ``run`` and
-        each stage subcommand pass the same checks. A field that breaks its
-        rule is a ``ConfigError`` naming it. ``langs`` is kept sorted."""
+        """Every field rule, so a config that exists is valid. A field that
+        breaks its rule is a ``ConfigError`` naming it. ``langs`` is kept
+        sorted."""
         for name in ("input", "out", "pivot", "format", "stopwords", "identifiers", "gold"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
@@ -171,6 +171,9 @@ class PipelineConfig:
             raise ConfigError(f"threshold must be a finite number, got {self.threshold!r}")
         for lang, res in self.resources.items():
             res.validate(lang)
+        for lang in self.langs:
+            if lang not in self.resources:
+                raise ConfigError(f"no translation resource configured for language {lang!r}")
         self.langs = sorted(self.langs)
 
     def input_files(self) -> list[str]:
@@ -240,22 +243,15 @@ class _Stage:
         return unchanged
 
 
-def run_pipeline(cfg: PipelineConfig) -> Path:
-    """Execute all configured stages in dependency order; returns the
-    artifact directory. Fails with ``out/`` untouched if a configured
-    language lacks its translation resource or a file the config names is
-    missing; every other parameter was checked when ``cfg`` was made."""
-    for lang in cfg.langs:
-        if lang not in cfg.resources:
-            raise ConfigError(f"no translation resource configured for language {lang!r}")
+def run_pipeline(cfg: PipelineConfig, through: str = "evaluate") -> Path:
+    """Execute the stages in dependency order up to and including the one
+    named ``through``; returns the artifact directory. Fails with ``out/``
+    untouched if a file the config names is missing; every other parameter
+    was checked when ``cfg`` was made. Only a run through ``evaluate``
+    writes ``manifest.json``; an earlier stop leaves the later stages'
+    artifacts and stamps for the next run to judge."""
     inputs = cfg.input_files()
-
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # a run that fails leaves no manifest of an earlier run beside FAILED
-    (out / "FAILED").unlink(missing_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)
-
     manifest: dict[str, Any] = {
         "parameters": cfg.parameters(),
         "inputs": {path: file_digest(path) for path in inputs},
@@ -268,23 +264,38 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     def partitions() -> Partitions:
         return corpus.read_partitions(out / "corpus")
 
-    _stage_ingest(cfg, out, manifest)
-    _stage_lexicon(cfg, out, manifest, partitions)
-    _stage_vectorize(cfg, out, manifest, partitions)
-    _stage_align(cfg, out, manifest, partitions)
-    _stage_mine(cfg, out, manifest)
-    _stage_evaluate(cfg, out, manifest)
-    write_json(manifest, out / "manifest.json")
+    # each _stage_* is looked up when it runs, so a wrapper set on this module is called
+    stages = {
+        "ingest": lambda: _stage_ingest(cfg, out, manifest),
+        "lexicon": lambda: _stage_lexicon(cfg, out, manifest, partitions),
+        "vectorize": lambda: _stage_vectorize(cfg, out, manifest, partitions),
+        "align": lambda: _stage_align(cfg, out, manifest, partitions),
+        "mine": lambda: _stage_mine(cfg, out, manifest),
+        "evaluate": lambda: _stage_evaluate(cfg, out, manifest),
+    }
+    if through not in stages:
+        raise ValueError(f"no stage {through!r}; the stages are {', '.join(stages)}")
+
+    out.mkdir(parents=True, exist_ok=True)
+    # a run that fails leaves no manifest of an earlier run beside FAILED
+    (out / "FAILED").unlink(missing_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    for name, stage in stages.items():
+        stage()
+        if name == through:
+            break
+    if through == "evaluate":
+        write_json(manifest, out / "manifest.json")
     return out
 
 
 # --- stage work -----------------------------------------------------------
 #
-# One function per stage does the work for both ``run_pipeline`` and the
-# CLI subcommand of the same stage, with its parameters taken from one
+# One function per stage does the work, with its parameters taken from one
 # ``PipelineConfig``. Each reads and writes the standard layout under the
 # artifact directory ``cfg.out``; stamps and the manifest stay with the
-# ``_stage_*`` wrappers below.
+# ``_stage_*`` wrappers below. ``run_pipeline`` is their one caller in the
+# package; they stay public, with their checks, for library callers.
 
 
 def ingest(cfg: PipelineConfig) -> None:

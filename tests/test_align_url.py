@@ -1,12 +1,14 @@
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from docalign import align_url
 from docalign.align_url import (SEPARATORS, IdentifierSet, default_identifier_set,
                                 strip_identifiers)
+from docalign.cli import main
 from docalign.corpus import CorpusPartition
-from docalign.errors import ConfigError
-from tests.conftest import make_record
+from docalign.errors import ConfigError, FormatError
+from tests.conftest import SyntheticCorpus, make_record
 
 
 def ids_of(*identifiers):
@@ -35,6 +37,36 @@ class TestIdentifierSet:
         path.write_text("# header\nfr\nEN  # inline\n\ncs\n")
         s = align_url.load_identifier_set(path)
         assert s.identifiers == {"fr", "en", "cs"}
+
+    # each failed the run as a ConfigError, exit 1, naming neither file nor line
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("fr\n# fr/ca\nfr/ca  # Canada\n",
+                     "{path}:3: identifier 'fr/ca' contains a separator character",
+                     id="separator"),
+        pytest.param("# only a comment\n\n", "{path}: no identifiers", id="none"),
+        pytest.param("", "{path}: no identifiers", id="empty"),
+    ])
+    def test_load_file_rejects_bad_identifier_file(self, tmp_path, text, message):
+        path = tmp_path / "ids.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            align_url.load_identifier_set(path)
+        assert str(exc.value) == message.format(path=path)
+        assert exc.value.exit_code == 2
+
+    def test_bad_identifier_file_fails_run_with_2(self, tmp_path, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("fr\nfr/ca\n")
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg = corpus.config(tmp_path / "fx", tmp_path / "out", url_align=True,
+                            identifiers=str(ids))
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ids}:2: identifier 'fr/ca' contains a separator character\n")
+        assert (tmp_path / "out" / "FAILED").read_text() == "align\n"
 
     def test_default_set_covers_common_codes(self):
         s = default_identifier_set()

@@ -1,9 +1,12 @@
+import argparse
 import json
+import logging
 import os
 import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,45 +14,63 @@ import pytest
 import yaml
 
 import docalign
+from docalign import pipeline
 from docalign.cli import build_parser, main
 from docalign.corpus import read_partitions
+from docalign.errors import FormatError
 from docalign.pipeline import PipelineConfig
 from tests.conftest import SyntheticCorpus
 
 
-def write_fixture(tmp_path, **kwargs):
+def write_config(path, cfg):
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+def fixture_config(tmp_path, **overrides):
+    """A 2-domain config writing to ``tmp_path / "out"``, as a dict and as
+    the file ``config.yaml``."""
     corpus = SyntheticCorpus(n_domains=2, docs_per_domain=4, vocab_size=40,
-                             doc_len=(15, 25), seed=11, **kwargs)
-    return corpus, corpus.write(tmp_path / "fx")
+                             doc_len=(15, 25), seed=11)
+    cfg = corpus.config(tmp_path / "fx", tmp_path / "out", vocab_size=40, **overrides)
+    return cfg, write_config(tmp_path / "config.yaml", cfg)
+
+
+def tree(root):
+    """Every file under ``root`` as {path: bytes}."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+STAGE_COMMANDS = ("ingest", "build-lexicon", "vectorize", "align-cda")
 
 
 class TestStageCommands:
     def test_full_stage_chain(self, tmp_path, capsys):
-        corpus, paths = write_fixture(tmp_path)
+        _cfg, config = fixture_config(tmp_path)
         out = tmp_path / "out"
-        common = ["--out", str(out), "--pivot", "en"]
 
-        assert main(["ingest", "--input", str(paths["input"]),
-                     "--format", "jsonl", "--out", str(out)]) == 0
+        assert main(["ingest", "--config", config]) == 0
         assert read_partitions(out / "corpus")["site00.example"].docs("en")
+        assert not (out / "vocab").exists()
 
-        assert main(["build-lexicon", *common, "--lang", "fr",
-                     "--table-fwd", str(paths["table_fwd"]),
-                     "--table-bwd", str(paths["table_bwd"]),
-                     "--vocab-size", "40", "--skip-top-k", "0"]) == 0
+        assert main(["build-lexicon", "--config", config]) == 0
         assert (out / "vocab" / "en.txt").read_text()
         assert (out / "lexicon" / "fr.tsv").read_text()
 
-        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        assert main(["vectorize", "--config", config]) == 0
         for lang in ("en", "fr"):
             assert {f.name for f in (out / "vectors" / lang).iterdir()} == {
                 "indptr.npy", "indices.npy", "data.npy", "urls.txt"}
         assert (out / "idf" / "fr.tsv").is_file()
 
         pairs_path = out / "pairs.tsv"
-        assert main(["align-cda", *common, "--langs", "fr",
-                     "--threshold", "0.1"]) == 0
+        assert main(["align-cda", "--config", config]) == 0
         assert pairs_path.read_text().splitlines()
+        assert sorted(p.name for p in (out / ".stamps").iterdir()) == [
+            "align.json", "ingest.json", "lexicon.json", "vectorize.json"]
+        assert not (out / "manifest.json").exists()
+        assert not (out / "report.json").exists()
 
         cand_path = tmp_path / "candidates.tsv"
         assert main(["mine-ids", "--pairs", str(pairs_path),
@@ -57,19 +78,32 @@ class TestStageCommands:
         assert any(line.startswith("en\tfr\t")
                    for line in cand_path.read_text().splitlines())
 
-        assert main(["evaluate", "--pred", str(pairs_path),
-                     "--gold", str(paths["gold"])]) == 0
+        gold = tmp_path / "fx" / "gold.tsv"
+        assert main(["evaluate", "--pred", str(pairs_path), "--gold", str(gold)]) == 0
         assert "recall@1" in capsys.readouterr().out
 
-    def test_align_url_command(self, tmp_path):
-        corpus, paths = write_fixture(tmp_path)
-        out = tmp_path / "out"
-        main(["ingest", "--input", str(paths["input"]), "--out", str(out)])
-        assert main(["align-url", "--out", str(out),
-                     "--pivot", "en", "--langs", "fr"]) == 0
-        lines = (out / "pairs_url.tsv").read_text().splitlines()
+    def test_align_cda_writes_url_pairs(self, tmp_path):
+        _cfg, config = fixture_config(tmp_path, url_align=True)
+        assert main(["align-cda", "--config", config]) == 0
+        lines = (tmp_path / "out" / "pairs_url.tsv").read_text().splitlines()
         assert lines
         assert all(line.split("\t")[5] == "url" for line in lines)
+
+    # align-cda --threshold cut pairs.tsv but left the manifest of the run
+    # before, with the old threshold and a digest pairs.tsv no longer had
+    def test_stage_command_after_run_leaves_no_manifest(self, tmp_path):
+        cfg, config = fixture_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config]) == 0
+        complete = tree(out)
+        pairs = len((out / "pairs.tsv").read_text().splitlines())
+        strict = write_config(tmp_path / "strict.yaml", {**cfg, "threshold": 0.995})
+        assert main(["align-cda", "--config", strict]) == 0
+        assert len((out / "pairs.tsv").read_text().splitlines()) < pairs
+        assert not (out / "manifest.json").exists()
+        assert not (out / "FAILED").exists()
+        assert main(["run", "--config", config]) == 0
+        assert tree(out) == complete
 
     # --json wrote "b\\u00fccher.example", report.json of run "bücher.example"
     def test_evaluate_json_is_raw_utf8(self, tmp_path):
@@ -88,28 +122,45 @@ class TestStageCommands:
                                   ensure_ascii=False) + "\n"
 
     def test_build_lexicon_without_resource_is_usage_error(self, tmp_path, capsys):
-        corpus, paths = write_fixture(tmp_path)
-        out = tmp_path / "out"
-        main(["ingest", "--input", str(paths["input"]), "--out", str(out)])
-        code = main(["build-lexicon", "--out", str(out), "--pivot", "en",
-                     "--lang", "fr", "--table-fwd", str(paths["table_fwd"])])
-        assert code == 1
+        cfg, _config = fixture_config(tmp_path)
+        del cfg["resources"]["fr"]["table_bwd"]
+        config = write_config(tmp_path / "half.yaml", cfg)
+        assert main(["build-lexicon", "--config", config]) == 1
         assert "both table directions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
-def _artifacts(root):
-    files = {}
-    for name in ("corpus", "vocab", "lexicon", "idf", "vectors",
-                 "pairs.tsv", "pairs_url.tsv"):
-        path = root / name
-        for f in [path] if path.is_file() else sorted(path.rglob("*")):
-            if f.is_file():
-                files[f.relative_to(root).as_posix()] = f.read_bytes()
-    return files
+class TestOneExecutionPath:
+    # each stage command had its own flags, 36 options in all, that repeated
+    # config fields and bypassed the stamps and the pre-flight of `run`
+    def test_pipeline_commands_take_only_config_and_out(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {*STAGE_COMMANDS, "run", "mine-ids", "evaluate"}
+        for command in (*STAGE_COMMANDS, "run"):
+            options = {a.dest: a.required for a in sub.choices[command]._actions
+                       if not isinstance(a, argparse._HelpAction)}
+            assert options == {"config": True, "out": False}, command
+
+    def test_align_cda_runs_the_module_stages_through_align(self, tmp_path, monkeypatch):
+        # a stage list bound at import time would bypass these spies, as it
+        # would bypass the benchmark tracer's wrappers
+        _cfg, config = fixture_config(tmp_path)
+        called = []
+        for name in ("ingest", "lexicon", "vectorize", "align", "mine", "evaluate"):
+            stage = getattr(pipeline, f"_stage_{name}")
+
+            def spy(*args, name=name, stage=stage):
+                called.append(name)
+                return stage(*args)
+
+            monkeypatch.setattr(pipeline, f"_stage_{name}", spy)
+        assert main(["align-cda", "--config", config]) == 0
+        assert called == ["ingest", "lexicon", "vectorize", "align"]
 
 
 class TestChainMatchesRun:
-    def test_subcommand_chain_equals_run(self, tmp_path):
+    def test_subcommand_chain_equals_run(self, tmp_path, caplog):
         corpus = SyntheticCorpus(n_domains=3, docs_per_domain=6, vocab_size=60,
                                  doc_len=(15, 25), seed=5)
         stopwords = tmp_path / "stopwords.txt"
@@ -118,28 +169,23 @@ class TestChainMatchesRun:
         ))
         cfg = corpus.config(tmp_path / "fx", tmp_path / "run", vocab_size=60,
                             skip_top_k=2, stopwords=str(stopwords), url_align=True)
-        cfg_path = tmp_path / "config.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        config = write_config(tmp_path / "config.yaml", cfg)
+        assert main(["run", "--config", config]) == 0
 
         chain = tmp_path / "chain"
-        common = ["--out", str(chain), "--pivot", "en"]
-        res = cfg["resources"]["fr"]
-        assert main(["ingest", "--input", cfg["input"], "--out", str(chain),
-                     "--no-detect"]) == 0
-        assert main(["build-lexicon", *common, "--lang", "fr",
-                     "--table-fwd", res["table_fwd"], "--table-bwd", res["table_bwd"],
-                     "--vocab-size", "60", "--skip-top-k", "2",
-                     "--stopwords", str(stopwords)]) == 0
-        assert main(["vectorize", *common, "--langs", "fr"]) == 0
-        assert main(["align-cda", *common, "--langs", "fr", "--threshold", "0.1"]) == 0
-        assert main(["align-url", *common, "--langs", "fr"]) == 0
+        for command in STAGE_COMMANDS:
+            assert main([command, "--config", config, "--out", str(chain)]) == 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="docalign.pipeline"):
+            assert main(["run", "--config", config, "--out", str(chain)]) == 0
+        skipped = [m.split(":")[0] for m in caplog.messages if m.endswith("up to date, skipping")]
+        assert skipped == ["ingest", "lexicon", "vectorize", "align"]
 
-        expected = _artifacts(tmp_path / "run")
+        expected = tree(tmp_path / "run")
         assert expected["pairs.tsv"] and expected["pairs_url.tsv"]
-        assert {"vocab/en.txt", "lexicon/fr.tsv", "idf/fr.tsv",
-                "vectors/fr/data.npy", "vectors/fr/urls.txt"} <= expected.keys()
-        assert _artifacts(chain) == expected
+        assert {"vocab/en.txt", "lexicon/fr.tsv", "idf/fr.tsv", "vectors/fr/data.npy",
+                "manifest.json", ".stamps/align.json"} <= expected.keys()
+        assert tree(chain) == expected
 
 
 def _readme_blocks(lang):
@@ -258,6 +304,22 @@ class TestExitCodes:
         assert main(["evaluate", "--pred", str(pairs), "--gold", str(gold)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {gold}:2: not UTF-8")
 
+    # was "error: gold set is empty; recall is undefined", with exit 1 and,
+    # for run, only after five stages
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_empty_gold_is_2(self, tmp_path, capsys, command):
+        gold = tmp_path / "empty.tsv"
+        gold.write_text("")
+        cfg, config = fixture_config(tmp_path, gold=str(gold))
+        out = tmp_path / "out"
+        argv = {"run": ["run", "--config", config],
+                "evaluate": ["evaluate", "--pred", str(gold), "--gold", str(gold)]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {gold}: no gold pairs\n"
+        if command == "run":
+            assert (out / "FAILED").read_text() == "evaluate\n"
+            assert not (out / "manifest.json").exists()
+
     def test_run_with_latin1_table_fails_lexicon(self, tmp_path, capsys):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
@@ -280,8 +342,9 @@ class TestExitCodes:
     def test_data_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json}\n")
-        code = main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o")])
-        assert code == 2
+        config = write_config(tmp_path / "config.yaml",
+                              {"input": str(bad), "out": str(tmp_path / "o")})
+        assert main(["ingest", "--config", config]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("record", [
@@ -313,48 +376,51 @@ class TestExitCodes:
         bad = tmp_path / "in.jsonl"
         bad.write_text('{"url": "http://a.com/ok", "lang": "en", "text": "a"}\n\n'
                        + record + "\n")
-        out = tmp_path / "o"
-        code = main(["ingest", "--input", str(bad), "--out", str(out)])
-        assert code == 2
+        config = write_config(tmp_path / "config.yaml",
+                              {"input": str(bad), "out": str(tmp_path / "o")})
+        assert main(["ingest", "--config", config]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:3: ")
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.jsonl"]
+        assert tree(tmp_path) == {"config.yaml": Path(config).read_bytes(),
+                                  "in.jsonl": bad.read_bytes(), "o/FAILED": b"ingest\n"}
 
-    def test_bad_corpus_line_names_file_and_line(self, tmp_path, capsys):
-        corpus, paths = write_fixture(tmp_path)
+    # a stage reading corpus/ stops at a bad docs.tsv line; a stage command
+    # finds the ingest stamp stale and ingests again first
+    def test_bad_corpus_line_names_file_and_line(self, tmp_path):
+        _cfg, config = fixture_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        assert main(["ingest", "--config", config]) == 0
         docs = out / "corpus" / "docs.tsv"
+        good = docs.read_bytes()
         docs.write_text(docs.read_text() + "en\tsite00.example\thttp://site00.example/x\t5\n")
         lines = len(docs.read_text().splitlines())
-        capsys.readouterr()
-        assert main(["vectorize", "--out", str(out), "--pivot", "en"]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {docs}:{lines}: expected 5 tab-separated fields, got 4")
+        with pytest.raises(FormatError) as exc:
+            read_partitions(out / "corpus")
+        assert str(exc.value) == f"{docs}:{lines}: expected 5 tab-separated fields, got 4"
+        assert main(["vectorize", "--config", config]) == 0
+        assert docs.read_bytes() == good
 
-    def test_missing_ids_file_names_it(self, tmp_path, capsys):
+    def test_missing_ids_file_names_it(self, tmp_path):
         # was the bare FileNotFoundError, as "error: [Errno 2] ..."
-        corpus, paths = write_fixture(tmp_path)
+        _cfg, config = fixture_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
+        assert main(["ingest", "--config", config]) == 0
         ids = out / "corpus" / "ids.npy"
         ids.unlink()
-        capsys.readouterr()
-        assert main(["vectorize", "--out", str(out), "--pivot", "en"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {ids}: ")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(ids))}: "):
+            read_partitions(out / "corpus")
+        assert main(["vectorize", "--config", config]) == 0
+        assert ids.is_file()
 
-    def test_vectorize_rejects_lexicon_of_another_pivot_vocabulary(self, tmp_path, capsys):
-        # a second build-lexicon call rewrites vocab/en.txt with a smaller
-        # vocabulary than the one lexicon/fr.tsv was built against
-        corpus, paths = write_fixture(tmp_path)
+    def test_vectorize_rejects_lexicon_of_another_pivot_vocabulary(self, tmp_path):
+        # a build of another language with a smaller vocabulary rewrites
+        # vocab/en.txt under the lexicon/fr.tsv built against the larger one
+        cfg, config = fixture_config(tmp_path)
         out = tmp_path / "out"
-        common = ["--out", str(out), "--pivot", "en"]
-        tables = ["--table-fwd", str(paths["table_fwd"]),
-                  "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
-        assert main(["build-lexicon", *common, "--lang", "fr", *tables,
-                     "--vocab-size", "40"]) == 0
-        assert main(["build-lexicon", *common, "--lang", "de", *tables,
-                     "--vocab-size", "10"]) == 0
+        assert main(["build-lexicon", "--config", config]) == 0
+        fr = PipelineConfig.from_dict(cfg)
+        parts = read_partitions(out / "corpus")
+        pipeline.build_lexicon(replace(fr, langs=["de"], resources={"de": fr.resources["fr"]},
+                                       vocab_size=10), parts)
         vocab = set((out / "vocab" / "en.txt").read_text().split())
         lexicon = out / "lexicon" / "fr.tsv"
         line, word = next(
@@ -362,116 +428,92 @@ class TestExitCodes:
                 (row.split("\t") for row in lexicon.read_text().splitlines()), start=1)
             if fields[1] not in vocab
         )
-        capsys.readouterr()
-        assert main(["vectorize", *common, "--langs", "fr"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {lexicon}:{line}: pivot word {word!r} is not in the pivot vocabulary\n"
-        )
+        with pytest.raises(FormatError) as exc:
+            pipeline.vectorize_corpus(fr, parts)
+        assert str(exc.value) == (
+            f"{lexicon}:{line}: pivot word {word!r} is not in the pivot vocabulary")
+        assert main(["vectorize", "--config", config]) == 0  # the lexicon stamp saw the change
 
     @pytest.mark.parametrize("bad", [-5, 10**12, None], ids=["negative", "huge", "vocab-size"])
-    def test_align_rejects_dimension_outside_pivot_vocabulary(self, tmp_path, capsys, bad):
-        corpus, paths = write_fixture(tmp_path)
+    def test_align_rejects_dimension_outside_pivot_vocabulary(self, tmp_path, bad):
+        cfg, config = fixture_config(tmp_path)
         out = tmp_path / "out"
-        common = ["--out", str(out), "--pivot", "en"]
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
-        assert main(["build-lexicon", *common, "--lang", "fr",
-                     "--table-fwd", str(paths["table_fwd"]),
-                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
-        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        assert main(["vectorize", "--config", config]) == 0
         dims = len((out / "vocab" / "en.txt").read_text().splitlines())
         indices_path = out / "vectors" / "fr" / "indices.npy"
         indices = np.load(indices_path)
         indices[1] = dims if bad is None else bad
         np.save(indices_path, indices)
-        capsys.readouterr()
-        assert main(["align-cda", *common, "--langs", "fr"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {indices_path}: dimension outside the {dims}-word pivot vocabulary\n")
+        with pytest.raises(FormatError) as exc:
+            pipeline.align_by_content(PipelineConfig.from_dict(cfg),
+                                      read_partitions(out / "corpus"))
+        assert str(exc.value) == (
+            f"{indices_path}: dimension outside the {dims}-word pivot vocabulary")
         assert not (out / "pairs.tsv").exists()
+        assert main(["align-cda", "--config", config]) == 0  # vectorize runs again first
 
     @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan"])
     def test_ingest_rejects_lang_confidence_outside_0_1(self, tmp_path, capsys, value):
-        corpus, paths = write_fixture(tmp_path)
-        out = tmp_path / "out"
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out),
-                     "--lang-confidence", value]) == 1
+        _cfg, config = fixture_config(tmp_path, lang_confidence=float(value))
+        assert main(["ingest", "--config", config]) == 1
         assert capsys.readouterr().err == (
             f"error: lang_confidence must be a number in [0, 1], got {float(value)!r}\n")
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
     # vocab/../../x.txt and lexicon/../../x.tsv landed outside --out, and a
     # language listed twice, or the pivot listed again, was processed twice
-    @pytest.mark.parametrize("command, message", [
-        pytest.param("build-lexicon --pivot en --lang ../../x", "language tag '../../x'",
+    @pytest.mark.parametrize("command, changes, message", [
+        pytest.param("build-lexicon", {"langs": ["../../x"]}, "language tag '../../x'",
                      id="build-lexicon-lang"),
-        pytest.param("build-lexicon --pivot ../../x --lang fr", "language tag '../../x'",
+        pytest.param("build-lexicon", {"pivot": "../../x"}, "language tag '../../x'",
                      id="build-lexicon-pivot"),
-        pytest.param("vectorize --pivot en --langs fr,fr", "list a language twice",
+        pytest.param("vectorize", {"langs": ["fr", "fr"]}, "list a language twice",
                      id="vectorize-twice"),
-        pytest.param("vectorize --pivot en --langs ../../x", "language tag '../../x'",
+        pytest.param("vectorize", {"langs": ["../../x"]}, "language tag '../../x'",
                      id="vectorize-lang"),
-        pytest.param("align-cda --pivot en --langs fr,en", "list the pivot 'en'",
+        pytest.param("align-cda", {"langs": ["fr", "en"]}, "list the pivot 'en'",
                      id="align-cda-pivot"),
-        pytest.param("align-url --pivot en --langs ../x", "language tag '../x'",
-                     id="align-url-lang"),
     ])
     def test_bad_language_list_is_1_and_writes_nothing(self, tmp_path, capsys, command,
-                                                       message):
-        corpus, paths = write_fixture(tmp_path)
-        out = tmp_path / "out"
-        common = ["--out", str(out), "--pivot", "en"]
-        tables = ["--table-fwd", str(paths["table_fwd"]),
-                  "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
-        assert main(["build-lexicon", *common, "--lang", "fr", *tables]) == 0
-        assert main(["vectorize", *common, "--langs", "fr"]) == 0
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+                                                       changes, message):
+        cfg, config = fixture_config(tmp_path)
+        assert main(["vectorize", "--config", config]) == 0
+        bad = write_config(tmp_path / "bad.yaml", {**cfg, **changes})
+        before = tree(tmp_path)
         capsys.readouterr()
-        argv = [*command.split(), "--out", str(out)]
-        assert main(argv + tables if argv[0] == "build-lexicon" else argv) == 1
+        assert main([command, "--config", bad]) == 1
         assert message in capsys.readouterr().err
-        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert tree(tmp_path) == before
 
     # each ended in the bare "error: [Errno 2] ..." with exit 2: only `run`
     # checked that the files it names exist
     @pytest.mark.parametrize("command, key", [
-        pytest.param(["ingest", "--input", "{missing}", "--out", "{out}"], "input",
-                     id="ingest-input"),
-        pytest.param(["build-lexicon", "--out", "{out}", "--pivot", "en", "--lang", "fr",
-                      "--table-fwd", "{fwd}", "--table-bwd", "{bwd}",
-                      "--stopwords", "{missing}"], "stopwords", id="build-lexicon-stopwords"),
-        pytest.param(["align-url", "--out", "{out}", "--pivot", "en", "--langs", "fr",
-                      "--ids", "{missing}"], "identifiers", id="align-url-ids"),
-        pytest.param(["evaluate", "--pred", "{out}/pairs.tsv", "--gold", "{missing}"],
-                     "gold", id="evaluate-gold"),
+        pytest.param("ingest", "input", id="ingest-input"),
+        pytest.param("build-lexicon", "stopwords", id="build-lexicon-stopwords"),
+        pytest.param("align-cda", "identifiers", id="align-url-ids"),
+        pytest.param("evaluate", "gold", id="evaluate-gold"),
     ])
     def test_missing_file_is_1_and_writes_nothing(self, tmp_path, capsys, command, key):
-        corpus, paths = write_fixture(tmp_path)
+        cfg, config = fixture_config(tmp_path, url_align=True)
         out = tmp_path / "out"
-        common = ["--out", str(out), "--pivot", "en"]
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
-        assert main(["build-lexicon", *common, "--lang", "fr",
-                     "--table-fwd", str(paths["table_fwd"]),
-                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
-        assert main(["vectorize", *common, "--langs", "fr"]) == 0
-        assert main(["align-cda", *common, "--langs", "fr"]) == 0
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        capsys.readouterr()
+        assert main(["run", "--config", config]) == 0
         missing = tmp_path / "missing.txt"
-        argv = [arg.format(missing=missing, out=out, fwd=paths["table_fwd"],
-                           bwd=paths["table_bwd"]) for arg in command]
+        bad = write_config(tmp_path / "bad.yaml", {**cfg, key: str(missing)})
+        before = tree(tmp_path)
+        capsys.readouterr()
+        argv = {"evaluate": ["evaluate", "--pred", str(out / "pairs.tsv"),
+                             "--gold", str(missing)]}.get(command, [command, "--config", bad])
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {key} file not found: {missing}\n"
-        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert tree(tmp_path) == before
 
     # argparse's choices made it exit 2, unlike every other bad option value
     def test_ingest_rejects_unknown_format(self, tmp_path, capsys):
-        corpus, paths = write_fixture(tmp_path)
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        assert main(["ingest", "--input", str(paths["input"]), "--format", "xml",
-                     "--out", str(tmp_path / "out")]) == 1
+        _cfg, config = fixture_config(tmp_path, format="xml")
+        before = tree(tmp_path)
+        assert main(["ingest", "--config", config]) == 1
         assert capsys.readouterr().err == "error: format must be 'jsonl' or 'tsv', got 'xml'\n"
-        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert tree(tmp_path) == before
 
     # each was the bare "error: [Errno 2] No such file or directory: '<path>'"
     @pytest.mark.parametrize("argv, path", [
@@ -479,8 +521,8 @@ class TestExitCodes:
                      id="evaluate-pred"),
         pytest.param(["mine-ids", "--pairs", "nope.tsv", "--out", "c.tsv"], "nope.tsv",
                      id="mine-ids-pairs"),
-        pytest.param(["vectorize", "--out", "empty", "--pivot", "en"],
-                     str(Path("empty", "corpus", "docs.tsv")), id="vectorize-empty-out"),
+        pytest.param(["vectorize", "--config", "nope.yaml"], "nope.yaml",
+                     id="vectorize-config"),
         pytest.param(["evaluate", "--pred", "pairs.tsv", "--gold", "gold.tsv",
                       "--json", "nodir/r.json"], "nodir/r.json", id="evaluate-json"),
         pytest.param(["mine-ids", "--pairs", "pairs.tsv", "--out", "nodir/c.tsv"],
@@ -496,20 +538,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
 
     # was "error: <path>: [Errno 2] No such file or directory: '<path>'"
-    def test_lost_vector_array_names_it(self, tmp_path, capsys):
-        corpus, paths = write_fixture(tmp_path)
+    def test_lost_vector_array_names_it(self, tmp_path):
+        cfg, config = fixture_config(tmp_path)
         out = tmp_path / "out"
-        common = ["--out", str(out), "--pivot", "en"]
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
-        assert main(["build-lexicon", *common, "--lang", "fr",
-                     "--table-fwd", str(paths["table_fwd"]),
-                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
-        assert main(["vectorize", *common, "--langs", "fr"]) == 0
-        (out / "vectors" / "fr" / "data.npy").unlink()
-        capsys.readouterr()
-        assert main(["align-cda", *common, "--langs", "fr"]) == 2
+        assert main(["vectorize", "--config", config]) == 0
         missing = out / "vectors" / "fr" / "data.npy"
-        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+        missing.unlink()
+        with pytest.raises(FormatError) as exc:
+            pipeline.align_by_content(PipelineConfig.from_dict(cfg),
+                                      read_partitions(out / "corpus"))
+        assert str(exc.value) == f"{missing}: No such file or directory"
+        assert main(["align-cda", "--config", config]) == 0  # vectorize runs again first
+        assert missing.is_file()
 
     # was ingested as http://a.com/caf\ufffd with the tokens caf, cr and me
     def test_input_not_utf8_is_2(self, tmp_path, capsys):
@@ -517,47 +557,40 @@ class TestExitCodes:
         bad.write_bytes(b'{"url": "http://a.com/x", "lang": "en", "text": "a"}\n'
                         + '{"url": "http://a.com/caf\u00e9", "lang": "fr", '
                           '"text": "caf\u00e9 cr\u00e8me"}\n'.encode("latin-1"))
-        code = main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o")])
-        assert code == 2
+        config = write_config(tmp_path / "config.yaml",
+                              {"input": str(bad), "out": str(tmp_path / "o")})
+        assert main(["ingest", "--config", config]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:2: not UTF-8: ")
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.jsonl"]
+        assert sorted(tree(tmp_path)) == ["config.yaml", "in.jsonl", "o/FAILED"]
 
     # align-cda aligned the documents of the old vectors/ and left the rest of
     # the new corpus/ out, with exit 0
-    def test_align_rejects_vectors_of_another_corpus(self, tmp_path, capsys):
-        corpus, paths = write_fixture(tmp_path)
+    def test_align_rejects_vectors_of_another_corpus(self, tmp_path):
+        cfg, config = fixture_config(tmp_path)
         out = tmp_path / "out"
-        common = ["--out", str(out), "--pivot", "en"]
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
-        assert main(["build-lexicon", *common, "--lang", "fr",
-                     "--table-fwd", str(paths["table_fwd"]),
-                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
-        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        assert main(["vectorize", "--config", config]) == 0
         bigger = SyntheticCorpus(n_domains=3, docs_per_domain=4, vocab_size=40,
                                  doc_len=(15, 25), seed=11).write(tmp_path / "fx2")
-        assert main(["ingest", "--input", str(bigger["input"]), "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["align-cda", *common, "--langs", "fr"]) == 2
+        fr = PipelineConfig.from_dict(cfg)
+        pipeline.ingest(replace(fr, input=str(bigger["input"])))
+        with pytest.raises(FormatError) as exc:
+            pipeline.align_by_content(fr, read_partitions(out / "corpus"))
         urls = out / "vectors" / "en" / "urls.txt"
-        assert capsys.readouterr().err == (
-            f"error: {urls}: not the en documents of {out / 'corpus'}; run vectorize again\n")
+        assert str(exc.value) == (
+            f"{urls}: not the en documents of {out / 'corpus'}; run vectorize again")
         assert not (out / "pairs.tsv").exists()
+        assert main(["align-cda", "--config", config]) == 0  # ingest runs again first
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_align_rejects_threshold_that_is_not_finite(self, tmp_path, capsys, value):
-        corpus, paths = write_fixture(tmp_path)
-        out = tmp_path / "out"
-        common = ["--out", str(out), "--pivot", "en"]
-        assert main(["ingest", "--input", str(paths["input"]), "--out", str(out)]) == 0
-        assert main(["build-lexicon", *common, "--lang", "fr",
-                     "--table-fwd", str(paths["table_fwd"]),
-                     "--table-bwd", str(paths["table_bwd"]), "--skip-top-k", "0"]) == 0
-        assert main(["vectorize", *common, "--langs", "fr"]) == 0
+        cfg, config = fixture_config(tmp_path)
+        assert main(["vectorize", "--config", config]) == 0
+        bad = write_config(tmp_path / "bad.yaml", {**cfg, "threshold": float(value)})
         capsys.readouterr()
-        assert main(["align-cda", *common, "--langs", "fr", "--threshold", value]) == 1
+        assert main(["align-cda", "--config", bad]) == 1
         assert capsys.readouterr().err == (
             f"error: threshold must be a finite number, got {float(value)!r}\n")
-        assert not (out / "pairs.tsv").exists()
+        assert not (tmp_path / "out" / "pairs.tsv").exists()
 
     # was read as 1
     @pytest.mark.parametrize("value", ["0", "-3"])

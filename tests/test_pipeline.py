@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -8,11 +9,12 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from docalign import align_cda, corpus as corpus_io, evaluation, lexicon, miner, vectorspace
-from docalign.cli import _config_with_langs, build_parser, main
+from docalign.cli import main
 from docalign.corpus import CorpusPartition, read_partitions
-from docalign.errors import ConfigError
+from docalign.errors import ConfigError, FormatError
 from docalign.pipeline import LanguageResource, PipelineConfig, run_pipeline
 from tests.conftest import SyntheticCorpus, write_jsonl_partitions
 
@@ -132,7 +134,7 @@ class TestRunPipeline:
         # align rewrites pairs.tsv empty, then fails on the identifier file
         ids = tmp_path / "ids.txt"
         ids.write_text("fr/x\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(ids))}:1: "):
             run_tiny(tmp_path, corpus=corpus, vocab_size=50, threshold=1.5,
                      url_align=True, identifiers=str(ids))
         assert (out / "FAILED").read_text() == "align\n"
@@ -376,13 +378,19 @@ class TestRunPipeline:
         assert {cfg.input, cfg.gold, str(stopwords), str(identifiers),
                 cfg_dict["resources"]["fr"]["table_bwd"]} <= manifest["inputs"].keys()
 
+    # the rule lived in run_pipeline, so a config made for a stage command
+    # could leave a language without its resource
     def test_unconfigured_language_fails(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
         cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out")
         cfg_dict["langs"] = ["fr", "de"]
-        with pytest.raises(ConfigError, match="de"):
-            run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        message = "^no translation resource configured for language 'de'$"
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.from_dict(cfg_dict)
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(input="x", out="y", langs=["de"])
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_matching_fails_preflight(self, tmp_path, capsys):
         # the key chose between two linkers; with one left it is unknown
@@ -464,6 +472,14 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_pipeline(PipelineConfig.from_dict(cfg_dict))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fx"]
+
+    def test_unknown_stage_touches_nothing(self, tmp_path):
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        cfg = PipelineConfig.from_dict(corpus.config(tmp_path / "fx", tmp_path / "out"))
+        with pytest.raises(ValueError, match="^no stage 'pairs'"):
+            run_pipeline(cfg, through="pairs")
+        assert not (tmp_path / "out").exists()
 
     def test_failed_marker_on_stage_error(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
@@ -586,6 +602,53 @@ class TestRunPipeline:
             "\tfr\t0.518335\tcda\n")
 
 
+def _artifacts(out):
+    """``tree(out)`` without the stamps and the manifest, which digest the input."""
+    return {path: data for path, data in tree(out).items()
+            if not path.startswith(".stamps/") and path != "manifest.json"}
+
+
+def _duplicate(record, kind):
+    """A record with ``record``'s URL that dedup must drop in any input order:
+    a copy, a shorter text, or a text of the same length whose first token
+    sorts after the original's, so the tie-break keeps the original."""
+    tokens = record["text"].split()
+    if kind == "shorter":
+        tokens = tokens[:-1]
+    elif kind == "tie":
+        tokens[0] = "z" * len(tokens[0])
+    return {**record, "text": " ".join(tokens)}
+
+
+@pytest.fixture(scope="module")
+def invariance_base(tmp_path_factory):
+    corpus = SyntheticCorpus(n_domains=3, docs_per_domain=5, vocab_size=60,
+                             doc_len=(20, 30), seed=3)
+    root = tmp_path_factory.mktemp("invariance")
+    cfg = corpus.config(root / "fx", root / "out", vocab_size=50, url_align=True, mine=True)
+    return corpus, _artifacts(run_pipeline(PipelineConfig.from_dict(cfg)))
+
+
+class TestInvariance:
+    # guards a rewrite of ingest's dedup tie-break or token handling: the
+    # artifacts depend on the set of distinct records, not on their order
+    @settings(max_examples=10, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False))
+    def test_shuffled_input_with_duplicates_changes_no_artifact(self, invariance_base,
+                                                                tmp_path_factory, rnd):
+        corpus, expected = invariance_base
+        records = corpus.records + [_duplicate(rnd.choice(corpus.records), kind)
+                                    for kind in ["copy", "shorter", "tie"] * 13 + ["tie"]]
+        rnd.shuffle(records)
+        shuffled = copy.copy(corpus)
+        shuffled.records = records
+        root = tmp_path_factory.mktemp("shuffled")
+        cfg = shuffled.config(root / "fx", root / "out", vocab_size=50, url_align=True,
+                              mine=True)
+        assert len(records) == len(corpus.records) + 40
+        assert _artifacts(run_pipeline(PipelineConfig.from_dict(cfg))) == expected
+
+
 class TestPipelineConfig:
     def test_from_yaml_file(self, tmp_path):
         cfg_file = tmp_path / "cfg.yaml"
@@ -639,12 +702,14 @@ class TestPipelineConfig:
             PipelineConfig.from_dict({"out": "y"})
 
     def test_langs_are_kept_sorted(self):
-        cfg = PipelineConfig(input="x", out="y", langs=["fr", "de"])
+        res = LanguageResource(table_fwd="f.tsv", table_bwd="b.tsv")
+        cfg = PipelineConfig(input="x", out="y", langs=["fr", "de"],
+                             resources={"de": res, "fr": res})
         assert cfg.langs == ["de", "fr"]
         assert dataclasses.replace(cfg, langs=["fr", "de"]).langs == ["de", "fr"]
-        args = build_parser().parse_args(["vectorize", "--out", "y", "--pivot", "en",
-                                          "--langs", "fr,de"])
-        assert _config_with_langs(args).langs == ["de", "fr"]
+        raw = {"input": "x", "out": "y", "langs": ["fr", "de"],
+               "resources": {"de": vars(res), "fr": vars(res)}}
+        assert PipelineConfig.from_dict(raw).langs == ["de", "fr"]
 
     # a string of languages was iterated by character, "no" was a true
     # switch and a number as a path ended in a TypeError
@@ -700,7 +765,9 @@ class TestPipelineConfig:
          "^resources of language 'fr': table_fwd must be a file path, got 3$"),
     ])
     def test_replace_checks_the_same_rules(self, changes, message):
-        cfg = PipelineConfig.from_dict({"input": "x", "out": "y", "langs": ["fr"]})
+        cfg = PipelineConfig.from_dict({"input": "x", "out": "y", "langs": ["fr"],
+                                        "resources": {"fr": {"table_fwd": "f.tsv",
+                                                             "table_bwd": "b.tsv"}}})
         with pytest.raises(ConfigError, match=message):
             dataclasses.replace(cfg, **changes)
 
