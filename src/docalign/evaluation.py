@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .align_cda import AlignmentPair
 from .corpus import domain_of
@@ -12,9 +12,10 @@ from .errors import FormatError, UsageError
 from .textfile import read_lines
 
 
-# Gold (pivot_url, other_url) pairs, URLs lowercased: each non-pivot page
-# has one pivot partner, and a pivot page one partner per language.
-GoldSet = set[tuple[str, str]]
+# Gold (pivot_url, other_url) pairs, URLs lowercased, each mapped to the
+# domain of its pivot URL: each non-pivot page has one pivot partner, and a
+# pivot page one partner per language.
+Gold = dict[tuple[str, str], str]
 
 
 @dataclass
@@ -25,12 +26,13 @@ class RecallReport:
     per_domain: dict[str, dict[str, int]]
 
 
-def load_gold(path) -> GoldSet:
+def load_gold(path) -> Gold:
     """TSV ``pivot_url \\t other_url``; URLs lowercased for comparison. A
     pivot URL may be on several lines, one per language of its counterparts;
     a non-pivot URL on one line only, and no URL on both sides. A file with
-    no pair is a ``FormatError``: recall over it is undefined."""
-    pairs: GoldSet = set()
+    no pair is a ``FormatError``: recall over it is undefined. Each pair
+    maps to the domain of its pivot URL, the domain it is reported under."""
+    pairs: Gold = {}
     pivots: set[str] = set()
     others: set[str] = set()
     for lineno, (purl, ourl) in read_lines(path, 2):
@@ -43,7 +45,7 @@ def load_gold(path) -> GoldSet:
             if u in pivots and u in others:
                 raise FormatError(f"{path}:{lineno}: URL {u!r} is both a pivot and "
                                   "a non-pivot URL")
-        pairs.add((purl, ourl))
+        pairs[(purl, ourl)] = domain_of(purl)
     if not pairs:
         raise FormatError(f"{path}: no gold pairs")
     return pairs
@@ -69,10 +71,12 @@ def refilter_one_to_one(pairs: Iterable[AlignmentPair]) -> list[AlignmentPair]:
 
 def evaluate_recall(
     predicted: Iterable[AlignmentPair],
-    gold: GoldSet,
+    gold: Mapping[tuple[str, str], str],
     enforce_one_to_one: bool = True,
 ) -> RecallReport:
-    """Percentage of gold pairs present in the (1-1 filtered) predictions.
+    """Percentage of gold pairs present in the (1-1 filtered) predictions,
+    per domain too: ``gold`` maps each pair to its domain, as ``load_gold``
+    returns it.
 
     URLs are compared by exact string equality after lowercasing:
     ``load_gold`` lowercases the gold pairs and this function the predicted
@@ -86,8 +90,7 @@ def evaluate_recall(
     predicted_set = {(p.pivot_url.lower(), p.other_url.lower()) for p in pairs}
     totals: Counter[str] = Counter()
     found: Counter[str] = Counter()
-    for pair in gold:
-        domain = domain_of(pair[0])
+    for pair, domain in gold.items():
         totals[domain] += 1
         found[domain] += pair in predicted_set
     hits = sum(found.values())

@@ -9,9 +9,8 @@ documents into the pivot lexicon.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,8 +21,31 @@ from .textfile import read_lines
 log = logging.getLogger(__name__)
 
 
-# Directed lexical translation probabilities P(src -> tgt), keyed (src, tgt).
-TranslationTable = dict[tuple[str, str], float]
+class TranslationTable(NamedTuple):
+    """Directed lexical translation probabilities between vocabulary ids:
+    P(src[i] -> tgt[i]) = prob[i], each (src, tgt) pair once."""
+
+    src: np.ndarray  # int64
+    tgt: np.ndarray  # int64
+    prob: np.ndarray  # float64
+
+
+class PairScores(NamedTuple):
+    """S(a, b) = P_fwd(a -> b) + P_bwd(b -> a) between vocabulary ids: pivot
+    word ``pivot[i]`` and other word ``other[i]`` score ``score[i]``, each
+    pair once."""
+
+    pivot: np.ndarray  # int64
+    other: np.ndarray  # int64
+    score: np.ndarray  # float64
+
+
+class Embeddings(NamedTuple):
+    """Word vectors: row ``i`` of ``vectors`` belongs to ``words[i]``, and
+    every word is listed once."""
+
+    words: list[str]
+    vectors: np.ndarray  # float64, one row per word
 
 
 @dataclass
@@ -37,27 +59,38 @@ class LexiconAlignment:
     scores: dict[str, float] = field(default_factory=dict)
 
 
-def load_translation_table(path) -> TranslationTable:
-    """Read a TSV table ``src \\t tgt \\t prob``; later duplicates win."""
-    probs: TranslationTable = {}
+def load_translation_table(path, src_index: Mapping[str, int],
+                           tgt_index: Mapping[str, int]) -> TranslationTable:
+    """Read a TSV table ``src \\t tgt \\t prob``. Every line is checked, but
+    only entries whose words are both in the vocabularies ``src_index`` and
+    ``tgt_index`` (word -> id) are kept; later duplicates win."""
+    width = len(tgt_index)
+    probs: dict[int, float] = {}  # src id * width + tgt id -> probability
     for lineno, (src, tgt, raw) in read_lines(path, 3):
         try:
             p = float(raw)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric probability {raw!r}") from None
-        if not (0.0 <= p <= 1.0) or math.isnan(p):
+        if not 0.0 <= p <= 1.0:  # nan included
             raise FormatError(f"{path}:{lineno}: probability {p} outside [0, 1]")
-        probs[(src, tgt)] = p
-    return probs
+        i = src_index.get(src)
+        if i is not None:
+            j = tgt_index.get(tgt)
+            if j is not None:
+                probs[i * width + j] = p
+    keys = np.fromiter(probs, dtype=np.int64, count=len(probs))
+    return TranslationTable(*np.divmod(keys, max(width, 1)),
+                            np.fromiter(probs.values(), dtype=np.float64, count=len(probs)))
 
 
-def load_embeddings(path) -> dict[str, np.ndarray]:
+def load_embeddings(path) -> Embeddings:
     """Word vectors in the common text format: ``count dim`` header, then
     ``count`` lines ``word v1 ... vdim``, which may end in a space as in
-    fastText's ``.vec`` files. A file with another number of non-blank rows,
-    or with no non-zero vector (no translation probability), is a ``FormatError``."""
-    vectors: dict[str, np.ndarray] = {}
-    usable, rows = False, 0
+    fastText's ``.vec`` files; a word listed twice keeps its last vector. A
+    file with another number of non-blank rows, or with no non-zero vector
+    (no translation probability), is a ``FormatError``. The rows are read
+    into one matrix, so a row with the wrong number of fields is reported
+    before a bad value on an earlier row."""
     lines = read_lines(path, skip_blank=False)  # the header is line 1, even blank
     header = next(lines, (1, ""))[1].split()
     try:
@@ -65,56 +98,94 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     except ValueError:
         raise FormatError(f"{path}:1: bad embeddings header {header!r}, "
                           "expected 'count dim'") from None
+    words: list[str] = []
+    linenos: list[int] = []
+    values: list[str] = []
     for lineno, line in lines:
         if not line:
             continue
-        rows += 1
         parts = line.rstrip(" ").split(" ")
         if len(parts) != dim + 1:
             raise FormatError(f"{path}:{lineno}: expected {dim} values for {parts[0]!r}")
-        try:
-            vector = np.asarray(parts[1:], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-        # one nan makes every probability of the other direction nan
-        if not np.isfinite(vector).all():
-            raise FormatError(
-                f"{path}:{lineno}: non-finite value in the vector for {parts[0]!r}"
-            )
-        vectors[parts[0]] = vector
-        usable = usable or vector.any()
-    if rows != count:  # a cut-off download
-        raise FormatError(f"{path}: the header counts {count} words, the file has {rows}")
-    if not usable:
+        words.append(parts[0])
+        linenos.append(lineno)
+        values += parts[1:]
+    try:
+        vectors = np.asarray(values, dtype=np.float64).reshape(len(words), dim)
+    except ValueError:
+        for row, lineno in enumerate(linenos):  # the first row that does not parse
+            try:
+                np.asarray(values[row * dim:(row + 1) * dim], dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+        raise
+    # one nan makes every probability of the other direction nan
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise FormatError(f"{path}:{linenos[row]}: non-finite value in the vector "
+                          f"for {words[row]!r}")
+    if len(words) != count:  # a cut-off download
+        raise FormatError(f"{path}: the header counts {count} words, "
+                          f"the file has {len(words)}")
+    if not vectors.any():
         raise FormatError(f"{path}: no word has a non-zero vector")
-    return vectors
+    last = {word: row for row, word in enumerate(words)}
+    if len(last) < len(words):
+        words, vectors = list(last), vectors[list(last.values())]
+    return Embeddings(words, vectors)
+
+
+def _unit_vectors(emb: Embeddings) -> tuple[list[str], np.ndarray]:
+    """The words with a non-zero vector in sorted order, and their vectors,
+    each divided by its own ``np.linalg.norm``."""
+    order = sorted(range(len(emb.words)), key=emb.words.__getitem__)
+    vectors = emb.vectors[order]
+    norms = np.array([np.linalg.norm(v) for v in vectors], dtype=np.float64)
+    nonzero = norms != 0
+    if not nonzero.all():
+        log.warning("skipped %d zero-vector embedding words",
+                    len(order) - int(nonzero.sum()))
+    words = [emb.words[i] for i, keep in zip(order, nonzero.tolist()) if keep]
+    return words, vectors[nonzero] / norms[nonzero, None]
 
 
 def _directional_table(
-    src: Sequence[str],
+    src_ids: np.ndarray,
     src_mat: np.ndarray,
-    tgt: Sequence[str],
+    tgt_ids: np.ndarray,
     tgt_mat: np.ndarray,
     top_n: int,
 ) -> TranslationTable:
-    sims = src_mat @ tgt_mat.T
-    k = min(top_n, len(tgt))
-    if k < len(tgt):
+    """The table of the rows with a vocabulary id (``src_ids`` and
+    ``tgt_ids`` hold -1 for a word outside the vocabulary). Each row keeps
+    its ``top_n`` over every target word, in- or outside the vocabulary, so
+    its probabilities are those of the whole embedding space; entries of
+    targets outside the vocabulary are dropped after that."""
+    rows = np.flatnonzero(src_ids >= 0)
+    # the full product, then its rows: a product of fewer rows may round
+    # differently
+    sims = (src_mat @ tgt_mat.T)[rows]
+    k = min(top_n, len(tgt_ids))
+    if k < len(tgt_ids):
         top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
     else:
-        top = np.broadcast_to(np.arange(len(tgt)), sims.shape)
+        top = np.broadcast_to(np.arange(len(tgt_ids)), sims.shape)
     kept = np.clip(np.take_along_axis(sims, top, axis=1), 0.0, None)
     totals = kept.sum(axis=1)
-    rows = np.flatnonzero(totals > 0)
-    probs = (kept[rows] / totals[rows, None]).ravel().tolist()
-    pairs = zip([src[i] for i in np.repeat(rows, k).tolist()],
-                [tgt[j] for j in top[rows].ravel().tolist()])
-    return dict(zip(pairs, probs))
+    usable = totals > 0
+    probs = (kept[usable] / totals[usable, None]).ravel()
+    src = np.repeat(src_ids[rows[usable]], k)
+    tgt = tgt_ids[top[usable]].ravel()
+    inside = tgt >= 0
+    return TranslationTable(src[inside], tgt[inside], probs[inside])
 
 
 def table_from_embeddings(
-    emb_src: Mapping[str, np.ndarray],
-    emb_tgt: Mapping[str, np.ndarray],
+    emb_src: Embeddings,
+    emb_tgt: Embeddings,
+    src_index: Mapping[str, int],
+    tgt_index: Mapping[str, int],
     top_n: int,
     src_lang: str = "src",
     tgt_lang: str = "tgt",
@@ -123,36 +194,15 @@ def table_from_embeddings(
 
     Per source word: cosine to every target word, keep the top_n, clamp
     negatives to 0 and renormalize to sum 1. Both directions are built
-    independently. Returns (src->tgt, tgt->src). A side with no non-zero
-    vector is a ``FormatError``.
+    independently. Returns (src->tgt, tgt->src) between the vocabulary ids
+    of ``src_index`` and ``tgt_index`` (word -> id); the other words still
+    compete for each row's top_n. A side with no non-zero vector is a
+    ``FormatError``.
     """
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
-
-    def prepare(emb):
-        words, mat, skipped = [], [], 0
-        dim = None
-        for w in sorted(emb):
-            v = np.asarray(emb[w], dtype=np.float64)
-            if dim is None:
-                dim = v.shape
-            elif v.shape != dim:
-                raise FormatError(
-                    f"embedding dimensionality mismatch for {w!r}: "
-                    f"{v.shape} vs {dim}"
-                )
-            norm = np.linalg.norm(v)
-            if norm == 0:
-                skipped += 1
-                continue
-            words.append(w)
-            mat.append(v / norm)
-        if skipped:
-            log.warning("skipped %d zero-vector embedding words", skipped)
-        return words, np.asarray(mat)
-
-    src_words, src_mat = prepare(emb_src)
-    tgt_words, tgt_mat = prepare(emb_tgt)
+    src_words, src_mat = _unit_vectors(emb_src)
+    tgt_words, tgt_mat = _unit_vectors(emb_tgt)
     for lang, words in ((src_lang, src_words), (tgt_lang, tgt_words)):
         if not words:
             raise FormatError(f"no {lang} embedding word has a non-zero vector")
@@ -160,82 +210,77 @@ def table_from_embeddings(
         raise FormatError(
             f"embedding spaces disagree: {src_mat.shape[1]} vs {tgt_mat.shape[1]} dims"
         )
-    return (_directional_table(src_words, src_mat, tgt_words, tgt_mat, top_n),
-            _directional_table(tgt_words, tgt_mat, src_words, src_mat, top_n))
+    src_ids = np.array([src_index.get(w, -1) for w in src_words], dtype=np.int64)
+    tgt_ids = np.array([tgt_index.get(w, -1) for w in tgt_words], dtype=np.int64)
+    return (_directional_table(src_ids, src_mat, tgt_ids, tgt_mat, top_n),
+            _directional_table(tgt_ids, tgt_mat, src_ids, src_mat, top_n))
 
 
-def pair_scores(fwd: TranslationTable,
-                bwd: TranslationTable) -> dict[tuple[str, str], float]:
+def pair_scores(fwd: TranslationTable, bwd: TranslationTable) -> PairScores:
     """S(a, b) = P_fwd(a, b) + P_bwd(b, a) for every (pivot, other) pair with
     an entry in either table; a missing entry counts as probability 0."""
-    scores = {(a, b): p + bwd.get((b, a), 0.0) for (a, b), p in fwd.items()}
-    for (b, a), p in bwd.items():
-        if (a, b) not in scores:
-            scores[(a, b)] = 0.0 + p  # 0.0 stands for the missing P_fwd(a, b)
-    return scores
+    width = 1 + int(max(fwd.tgt.max(initial=-1), bwd.src.max(initial=-1)))
+    keys, inverse = np.unique(np.concatenate([fwd.src * width + fwd.tgt,
+                                              bwd.tgt * width + bwd.src]),
+                              return_inverse=True)
+    # each sum starts at 0.0 and adds P_fwd before P_bwd, as 0.0 + p + q
+    score = np.bincount(inverse, weights=np.concatenate([fwd.prob, bwd.prob]),
+                        minlength=len(keys))
+    return PairScores(*np.divmod(keys, width), score)
+
+
+def _best_for_pivot(scores: PairScores) -> np.ndarray:
+    """Indices of the entries with a positive score that is the largest
+    of their pivot word's, ties included."""
+    positive = np.flatnonzero(scores.score > 0.0)
+    best = np.zeros(int(scores.pivot.max(initial=-1)) + 1)
+    np.maximum.at(best, scores.pivot[positive], scores.score[positive])
+    return positive[scores.score[positive] == best[scores.pivot[positive]]]
 
 
 def build_alignment(
-    scores: Mapping[tuple[str, str], float],
+    scores: PairScores,
     other_lang: str,
-    v_alpha: Iterable[str],
-    v_beta: Iterable[str],
+    pivot_words: Sequence[str],
+    other_words: Sequence[str],
 ) -> LexiconAlignment:
     """Pair every pivot word a with the argmax over b of S(a, b), keeping
     ties; pairs with max score 0 are dropped. ``scores`` is the
-    ``pair_scores`` table of the two translation tables.
+    ``pair_scores`` table of the two translation tables, over the ids of
+    the vocabularies ``pivot_words`` and ``other_words``.
 
     to_pivot keeps, for each non-pivot word, the single best pivot word
     (ties to the lexicographically smaller one), and scores its S.
     """
-    alpha, beta = set(v_alpha), set(v_beta)
-    if not alpha or not beta:
+    if not pivot_words or not other_words:
         raise ConfigError("alignment vocabularies must be non-empty")
-
-    best_for_pivot: dict[str, tuple[float, list[str]]] = {}
-    for (a, b), s in scores.items():
-        if s > 0.0 and a in alpha and b in beta:
-            cur = best_for_pivot.get(a)
-            if cur is None or s > cur[0]:
-                best_for_pivot[a] = (s, [b])
-            elif s == cur[0]:
-                cur[1].append(b)
-
-    best_for_other: dict[str, tuple[float, str]] = {}
-    for a, (s, bs) in best_for_pivot.items():
-        for b in bs:
-            cur = best_for_other.get(b)
-            if cur is None or s > cur[0] or (s == cur[0] and a < cur[1]):
-                best_for_other[b] = (s, a)
-
+    best = _best_for_pivot(scores)
+    pivot, other, score = scores.pivot[best], scores.other[best], scores.score[best]
+    rank = np.empty(len(pivot_words), dtype=np.int64)
+    rank[sorted(range(len(pivot_words)), key=pivot_words.__getitem__)] = \
+        np.arange(len(pivot_words))
+    # each other word maps to its best pivot word, ties to the lexicographically first
+    order = np.lexsort((rank[pivot], -score, other))
+    mapped = order[np.flatnonzero(np.diff(other[order], prepend=-1))]
+    mapped_others = [other_words[b] for b in other[mapped].tolist()]
     return LexiconAlignment(
         other_lang=other_lang,
-        pairs={(a, b) for a, (_s, bs) in best_for_pivot.items() for b in bs},
-        to_pivot={b: a for b, (_s, a) in best_for_other.items()},
-        scores={b: s for b, (s, _a) in best_for_other.items()},
+        pairs={(pivot_words[a], other_words[b])
+               for a, b in zip(pivot.tolist(), other.tolist())},
+        to_pivot=dict(zip(mapped_others, [pivot_words[a] for a in pivot[mapped].tolist()])),
+        scores=dict(zip(mapped_others, score[mapped].tolist())),
     )
 
 
-def reverse_condition_violations(
-    align: LexiconAlignment,
-    scores: Mapping[tuple[str, str], float],
-    v_alpha: Iterable[str],
-) -> int:
-    """Diagnostic: pairs (a, b) for which some other pivot word w beats a on
-    S(w, b), the ``pair_scores`` table that ``build_alignment`` took. The
-    forward construction does not guarantee this count is zero for
-    arbitrary tables.
-
-    Scores are non-negative, so a pivot word with no table entry for b
-    cannot beat a: each pair is checked against the largest S(w, b) over
-    the table entries with w in v_alpha."""
-    alpha = set(v_alpha)
-    column_max: dict[str, float] = {}
-    for (w, b), s in scores.items():
-        if w in alpha and s > column_max.get(b, 0.0):
-            column_max[b] = s
-    return sum(scores.get(pair, 0.0) < column_max.get(pair[1], 0.0)
-               for pair in align.pairs)
+def reverse_condition_violations(scores: PairScores) -> int:
+    """Diagnostic: the pairs (a, b) of ``build_alignment`` over ``scores``
+    for which some other pivot word w beats a on S(w, b). The forward
+    construction does not guarantee this count is zero for arbitrary
+    tables."""
+    best = _best_for_pivot(scores)
+    column_max = np.zeros(int(scores.other.max(initial=-1)) + 1)
+    np.maximum.at(column_max, scores.other, scores.score)
+    return int(np.count_nonzero(scores.score[best] < column_max[scores.other[best]]))
 
 
 def map_document(doc: DocumentRecord, align: LexiconAlignment) -> list[str]:

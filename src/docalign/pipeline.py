@@ -246,11 +246,15 @@ class _Stage:
 def run_pipeline(cfg: PipelineConfig, through: str = "evaluate") -> Path:
     """Execute the stages in dependency order up to and including the one
     named ``through``; returns the artifact directory. Fails with ``out/``
-    untouched if a file the config names is missing; every other parameter
-    was checked when ``cfg`` was made. Only a run through ``evaluate``
-    writes ``manifest.json``; an earlier stop leaves the later stages'
-    artifacts and stamps for the next run to judge."""
+    untouched if a file the config names is missing, or if the ``gold`` or
+    ``identifiers`` file does not parse; every other parameter was checked
+    when ``cfg`` was made. Only a run through ``evaluate`` writes
+    ``manifest.json``; an earlier stop leaves the later stages' artifacts
+    and stamps for the next run to judge."""
     inputs = cfg.input_files()
+    # parsed once, here, so that a bad file fails no later stage
+    gold = evaluation.load_gold(cfg.gold) if cfg.gold else None
+    identifiers = align_url.load_identifier_set(cfg.identifiers) if cfg.identifiers else None
     out = Path(cfg.out)
     manifest: dict[str, Any] = {
         "parameters": cfg.parameters(),
@@ -269,9 +273,9 @@ def run_pipeline(cfg: PipelineConfig, through: str = "evaluate") -> Path:
         "ingest": lambda: _stage_ingest(cfg, out, manifest),
         "lexicon": lambda: _stage_lexicon(cfg, out, manifest, partitions),
         "vectorize": lambda: _stage_vectorize(cfg, out, manifest, partitions),
-        "align": lambda: _stage_align(cfg, out, manifest, partitions),
+        "align": lambda: _stage_align(cfg, out, manifest, partitions, identifiers),
         "mine": lambda: _stage_mine(cfg, out, manifest),
-        "evaluate": lambda: _stage_evaluate(cfg, out, manifest),
+        "evaluate": lambda: _stage_evaluate(cfg, out, manifest, gold),
     }
     if through not in stages:
         raise ValueError(f"no stage {through!r}; the stages are {', '.join(stages)}")
@@ -347,28 +351,29 @@ def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
         )
         vectorspace.save_vocabulary(vocabs[lang], vocab_dir / f"{lang}.txt")
 
+    # the tables keep only entries between the two vocabularies, in their ids
     for lang in cfg.langs:
         res = cfg.resources[lang]
+        pivot_vocab, other_vocab = vocabs[pivot], vocabs[lang]
         if res.table_fwd:
-            p_fwd = lexicon.load_translation_table(res.table_fwd)
-            p_bwd = lexicon.load_translation_table(res.table_bwd)
+            p_fwd = lexicon.load_translation_table(res.table_fwd, pivot_vocab.index,
+                                                   other_vocab.index)
+            p_bwd = lexicon.load_translation_table(res.table_bwd, other_vocab.index,
+                                                   pivot_vocab.index)
         else:
             emb_pivot = lexicon.load_embeddings(res.embeddings_pivot)
             emb_other = lexicon.load_embeddings(res.embeddings_other)
             p_fwd, p_bwd = lexicon.table_from_embeddings(
-                emb_pivot, emb_other, top_n=cfg.top_n, src_lang=pivot, tgt_lang=lang,
+                emb_pivot, emb_other, pivot_vocab.index, other_vocab.index,
+                top_n=cfg.top_n, src_lang=pivot, tgt_lang=lang,
             )
-        if not vocabs[pivot].words or not vocabs[lang].words:
+        if not pivot_vocab.words or not other_vocab.words:
             # no documents for one side: emit an empty lexicon
             (lex_dir / f"{lang}.tsv").write_text("", encoding="utf-8")
             continue
         scores = lexicon.pair_scores(p_fwd, p_bwd)
-        align = lexicon.build_alignment(
-            scores, lang, vocabs[pivot].words, vocabs[lang].words
-        )
-        violations = lexicon.reverse_condition_violations(
-            align, scores, vocabs[pivot].words
-        )
+        align = lexicon.build_alignment(scores, lang, pivot_vocab.words, other_vocab.words)
+        violations = lexicon.reverse_condition_violations(scores)
         if violations:
             log.info("lexicon %s: %d pairs violate the reverse argmax condition",
                      lang, violations)
@@ -405,9 +410,10 @@ def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
             (idf_dir / f"{lang}.tsv").write_text("#collection_size\t0\t0\n",
                                                  encoding="utf-8")
             continue
-        idf = vectorspace.compute_idf(tokens, pivot_vocab)
+        terms = vectorspace.count_terms(tokens, pivot_vocab)
+        idf = vectorspace.compute_idf(terms)
         vectorspace.save_idf(idf, pivot_vocab, idf_dir / f"{lang}.tsv")
-        table = vectorspace.vectorize([d.url for d in docs], tokens, pivot_vocab, idf)
+        table = vectorspace.vectorize([d.url for d in docs], terms, idf)
         vectorspace.save_vectors(table, vec_dir / lang)
 
 
@@ -435,25 +441,21 @@ def align_by_content(cfg: PipelineConfig, partitions: Partitions) -> None:
              len(pairs), stats["scored_pairs"], stats["possible_pairs"])
 
 
-def align_by_url(cfg: PipelineConfig, partitions: Partitions) -> None:
+def align_by_url(cfg: PipelineConfig, partitions: Partitions,
+                 ids: align_url.IdentifierSet) -> None:
     """URL-baseline alignment into ``pairs_url.tsv``, stripping the
-    identifiers of ``cfg.identifiers``, the bundled set when None."""
-    ids = (
-        align_url.load_identifier_set(cfg.identifiers)
-        if cfg.identifiers
-        else align_url.default_identifier_set()
-    )
+    identifiers ``ids``."""
     pairs = align_url.align_corpus_by_url(partitions, cfg.pivot, cfg.langs, ids)
     pairs.sort(key=lambda p: (p.domain, p.other_lang, p.pivot_url, p.other_url))
     align_cda.save_pairs(pairs, Path(cfg.out) / "pairs_url.tsv")
     log.info("align-url: %d pairs", len(pairs))
 
 
-def write_report(cfg: PipelineConfig) -> None:
+def write_report(cfg: PipelineConfig, gold: evaluation.Gold) -> None:
     """Recall of ``pairs.tsv``, and of ``pairs_url.tsv`` when
-    ``cfg.url_align``, against ``cfg.gold``, into ``report.json``."""
+    ``cfg.url_align``, against ``gold``, the pairs of ``cfg.gold``, into
+    ``report.json``."""
     out = Path(cfg.out)
-    gold = evaluation.load_gold(cfg.gold)
     reports = {"cda": vars(evaluation.evaluate_recall(
         align_cda.load_pairs(out / "pairs.tsv"), gold))}
     if cfg.url_align:
@@ -537,11 +539,13 @@ def _stage_vectorize(cfg: PipelineConfig, out: Path, manifest: dict,
 
 
 def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict,
-                 partitions: Callable[[], Partitions]) -> None:
+                 partitions: Callable[[], Partitions],
+                 identifiers: Optional[align_url.IdentifierSet]) -> None:
     def work() -> None:
         align_by_content(cfg, partitions())
         if cfg.url_align:
-            align_by_url(cfg, partitions())
+            align_by_url(cfg, partitions(),
+                         identifiers or align_url.default_identifier_set())
 
     _run_stage(out, manifest, "align", {
         "vectorize": manifest["stages"]["vectorize"],
@@ -561,8 +565,9 @@ def _stage_mine(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
         enabled=cfg.mine)
 
 
-def _stage_evaluate(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
+def _stage_evaluate(cfg: PipelineConfig, out: Path, manifest: dict,
+                    gold: Optional[evaluation.Gold]) -> None:
     _run_stage(out, manifest, "evaluate", {
         "align": manifest["stages"]["align"],
         "gold": manifest["inputs"].get(cfg.gold),
-    }, [out / "report.json"], lambda: write_report(cfg), enabled=bool(cfg.gold))
+    }, [out / "report.json"], lambda: write_report(cfg, gold), enabled=gold is not None)

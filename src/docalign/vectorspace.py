@@ -2,11 +2,12 @@
 
 Both corpus passes (vocabulary counting, document frequencies) are
 associative merges over per-document counts; the resulting models are
-immutable. ``vectorize`` is pure and projects
-the documents of one language in one call, as array operations over the
-flattened token ids, into one array table (``VectorTable``). Each
-language's table is saved as its CSR arrays in ``.npy`` files plus a URL
-list, and read back into the same table.
+immutable. ``count_terms`` maps the tokens of one language's documents to
+dimensions and counts every (document, dimension) key in one pass;
+``compute_idf`` and ``vectorize`` both read those counts, and ``vectorize``
+projects the documents in one call, as array operations, into one array
+table (``VectorTable``). Each language's table is saved as its CSR arrays
+in ``.npy`` files plus a URL list, and read back into the same table.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,11 +41,26 @@ class Vocabulary:
 
 @dataclass
 class IdfModel:
-    """Document frequencies and idf = ln(1 + |D| / (1 + df)) per dimension."""
+    """Document frequencies and idf = ln(1 + |D| / (1 + df)), indexed by
+    dimension."""
 
     collection_size: int
-    doc_freq: dict[int, int]
-    idf: dict[int, float]
+    doc_freq: np.ndarray  # int64
+    idf: np.ndarray  # float64
+
+
+class TermCounts(NamedTuple):
+    """The vocabulary tokens of ``n_docs`` documents over ``dims``
+    dimensions, one entry per (document, dimension) that occurs, sorted by
+    document, then dimension: document ``row[i]`` holds dimension ``dim[i]``
+    ``tf[i]`` times, and ``first[i]`` orders the entries by first occurrence."""
+
+    n_docs: int
+    dims: int
+    row: np.ndarray
+    dim: np.ndarray
+    first: np.ndarray
+    tf: np.ndarray
 
 
 @dataclass
@@ -99,33 +115,10 @@ def idf_value(collection_size: int, doc_freq: int) -> float:
     return math.log(1.0 + collection_size / (1.0 + doc_freq))
 
 
-def compute_idf(docs: Iterable[Sequence[str]], vocab: Vocabulary) -> IdfModel:
-    """Document frequencies over the collection the vectors will come from."""
-    counts: Counter[str] = Counter()
-    n = 0
-    for n, tokens in enumerate(docs, start=1):
-        counts.update(set(tokens))
-    if n == 0:
-        raise ConfigError("IDF is undefined over an empty collection")
-    doc_freq = {dim: counts[w] for dim, w in enumerate(vocab.words)}
-    idf = {dim: idf_value(n, df) for dim, df in doc_freq.items()}
-    return IdfModel(collection_size=n, doc_freq=doc_freq, idf=idf)
-
-
-def vectorize(
-    urls: Sequence[str],
-    docs: Sequence[Sequence[str]],
-    vocab: Vocabulary,
-    idf: IdfModel,
-) -> VectorTable:
-    """TF x IDF over the vocabulary, l2-normalized: row ``i`` of the table is
-    the vector of ``docs[i]``, listed under ``urls[i]``.
-
-    Documents with no vocabulary hits get the empty row; they can never
-    match above a positive threshold. Each norm adds a document's squared
-    weights in the order its dimensions first occur, as a per-document
-    ``Counter`` loop would, so the weights are the same floats.
-    """
+def count_terms(docs: Sequence[Sequence[str]], vocab: Vocabulary) -> TermCounts:
+    """Map every token of ``docs`` to its dimension and count each
+    (document, dimension) key in one ``np.unique``; tokens outside the
+    vocabulary are dropped."""
     n, dims = len(docs), len(vocab)
     # the keys row * dims + dim fit int32 below 2**31 (row, dim) cells
     dtype = np.int32 if n * dims < 2**31 else np.int64
@@ -136,9 +129,35 @@ def vectorize(
     keys += ids
     keys, first, tf = np.unique(keys[ids >= 0], return_index=True, return_counts=True)
     row, dim = np.divmod(keys, max(dims, 1))
-    weights = tf * np.array([idf.idf[d] for d in range(dims)], dtype=np.float64)[dim]
+    return TermCounts(n_docs=n, dims=dims, row=row, dim=dim, first=first, tf=tf)
+
+
+def compute_idf(terms: TermCounts) -> IdfModel:
+    """Document frequencies over the collection the vectors will come from:
+    the number of documents that hold each dimension."""
+    if terms.n_docs == 0:
+        raise ConfigError("IDF is undefined over an empty collection")
+    doc_freq = np.bincount(terms.dim, minlength=terms.dims)
+    # math.log, not np.log, which may round the last bit differently
+    idf = [idf_value(terms.n_docs, df) for df in doc_freq.tolist()]
+    return IdfModel(collection_size=terms.n_docs, doc_freq=doc_freq,
+                    idf=np.array(idf, dtype=np.float64))
+
+
+def vectorize(urls: Sequence[str], terms: TermCounts, idf: IdfModel) -> VectorTable:
+    """TF x IDF over the vocabulary, l2-normalized: row ``i`` of the table is
+    the vector of document ``i`` of ``terms``, listed under ``urls[i]``.
+
+    Documents with no vocabulary hits get the empty row; they can never
+    match above a positive threshold. Each norm adds a document's squared
+    weights in the order its dimensions first occur, as a per-document
+    ``Counter`` loop would, so the weights are the same floats.
+    """
+    n = terms.n_docs
+    weights = terms.tf * idf.idf[terms.dim]
     positive = weights > 0.0
-    row, dim, first, weights = row[positive], dim[positive], first[positive], weights[positive]
+    row, dim = terms.row[positive], terms.dim[positive]
+    first, weights = terms.first[positive], weights[positive]
     order = np.argsort(first)
     squares = np.bincount(row[order], weights=weights[order] ** 2, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -162,8 +181,8 @@ def load_vocabulary(path) -> Vocabulary:
 def save_idf(idf: IdfModel, vocab: Vocabulary, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#collection_size\t{idf.collection_size}\t0\n")
-        for dim, word in enumerate(vocab.words):
-            fh.write(f"{word}\t{idf.doc_freq[dim]}\t{idf.idf[dim]:.12g}\n")
+        fh.writelines(f"{word}\t{df}\t{value:.12g}\n" for word, df, value
+                      in zip(vocab.words, idf.doc_freq.tolist(), idf.idf.tolist()))
 
 
 _ARRAYS = (("indptr", np.int64), ("indices", np.int64), ("data", np.float64))

@@ -206,6 +206,92 @@ class SyntheticCorpus:
         return cfg
 
 
+class MultilingualCorpus:
+    """Pivot pages, each with a counterpart in every language of ``langs``.
+
+    Word ``e0007`` of the pivot translates to word ``fr0007`` of French, and
+    so on; a counterpart drops a fraction of the tokens. The languages of
+    ``embedding_langs`` get word embeddings, in which a pivot word and its
+    translation have nearby vectors; the others get translation tables.
+    Each language draws from a random stream of its own, so a language's
+    pages and resources do not depend on which other languages there are.
+    """
+
+    def __init__(self, langs, embedding_langs=(), n_domains=2, docs_per_domain=4,
+                 vocab_size=40, doc_len=(15, 25), dropout=0.1, dim=8, seed=0):
+        self.langs = sorted(langs)
+        self.embedding_langs = set(embedding_langs)
+        self.vocab_size = vocab_size
+        self.seed = seed
+        rng = random.Random(f"{seed}:en")
+        weights = [1.0 / (r + 1) for r in range(vocab_size)]
+        self.vectors = [[rng.gauss(0.0, 1.0) for _ in range(dim)] for _ in range(vocab_size)]
+        self.pages = [(f"site{d:02d}.example", f"page{i:03d}",
+                       rng.choices(range(vocab_size), weights=weights, k=rng.randint(*doc_len)))
+                      for d in range(n_domains) for i in range(docs_per_domain)]
+        self.dropout = dropout
+
+    def _rng(self, lang):
+        return random.Random(f"{self.seed}:{lang}")
+
+    def write(self, root: Path, langs=None):
+        """Write input.jsonl, gold.tsv and the resources of ``langs`` (all
+        languages by default) under root; return the config's path fields."""
+        langs = self.langs if langs is None else sorted(langs)
+        root.mkdir(parents=True, exist_ok=True)
+        records, gold = [], []
+        for domain, page, tokens in self.pages:
+            purl = f"http://{domain}/en/{page}.html"
+            records.append({"url": purl, "lang": "en",
+                            "text": " ".join(f"e{t:04d}" for t in tokens)})
+        resources = {}
+        for lang in langs:
+            rng = self._rng(lang)
+            for domain, page, tokens in self.pages:
+                ourl = f"http://{domain}/{lang}/{page}.html"
+                text = " ".join(f"{lang}{t:04d}" for t in tokens if rng.random() >= self.dropout)
+                records.append({"url": ourl, "lang": lang, "text": text})
+                gold.append((f"http://{domain}/en/{page}.html", ourl))
+            resources[lang] = (self._embeddings(root, lang, rng) if lang in self.embedding_langs
+                               else self._tables(root, lang))
+        (root / "input.jsonl").write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8")
+        (root / "gold.tsv").write_text("".join(f"{p}\t{o}\n" for p, o in gold),
+                                       encoding="utf-8")
+        return {"input": str(root / "input.jsonl"), "gold": str(root / "gold.tsv"),
+                "langs": langs, "resources": resources}
+
+    def _tables(self, root, lang):
+        paths = {"table_fwd": root / f"table_en_{lang}.tsv",
+                 "table_bwd": root / f"table_{lang}_en.tsv"}
+        n = self.vocab_size
+        paths["table_fwd"].write_text("".join(
+            f"e{i:04d}\t{lang}{i:04d}\t0.8\ne{i:04d}\t{lang}{(i + 1) % n:04d}\t0.2\n"
+            for i in range(n)), encoding="utf-8")
+        paths["table_bwd"].write_text("".join(
+            f"{lang}{i:04d}\te{i:04d}\t0.9\n" for i in range(n)), encoding="utf-8")
+        return {key: str(path) for key, path in paths.items()}
+
+    def _embeddings(self, root, lang, rng):
+        paths = {"embeddings_pivot": root / f"emb_en_{lang}.txt",
+                 "embeddings_other": root / f"emb_{lang}.txt"}
+        dim = len(self.vectors[0])
+        for key, prefix, noise in (("embeddings_pivot", "e", 0.0),
+                                   ("embeddings_other", lang, 0.2)):
+            rows = "".join(
+                f"{prefix}{i:04d} " + " ".join(f"{x + rng.gauss(0.0, noise):.6f}" for x in v)
+                + "\n" for i, v in enumerate(self.vectors))
+            paths[key].write_text(f"{len(self.vectors)} {dim}\n{rows}", encoding="utf-8")
+        return {key: str(path) for key, path in paths.items()}
+
+    def config(self, root: Path, out: Path, langs=None, **overrides):
+        cfg = {**self.write(root, langs), "out": str(out), "pivot": "en",
+               "vocab_size": 1000, "skip_top_k": 0, "threshold": 0.1,
+               "detect_language": False}
+        cfg.update(overrides)
+        return cfg
+
+
 @pytest.fixture
 def tiny_corpus(tmp_path):
     """A 2-domain, 2-language corpus small enough to inspect by hand."""

@@ -48,7 +48,8 @@ def test_criterion_1_idf_formula_exactness():
         docs = [[f"w{rng.randint(0, 50):02d}" for _ in range(rng.randint(1, 30))]
                 for _ in range(200)]
         vocab = vectorspace.build_vocabulary(docs, skip_top_k=0, capacity=100)
-        model = vectorspace.compute_idf(docs, vocab)
+        terms = vectorspace.count_terms(docs, vocab)
+        model = vectorspace.compute_idf(terms)
         doc_freq = Counter()
         for doc in docs:
             doc_freq.update(set(doc))
@@ -58,8 +59,7 @@ def test_criterion_1_idf_formula_exactness():
             assert abs(model.idf[dim] - oracle) <= 1e-12
 
         # every non-empty vector is unit length
-        table = vectorspace.vectorize([f"u{i}" for i in range(len(docs))], docs,
-                                      vocab, model)
+        table = vectorspace.vectorize([f"u{i}" for i in range(len(docs))], terms, model)
         bounds = table.indptr.tolist()
         for lo, hi in zip(bounds, bounds[1:]):
             if hi > lo:

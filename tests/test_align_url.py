@@ -54,19 +54,25 @@ class TestIdentifierSet:
         assert str(exc.value) == message.format(path=path)
         assert exc.value.exit_code == 2
 
+    # the file is parsed before the first stage: it used to fail the align
+    # stage, after every earlier stage ran
     def test_bad_identifier_file_fails_run_with_2(self, tmp_path, capsys):
         ids = tmp_path / "ids.txt"
         ids.write_text("fr\nfr/ca\n")
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
-        cfg = corpus.config(tmp_path / "fx", tmp_path / "out", url_align=True,
-                            identifiers=str(ids))
+        cfg = corpus.config(tmp_path / "fx", tmp_path / "out", url_align=True)
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(cfg))
+        assert main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        config.write_text(yaml.safe_dump({**cfg, "identifiers": str(ids)}))
+        capsys.readouterr()
         assert main(["run", "--config", str(config)]) == 2
         assert capsys.readouterr().err == (
             f"error: {ids}:2: identifier 'fr/ca' contains a separator character\n")
-        assert (tmp_path / "out" / "FAILED").read_text() == "align\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_default_set_covers_common_codes(self):
         s = default_identifier_set()

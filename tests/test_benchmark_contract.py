@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import SyntheticCorpus
+from tests.conftest import MultilingualCorpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,8 +51,9 @@ def _env():
 
 
 def _fixture_config(tmp_path):
-    corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
-                             doc_len=(20, 30), seed=7)
+    """Two languages, German from embeddings and French from tables."""
+    corpus = MultilingualCorpus(["de", "fr"], embedding_langs=["de"], n_domains=2,
+                                docs_per_domain=5, vocab_size=60, doc_len=(20, 30), seed=7)
     return corpus.config(tmp_path / "fixture", tmp_path / "out", vocab_size=50,
                          url_align=True, mine=True)
 
@@ -101,14 +102,13 @@ def _never_called(counts, modules, unreachable=()):
 
 def test_traced_cold_run_calls_every_lexicon_and_vectorspace_name(cold_counts):
     """A cold run reaches every wrapped ``lexicon.*`` and ``vectorspace.*``
-    name but the embedding ones (the fixture has translation tables), so a
-    rewrite that stops calling one fails here, not as a
-    ``TraceCoverageError`` of ``bench/run.py --trace 1``."""
-    names, missing = _never_called(
-        cold_counts, ("lexicon", "vectorspace"),
-        unreachable={"lexicon.load_embeddings", "lexicon.table_from_embeddings"})
-    assert "vectorspace.vectorize" in names
+    name, the embedding ones included, so a rewrite that stops calling one
+    fails here, not as a ``TraceCoverageError`` of ``bench/run.py --trace 1``;
+    ``map_document`` is called once per non-pivot document."""
+    names, missing = _never_called(cold_counts, ("lexicon", "vectorspace"))
+    assert {"vectorspace.vectorize", "lexicon.table_from_embeddings"} <= set(names)
     assert missing == []
+    assert cold_counts["lexicon.map_document"]["calls"] == 2 * 2 * 5
 
 
 def test_traced_cold_run_calls_every_align_name(cold_counts):
@@ -152,6 +152,29 @@ def test_package_import_loads_no_submodule():
 def test_pipeline_import_leaves_yaml_out():
     # only PipelineConfig.from_file reads YAML; the benchmark uses from_dict
     assert _modules_after_pipeline_import("yaml") == "[]"
+
+
+def test_cold_run_loads_only_the_data_and_langid_modules(tmp_path):
+    """A cold ``run_pipeline`` with untagged pages, an embeddings-backed
+    language, url_align, mine and gold loads no module beyond the bundled
+    identifier data and the language detector: ``numpy.ma``, which
+    ``np.unique`` imports when asked for no ``return_*`` array, costs about
+    11 ms."""
+    config = _fixture_config(tmp_path)
+    with open(config["input"], "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"url": "http://site00.example/misc/1.html",
+                             "text": "le chat est sur la table"}) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, docalign.pipeline as p\n"
+         "before = set(sys.modules)\n"
+         f"p.run_pipeline(p.PipelineConfig.from_dict(json.loads({json.dumps(json.dumps(config))}"
+         ") | {'detect_language': True}))\n"
+         "print(sorted(set(sys.modules) - before))"],
+        env=_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == \
+        "['docalign.data', 'docalign.langid', 'encodings.utf_32_le']"
 
 
 def test_first_language_detection_loads_only_langid():

@@ -2,6 +2,7 @@ import pytest
 
 from docalign import evaluation
 from docalign.align_cda import AlignmentPair
+from docalign.corpus import domain_of
 from docalign.errors import FormatError, UsageError
 
 
@@ -12,12 +13,17 @@ def pred(purl, ourl, score=0.9):
     )
 
 
-GOLD4 = {
+def gold_of(pairs):
+    """Gold pairs as ``load_gold`` returns them: each mapped to its domain."""
+    return {pair: domain_of(pair[0]) for pair in pairs}
+
+
+GOLD4 = gold_of([
     ("http://a.com/e1", "http://a.com/f1"),
     ("http://a.com/e2", "http://a.com/f2"),
     ("http://b.com/e3", "http://b.com/f3"),
     ("http://b.com/e4", "http://b.com/f4"),
-}
+])
 
 
 class TestEvaluateRecall:
@@ -40,7 +46,7 @@ class TestEvaluateRecall:
 
     def test_empty_gold_rejected(self):
         with pytest.raises(UsageError):
-            evaluation.evaluate_recall([], set())
+            evaluation.evaluate_recall([], {})
 
     def test_refilter_enforces_one_to_one(self):
         # the same pivot predicted twice: only the higher-scored pair counts
@@ -58,7 +64,7 @@ class TestEvaluateRecall:
         de = AlignmentPair(domain="a.com", pivot_url="http://a.com/en/1",
                            other_url="http://a.com/de/9", other_lang="de",
                            score=0.9, method="cda")
-        gold = {("http://a.com/en/1", "http://a.com/fr/1")}
+        gold = gold_of([("http://a.com/en/1", "http://a.com/fr/1")])
         assert evaluation.evaluate_recall([fr, de], gold).recall == 100.0
         assert evaluation.refilter_one_to_one([fr, de]) == [de, fr]
 
@@ -93,7 +99,8 @@ class TestGoldIO:
         path = tmp_path / "gold.tsv"
         path.write_text("http://A.com/e1\thttp://a.com/f1\nhttp://a.com/e2\thttp://a.com/f2\n")
         gold = evaluation.load_gold(path)
-        assert ("http://a.com/e1", "http://a.com/f1") in gold
+        assert gold == {("http://a.com/e1", "http://a.com/f1"): "a.com",
+                        ("http://a.com/e2", "http://a.com/f2"): "a.com"}
         assert evaluation.evaluate_recall([], gold).per_domain == {
             "a.com": {"found": 0, "total": 2}}
 

@@ -4,43 +4,102 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from docalign import lexicon
 from docalign.errors import ConfigError, FormatError, UsageError
 from tests.conftest import make_record
 
 
+def index(words):
+    return {w: i for i, w in enumerate(words)}
+
+
+def word_table(table, src_words, tgt_words):
+    """A ``TranslationTable`` (or ``PairScores``) of vocabulary ids as
+    ``{(src word, tgt word): value}``, in entry order."""
+    src, tgt, value = table
+    return {(src_words[i], tgt_words[j]): p
+            for i, j, p in zip(src.tolist(), tgt.tolist(), value.tolist())}
+
+
+def id_table(probs, src_words, tgt_words):
+    """The ``TranslationTable`` that ``load_translation_table`` reads from a
+    file of the ``{(src, tgt): p}`` entries ``probs``: the entries between
+    the two vocabularies, as their ids."""
+    src_index, tgt_index = index(src_words), index(tgt_words)
+    kept = [(src_index[a], tgt_index[b], p) for (a, b), p in probs.items()
+            if a in src_index and b in tgt_index]
+    return lexicon.TranslationTable(np.array([e[0] for e in kept], dtype=np.int64),
+                                    np.array([e[1] for e in kept], dtype=np.int64),
+                                    np.array([e[2] for e in kept], dtype=np.float64))
+
+
 class TestLoadTranslationTable:
     def test_single_row(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("cat\tchat\t0.9\n")
-        t = lexicon.load_translation_table(path)
-        assert t[("cat", "chat")] == 0.9
+        t = lexicon.load_translation_table(path, {"cat": 0}, {"chat": 0})
+        assert word_table(t, ["cat"], ["chat"]) == {("cat", "chat"): 0.9}
 
+    # the vocabularies hold neither word: the line is checked all the same
     def test_out_of_range(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("cat\tchat\t1.5\n")
         with pytest.raises(FormatError, match=":1"):
-            lexicon.load_translation_table(path)
+            lexicon.load_translation_table(path, {}, {})
 
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("cat\tchat\tx\n")
         with pytest.raises(FormatError, match=":1"):
-            lexicon.load_translation_table(path)
+            lexicon.load_translation_table(path, {}, {})
 
     def test_duplicate_last_wins(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("cat\tchat\t0.9\ncat\tchien\t0.1\ncat\tchat\t0.2\n")
-        t = lexicon.load_translation_table(path)
-        assert len(t) == 2
-        assert t[("cat", "chat")] == 0.2
+        t = lexicon.load_translation_table(path, {"cat": 0}, {"chien": 0, "chat": 1})
+        assert word_table(t, ["cat"], ["chien", "chat"]) == {("cat", "chat"): 0.2,
+                                                             ("cat", "chien"): 0.1}
+
+    def test_keeps_only_entries_between_the_vocabularies(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("cat\tchat\t0.9\ncat\tminou\t0.5\ndog\tchat\t0.3\n"
+                        "dog\tchien\t0.8\nbird\toiseau\t1\n")
+        t = lexicon.load_translation_table(path, {"dog": 0, "cat": 1},
+                                           {"chien": 0, "chat": 1, "oiseau": 2})
+        assert t.src.dtype == t.tgt.dtype == np.int64
+        assert word_table(t, ["dog", "cat"], ["chien", "chat", "oiseau"]) == {
+            ("cat", "chat"): 0.9, ("dog", "chat"): 0.3, ("dog", "chien"): 0.8}
+
+    def test_a_bad_line_outside_the_vocabularies_fails(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("cat\tchat\t0.9\nbird\toiseau\tnan\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: "
+                                              r"probability nan outside \[0, 1\]$"):
+            lexicon.load_translation_table(path, {"cat": 0}, {"chat": 0})
+
+
+def embeddings(vectors):
+    """``Embeddings`` of a ``{word: vector}`` dict."""
+    rows = [np.asarray(v, dtype=np.float64) for v in vectors.values()]
+    return lexicon.Embeddings(list(vectors),
+                              np.array(rows) if rows else np.zeros((0, 2)))
+
+
+def word_tables(src, tgt, top_n, **langs):
+    """``table_from_embeddings`` of two ``{word: vector}`` dicts with every
+    word in its vocabulary, as two ``{(src, tgt): p}`` dicts."""
+    src_words, tgt_words = sorted(src), sorted(tgt)
+    fwd, bwd = lexicon.table_from_embeddings(embeddings(src), embeddings(tgt),
+                                             index(src_words), index(tgt_words),
+                                             top_n=top_n, **langs)
+    return word_table(fwd, src_words, tgt_words), word_table(bwd, tgt_words, src_words)
 
 
 class TestTableFromEmbeddings:
     def test_orthogonal(self):
-        fwd, _bwd = lexicon.table_from_embeddings(
+        fwd, _bwd = word_tables(
             {"a": np.array([1.0, 0.0])},
             {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])},
             top_n=2,
@@ -50,7 +109,7 @@ class TestTableFromEmbeddings:
 
     def test_normalized_to_sum_one(self):
         # cosines 1 and cos(45deg); kept scores renormalize to sum 1
-        fwd, _bwd = lexicon.table_from_embeddings(
+        fwd, _bwd = word_tables(
             {"a": np.array([1.0, 0.0])},
             {"x": np.array([1.0, 0.0]), "y": np.array([1.0, 1.0])},
             top_n=2,
@@ -62,15 +121,15 @@ class TestTableFromEmbeddings:
     def test_identical_spaces_argmax_is_identity(self):
         rng = np.random.default_rng(3)
         emb = {f"w{i}": rng.normal(size=8) for i in range(30)}
-        fwd, bwd = lexicon.table_from_embeddings(emb, emb, top_n=5)
-        align = align_tables(fwd, bwd, emb.keys(), emb.keys())
+        fwd, bwd = word_tables(emb, emb, top_n=5)
+        align = align_tables(fwd, bwd, list(emb), list(emb))
         assert align.to_pivot == {w: w for w in emb}
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(11)
         src = {f"s{i}": rng.normal(size=6) for i in range(20)}
         tgt = {f"t{i}": rng.normal(size=6) for i in range(25)}
-        fwd, bwd = lexicon.table_from_embeddings(src, tgt, top_n=4)
+        fwd, bwd = word_tables(src, tgt, top_n=4)
         for t in (fwd, bwd):
             sums = {}
             for (s, _w), p in t.items():
@@ -81,19 +140,15 @@ class TestTableFromEmbeddings:
 
     def test_dim_mismatch(self):
         with pytest.raises(FormatError):
-            lexicon.table_from_embeddings(
-                {"a": np.ones(3)}, {"x": np.ones(4)}, top_n=1
-            )
+            word_tables({"a": np.ones(3)}, {"x": np.ones(4)}, top_n=1)
 
     @pytest.mark.parametrize("top_n", [0, -1])
     def test_top_n_below_one(self, top_n):
         with pytest.raises(ConfigError, match=f"top_n must be >= 1, got {top_n}"):
-            lexicon.table_from_embeddings(
-                {"a": np.ones(2)}, {"x": np.ones(2)}, top_n=top_n
-            )
+            word_tables({"a": np.ones(2)}, {"x": np.ones(2)}, top_n=top_n)
 
     def test_zero_vector_skipped(self):
-        fwd, _ = lexicon.table_from_embeddings(
+        fwd, _ = word_tables(
             {"a": np.array([1.0, 0.0]), "z": np.zeros(2)},
             {"x": np.array([1.0, 0.0])},
             top_n=1,
@@ -110,7 +165,7 @@ class TestTableFromEmbeddings:
         # used to be numpy's "matmul: ... core dimension 0" ValueError
         with pytest.raises(FormatError,
                            match=f"^no {side} embedding word has a non-zero vector$"):
-            lexicon.table_from_embeddings(src, tgt, top_n=3, src_lang="en", tgt_lang="fr")
+            word_tables(src, tgt, top_n=3, src_lang="en", tgt_lang="fr")
 
     @pytest.mark.parametrize("text", ["0 3\n", "2 2\ncat 0 0\ndog 0 -0\n"],
                              ids=["header-only", "all-zero"])
@@ -125,16 +180,23 @@ class TestTableFromEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("2 3\ncat 1 0 0\ndog 0 1 0\n")
         emb = lexicon.load_embeddings(path)
-        assert set(emb) == {"cat", "dog"}
-        assert emb["cat"].tolist() == [1.0, 0.0, 0.0]
+        assert emb.words == ["cat", "dog"]
+        assert emb.vectors.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+    def test_embeddings_word_listed_twice_keeps_last_vector(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\ncat 1 0\ndog 0 1\ncat 0.5 0.5\n")
+        emb = lexicon.load_embeddings(path)
+        assert dict(zip(emb.words, emb.vectors.tolist())) == {"cat": [0.5, 0.5],
+                                                               "dog": [0.0, 1.0]}
 
     def test_embedding_rows_may_end_in_a_space(self, tmp_path):
         # fastText's .vec writer ends every row with a space
         path = tmp_path / "emb.vec"
         path.write_text("2 2\ncat 1.0 0.0 \ndog 0.0 1.0 \n")
         emb = lexicon.load_embeddings(path)
-        assert {w: v.tolist() for w, v in emb.items()} == {"cat": [1.0, 0.0],
-                                                          "dog": [0.0, 1.0]}
+        assert dict(zip(emb.words, emb.vectors.tolist())) == {"cat": [1.0, 0.0],
+                                                               "dog": [0.0, 1.0]}
 
     # a cut-off file loaded as a smaller vocabulary
     @pytest.mark.parametrize("text, count, rows", [
@@ -189,6 +251,26 @@ def oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n):
     return probs
 
 
+def oracle_table_from_embeddings(emb_src, emb_tgt, top_n):
+    """The ``{word: vector}`` form of ``table_from_embeddings`` that the
+    vocabulary-id one replaced: tables over every word of both spaces, each
+    vector divided by its own norm."""
+    def prepare(emb):
+        words, mat = [], []
+        for w in sorted(emb):
+            v = np.asarray(emb[w], dtype=np.float64)
+            norm = np.linalg.norm(v)
+            if norm != 0:
+                words.append(w)
+                mat.append(v / norm)
+        return words, np.asarray(mat)
+
+    src, src_mat = prepare(emb_src)
+    tgt, tgt_mat = prepare(emb_tgt)
+    return (oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n),
+            oracle_directional_table(tgt, tgt_mat, src, src_mat, top_n))
+
+
 # rounded coordinates give tied similarities, and rows with no positive one
 _COORD = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0, width=32)
 
@@ -208,20 +290,90 @@ def embedding_spaces(draw):
     return (*space("s", 8), *space("t", 24))
 
 
+def vocabulary_of(data, words):
+    """Some of ``words``, in an id order of their own."""
+    return data.draw(st.permutations(words))[:data.draw(st.integers(0, len(words)))]
+
+
+def restricted(table, src_vocab, tgt_vocab):
+    return {(a, b): p for (a, b), p in table.items() if a in src_vocab and b in tgt_vocab}
+
+
 class TestDirectionalTableOracle:
     @settings(max_examples=300, deadline=None)
-    @given(spaces=embedding_spaces(), top_n=st.integers(1, 30))
-    def test_equals_per_word_loop(self, spaces, top_n):
+    @given(spaces=embedding_spaces(), top_n=st.integers(1, 30), data=st.data())
+    def test_equals_per_word_loop(self, spaces, top_n, data):
         src, src_mat, tgt, tgt_mat = spaces
-        got = lexicon._directional_table(src, src_mat, tgt, tgt_mat, top_n)
+        src_vocab, tgt_vocab = vocabulary_of(data, src), vocabulary_of(data, tgt)
+        src_ids = np.array([index(src_vocab).get(w, -1) for w in src], dtype=np.int64)
+        tgt_ids = np.array([index(tgt_vocab).get(w, -1) for w in tgt], dtype=np.int64)
+        got = lexicon._directional_table(src_ids, src_mat, tgt_ids, tgt_mat, top_n)
         expected = oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n)
-        assert list(got.items()) == list(expected.items())
+        assert list(word_table(got, src_vocab, tgt_vocab).items()) == \
+            list(restricted(expected, src_vocab, tgt_vocab).items())
+
+    # the tables between two vocabularies are the entries of the whole-space
+    # tables between them, bit for bit
+    @settings(max_examples=200, deadline=None)
+    @given(spaces=embedding_spaces(), top_n=st.integers(1, 30), data=st.data())
+    def test_vocabulary_tables_equal_whole_space_tables(self, spaces, top_n, data):
+        src, src_mat, tgt, tgt_mat = spaces
+        assume(src_mat.any(axis=1).any() and tgt_mat.any(axis=1).any())
+        emb_src, emb_tgt = dict(zip(src, src_mat)), dict(zip(tgt, tgt_mat))
+        src_vocab, tgt_vocab = vocabulary_of(data, src), vocabulary_of(data, tgt)
+        fwd, bwd = lexicon.table_from_embeddings(
+            embeddings(emb_src), embeddings(emb_tgt), index(src_vocab), index(tgt_vocab),
+            top_n=top_n)
+        o_fwd, o_bwd = oracle_table_from_embeddings(emb_src, emb_tgt, top_n)
+        assert word_table(fwd, src_vocab, tgt_vocab) == restricted(o_fwd, src_vocab, tgt_vocab)
+        assert word_table(bwd, tgt_vocab, src_vocab) == restricted(o_bwd, tgt_vocab, src_vocab)
 
 
 def align_tables(p_fwd, p_bwd, v_alpha, v_beta):
-    """``build_alignment`` on the S(a, b) table of two translation tables."""
-    return lexicon.build_alignment(lexicon.pair_scores(p_fwd, p_bwd), "fr",
+    """``build_alignment`` on the S(a, b) table of two ``{(src, tgt): p}``
+    translation tables, over the vocabularies ``v_alpha`` and ``v_beta``
+    (word lists in id order)."""
+    return lexicon.build_alignment(scores_of(p_fwd, p_bwd, v_alpha, v_beta), "fr",
                                    v_alpha, v_beta)
+
+
+def scores_of(p_fwd, p_bwd, v_alpha, v_beta):
+    return lexicon.pair_scores(id_table(p_fwd, v_alpha, v_beta),
+                               id_table(p_bwd, v_beta, v_alpha))
+
+
+def dict_pair_scores(fwd, bwd):
+    """The ``pair_scores`` over word-keyed tables that the vocabulary-id one
+    replaced."""
+    scores = {(a, b): p + bwd.get((b, a), 0.0) for (a, b), p in fwd.items()}
+    for (b, a), p in bwd.items():
+        if (a, b) not in scores:
+            scores[(a, b)] = 0.0 + p  # 0.0 stands for the missing P_fwd(a, b)
+    return scores
+
+
+def dict_build_alignment(scores, v_alpha, v_beta):
+    """The one pass over a word-keyed ``dict_pair_scores`` table that the
+    vocabulary-id ``build_alignment`` replaced; returns (pairs, to_pivot,
+    scores)."""
+    alpha, beta = set(v_alpha), set(v_beta)
+    best_for_pivot = {}
+    for (a, b), s in scores.items():
+        if s > 0.0 and a in alpha and b in beta:
+            cur = best_for_pivot.get(a)
+            if cur is None or s > cur[0]:
+                best_for_pivot[a] = (s, [b])
+            elif s == cur[0]:
+                cur[1].append(b)
+    best_for_other = {}
+    for a, (s, bs) in best_for_pivot.items():
+        for b in bs:
+            cur = best_for_other.get(b)
+            if cur is None or s > cur[0] or (s == cur[0] and a < cur[1]):
+                best_for_other[b] = (s, a)
+    return ({(a, b) for a, (_s, bs) in best_for_pivot.items() for b in bs},
+            {b: a for b, (_s, a) in best_for_other.items()},
+            {b: s for b, (s, _a) in best_for_other.items()})
 
 
 def oracle_reverse_condition_violations(align, p_fwd, p_bwd, v_alpha):
@@ -265,6 +417,21 @@ _OTHER_WORDS = ["o0", "o1", "o2", "o3"]
 _PROBS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0])
 
 
+def tables(probs):
+    """Two translation tables with probabilities drawn from ``probs`` and
+    the two vocabularies. Pivot words left out of v_alpha and other words
+    left out of v_beta still have table entries; each vocabulary lists its
+    words in an id order of its own, which need not be the words' order."""
+    return dict(
+        fwd_rows=st.dictionaries(
+            st.tuples(st.sampled_from(_PIVOT_WORDS), st.sampled_from(_OTHER_WORDS)), probs),
+        bwd_rows=st.dictionaries(
+            st.tuples(st.sampled_from(_OTHER_WORDS), st.sampled_from(_PIVOT_WORDS)), probs),
+        v_alpha=st.lists(st.sampled_from(_PIVOT_WORDS), min_size=1, unique=True),
+        v_beta=st.lists(st.sampled_from(_OTHER_WORDS), min_size=1, unique=True),
+    )
+
+
 def example_alignment():
     return align_tables(P_FWD, P_BWD, ["cat", "dog"], ["chat", "chien"])
 
@@ -286,13 +453,15 @@ class TestBuildAlignment:
     def test_tie_broken_lexicographically(self):
         fwd = {("aa", "b"): 0.5, ("zz", "b"): 0.5}
         bwd = {}
-        align = align_tables(fwd, bwd, ["aa", "zz"], ["b"])
-        assert align.pairs == {("aa", "b"), ("zz", "b")}
-        assert align.to_pivot == {"b": "aa"}
+        # by the words, whichever id each has
+        for v_alpha in (["aa", "zz"], ["zz", "aa"]):
+            align = align_tables(fwd, bwd, v_alpha, ["b"])
+            assert align.pairs == {("aa", "b"), ("zz", "b")}
+            assert align.to_pivot == {"b": "aa"}
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(ConfigError):
-            lexicon.build_alignment({}, "fr", [], ["b"])
+            lexicon.build_alignment(scores_of({}, {}, [], ["b"]), "fr", [], ["b"])
 
     def test_forward_argmax_condition_holds(self):
         # property: every emitted pair survives an exhaustive re-scan
@@ -321,23 +490,24 @@ class TestBuildAlignment:
         for b, a in align.to_pivot.items():
             assert (a, b) in align.pairs
 
-    # Pivot words left out of v_alpha and other words left out of v_beta
-    # still have table entries.
-    @given(
-        fwd_rows=st.dictionaries(
-            st.tuples(st.sampled_from(_PIVOT_WORDS), st.sampled_from(_OTHER_WORDS)),
-            _PROBS),
-        bwd_rows=st.dictionaries(
-            st.tuples(st.sampled_from(_OTHER_WORDS), st.sampled_from(_PIVOT_WORDS)),
-            _PROBS),
-        v_alpha=st.sets(st.sampled_from(_PIVOT_WORDS), min_size=1),
-        v_beta=st.sets(st.sampled_from(_OTHER_WORDS), min_size=1),
-    )
+    @given(**tables(_PROBS))
     def test_matches_exhaustive_scan_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
         fwd, bwd = fwd_rows, bwd_rows
         align = align_tables(fwd, bwd, v_alpha, v_beta)
         assert (align.pairs, align.to_pivot, align.scores) == \
             oracle_build_alignment(fwd, bwd, v_alpha, v_beta)
+
+    # probabilities of many values, so that a sum added in another order
+    # would show
+    @given(**tables(_PROBS | st.floats(0.0, 1.0)))
+    def test_array_path_equals_dict_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
+        fwd, bwd = fwd_rows, bwd_rows
+        scores = scores_of(fwd, bwd, v_alpha, v_beta)
+        expected = dict_pair_scores(fwd, bwd)
+        assert word_table(scores, v_alpha, v_beta) == restricted(expected, v_alpha, v_beta)
+        align = lexicon.build_alignment(scores, "fr", v_alpha, v_beta)
+        assert (align.pairs, align.to_pivot, align.scores) == \
+            dict_build_alignment(expected, v_alpha, v_beta)
 
     def test_determinism(self):
         one = example_alignment()
@@ -354,32 +524,15 @@ class TestBuildAlignment:
         align = align_tables(fwd, bwd, ["bad", "big"], ["b"])
         assert ("big", "b") in align.pairs
         assert lexicon.reverse_condition_violations(
-            align, lexicon.pair_scores(fwd, bwd), ["bad", "big"]) >= 1
+            scores_of(fwd, bwd, ["bad", "big"], ["b"])) >= 1
 
-    # Pivot words left out of v_alpha still have table entries, and pair
-    # sets not built by build_alignment may hold words outside both
-    # vocabularies.
-    @given(
-        fwd_rows=st.dictionaries(
-            st.tuples(st.sampled_from(_PIVOT_WORDS), st.sampled_from(_OTHER_WORDS)),
-            _PROBS),
-        bwd_rows=st.dictionaries(
-            st.tuples(st.sampled_from(_OTHER_WORDS), st.sampled_from(_PIVOT_WORDS)),
-            _PROBS),
-        v_alpha=st.sets(st.sampled_from(_PIVOT_WORDS), min_size=1),
-        v_beta=st.sets(st.sampled_from(_OTHER_WORDS), min_size=1),
-        extra_pairs=st.sets(st.tuples(st.sampled_from(_PIVOT_WORDS + ["x"]),
-                                      st.sampled_from(_OTHER_WORDS + ["y"]))),
-    )
-    def test_reverse_condition_matches_oracle(self, fwd_rows, bwd_rows,
-                                              v_alpha, v_beta, extra_pairs):
+    @given(**tables(_PROBS))
+    def test_reverse_condition_matches_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
         fwd, bwd = fwd_rows, bwd_rows
         built = align_tables(fwd, bwd, v_alpha, v_beta)
-        arbitrary = lexicon.LexiconAlignment("fr", pairs=extra_pairs)
-        for align in (built, arbitrary):
-            assert lexicon.reverse_condition_violations(
-                align, lexicon.pair_scores(fwd, bwd), v_alpha
-            ) == oracle_reverse_condition_violations(align, fwd, bwd, v_alpha)
+        assert lexicon.reverse_condition_violations(
+            scores_of(fwd, bwd, v_alpha, v_beta)
+        ) == oracle_reverse_condition_violations(built, fwd, bwd, v_alpha)
 
 
 class TestMapDocument:

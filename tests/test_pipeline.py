@@ -11,12 +11,13 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from docalign import align_cda, corpus as corpus_io, evaluation, lexicon, miner, vectorspace
+from docalign import (align_cda, align_url, corpus as corpus_io, evaluation, lexicon, miner,
+                      vectorspace)
 from docalign.cli import main
 from docalign.corpus import CorpusPartition, read_partitions
 from docalign.errors import ConfigError, FormatError
 from docalign.pipeline import LanguageResource, PipelineConfig, run_pipeline
-from tests.conftest import SyntheticCorpus, write_jsonl_partitions
+from tests.conftest import MultilingualCorpus, SyntheticCorpus, write_jsonl_partitions
 
 
 def run_tiny(tmp_path, out_name="out", corpus=None, **overrides):
@@ -131,12 +132,12 @@ class TestRunPipeline:
                                  doc_len=(20, 30), seed=7)
         out, _ = run_tiny(tmp_path, corpus=corpus, vocab_size=50, threshold=0.1)
         assert len((out / "pairs.tsv").read_text().splitlines()) == 10
-        # align rewrites pairs.tsv empty, then fails on the identifier file
-        ids = tmp_path / "ids.txt"
-        ids.write_text("fr/x\n")
-        with pytest.raises(FormatError, match=f"^{re.escape(str(ids))}:1: "):
+        # align rewrites pairs.tsv empty, then its URL baseline fails
+        with mock.patch.object(align_url, "align_corpus_by_url",
+                               side_effect=FormatError("injected")), \
+                pytest.raises(FormatError, match="^injected$"):
             run_tiny(tmp_path, corpus=corpus, vocab_size=50, threshold=1.5,
-                     url_align=True, identifiers=str(ids))
+                     url_align=True)
         assert (out / "FAILED").read_text() == "align\n"
         assert not (out / "manifest.json").exists()
         run_tiny(tmp_path, corpus=corpus, vocab_size=50, threshold=0.1)
@@ -485,15 +486,25 @@ class TestRunPipeline:
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
         cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out")
-        bad_gold = tmp_path / "bad_gold.tsv"
-        bad_gold.write_text("only-one-field\n")
-        cfg_dict["gold"] = str(bad_gold)
-        with pytest.raises(Exception):
+        # a bad gold file now fails before the first stage, a bad table in one
+        bad_table = tmp_path / "bad_table.tsv"
+        bad_table.write_text("only-one-field\n")
+        cfg_dict["resources"]["fr"]["table_bwd"] = str(bad_table)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(bad_table))}:1: "):
             run_pipeline(PipelineConfig.from_dict(cfg_dict))
         marker = tmp_path / "out" / "FAILED"
-        assert marker.read_text().strip() == "evaluate"
+        assert marker.read_text().strip() == "lexicon"
         # partial outputs are retained
-        assert (tmp_path / "out" / "pairs.tsv").is_file()
+        assert (tmp_path / "out" / "corpus" / "docs.tsv").is_file()
+
+    def test_bad_gold_file_fails_before_out_is_touched(self, tmp_path):
+        out, corpus = run_tiny(tmp_path)
+        before = tree(out)
+        gold = tmp_path / "bad_gold.tsv"
+        gold.write_text("http://a.com/en/1\thttp://a.com/fr/1\nonly-one-field\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(gold))}:2: expected 2 "):
+            run_tiny(tmp_path, corpus=corpus, gold=str(gold))
+        assert tree(out) == before
 
     def test_url_align_and_mine(self, tmp_path):
         out, _ = run_tiny(tmp_path, vocab_size=50, url_align=True, mine=True,
@@ -647,6 +658,36 @@ class TestInvariance:
                               mine=True)
         assert len(records) == len(corpus.records) + 40
         assert _artifacts(run_pipeline(PipelineConfig.from_dict(cfg))) == expected
+
+    # guards a per-language rewrite of the lexicon, vectorize and align
+    # stages: a language's files depend on its own pages and resource and on
+    # the pivot's pages only
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_adding_a_language_changes_no_other_languages_files(self, tmp_path_factory,
+                                                                data):
+        langs = data.draw(st.permutations(["de", "es", "fr", "it"]))
+        base = langs[:data.draw(st.integers(1, 3))]
+        added = langs[len(base)]
+        corpus = MultilingualCorpus(
+            [*base, added], seed=data.draw(st.integers(0, 9)),
+            embedding_langs=[data.draw(st.sampled_from([*base, added]))])
+        root = tmp_path_factory.mktemp("langs")
+
+        def run(name, run_langs):
+            cfg = corpus.config(root / name / "fx", root / name / "out", langs=run_langs)
+            out = tree(run_pipeline(PipelineConfig.from_dict(cfg)))
+            pairs = [line for line in out["pairs.tsv"].decode().splitlines()
+                     if line.split("\t")[3] in base]
+            return out, pairs
+
+        before, base_pairs = run("base", base)
+        after, pairs = run("added", [*base, added])
+        files = {path: data for path, data in before.items()
+                 if path.split("/")[0] in ("vocab", "lexicon", "idf", "vectors")}
+        assert {f"vocab/{lang}.txt" for lang in ["en", *base]} <= set(files)
+        assert {path: after.get(path) for path in files} == files
+        assert base_pairs and pairs == base_pairs
 
 
 class TestPipelineConfig:

@@ -58,9 +58,11 @@ class TestReadLines:
 # the file at a path, as data that compares with ==)
 LOADERS = {
     "translation table": ("t.tsv", b"cat\tchat\t0.5\ndog\tchien\t1",
-                          lexicon.load_translation_table),
+                          lambda p: [a.tolist() for a in lexicon.load_translation_table(
+                              p, {"cat": 0, "dog": 1}, {"chat": 0, "chien": 1})]),
     "embeddings": ("e.txt", b"1 2\ncat 1 0",
-                   lambda p: {w: v.tolist() for w, v in lexicon.load_embeddings(p).items()}),
+                   lambda p: (lambda e: (e.words, e.vectors.tolist()))(
+                       lexicon.load_embeddings(p))),
     "lexicon": ("l.tsv", b"chat\tcat\t1\nchien\tcat\t0.5",
                 lambda p: lexicon.load_alignment(p, "fr", {"cat"})),
     "vocabulary": ("v.txt", b"cat\ndog", vs.load_vocabulary),
@@ -80,8 +82,8 @@ def _write(root: Path, name: str):
     root.mkdir(parents=True)
     if name == "urls.txt":
         vocab = vs.Vocabulary(words=["a", "b"])
-        idf = vs.compute_idf([["a"], ["b"]], vocab)
-        vs.save_vectors(vs.vectorize(["u1", "u2"], [["a"], ["b"]], vocab, idf), root)
+        terms = vs.count_terms([["a"], ["b"]], vocab)
+        vs.save_vectors(vs.vectorize(["u1", "u2"], terms, vs.compute_idf(terms)), root)
         return root / "urls.txt", lambda: vs.load_vectors(root).urls
     if name == "docs.tsv":
         corpus.write_partitions(corpus.group_by_domain([

@@ -1,5 +1,6 @@
 import math
 import pickle
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
@@ -18,9 +19,17 @@ def vocab_of(words):
 def idf_of(vocab, values):
     return vs.IdfModel(
         collection_size=1,
-        doc_freq={d: 0 for d in range(len(vocab))},
-        idf={vocab.index[w]: v for w, v in values.items()},
+        doc_freq=np.zeros(len(vocab), dtype=np.int64),
+        idf=np.array([values[w] for w in vocab.words], dtype=np.float64),
     )
+
+
+def compute_idf(docs, vocab):
+    return vs.compute_idf(vs.count_terms(docs, vocab))
+
+
+def vectorize(urls, docs, vocab, idf):
+    return vs.vectorize(urls, vs.count_terms(docs, vocab), idf)
 
 
 class TestBuildVocabulary:
@@ -68,38 +77,38 @@ class TestComputeIdf:
     def test_formula_values(self):
         vocab = vocab_of(["one", "all", "none"])
         docs = [["one", "all"], ["all"], ["all"]]
-        idf = vs.compute_idf(docs, vocab)
+        idf = compute_idf(docs, vocab)
         assert idf.idf[vocab.index["one"]] == pytest.approx(math.log(2.5), abs=1e-12)
         assert idf.idf[vocab.index["all"]] == pytest.approx(math.log(1.75), abs=1e-12)
         assert idf.idf[vocab.index["none"]] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ConfigError):
-            vs.compute_idf([], vocab_of(["a"]))
+            compute_idf([], vocab_of(["a"]))
 
     def test_monotonicity(self):
         vocab = vocab_of(["rare", "mid", "common"])
         docs = [["rare", "mid", "common"], ["mid", "common"], ["common"]]
-        idf = vs.compute_idf(docs, vocab)
+        idf = compute_idf(docs, vocab)
         r, m, c = (idf.idf[vocab.index[w]] for w in ("rare", "mid", "common"))
         assert r > m > c > 0
 
     def test_bounds(self):
         vocab = vocab_of(["a", "b"])
         docs = [["a"]] * 7
-        idf = vs.compute_idf(docs, vocab)
-        for v in idf.idf.values():
+        idf = compute_idf(docs, vocab)
+        for v in idf.idf.tolist():
             assert 0 < v <= math.log(1 + 7)
 
     def test_multiple_occurrences_count_once(self):
         vocab = vocab_of(["a"])
-        idf = vs.compute_idf([["a", "a", "a"], ["b"]], vocab)
+        idf = compute_idf([["a", "a", "a"], ["b"]], vocab)
         assert idf.doc_freq[0] == 1
 
 
 def vectorize_one(tokens, vocab, idf):
     """The (dim, weight) entries of one document's vector."""
-    table = vs.vectorize(["u"], [tokens], vocab, idf)
+    table = vectorize(["u"], [tokens], vocab, idf)
     return list(zip(table.indices.tolist(), table.data.tolist()))
 
 
@@ -157,7 +166,7 @@ class TestVectorize:
     def test_rows_follow_documents(self):
         vocab = vocab_of(["a", "b"])
         idf = idf_of(vocab, {"a": 1.0, "b": 2.0})
-        table = vs.vectorize(["u1", "u2", "u3", "u4"],
+        table = vectorize(["u1", "u2", "u3", "u4"],
                              [["b", "a"], [], ["x"], ["b", "b"]], vocab, idf)
         assert table.urls == ["u1", "u2", "u3", "u4"]
         assert table.indptr.tolist() == [0, 2, 2, 2, 3]
@@ -172,10 +181,10 @@ class TestDeterminism:
         v1 = vs.build_vocabulary(docs, 0, 10)
         v2 = vs.build_vocabulary(docs, 0, 10)
         assert v1.words == v2.words
-        i1 = vs.compute_idf(docs, v1)
-        i2 = vs.compute_idf(docs, v2)
-        assert i1.idf == i2.idf
-        t1, t2 = vs.vectorize(urls, docs, v1, i1), vs.vectorize(urls, docs, v2, i2)
+        i1 = compute_idf(docs, v1)
+        i2 = compute_idf(docs, v2)
+        assert i1.idf.tolist() == i2.idf.tolist()
+        t1, t2 = vectorize(urls, docs, v1, i1), vectorize(urls, docs, v2, i2)
         for name in ("indptr", "indices", "data"):
             assert getattr(t1, name).tolist() == getattr(t2, name).tolist()
 
@@ -229,7 +238,7 @@ class TestIO:
 
     def test_save_idf_bytes(self, tmp_path):
         vocab = vocab_of(["a", "b", "c"])
-        idf = vs.compute_idf([["a"], ["a", "b"], ["b", "a", "a"]], vocab)
+        idf = compute_idf([["a"], ["a", "b"], ["b", "a", "a"]], vocab)
         vs.save_idf(idf, vocab, tmp_path / "idf.tsv")
         assert (tmp_path / "idf.tsv").read_text() == (
             "#collection_size\t3\t0\n"
@@ -240,10 +249,10 @@ class TestIO:
 
     def test_vectors_roundtrip(self, tmp_path):
         vocab = vocab_of(["a", "b", "c"])
-        idf = vs.compute_idf([["a", "b"], ["c"]], vocab)
+        idf = compute_idf([["a", "b"], ["c"]], vocab)
         # URLs that str.splitlines would cut, next to an ASCII one
         urls = ["http://x/1", "http://x/\u2028\x85\x0c", "http://x/é"]
-        table = vs.vectorize(urls, [["a", "b", "b"], [], ["c"]], vocab, idf)
+        table = vectorize(urls, [["a", "b", "b"], [], ["c"]], vocab, idf)
         vs.save_vectors(table, tmp_path / "v")
         assert sorted(f.name for f in (tmp_path / "v").iterdir()) == [
             "data.npy", "indices.npy", "indptr.npy", "urls.txt"]
@@ -260,8 +269,8 @@ class TestIO:
 
     def test_vectors_load_empty_vector_and_reject_bad_entries(self, tmp_path):
         vocab = vocab_of(["a", "b", "c"])
-        idf = vs.compute_idf([["a", "b"], ["c"]], vocab)
-        table = vs.vectorize(["u1", "u2", "u3"], [["a", "b"], [], ["c"]], vocab, idf)
+        idf = compute_idf([["a", "b"], ["c"]], vocab)
+        table = vectorize(["u1", "u2", "u3"], [["a", "b"], [], ["c"]], vocab, idf)
         for case, (name, damage) in MALFORMED.items():
             vs.save_vectors(table, tmp_path / case)
             assert vs.load_vectors(tmp_path / case).indptr.tolist() == [0, 2, 2, 3]
@@ -282,6 +291,17 @@ class TestIO:
 
 # --- oracle: compute_idf's per-token loop and the per-document projection
 # that the batch path replaced ---------------------------------------------
+
+
+def dict_compute_idf(docs, vocab):
+    """The per-document ``Counter`` pass that ``compute_idf`` over
+    ``count_terms`` replaced: (collection size, doc_freq, idf) per dimension."""
+    counts = Counter()
+    n = 0
+    for n, tokens in enumerate(docs, start=1):
+        counts.update(set(tokens))
+    doc_freq = [counts[w] for w in vocab.words]
+    return n, doc_freq, [vs.idf_value(n, df) for df in doc_freq]
 
 
 def idf_file_oracle(docs, vocab):
@@ -318,12 +338,14 @@ class TestOracleEquivalence:
         vocab, docs = language
         urls = [f"http://x/{i}" for i in range(len(docs))]
         tmp = tmp_path_factory.mktemp("lang")
-        idf = vs.compute_idf(docs, vocab)
+        idf = compute_idf(docs, vocab)
         vs.save_idf(idf, vocab, tmp / "idf.tsv")
-        vs.save_vectors(vs.vectorize(urls, docs, vocab, idf), tmp / "vectors")
+        vs.save_vectors(vectorize(urls, docs, vocab, idf), tmp / "vectors")
         table = vs.load_vectors(tmp / "vectors")
 
         oracle = [vectorize_document(t, vocab, idf, doc_url=u) for u, t in zip(urls, docs)]
+        assert (idf.collection_size, idf.doc_freq.tolist(), idf.idf.tolist()) == \
+            dict_compute_idf(docs, vocab)
         assert (tmp / "idf.tsv").read_text() == idf_file_oracle(docs, vocab)
         assert table.urls == urls
         assert table.indptr.tolist() == [0, *accumulate(len(v.entries) for v in oracle)]
@@ -335,8 +357,8 @@ class TestOracleEquivalence:
         # (row, dim) keys pass 2**31
         vocab = vocab_of(f"w{i}" for i in range(2**16))
         docs = [[] for _ in range(2**15)] + [["w65535", "w3", "w65535"]]
-        idf = vs.compute_idf(docs, vocab)
-        table = vs.vectorize([str(i) for i in range(len(docs))], docs, vocab, idf)
+        idf = compute_idf(docs, vocab)
+        table = vectorize([str(i) for i in range(len(docs))], docs, vocab, idf)
         assert table.indptr[-2] == 0
         assert list(zip(table.indices.tolist(), table.data.tolist())) == \
             vectorize_document(docs[-1], vocab, idf).entries
