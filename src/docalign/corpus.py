@@ -14,6 +14,9 @@ document in (lang, domain, URL) order, the order of ``vectors/<lang>/``:
   so any token, even one holding a tab or a newline, is kept intact;
 - ``ids.npy``: one 1-D int32 array of every row's token ids (indices into
   ``words.json``), concatenated in row order.
+
+A record read back holds its tokens as a ``TokenView`` of its ids, decoded
+on first read, so a stage that needs only the URLs decodes no token.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from html import unescape
 from html.parser import HTMLParser
 from itertools import chain, count
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -60,14 +63,52 @@ _CJK_RANGES = (
 )
 
 
+class TokenView(Sequence[str]):
+    """The tokens of one record read back from ``corpus/``: a view of the
+    record's slice of the corpus's token ids, over the corpus's one object
+    array of words. The first iteration, indexing or comparison decodes the
+    tokens into a list, which is kept; ``len()`` decodes nothing. It equals
+    a list of the same tokens."""
+
+    __slots__ = ("_ids", "_words", "_tokens")
+
+    def __init__(self, ids: np.ndarray, words: np.ndarray):
+        self._ids = ids
+        self._words = words
+        self._tokens: Optional[list[str]] = None
+
+    def _decoded(self) -> list[str]:
+        if self._tokens is None:
+            self._tokens = self._words[self._ids].tolist()
+        return self._tokens
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other):
+        if isinstance(other, TokenView):
+            other = other._decoded()
+        return self._decoded() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
+
+
 @dataclass
 class DocumentRecord:
-    """One web page after extraction: url, host, language tag and tokens."""
+    """One web page after extraction: url, host, language tag and tokens,
+    a list or, read back from ``corpus/``, a ``TokenView``."""
 
     url: str
     domain: str
     lang: str
-    tokens: list[str]
+    tokens: Sequence[str]
     raw_length: int
 
     def serialized(self) -> str:
@@ -78,7 +119,7 @@ class DocumentRecord:
                 "url": self.url,
                 "domain": self.domain,
                 "lang": self.lang,
-                "tokens": self.tokens,
+                "tokens": list(self.tokens),
                 "raw_length": self.raw_length,
             },
             ensure_ascii=False,
@@ -365,7 +406,7 @@ def parse_record(line: str, format: str = "jsonl") -> DocumentRecord:
     )
 
 
-def detect_language(tokens: list[str], confidence_floor: float = 0.5) -> str:
+def detect_language(tokens: Sequence[str], confidence_floor: float = 0.5) -> str:
     """Language tag from the bundled trigram detector; "und" when unsure."""
     if not tokens:
         return "und"
@@ -446,8 +487,10 @@ def read_partitions(corpus_dir) -> dict[str, CorpusPartition]:
     or with fields ``write_partitions`` refuses is a ``FormatError`` naming
     ``docs.tsv:<line>``. An ``ids.npy`` that is not a 1-D int32 array, holds
     an id outside ``words.json`` or not as many ids as ``docs.tsv`` counts,
-    and a ``words.json`` that is not a list of strings, are ``FormatError``s
-    naming the file."""
+    and a ``words.json`` that is missing, unreadable or not a list of
+    strings, are ``FormatError``s naming the file. Every check is made here;
+    each record's ``tokens`` is a ``TokenView`` that decodes them on first
+    read."""
     root = Path(corpus_dir)
     rows = _read_docs(root / DOCS)
     words = _read_words(root / WORDS)
@@ -459,12 +502,14 @@ def read_partitions(corpus_dir) -> dict[str, CorpusPartition]:
     if ids.size and (ids.min() < 0 or ids.max() >= len(words)):
         raise FormatError(f"{root / IDS}: token id outside the {len(words)} words "
                           f"of {root / WORDS}")
-    tokens = np.array(words, dtype=object)[ids].tolist()
+    ids.flags.writeable = False  # so that no TokenView can write through its view
+    word_array = np.array(words, dtype=object)
     grouped: dict[str, dict[str, list[DocumentRecord]]] = {}
     start = 0
     for lang, domain, url, raw_length, n in rows:
         doc = DocumentRecord(url=url, domain=domain, lang=lang,
-                             tokens=tokens[start:start + n], raw_length=raw_length)
+                             tokens=TokenView(ids[start:start + n], word_array),
+                             raw_length=raw_length)
         start += n
         grouped.setdefault(domain, {}).setdefault(lang, []).append(doc)
     return {domain: CorpusPartition(domain, dict(sorted(grouped[domain].items())))
@@ -488,7 +533,11 @@ def _read_docs(path: Path) -> list[tuple[str, str, str, int, int]]:
 
 def _read_words(path: Path) -> list[str]:
     try:
-        words = json.loads(path.read_bytes())
+        data = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from None
+    try:
+        words = json.loads(data)
     except ValueError as exc:  # JSON and UTF-8 errors both
         raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):

@@ -2,14 +2,16 @@ import json
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from docalign.align_cda import ScoreMatrix
-from docalign.corpus import CorpusPartition, DocumentRecord, domain_of
+from docalign.corpus import CorpusPartition, DocumentRecord, TokenView, domain_of
 from docalign.vectorspace import VectorTable
 
 
@@ -35,6 +37,38 @@ def write_jsonl_partitions(partitions, out_dir):
             with open(ddir / f"{lang}.jsonl", "w", encoding="utf-8") as fh:
                 for rec in docs:
                     fh.write(rec.serialized() + "\n")
+
+
+def eager_token_rows(corpus_dir):
+    """Each ``docs.tsv`` row's tokens as ``read_partitions`` decoded them
+    before records held a ``TokenView``, kept as its oracle: every id of
+    ``ids.npy`` through one object array of the words, then one list slice
+    per row."""
+    root = Path(corpus_dir)
+    words = json.loads((root / "words.json").read_bytes())
+    tokens = np.array(words, dtype=object)[np.load(root / "ids.npy")].tolist()
+    rows, start = [], 0
+    for line in (root / "docs.tsv").read_bytes().decode("utf-8").split("\n")[:-1]:
+        n = int(line.split("\t")[4])
+        rows.append(tokens[start:start + n])
+        start += n
+    return rows
+
+
+@contextmanager
+def token_decodes():
+    """The ``TokenView``s whose tokens are decoded inside the block, each
+    once, in the order they were decoded."""
+    decoded = []
+    decode = TokenView._decoded
+
+    def spy(view):
+        if view._tokens is None:
+            decoded.append(view)
+        return decode(view)
+
+    with mock.patch.object(TokenView, "_decoded", spy):
+        yield decoded
 
 
 def read_jsonl_partitions(corpus_dir):

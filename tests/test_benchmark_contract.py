@@ -123,6 +123,20 @@ def test_traced_cold_run_calls_every_align_name(cold_counts):
     assert 0 < score["kept"] <= score["scored"] <= score["possible"]
 
 
+def test_traced_threshold_rerun_reads_corpus_once_and_maps_nothing(tmp_path):
+    """A traced rerun with a new threshold, as rerun-align makes, reads
+    ``corpus/`` once, calls every wrapped ``align_cda.*`` and ``align_url.*``
+    name, and maps no document through the lexicon."""
+    config = _fixture_config(tmp_path)
+    _traced_run(tmp_path, config, "cold")
+    counts = _traced_run(tmp_path, {**config, "threshold": 0.5}, "rerun")
+    names, missing = _never_called(counts, ("align_cda", "align_url"))
+    assert "align_cda.score_domain" in names and "align_url.match_urls" in names
+    assert missing == []
+    assert counts["corpus.read_partitions"]["calls"] == 1
+    assert counts["lexicon.map_document"]["calls"] == 0
+
+
 def _modules_after_pipeline_import(package: str) -> str:
     proc = subprocess.run(
         [sys.executable, "-c",

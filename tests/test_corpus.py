@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from docalign import corpus
 from docalign.errors import FormatError, ParseError, SchemaError
-from tests.conftest import make_record, read_jsonl_partitions, write_jsonl_partitions
+from tests.conftest import (eager_token_rows, make_record, read_jsonl_partitions,
+                            token_decodes, write_jsonl_partitions)
 
 
 # Markup that the scan in extract_text reads itself: tags in both cases,
@@ -404,6 +405,10 @@ def partitions(draw):
     return corpus.group_by_domain(records)
 
 
+_SLICES = [slice(None), slice(1, None), slice(None, -1), slice(1, 3), slice(-2, None),
+           slice(None, None, 2), slice(None, None, -1), slice(4, 1)]
+
+
 def _layout(parts):
     return [(domain, list(part.by_lang)) for domain, part in parts.items()]
 
@@ -439,6 +444,35 @@ class TestPartitionIO:
             loaded = corpus.read_partitions(new)
             assert loaded == parts == read_jsonl_partitions(old)
             assert _layout(loaded) == _layout(read_jsonl_partitions(old))
+
+    @settings(deadline=None)
+    @given(parts=partitions())
+    @example(parts=corpus.group_by_domain([
+        make_record("http://a.com/x", ["x\ty", "x\ny", '"q"', "ü", "猫", "x\ty"]),
+        make_record("http://a.com/y", [])]))
+    def test_tokens_match_eager_decode(self, parts):
+        """Each record read back holds the tokens the eager decode gives its
+        row, as a list, by index and by slice. ``len()`` decodes nothing, and
+        each record is decoded once."""
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus.write_partitions(parts, tmp)
+            rows = eager_token_rows(tmp)
+            with token_decodes() as decoded:
+                loaded = corpus.read_partitions(tmp)
+                groups = sorted((lang, domain) for domain, part in loaded.items()
+                                for lang in part.by_lang)  # the row order
+                records = [rec for lang, domain in groups for rec in loaded[domain].docs(lang)]
+                assert [len(rec.tokens) for rec in records] == [len(row) for row in rows]
+                assert decoded == []
+                for rec, row in zip(records, rows):
+                    assert rec.tokens == row and row == rec.tokens
+                    assert list(rec.tokens) == row
+                    assert [rec.tokens[i] for i in range(-len(row), len(row))] == row * 2
+                    for cut in _SLICES:
+                        assert rec.tokens[cut] == row[cut]
+                    with pytest.raises(IndexError):
+                        rec.tokens[len(row)]
+            assert len({id(view) for view in decoded}) == len(decoded) == len(records)
 
     @pytest.mark.parametrize("bad, message", [
         pytest.param(b"fr\ta.com\thttp://a.com/z\t5", "expected 5 tab-separated fields, got 4",
@@ -486,10 +520,14 @@ class TestPartitionIO:
         pytest.param('{"a": 0}', "not a JSON list of strings", id="object"),
         pytest.param('["a", 5]', "not a JSON list of strings", id="number"),
         pytest.param('["a", "b"', "Expecting", id="truncated"),
+        pytest.param(None, "No such file or directory", id="missing"),
     ])
     def test_bad_words_names_file(self, tmp_path, text, message):
         _docs, path, _ids = _write_two(tmp_path)
-        path.write_text(text)
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: .*{message}"):
             corpus.read_partitions(tmp_path)
 

@@ -17,7 +17,8 @@ from docalign.cli import main
 from docalign.corpus import CorpusPartition, read_partitions
 from docalign.errors import ConfigError, FormatError
 from docalign.pipeline import LanguageResource, PipelineConfig, run_pipeline
-from tests.conftest import MultilingualCorpus, SyntheticCorpus, write_jsonl_partitions
+from tests.conftest import (MultilingualCorpus, SyntheticCorpus, token_decodes,
+                            write_jsonl_partitions)
 
 
 def run_tiny(tmp_path, out_name="out", corpus=None, **overrides):
@@ -108,6 +109,26 @@ class TestRunPipeline:
         assert not (out / "corpus.tmp").exists()
         assert (out / "pairs.tsv").read_text()
         assert site01_pairs() == []
+
+    def test_threshold_rerun_decodes_no_token(self, tmp_path):
+        """A cold run decodes each record's tokens once. A threshold rerun
+        reads ``corpus/`` once, for its URLs, decodes no token, and leaves
+        what a cold run at the new threshold leaves."""
+        corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
+                                 doc_len=(20, 30), seed=7)
+        options = dict(corpus=corpus, vocab_size=50, url_align=True, mine=True)
+        with token_decodes() as decoded:
+            out, _ = run_tiny(tmp_path, threshold=0.1, **options)
+        assert len({id(view) for view in decoded}) == len(decoded) == len(corpus.records)
+        cold, _ = run_tiny(tmp_path, out_name="cold", threshold=0.95, **options)
+        assert (cold / "pairs.tsv").read_bytes() != (out / "pairs.tsv").read_bytes()
+        with token_decodes() as decoded, \
+                mock.patch.object(corpus_io, "read_partitions",
+                                  wraps=corpus_io.read_partitions) as read:
+            run_tiny(tmp_path, threshold=0.95, **options)
+        assert read.call_count == 1
+        assert decoded == []
+        assert tree(out) == tree(cold)
 
     def test_old_corpus_layout_is_reingested(self, tmp_path, caplog):
         import logging
@@ -688,6 +709,34 @@ class TestInvariance:
         assert {f"vocab/{lang}.txt" for lang in ["en", *base]} <= set(files)
         assert {path: after.get(path) for path in files} == files
         assert base_pairs and pairs == base_pairs
+
+    # guards a rewrite that reads a domain's rows by name or by position: a
+    # domain's name reaches the artifacts only as itself, in its URLs and
+    # fields, so long as it keeps its place in sorted order
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 9), renamed=st.integers(0, 2),
+           suffix=st.text("abz09-", min_size=1, max_size=6))
+    def test_renaming_a_domain_changes_only_its_name(self, tmp_path_factory, seed,
+                                                     renamed, suffix):
+        corpus = MultilingualCorpus(["de", "fr"], embedding_langs=["de"], n_domains=3,
+                                    docs_per_domain=3, seed=seed)
+        old = f"site{renamed:02d}.example"
+        # sorts between the domains before and after it, as the old name did
+        new = f"site{renamed:02d}{suffix}.example"
+        root = tmp_path_factory.mktemp("rename")
+
+        def run(name):
+            cfg = corpus.config(root / name / "fx", root / name / "out", url_align=True,
+                                mine=True)
+            return _artifacts(run_pipeline(PipelineConfig.from_dict(cfg)))
+
+        before = run("before")
+        corpus.pages = [(new if domain == old else domain, page, tokens)
+                        for domain, page, tokens in corpus.pages]
+        after = run("after")
+        assert old.encode() in before["pairs.tsv"]
+        assert {path: data.replace(old.encode(), new.encode())
+                for path, data in before.items()} == after
 
 
 class TestPipelineConfig:
