@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .corpus import CorpusPartition, DocumentRecord
+from .corpus import CorpusPartition
 from .errors import ConfigError, FormatError
 from .textfile import read_lines
 from .vectorspace import VectorTable
@@ -63,22 +63,11 @@ class ScoreMatrix:
     scored_pairs: int = 0  # candidate pairs actually evaluated
 
 
-def _rows(table: VectorTable, docs: list[DocumentRecord]) -> np.ndarray:
-    """Table rows of the documents that have a vector, in document order."""
-    row = table.row
-    return np.array([row[d.url] for d in docs if d.url in row], dtype=np.int64)
-
-
-def _entries(table: VectorTable, rows: np.ndarray):
-    """The entries of ``rows`` in row order: (owner position in ``rows``,
-    dimension, weight) arrays plus each row's entry offsets."""
-    starts = table.indptr[rows]
-    lengths = table.indptr[rows + 1] - starts
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    pos = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
-    owner = np.repeat(np.arange(len(rows)), lengths)
-    return owner, table.indices[pos], table.data[pos], offsets
+def _check_rows(table: VectorTable, lang: str, n_docs: int, where: str = "") -> None:
+    """A ``FormatError`` unless ``table`` holds one row per document."""
+    if len(table) != n_docs:
+        raise FormatError(f"{where}vectors of language {lang!r} hold {len(table)} rows "
+                          f"for its {n_docs} documents")
 
 
 def score_domain(
@@ -90,9 +79,10 @@ def score_domain(
 ) -> ScoreMatrix:
     """Score every candidate pair of a domain through an inverted index.
 
-    Pairs sharing no vocabulary dimension are never materialized; entries
-    below the threshold are not stored. Documents without a vector take no
-    part. Each pair's score adds its products in the order of the other
+    Row ``i`` of ``vectors[lang]`` is ``partition.docs(lang)[i]``; a table
+    of another length is a ``FormatError``. Pairs sharing no vocabulary
+    dimension are never materialized; entries below the threshold are not
+    stored. Each pair's score adds its products in the order of the other
     document's dimensions, starting from 0.0, so every score is exactly the
     sum a per-pair accumulation loop would give.
     """
@@ -102,20 +92,20 @@ def score_domain(
     if not pivot_docs or not other_docs:
         return matrix
     p_table, o_table = vectors[pivot_lang], vectors[other_lang]
-    p_rows, o_rows = _rows(p_table, pivot_docs), _rows(o_table, other_docs)
-    matrix.pivot_urls = [p_table.urls[r] for r in p_rows.tolist()]
-    matrix.other_urls = [o_table.urls[r] for r in o_rows.tolist()]
-    n_pivot, n_other = len(p_rows), len(o_rows)
-    if not n_pivot or not n_other:
-        return matrix
+    _check_rows(p_table, pivot_lang, len(pivot_docs), f"{partition.domain}: ")
+    _check_rows(o_table, other_lang, len(other_docs), f"{partition.domain}: ")
+    matrix.pivot_urls = [d.url for d in pivot_docs]
+    matrix.other_urls = [d.url for d in other_docs]
+    n_pivot, n_other = len(pivot_docs), len(other_docs)
 
     # postings: the pivot entries grouped by dimension, in document order
-    p_owner, p_dim, p_w, _ = _entries(p_table, p_rows)
-    by_dim = np.argsort(p_dim, kind="stable")
-    post_doc, post_dim, post_w = p_owner[by_dim], p_dim[by_dim], p_w[by_dim]
+    by_dim = np.argsort(p_table.indices, kind="stable")
+    post_doc = np.repeat(np.arange(n_pivot), np.diff(p_table.indptr))[by_dim]
+    post_dim, post_w = p_table.indices[by_dim], p_table.data[by_dim]
 
     # each other entry's postings: post_dim[first:first + hits]
-    o_owner, o_dim, o_w, o_offsets = _entries(o_table, o_rows)
+    o_dim, o_w, o_offsets = o_table.indices, o_table.data, o_table.indptr
+    o_owner = np.repeat(np.arange(n_other), np.diff(o_offsets))
     first = np.searchsorted(post_dim, o_dim, side="left")
     hits = np.searchsorted(post_dim, o_dim, side="right") - first
     # products of the other documents before each one, and of all of them
@@ -244,22 +234,30 @@ def align_corpus(
     non-pivot languages.
 
     A pivot document matches at most one document per other language but may
-    appear across languages. ``vectors`` maps lang -> vector table; the
-    pivot language must be present too. When ``stats`` is given, it
-    receives ``scored_pairs`` and ``possible_pairs`` totals.
+    appear across languages. ``vectors`` maps each language, the pivot too,
+    to its table, whose row ``i`` is the language's document ``i`` in corpus
+    order (domains sorted, then ``docs(lang)``); a table of another length
+    is a ``FormatError``. When ``stats`` is given, it receives
+    ``scored_pairs`` and ``possible_pairs`` totals.
     """
     langs = sorted(langs)
-    for lang in [pivot_lang, *langs]:
+    start = dict.fromkeys([pivot_lang, *langs], 0)  # each table's next domain's first row
+    for lang in start:
         if lang not in vectors:
             raise ConfigError(f"no vectors supplied for language {lang!r}")
+        _check_rows(vectors[lang], lang, sum(len(p.docs(lang)) for p in partitions.values()))
 
     pairs: list[AlignmentPair] = []
     scored = 0
     possible = 0
     for domain in sorted(partitions):
         part = partitions[domain]
+        block = {}
+        for lang, row in start.items():
+            start[lang] = row + len(part.docs(lang))
+            block[lang] = vectors[lang].rows(row, start[lang])
         for lang in langs:
-            matrix = score_domain(part, vectors, pivot_lang, lang, threshold)
+            matrix = score_domain(part, block, pivot_lang, lang, threshold)
             pairs.extend(match_one_to_one(matrix))
             possible += len(part.docs(pivot_lang)) * len(part.docs(lang))
             scored += matrix.scored_pairs

@@ -141,12 +141,16 @@ class CorpusPartition:
 def domain_of(url: str) -> str:
     """Registrable host of a URL: scheme, credentials and port stripped.
 
-    Host-relative inputs like ``xyz.ca/fr/index.htm`` are accepted.
+    Host-relative inputs like ``xyz.ca/fr/index.htm`` are accepted. A URL
+    that urllib cannot split is a ``SchemaError`` naming it and the reason.
     """
     u = url.strip()
     if "://" not in u:
         u = "//" + u
-    host = urlsplit(u).hostname or ""
+    try:
+        host = urlsplit(u).hostname or ""
+    except ValueError as exc:
+        raise SchemaError(f"URL {url!r} cannot be split: {exc}") from None
     return host.lower()
 
 
@@ -317,9 +321,8 @@ LANG_TAG = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def _unescape_tsv(value: str) -> str:
-    return (
-        value.replace("\\t", "\t").replace("\\n", "\n").replace("\\\\", "\\")
-    )
+    """``\\t``, ``\\n`` and ``\\\\`` decoded left to right; any other backslash stays."""
+    return re.sub(r"\\[tn\\]", lambda m: {"t": "\t", "n": "\n"}.get(m[0][1], "\\"), value)
 
 
 def _field_problem(lang: str, domain: str, url: str) -> Optional[str]:

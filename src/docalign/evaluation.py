@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 from .align_cda import AlignmentPair
 from .corpus import domain_of
-from .errors import FormatError, UsageError
+from .errors import FormatError, SchemaError, UsageError
 from .textfile import read_lines
 
 
@@ -31,7 +31,8 @@ def load_gold(path) -> Gold:
     pivot URL may be on several lines, one per language of its counterparts;
     a non-pivot URL on one line only, and no URL on both sides. A file with
     no pair is a ``FormatError``: recall over it is undefined. Each pair
-    maps to the domain of its pivot URL, the domain it is reported under."""
+    maps to the domain of its pivot URL, the domain it is reported under; a
+    pivot URL that urllib cannot split is a ``FormatError`` too."""
     pairs: Gold = {}
     pivots: set[str] = set()
     others: set[str] = set()
@@ -45,7 +46,10 @@ def load_gold(path) -> Gold:
             if u in pivots and u in others:
                 raise FormatError(f"{path}:{lineno}: URL {u!r} is both a pivot and "
                                   "a non-pivot URL")
-        pairs[(purl, ourl)] = domain_of(purl)
+        try:
+            pairs[(purl, ourl)] = domain_of(purl)
+        except SchemaError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
     if not pairs:
         raise FormatError(f"{path}: no gold pairs")
     return pairs

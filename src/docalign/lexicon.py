@@ -305,7 +305,8 @@ def save_alignment(align: LexiconAlignment, path) -> None:
 def load_alignment(path, other_lang: str, pivot_vocab: Container[str]) -> LexiconAlignment:
     """Inverse of ``save_alignment``. Every pivot word must be in
     ``pivot_vocab``: a lexicon built against another pivot vocabulary would
-    map words outside the vector space."""
+    map words outside the vector space. A score that is not a finite number
+    is a ``FormatError`` naming the file and line."""
     pairs: set[tuple[str, str]] = set()
     to_pivot: dict[str, str] = {}
     scores: dict[str, float] = {}
@@ -318,6 +319,8 @@ def load_alignment(path, other_lang: str, pivot_vocab: Container[str]) -> Lexico
             score = float(raw)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: score {raw!r} is not a number") from None
+        if not np.isfinite(score):
+            raise FormatError(f"{path}:{lineno}: score {raw!r} is not a finite number")
         pairs.add((a, b))
         to_pivot[b] = a
         scores[b] = score

@@ -413,23 +413,18 @@ def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
         terms = vectorspace.count_terms(tokens, pivot_vocab)
         idf = vectorspace.compute_idf(terms)
         vectorspace.save_idf(idf, pivot_vocab, idf_dir / f"{lang}.tsv")
-        table = vectorspace.vectorize([d.url for d in docs], terms, idf)
-        vectorspace.save_vectors(table, vec_dir / lang)
+        vectorspace.save_vectors(vectorspace.vectorize(terms, idf), vec_dir / lang)
 
 
 def align_by_content(cfg: PipelineConfig, partitions: Partitions) -> None:
-    """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``. Each
-    ``vectors/<lang>/urls.txt`` must list the language's ``corpus/`` URLs in
-    row order, and every dimension must index a word of
-    ``vocab/<pivot>.txt``."""
+    """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``; every
+    dimension must index a word of ``vocab/<pivot>.txt``, and ``align_corpus``
+    checks that each table has one row per ``corpus/`` document."""
     out, pivot = Path(cfg.out), cfg.pivot
     dims = len(vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt"))
     vectors = {}
     for lang in [pivot, *cfg.langs]:
         vectors[lang] = table = vectorspace.load_vectors(out / "vectors" / lang)
-        if table.urls != [doc.url for doc in _lang_tokens(partitions, lang)]:
-            raise FormatError(f"{out / 'vectors' / lang / 'urls.txt'}: not the {lang} "
-                              f"documents of {out / 'corpus'}; run vectorize again")
         if table.indices.size and (table.indices.min() < 0 or table.indices.max() >= dims):
             raise FormatError(f"{out / 'vectors' / lang / 'indices.npy'}: dimension "
                               f"outside the {dims}-word pivot vocabulary")

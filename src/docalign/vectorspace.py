@@ -7,7 +7,7 @@ dimensions and counts every (document, dimension) key in one pass;
 ``compute_idf`` and ``vectorize`` both read those counts, and ``vectorize``
 projects the documents in one call, as array operations, into one array
 table (``VectorTable``). Each language's table is saved as its CSR arrays
-in ``.npy`` files plus a URL list, and read back into the same table.
+in ``.npy`` files and read back into the same table.
 """
 
 from __future__ import annotations
@@ -67,24 +67,27 @@ class TermCounts(NamedTuple):
 class VectorTable:
     """The vectors of one language as CSR arrays.
 
-    Row ``i`` is the vector of ``urls[i]``: dimensions
-    ``indices[indptr[i]:indptr[i + 1]]`` in stored (ascending) order, with
-    weights ``data[indptr[i]:indptr[i + 1]]``. ``row`` maps a URL to its
-    row; a URL listed twice maps to its last row.
+    Row ``i``, the vector of document ``i`` in the order ``vectorize`` was
+    given them, holds dimensions ``indices[indptr[i]:indptr[i + 1]]`` in
+    stored (ascending) order, with weights ``data[indptr[i]:indptr[i + 1]]``.
     """
 
-    urls: list[str]
-    indptr: np.ndarray  # int64, len(urls) + 1 offsets
+    indptr: np.ndarray  # int64, one offset per row plus one
     indices: np.ndarray  # int64 dimensions
     data: np.ndarray  # float64 weights
-    row: dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.row = {url: i for i, url in enumerate(self.urls)}
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def rows(self, start: int, stop: int) -> "VectorTable":
+        """Rows ``start:stop`` as a table over views of ``indices`` and ``data``."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return VectorTable(indptr=self.indptr[start:stop + 1] - lo,
+                           indices=self.indices[lo:hi], data=self.data[lo:hi])
 
     @classmethod
     def empty(cls) -> "VectorTable":
-        return cls(urls=[], indptr=np.zeros(1, dtype=np.int64),
+        return cls(indptr=np.zeros(1, dtype=np.int64),
                    indices=np.zeros(0, dtype=np.int64), data=np.zeros(0))
 
 
@@ -144,9 +147,9 @@ def compute_idf(terms: TermCounts) -> IdfModel:
                     idf=np.array(idf, dtype=np.float64))
 
 
-def vectorize(urls: Sequence[str], terms: TermCounts, idf: IdfModel) -> VectorTable:
+def vectorize(terms: TermCounts, idf: IdfModel) -> VectorTable:
     """TF x IDF over the vocabulary, l2-normalized: row ``i`` of the table is
-    the vector of document ``i`` of ``terms``, listed under ``urls[i]``.
+    the vector of document ``i`` of ``terms``.
 
     Documents with no vocabulary hits get the empty row; they can never
     match above a positive threshold. Each norm adds a document's squared
@@ -162,7 +165,7 @@ def vectorize(urls: Sequence[str], terms: TermCounts, idf: IdfModel) -> VectorTa
     squares = np.bincount(row[order], weights=weights[order] ** 2, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return VectorTable(urls=list(urls), indptr=indptr, indices=dim.astype(np.int64),
+    return VectorTable(indptr=indptr, indices=dim.astype(np.int64),
                        data=weights / np.sqrt(squares)[row])
 
 
@@ -190,30 +193,23 @@ _ARRAYS = (("indptr", np.int64), ("indices", np.int64), ("data", np.float64))
 
 def save_vectors(table: VectorTable, path) -> None:
     """Save the table into the directory ``path`` as ``indptr.npy``,
-    ``indices.npy``, ``data.npy`` (weights at full precision) and
-    ``urls.txt``, one URL per line."""
+    ``indices.npy`` and ``data.npy`` (weights at full precision)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     for name, dtype in _ARRAYS:
         np.save(path / f"{name}.npy", np.asarray(getattr(table, name), dtype=dtype),
                 allow_pickle=False)
-    with open(path / "urls.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(url + "\n" for url in table.urls)
 
 
 def load_vectors(path) -> VectorTable:
     """Inverse of ``save_vectors``: the same arrays, bit for bit. A file
     that does not fit the layout raises ``FormatError`` naming it."""
     path = Path(path)
-    arrays = {name: read_array(path / f"{name}.npy", dtype) for name, dtype in _ARRAYS}
-    urls = [url for _lineno, url in read_lines(path / "urls.txt")]
-    indptr, indices, data = arrays["indptr"], arrays["indices"], arrays["data"]
-    if len(indptr) != len(urls) + 1:
-        raise FormatError(f"{path}: indptr.npy holds {len(indptr)} offsets for the "
-                          f"{len(urls)} URLs of urls.txt")
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+    indptr, indices, data = (read_array(path / f"{name}.npy", dtype)
+                             for name, dtype in _ARRAYS)
+    if not len(indptr) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
         raise FormatError(f"{path / 'indptr.npy'}: offsets must start at 0 and never decrease")
     if not indptr[-1] == len(indices) == len(data):
         raise FormatError(f"{path}: indptr.npy ends at {indptr[-1]}, but indices.npy "
                           f"holds {len(indices)} entries and data.npy {len(data)}")
-    return VectorTable(urls=urls, indptr=indptr, indices=indices, data=data)
+    return VectorTable(indptr=indptr, indices=indices, data=data)

@@ -121,7 +121,6 @@ def vector_table(vectors):
     vectors = list(vectors)
     entries = [e for v in vectors for e in v.entries]
     return VectorTable(
-        urls=[v.doc_url for v in vectors],
         indptr=np.cumsum([0] + [len(v.entries) for v in vectors], dtype=np.int64),
         indices=np.array([d for d, _w in entries], dtype=np.int64),
         data=np.array([w for _d, w in entries], dtype=np.float64),

@@ -59,7 +59,7 @@ def test_criterion_1_idf_formula_exactness():
             assert abs(model.idf[dim] - oracle) <= 1e-12
 
         # every non-empty vector is unit length
-        table = vectorspace.vectorize([f"u{i}" for i in range(len(docs))], terms, model)
+        table = vectorspace.vectorize(terms, model)
         bounds = table.indptr.tolist()
         for lo, hi in zip(bounds, bounds[1:]):
             if hi > lo:

@@ -11,6 +11,7 @@ from docalign import align_cda
 from docalign.corpus import CorpusPartition
 from docalign.errors import ConfigError, FormatError
 from docalign.align_cda import ScoreMatrix
+from docalign.vectorspace import VectorTable
 from tests.conftest import (SparseVector, make_record, matrix_entries, score_matrix,
                             vector_table)
 
@@ -22,6 +23,25 @@ def vec(url, *entries):
 def tables(**by_lang):
     """{lang: VectorTable} from lang=[SparseVector, ...] keywords."""
     return {lang: vector_table(vecs) for lang, vecs in by_lang.items()}
+
+
+def domain_blocks(partitions, vectors):
+    """Each domain's partition, in sorted order, with its rows of every
+    table of ``vectors``, as ``align_corpus`` hands them to
+    ``score_domain``."""
+    start = dict.fromkeys(vectors, 0)
+    for domain in sorted(partitions):
+        part, block = partitions[domain], {}
+        for lang, row in start.items():
+            start[lang] = row + len(part.docs(lang))
+            block[lang] = vectors[lang].rows(row, start[lang])
+        yield part, block
+
+
+def with_empty_row(table):
+    """``table`` with one more row, an empty one."""
+    return VectorTable(indptr=np.append(table.indptr, table.indptr[-1]),
+                       indices=table.indices, data=table.data)
 
 
 # --- oracles: the per-pair dict scorer and sorted-list matchers that the
@@ -192,6 +212,8 @@ class TestMatchOneToOne:
 
 class TestAlignCorpus:
     def build(self, domains=("a.com", "b.com"), langs=("fr", "de")):
+        """Partitions in the order of ``domains``; each table lists its
+        language's documents in sorted-domain order."""
         partitions, vectors = {}, {"en": {}}
         for lang in langs:
             vectors[lang] = {}
@@ -208,7 +230,10 @@ class TestAlignCorpus:
                     by_lang[lang].append(make_record(url, ["x"], lang=lang))
                     vectors[lang][url] = vec(url, (100 * di + i, 1.0))
             partitions[domain] = CorpusPartition(domain=domain, by_lang=by_lang)
-        return partitions, {lang: vector_table(v.values()) for lang, v in vectors.items()}
+        return partitions, {
+            lang: vector_table(by_url[d.url] for domain in sorted(partitions)
+                               for d in partitions[domain].docs(lang))
+            for lang, by_url in vectors.items()}
 
     def test_union_of_per_language_matchings(self):
         partitions, vectors = self.build()
@@ -252,10 +277,31 @@ class TestAlignCorpus:
 
     def test_threshold_monotone_on_matrix_entries(self):
         partitions, vectors = self.build()
-        for domain in partitions:
-            low = align_cda.score_domain(partitions[domain], vectors, "en", "fr", 0.1)
-            high = align_cda.score_domain(partitions[domain], vectors, "en", "fr", 0.6)
+        for part, block in domain_blocks(partitions, vectors):
+            low = align_cda.score_domain(part, block, "en", "fr", 0.1)
+            high = align_cda.score_domain(part, block, "en", "fr", 0.6)
             assert set(matrix_entries(high)) <= set(matrix_entries(low))
+
+    @pytest.mark.parametrize("lang", ["en", "fr"])
+    @pytest.mark.parametrize("change, rows", [("one more", 5), ("one less", 3)])
+    def test_table_without_a_row_per_document(self, lang, change, rows):
+        partitions, vectors = self.build()
+        table = vectors[lang]
+        vectors[lang] = with_empty_row(table) if change == "one more" else table.rows(0, 3)
+        with pytest.raises(FormatError, match=rf"^vectors of language '{lang}' hold "
+                                              rf"{rows} rows for its 4 documents$"):
+            align_cda.align_corpus(partitions, vectors, "en", ["fr", "de"], 0.1)
+
+    @pytest.mark.parametrize("lang", ["en", "fr"])
+    @pytest.mark.parametrize("change, rows", [("one more", 3), ("one less", 1)])
+    def test_block_table_without_a_row_per_document(self, lang, change, rows):
+        partitions, vectors = self.build()
+        part, block = next(domain_blocks(partitions, vectors))
+        table = block[lang]
+        block[lang] = with_empty_row(table) if change == "one more" else table.rows(0, 1)
+        with pytest.raises(FormatError, match=rf"^a.com: vectors of language '{lang}' "
+                                              rf"hold {rows} rows for its 2 documents$"):
+            align_cda.score_domain(part, block, "en", "fr", 0.1)
 
     def test_stats_reported(self):
         partitions, vectors = self.build()
@@ -287,22 +333,17 @@ def _documents(min_size, max_size, max_id):
 @st.composite
 def blocks(draw):
     """One en/fr block of 1-40 documents per side, in an order that is not
-    URL order (".../9" sorts after ".../10"). A document has no vector, an
-    empty one, or a few entries. Each table also holds rows of another
-    domain and lists its rows in an order of its own."""
+    URL order (".../9" sorts after ".../10"), with a table of one row per
+    document. A document has no vector, which the oracle sees as missing
+    and the table holds as an empty row, an empty one, or a few entries."""
     by_url, tables_by_lang, docs = {}, {}, {}
     for lang in ("en", "fr"):
         block = draw(_documents(1, 40, 999))
-        other_domain = draw(_documents(0, 3, 9))
-        vecs = [
-            vec(f"http://{host}/{lang}/{i}", *entries)
-            for host, documents in (("d.com", block), ("e.com", other_domain))
-            for i, entries in documents if entries is not None
-        ]
-        by_url.update((v.doc_url, v) for v in vecs)
-        tables_by_lang[lang] = vector_table(draw(st.permutations(vecs)))
-        docs[lang] = [make_record(f"http://d.com/{lang}/{i}", ["x"], lang=lang)
-                      for i, _entries in block]
+        vecs = [vec(f"http://d.com/{lang}/{i}", *(entries or [])) for i, entries in block]
+        by_url.update((v.doc_url, v) for v, (_i, entries) in zip(vecs, block)
+                      if entries is not None)
+        tables_by_lang[lang] = vector_table(vecs)
+        docs[lang] = [make_record(v.doc_url, ["x"], lang=lang) for v in vecs]
     partition = CorpusPartition(domain="d.com", by_lang=docs)
     return partition, tables_by_lang, by_url
 

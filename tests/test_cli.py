@@ -61,7 +61,7 @@ class TestStageCommands:
         assert main(["vectorize", "--config", config]) == 0
         for lang in ("en", "fr"):
             assert {f.name for f in (out / "vectors" / lang).iterdir()} == {
-                "indptr.npy", "indices.npy", "data.npy", "urls.txt"}
+                "indptr.npy", "indices.npy", "data.npy"}
         assert (out / "idf" / "fr.tsv").is_file()
 
         pairs_path = out / "pairs.tsv"
@@ -365,6 +365,13 @@ class TestExitCodes:
         pytest.param('{"url": 5, "lang": "fr", "text": "a"}', id="url-number"),
         pytest.param('{"url": "http://a.com/\\ud800", "lang": "fr", "text": "a"}',
                      id="url-lone-surrogate"),
+        # urlsplit raised ValueError: a traceback and exit 1
+        pytest.param('{"url": "http://[::1/x", "lang": "fr", "text": "a"}',
+                     id="url-open-bracket"),
+        pytest.param('{"url": "http://[zz]/x", "lang": "fr", "text": "a"}',
+                     id="url-bracket-not-ip"),
+        pytest.param('{"url": "http://x\u2100y.com/p", "lang": "fr", "text": "a"}',
+                     id="url-not-nfkc-safe"),
         pytest.param('{"url": "http://a.com/x", "lang": "en", "text": 5}',
                      id="text-number"),
         pytest.param('{"url": "http://a.com/x", "lang": "en", "html": ["a"]}',
@@ -575,9 +582,7 @@ class TestExitCodes:
         pipeline.ingest(replace(fr, input=str(bigger["input"])))
         with pytest.raises(FormatError) as exc:
             pipeline.align_by_content(fr, read_partitions(out / "corpus"))
-        urls = out / "vectors" / "en" / "urls.txt"
-        assert str(exc.value) == (
-            f"{urls}: not the en documents of {out / 'corpus'}; run vectorize again")
+        assert str(exc.value) == "vectors of language 'en' hold 8 rows for its 12 documents"
         assert not (out / "pairs.tsv").exists()
         assert main(["align-cda", "--config", config]) == 0  # ingest runs again first
 

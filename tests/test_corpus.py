@@ -81,6 +81,11 @@ class TestExtractText:
         out = corpus.extract_text("<p>ok<div<<>>junk")
         assert "ok" in out
 
+    # html.parser raises on "<![#": the text recovered before it is kept
+    def test_page_the_parser_gives_up_on(self):
+        html = "<p>kept</p><![#<p>lost</p>"
+        assert corpus.extract_text(html) == corpus._parse_text(html) == "kept"
+
     def test_idempotent_on_own_output(self):
         html = "<title>T</title><div>a<p>b</p></div><span>z</span>"
         once = corpus.extract_text(html)
@@ -268,6 +273,15 @@ class TestParseRecord:
         with pytest.raises(SchemaError, match=f"field '{key}' is not a string"):
             corpus.parse_record(line)
 
+    @pytest.mark.parametrize("line, format, message", [
+        ('["http://a.com/x"]', "jsonl", "record is not a JSON object"),
+        ('"http://a.com/x"', "jsonl", "record is not a JSON object"),
+        ("\tfr\tbonjour", "tsv", "record missing required field 'url'"),
+    ])
+    def test_record_without_url_field(self, line, format, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            corpus.parse_record(line, format)
+
     def test_malformed_json_names_offset(self):
         with pytest.raises(ParseError, match="byte offset"):
             corpus.parse_record('{"url": oops}')
@@ -281,6 +295,23 @@ class TestParseRecord:
         rec = corpus.parse_record("http://a.com/x\tfr\tbonjour le\\tmonde", "tsv")
         assert rec.lang == "fr"
         assert rec.tokens == ["bonjour", "le", "monde"]
+
+    # each escape was decoded in its own pass, so the TSV text \\t (an escaped
+    # backslash, then t) became a backslash and a TAB
+    @pytest.mark.parametrize("field, text", [
+        ("a\\tb", "a\tb"),
+        ("a\\nb", "a\nb"),
+        ("a\\\\b", "a\\b"),
+        ("a\\\\tb", "a\\tb"),
+        ("a\\\\nb", "a\\nb"),
+        ("a\\\\\\tb", "a\\\tb"),
+        ("a\\qb\\", "a\\qb\\"),
+        ("C:\\\\temp\\\\new", "C:\\temp\\new"),
+    ])
+    def test_tsv_escapes_decode_left_to_right(self, field, text):
+        assert corpus._unescape_tsv(field) == text
+        rec = corpus.parse_record(f"http://a.com/x\tfr\t{field}", "tsv")
+        assert (rec.tokens, rec.raw_length) == (corpus.tokenize(text), len(text))
 
     def test_tsv_missing_field(self):
         with pytest.raises(ParseError):
@@ -304,6 +335,11 @@ class TestDomainOf:
     ])
     def test_host(self, url, host):
         assert corpus.domain_of(url) == host
+
+    @pytest.mark.parametrize("url", ["http://[::1/x", "http://[zz]/x", "http://x\u2100y.com/p"])
+    def test_url_urllib_cannot_split(self, url):
+        with pytest.raises(SchemaError, match=rf"^URL {re.escape(repr(url))} cannot be split: "):
+            corpus.domain_of(url)
 
 
 class TestDetectLanguage:

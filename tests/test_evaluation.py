@@ -130,6 +130,21 @@ class TestGoldIO:
                                score=0.5, method="cda") for lang in langs]
         assert evaluation.evaluate_recall(preds, gold).recall == 100.0
 
+    # urlsplit's ValueError escaped as a traceback
+    @pytest.mark.parametrize("url, reason", [
+        ("http://[::1/x", "Invalid IPv6 URL"),
+        ("http://[zz]/x", "'zz' does not appear to be an IPv4 or IPv6 address"),
+        ("http://x\u2100y.com/p", "netloc 'x\u2100y.com' contains invalid characters "
+                                   "under NFKC normalization"),
+    ])
+    def test_pivot_url_urllib_cannot_split(self, tmp_path, url, reason):
+        path = tmp_path / "gold.tsv"
+        path.write_text(f"http://a.com/e1\thttp://a.com/f1\n{url}\thttp://a.com/f2\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            evaluation.load_gold(path)
+        assert str(info.value) == f"{path}:2: URL {url!r} cannot be split: {reason}"
+
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("justone\n")

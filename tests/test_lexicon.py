@@ -583,10 +583,13 @@ class TestAlignmentIO:
         lexicon.save_alignment(align, b)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("score", ["high", "", "0.5x"])
+    # nan and inf were loaded as scores
+    @pytest.mark.parametrize("score", ["high", "", "0.5x", "nan", "inf", "-inf"])
     def test_bad_score_names_file_and_line(self, tmp_path, score):
+        problem = "a finite number" if score in ("nan", "inf", "-inf") else "a number"
         path = tmp_path / "lex.tsv"
         path.write_text(f"chat\tcat\t1.7\nchien\tdog\t{score}\n")
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: "
-                                              rf"score {re.escape(repr(score))} is not a number$"):
+                                              rf"score {re.escape(repr(score))} is not "
+                                              rf"{problem}$"):
             lexicon.load_alignment(path, "fr", {"cat", "dog"})

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from docalign.align_cda import AlignmentPair
 from docalign.miner import mine_identifiers
 
@@ -21,6 +23,15 @@ class TestMineIdentifiers:
 
     def test_two_position_diff(self):
         assert mine_identifiers([pair("a.com/en/x", "a.com/fr/y")]) == []
+
+    @pytest.mark.parametrize("purl, ourl", [
+        ("a.com/x", "a.com/en/fr/x"),  # two tokens more
+        ("a.com/en/fr/x", "a.com/x"),  # two tokens fewer
+        ("a.com/en/x", "a.com/fr/y/x"),  # one more, not a single insertion
+        ("a.com/fr/y/x", "a.com/en/x"),  # one fewer, not a single deletion
+    ])
+    def test_no_single_insertion_or_deletion(self, purl, ourl):
+        assert mine_identifiers([pair(purl, ourl)]) == []
 
     def test_insertion_case(self):
         pairs = [pair("xyz.ca/index.htm", "xyz.ca/fr/index.htm")]

@@ -12,10 +12,10 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from docalign import (align_cda, align_url, corpus as corpus_io, evaluation, lexicon, miner,
-                      vectorspace)
+                      pipeline, vectorspace)
 from docalign.cli import main
 from docalign.corpus import CorpusPartition, read_partitions
-from docalign.errors import ConfigError, FormatError
+from docalign.errors import ConfigError, FormatError, ParseError
 from docalign.pipeline import LanguageResource, PipelineConfig, run_pipeline
 from tests.conftest import (MultilingualCorpus, SyntheticCorpus, token_decodes,
                             write_jsonl_partitions)
@@ -129,6 +129,33 @@ class TestRunPipeline:
         assert read.call_count == 1
         assert decoded == []
         assert tree(out) == tree(cold)
+
+    def test_threshold_rerun_over_vectors_with_url_lists(self, tmp_path, caplog):
+        """An ``out/`` whose vectors still hold ``urls.txt``, the URL list
+        that once named each row, and whose vectorize stamp lists it: a
+        threshold rerun keeps vectorize and the unread lists, and writes
+        the pairs a cold run writes."""
+        out, corpus = run_tiny(tmp_path, threshold=0.1)
+        stamp_path = out / ".stamps" / "vectorize.json"
+        stamp = json.loads(stamp_path.read_bytes())
+        parts = read_partitions(out / "corpus")
+        lists = {}
+        for lang in ("en", "fr"):
+            urls = out / "vectors" / lang / "urls.txt"
+            urls.write_text("".join(d.url + "\n" for domain in sorted(parts)
+                                    for d in parts[domain].docs(lang)), encoding="utf-8")
+            lists[f"{lang}/urls.txt"] = urls.read_bytes()
+            stamp["outputs"][f"vectors/{lang}/urls.txt"] = pipeline.file_digest(urls)
+        stamp_path.write_text(json.dumps(stamp, sort_keys=True), encoding="utf-8")
+        with caplog.at_level("INFO", logger="docalign.pipeline"):
+            run_tiny(tmp_path, corpus=corpus, threshold=0.95)
+        assert "vectorize: up to date, skipping" in caplog.messages
+        assert "align: up to date, skipping" not in caplog.messages
+        cold, _ = run_tiny(tmp_path, out_name="cold", corpus=corpus, threshold=0.95)
+        assert tree(out / "vectors") == {**tree(cold / "vectors"), **lists}
+        assert (out / "pairs.tsv").read_bytes() != b""
+        for name in ("pairs.tsv", "report.json"):
+            assert (out / name).read_bytes() == (cold / name).read_bytes()
 
     def test_old_corpus_layout_is_reingested(self, tmp_path, caplog):
         import logging
@@ -622,7 +649,6 @@ class TestRunPipeline:
         assert [line.split("\t")[:3:2] for line in docs] == [
             ["en", "http://a.example/en/fox.html"], ["en", "http://a.example/en/park.html"],
             ["fr", "http://a.example/fr/chat.html"], ["fr", "http://a.example/fr/parc.html"]]
-        assert (out / "vectors" / "de" / "urls.txt").read_bytes() == b""
         assert np.load(out / "vectors" / "de" / "indptr.npy").tolist() == [0]
         assert (out / "idf" / "de.tsv").read_bytes() == b"#collection_size\t0\t0\n"
         assert (out / "lexicon" / "de.tsv").read_bytes() == b""
@@ -659,6 +685,29 @@ def invariance_base(tmp_path_factory):
     root = tmp_path_factory.mktemp("invariance")
     cfg = corpus.config(root / "fx", root / "out", vocab_size=50, url_align=True, mine=True)
     return corpus, _artifacts(run_pipeline(PipelineConfig.from_dict(cfg)))
+
+
+class TestIngest:
+    # only ASCII whitespace makes a line blank; any other line is a record
+    @pytest.mark.parametrize("line, error", [
+        (b" ", None),
+        (b"\t\x0b\x0c \r", None),
+        ("\u00a0".encode(), "malformed JSON"),
+        ("\u2028".encode(), "malformed JSON"),
+    ])
+    def test_line_of_whitespace(self, tmp_path, line, error):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"url": "http://a.com/1", "lang": "en", "text": "a"}\n'
+                         + line + b'\n{"url": "http://a.com/2", "lang": "fr", "text": "b"}\n')
+        cfg = PipelineConfig(input=str(path), out=str(tmp_path / "out"))
+        if error:
+            with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:2: {error}"):
+                pipeline.ingest(cfg)
+            return
+        pipeline.ingest(cfg)
+        part = read_partitions(tmp_path / "out" / "corpus")["a.com"]
+        assert [d.url for lang in ("en", "fr") for d in part.docs(lang)] == [
+            "http://a.com/1", "http://a.com/2"]
 
 
 class TestInvariance:
@@ -844,6 +893,18 @@ class TestPipelineConfig:
     def test_half_resource_rejected(self, langs):
         raw = {"input": "x", "out": "y", "langs": langs, "resources": {"fr": {"table_fwd": "x"}}}
         with pytest.raises(ConfigError, match="^language 'fr': both table directions required$"):
+            PipelineConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param({"table_fwd": "f.tsv", "table_bwd": "b.tsv", "embeddings_pivot": "e.vec"},
+                     "give tables or embeddings, not both", id="tables-and-embeddings"),
+        pytest.param({"embeddings_other": "e.vec"}, "both embedding files required",
+                     id="one-embedding-file"),
+        pytest.param({}, "no translation resource configured", id="empty"),
+    ])
+    def test_resource_spec_rules(self, spec, message):
+        raw = {"input": "x", "out": "y", "langs": ["fr"], "resources": {"fr": spec}}
+        with pytest.raises(ConfigError, match=f"^language 'fr': {message}$"):
             PipelineConfig.from_dict(raw)
 
     # a config made other than by from_dict was not checked at all

@@ -80,11 +80,6 @@ def _write(root: Path, name: str):
     """Write a valid file for ``name`` under ``root``; return its path and a
     call that loads it."""
     root.mkdir(parents=True)
-    if name == "urls.txt":
-        vocab = vs.Vocabulary(words=["a", "b"])
-        terms = vs.count_terms([["a"], ["b"]], vocab)
-        vs.save_vectors(vs.vectorize(["u1", "u2"], terms, vs.compute_idf(terms)), root)
-        return root / "urls.txt", lambda: vs.load_vectors(root).urls
     if name == "docs.tsv":
         corpus.write_partitions(corpus.group_by_domain([
             make_record("http://a.com/1", ["x"]), make_record("http://a.com/2", ["y"])]),
@@ -105,7 +100,7 @@ def _write(root: Path, name: str):
     return root / file, lambda: load(root / file)
 
 
-@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv", "input"])
+@pytest.mark.parametrize("name", [*LOADERS, "docs.tsv", "input"])
 def test_bad_byte_on_line_2_names_file_and_line(tmp_path, name):
     path, load = _write(tmp_path / "d", name)
     first, second, *rest = path.read_bytes().split(b"\n")
@@ -114,7 +109,7 @@ def test_bad_byte_on_line_2_names_file_and_line(tmp_path, name):
         load()
 
 
-@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv", "input"])
+@pytest.mark.parametrize("name", [*LOADERS, "docs.tsv", "input"])
 def test_crlf_file_loads_as_its_lf_copy(tmp_path, name):
     _lf_path, load_lf = _write(tmp_path / "lf", name)
     crlf_path, load_crlf = _write(tmp_path / "crlf", name)
@@ -122,7 +117,7 @@ def test_crlf_file_loads_as_its_lf_copy(tmp_path, name):
     assert load_crlf() == load_lf()
 
 
-@pytest.mark.parametrize("name", [*LOADERS, "urls.txt", "docs.tsv", "input"])
+@pytest.mark.parametrize("name", [*LOADERS, "docs.tsv", "input"])
 def test_bom_file_loads_as_its_plain_copy(tmp_path, name):
     _plain_path, load_plain = _write(tmp_path / "plain", name)
     bom_path, load_bom = _write(tmp_path / "bom", name)

@@ -28,8 +28,8 @@ def compute_idf(docs, vocab):
     return vs.compute_idf(vs.count_terms(docs, vocab))
 
 
-def vectorize(urls, docs, vocab, idf):
-    return vs.vectorize(urls, vs.count_terms(docs, vocab), idf)
+def vectorize(docs, vocab, idf):
+    return vs.vectorize(vs.count_terms(docs, vocab), idf)
 
 
 class TestBuildVocabulary:
@@ -108,7 +108,7 @@ class TestComputeIdf:
 
 def vectorize_one(tokens, vocab, idf):
     """The (dim, weight) entries of one document's vector."""
-    table = vectorize(["u"], [tokens], vocab, idf)
+    table = vectorize([tokens], vocab, idf)
     return list(zip(table.indices.tolist(), table.data.tolist()))
 
 
@@ -166,25 +166,39 @@ class TestVectorize:
     def test_rows_follow_documents(self):
         vocab = vocab_of(["a", "b"])
         idf = idf_of(vocab, {"a": 1.0, "b": 2.0})
-        table = vectorize(["u1", "u2", "u3", "u4"],
-                             [["b", "a"], [], ["x"], ["b", "b"]], vocab, idf)
-        assert table.urls == ["u1", "u2", "u3", "u4"]
+        table = vectorize([["b", "a"], [], ["x"], ["b", "b"]], vocab, idf)
+        assert len(table) == 4
         assert table.indptr.tolist() == [0, 2, 2, 2, 3]
         assert table.indices.tolist() == [0, 1, 1]
         assert table.data[2] == 1.0
+
+    def test_row_range_is_a_table_of_its_rows(self):
+        vocab = vocab_of(["a", "b"])
+        idf = idf_of(vocab, {"a": 1.0, "b": 2.0})
+        table = vectorize([["b", "a"], [], ["x"], ["b", "b"]], vocab, idf)
+        bounds = table.indptr.tolist()
+        for start in range(5):
+            for stop in range(start, 5):
+                part = table.rows(start, stop)
+                assert len(part) == stop - start
+                assert part.indptr.tolist() == [b - bounds[start]
+                                                for b in bounds[start:stop + 1]]
+                lo, hi = bounds[start], bounds[stop]
+                assert part.indices.tolist() == table.indices[lo:hi].tolist()
+                assert part.data.tolist() == table.data[lo:hi].tolist()
+                assert part.data.base is table.data
 
 
 class TestDeterminism:
     def test_identical_corpus_identical_models(self):
         docs = [["a", "b", "b"], ["c", "a"], ["b"]]
-        urls = ["u1", "u2", "u3"]
         v1 = vs.build_vocabulary(docs, 0, 10)
         v2 = vs.build_vocabulary(docs, 0, 10)
         assert v1.words == v2.words
         i1 = compute_idf(docs, v1)
         i2 = compute_idf(docs, v2)
         assert i1.idf.tolist() == i2.idf.tolist()
-        t1, t2 = vectorize(urls, docs, v1, i1), vectorize(urls, docs, v2, i2)
+        t1, t2 = vectorize(docs, v1, i1), vectorize(docs, v2, i2)
         for name in ("indptr", "indices", "data"):
             assert getattr(t1, name).tolist() == getattr(t2, name).tolist()
 
@@ -198,7 +212,7 @@ def _npz_file(path):
         np.savez(fh, a=np.zeros(3, dtype=np.int64))
 
 
-# each case rewrites one file of a saved table of 3 URLs with
+# each case rewrites one file of a saved table of 3 rows with
 # indptr [0, 2, 2, 3]
 MALFORMED = {
     "garbage": ("data.npy", lambda p: p.write_bytes(b"not an array")),
@@ -215,8 +229,7 @@ MALFORMED = {
     "int64 data": ("data.npy", lambda p: np.save(p, np.array([1, 1, 1]))),
     "big-endian data": ("data.npy", lambda p: np.save(p, np.ones(3, dtype=">f8"))),
     "2-D data": ("data.npy", lambda p: np.save(p, np.ones((3, 1)))),
-    "URL too many": ("urls.txt", lambda p: p.write_text("a\nb\nc\nd\n")),
-    "URL too few": ("urls.txt", lambda p: p.write_text("a\nb\n")),
+    "indptr empty": ("indptr.npy", lambda p: np.save(p, np.zeros(0, dtype=np.int64))),
     "indptr from 1": ("indptr.npy",
                       lambda p: np.save(p, np.array([1, 2, 2, 3], dtype=np.int64))),
     "indptr decreasing": ("indptr.npy",
@@ -225,7 +238,6 @@ MALFORMED = {
                             lambda p: np.save(p, np.array([0, 2, 2, 4], dtype=np.int64))),
     "indices short": ("indices.npy", lambda p: np.save(p, np.array([0, 1], dtype=np.int64))),
     "data long": ("data.npy", lambda p: np.save(p, np.ones(4))),
-    "URLs not UTF-8": ("urls.txt", lambda p: p.write_bytes(b"a\n\xff\nc\n")),
 }
 
 
@@ -250,14 +262,12 @@ class TestIO:
     def test_vectors_roundtrip(self, tmp_path):
         vocab = vocab_of(["a", "b", "c"])
         idf = compute_idf([["a", "b"], ["c"]], vocab)
-        # URLs that str.splitlines would cut, next to an ASCII one
-        urls = ["http://x/1", "http://x/\u2028\x85\x0c", "http://x/é"]
-        table = vectorize(urls, [["a", "b", "b"], [], ["c"]], vocab, idf)
+        table = vectorize([["a", "b", "b"], [], ["c"]], vocab, idf)
         vs.save_vectors(table, tmp_path / "v")
         assert sorted(f.name for f in (tmp_path / "v").iterdir()) == [
-            "data.npy", "indices.npy", "indptr.npy", "urls.txt"]
+            "data.npy", "indices.npy", "indptr.npy"]
         loaded = vs.load_vectors(tmp_path / "v")
-        assert loaded.urls == urls
+        assert len(loaded) == 3
         for name, dtype in (("indptr", "int64"), ("indices", "int64"), ("data", "float64")):
             got = getattr(loaded, name)
             assert got.dtype == dtype
@@ -270,7 +280,7 @@ class TestIO:
     def test_vectors_load_empty_vector_and_reject_bad_entries(self, tmp_path):
         vocab = vocab_of(["a", "b", "c"])
         idf = compute_idf([["a", "b"], ["c"]], vocab)
-        table = vectorize(["u1", "u2", "u3"], [["a", "b"], [], ["c"]], vocab, idf)
+        table = vectorize([["a", "b"], [], ["c"]], vocab, idf)
         for case, (name, damage) in MALFORMED.items():
             vs.save_vectors(table, tmp_path / case)
             assert vs.load_vectors(tmp_path / case).indptr.tolist() == [0, 2, 2, 3]
@@ -282,9 +292,8 @@ class TestIO:
 
     def test_empty_table_roundtrip(self, tmp_path):
         vs.save_vectors(vs.VectorTable.empty(), tmp_path / "v")
-        assert (tmp_path / "v" / "urls.txt").read_bytes() == b""
         loaded = vs.load_vectors(tmp_path / "v")
-        assert loaded.urls == []
+        assert len(loaded) == 0
         assert loaded.indptr.tolist() == [0]
         assert len(loaded.indices) == len(loaded.data) == 0
 
@@ -336,18 +345,16 @@ class TestOracleEquivalence:
     @given(language=languages())
     def test_files_and_weights_match_per_document_oracle(self, tmp_path_factory, language):
         vocab, docs = language
-        urls = [f"http://x/{i}" for i in range(len(docs))]
         tmp = tmp_path_factory.mktemp("lang")
         idf = compute_idf(docs, vocab)
         vs.save_idf(idf, vocab, tmp / "idf.tsv")
-        vs.save_vectors(vectorize(urls, docs, vocab, idf), tmp / "vectors")
+        vs.save_vectors(vectorize(docs, vocab, idf), tmp / "vectors")
         table = vs.load_vectors(tmp / "vectors")
 
-        oracle = [vectorize_document(t, vocab, idf, doc_url=u) for u, t in zip(urls, docs)]
+        oracle = [vectorize_document(t, vocab, idf) for t in docs]
         assert (idf.collection_size, idf.doc_freq.tolist(), idf.idf.tolist()) == \
             dict_compute_idf(docs, vocab)
         assert (tmp / "idf.tsv").read_text() == idf_file_oracle(docs, vocab)
-        assert table.urls == urls
         assert table.indptr.tolist() == [0, *accumulate(len(v.entries) for v in oracle)]
         assert list(zip(table.indices.tolist(), table.data.tolist())) == [
             e for v in oracle for e in v.entries]
@@ -358,7 +365,7 @@ class TestOracleEquivalence:
         vocab = vocab_of(f"w{i}" for i in range(2**16))
         docs = [[] for _ in range(2**15)] + [["w65535", "w3", "w65535"]]
         idf = compute_idf(docs, vocab)
-        table = vectorize([str(i) for i in range(len(docs))], docs, vocab, idf)
+        table = vectorize(docs, vocab, idf)
         assert table.indptr[-2] == 0
         assert list(zip(table.indices.tolist(), table.data.tolist())) == \
             vectorize_document(docs[-1], vocab, idf).entries
