@@ -46,6 +46,11 @@ class AlignmentPair:
     method: str = "cda"  # "cda" | "url"
 
 
+_NO_INDICES = np.zeros(0, dtype=np.int64)
+_NO_SCORES = np.zeros(0)
+_NO_INDICES.flags.writeable = _NO_SCORES.flags.writeable = False
+
+
 @dataclass
 class ScoreMatrix:
     """The stored scores of one domain and one other language: entry ``k``
@@ -56,10 +61,11 @@ class ScoreMatrix:
     other_lang: str
     pivot_urls: list[str] = field(default_factory=list)
     other_urls: list[str] = field(default_factory=list)
-    # int64 indices into pivot_urls and other_urls, float64 scores
-    pivot: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    other: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # int64 indices into pivot_urls and other_urls, float64 scores; an
+    # empty matrix shares read-only empty arrays
+    pivot: np.ndarray = field(default_factory=lambda: _NO_INDICES)
+    other: np.ndarray = field(default_factory=lambda: _NO_INDICES)
+    scores: np.ndarray = field(default_factory=lambda: _NO_SCORES)
     scored_pairs: int = 0  # candidate pairs actually evaluated
 
 
@@ -100,44 +106,63 @@ def score_domain(
 
     # postings: the pivot entries grouped by dimension, in document order
     by_dim = np.argsort(p_table.indices, kind="stable")
-    post_doc = np.repeat(np.arange(n_pivot), np.diff(p_table.indptr))[by_dim]
+    post_doc = np.searchsorted(p_table.indptr, by_dim, side="right")
+    post_doc -= 1
     post_dim, post_w = p_table.indices[by_dim], p_table.data[by_dim]
 
     # each other entry's postings: post_dim[first:first + hits]
-    o_dim, o_w, o_offsets = o_table.indices, o_table.data, o_table.indptr
-    o_owner = np.repeat(np.arange(n_other), np.diff(o_offsets))
-    first = np.searchsorted(post_dim, o_dim, side="left")
-    hits = np.searchsorted(post_dim, o_dim, side="right") - first
-    # products of the other documents before each one, and of all of them
-    row_products = np.concatenate(([0], np.cumsum(hits)))[o_offsets]
+    o_offsets = o_table.indptr
+    first = np.searchsorted(post_dim, o_table.indices, side="left")
+    hits = np.searchsorted(post_dim, o_table.indices, side="right")
+    hits -= first
+    o_owner = np.searchsorted(o_offsets, np.arange(len(hits)), side="right")
+    o_owner -= 1
 
-    # a pair is other * n_pivot + pivot; a chunk of documents r0:r1 sums
-    # pairs r0 * n_pivot up to r1 * n_pivot
-    rows_per_chunk = max(1, PRODUCT_BUDGET // n_pivot)
-    kept_pairs, kept_scores = [], []
-    r0 = 0
-    while r0 < n_other:
-        r1 = int(np.searchsorted(row_products, row_products[r0] + PRODUCT_BUDGET,
-                                 side="right")) - 1
-        r1 = min(max(r1, r0 + 1), r0 + rows_per_chunk, n_other)
+    def score_rows(r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The kept pairs of the other documents r0:r1 and their sums; a
+        pair is other * n_pivot + pivot."""
         e0, e1 = o_offsets[r0], o_offsets[r1]
         n = hits[e0:e1]
         # every (other entry, posting of its dimension) product, in
         # other-entry order; bincount adds each pair's products in that order
-        post = np.arange(n.sum()) + np.repeat(first[e0:e1] - (np.cumsum(n) - n), n)
-        prod = np.repeat(o_w[e0:e1], n) * post_w[post]
-        pair = np.repeat(o_owner[e0:e1] - r0, n) * n_pivot + post_doc[post]
+        before = np.cumsum(n)
+        post = np.arange(before[-1] if len(n) else 0)
+        before -= n
+        before -= first[e0:e1]
+        post -= np.repeat(before, n)
+        prod = np.repeat(o_table.data[e0:e1], n)
+        prod *= post_w[post]
+        pair = np.repeat(o_owner[e0:e1], n)
+        pair -= r0
+        pair *= n_pivot
+        pair += post_doc[post]
         bins = (r1 - r0) * n_pivot
         scored = np.flatnonzero(np.bincount(pair, minlength=bins))
         sums = np.bincount(pair, weights=prod, minlength=bins)[scored]
+        scored += r0 * n_pivot
         matrix.scored_pairs += len(scored)
         keep = (sums >= threshold) & (sums > 0.0)
-        kept_pairs.append(scored[keep] + r0 * n_pivot)
-        kept_scores.append(sums[keep])
-        r0 = r1
-    pairs = np.concatenate(kept_pairs)
-    matrix.pivot, matrix.other = pairs % n_pivot, pairs // n_pivot
-    matrix.scores = np.concatenate(kept_scores)
+        return scored[keep], sums[keep]
+
+    # a chunk of documents r0:r1 sums pairs r0 * n_pivot up to r1 * n_pivot
+    rows_per_chunk = max(1, PRODUCT_BUDGET // n_pivot)
+    if n_other <= rows_per_chunk and hits.sum() <= PRODUCT_BUDGET:
+        pairs, matrix.scores = score_rows(0, n_other)
+    else:
+        # products of the other documents before each one, and of all of them
+        row_products = np.concatenate(([0], np.cumsum(hits)))[o_offsets]
+        kept_pairs, kept_scores = [], []
+        r0 = 0
+        while r0 < n_other:
+            r1 = int(np.searchsorted(row_products, row_products[r0] + PRODUCT_BUDGET,
+                                     side="right")) - 1
+            r1 = min(max(r1, r0 + 1), r0 + rows_per_chunk, n_other)
+            chunk_pairs, chunk_scores = score_rows(r0, r1)
+            kept_pairs.append(chunk_pairs)
+            kept_scores.append(chunk_scores)
+            r0 = r1
+        pairs, matrix.scores = np.concatenate(kept_pairs), np.concatenate(kept_scores)
+    matrix.other, matrix.pivot = np.divmod(pairs, n_pivot)
     return matrix
 
 

@@ -16,7 +16,8 @@ document in (lang, domain, URL) order, the order of ``vectors/<lang>/``:
   ``words.json``), concatenated in row order.
 
 A record read back holds its tokens as a ``TokenView`` of its ids, decoded
-on first read, so a stage that needs only the URLs decodes no token.
+on first read. The stages after ingest read the ids and the words, so a
+run decodes no token.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class TokenView(Sequence[str]):
     """The tokens of one record read back from ``corpus/``: a view of the
     record's slice of the corpus's token ids, over the corpus's one object
     array of words. The first iteration, indexing or comparison decodes the
-    tokens into a list, which is kept; ``len()`` decodes nothing. It equals
-    a list of the same tokens."""
+    tokens into a list, which is kept; ``len()``, ``ids`` and ``words``
+    decode nothing. It equals a list of the same tokens."""
 
     __slots__ = ("_ids", "_words", "_tokens")
 
@@ -76,6 +77,16 @@ class TokenView(Sequence[str]):
         self._ids = ids
         self._words = words
         self._tokens: Optional[list[str]] = None
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The record's int32 token ids, a read-only view of ``ids.npy``."""
+        return self._ids
+
+    @property
+    def words(self) -> np.ndarray:
+        """The corpus's object array of words, which the ids index."""
+        return self._words
 
     def _decoded(self) -> list[str]:
         if self._tokens is None:
@@ -100,10 +111,11 @@ class TokenView(Sequence[str]):
         return repr(self._decoded())
 
 
-@dataclass
+@dataclass(slots=True)
 class DocumentRecord:
     """One web page after extraction: url, host, language tag and tokens,
-    a list or, read back from ``corpus/``, a ``TokenView``."""
+    a list or, read back from ``corpus/``, a ``TokenView``. Slots, not a
+    ``__dict__``, since a run holds one per document."""
 
     url: str
     domain: str
@@ -509,7 +521,9 @@ def read_partitions(corpus_dir) -> dict[str, CorpusPartition]:
     word_array = np.array(words, dtype=object)
     grouped: dict[str, dict[str, list[DocumentRecord]]] = {}
     start = 0
+    shared: dict[str, str] = {}  # one str per language tag and per domain
     for lang, domain, url, raw_length, n in rows:
+        lang, domain = shared.setdefault(lang, lang), shared.setdefault(domain, domain)
         doc = DocumentRecord(url=url, domain=domain, lang=lang,
                              tokens=TokenView(ids[start:start + n], word_array),
                              raw_length=raw_length)

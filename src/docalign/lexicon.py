@@ -3,7 +3,8 @@
 A lexicon alignment pairs every pivot word with the non-pivot word that
 maximizes the summed bidirectional translation probability, and derives
 from those pairs a one-to-one token map used to rewrite non-pivot
-documents into the pivot lexicon.
+documents into the pivot lexicon. Over the words of one ``corpus/`` that
+map is one lookup array (``TokenMap``) from token ids to pivot dimensions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .corpus import DocumentRecord
 from .errors import ConfigError, FormatError, UsageError
 from .textfile import read_lines
+from .vectorspace import lookup_array
 
 log = logging.getLogger(__name__)
 
@@ -50,13 +52,20 @@ class Embeddings(NamedTuple):
 
 @dataclass
 class LexiconAlignment:
-    """Word pairs (pivot, other) plus the derived other -> pivot token map and
-    the score S of each mapped pair."""
+    """The other -> pivot token map derived from the word pairs, and the
+    score S of each mapped pair."""
 
     other_lang: str
-    pairs: set[tuple[str, str]] = field(default_factory=set)
     to_pivot: dict[str, str] = field(default_factory=dict)
     scores: dict[str, float] = field(default_factory=dict)
+
+
+class TokenMap(NamedTuple):
+    """The token map of language ``lang`` over a list of words: the token
+    id ``i`` maps to pivot dimension ``dims[i]``, or to none if it is -1."""
+
+    lang: str
+    dims: np.ndarray  # int32
 
 
 def load_translation_table(path, src_index: Mapping[str, int],
@@ -249,7 +258,8 @@ def build_alignment(
     ``pair_scores`` table of the two translation tables, over the ids of
     the vocabularies ``pivot_words`` and ``other_words``.
 
-    to_pivot keeps, for each non-pivot word, the single best pivot word
+    The alignment keeps only the map derived from the pairs: to_pivot
+    keeps, for each non-pivot word of a pair, the single best pivot word
     (ties to the lexicographically smaller one), and scores its S.
     """
     if not pivot_words or not other_words:
@@ -265,8 +275,6 @@ def build_alignment(
     mapped_others = [other_words[b] for b in other[mapped].tolist()]
     return LexiconAlignment(
         other_lang=other_lang,
-        pairs={(pivot_words[a], other_words[b])
-               for a, b in zip(pivot.tolist(), other.tolist())},
         to_pivot=dict(zip(mapped_others, [pivot_words[a] for a in pivot[mapped].tolist()])),
         scores=dict(zip(mapped_others, score[mapped].tolist())),
     )
@@ -283,15 +291,25 @@ def reverse_condition_violations(scores: PairScores) -> int:
     return int(np.count_nonzero(scores.score[best] < column_max[scores.other[best]]))
 
 
-def map_document(doc: DocumentRecord, align: LexiconAlignment) -> list[str]:
-    """Rewrite a non-pivot document into pivot tokens, dropping unmapped ones."""
-    if doc.lang != align.other_lang:
+def token_map(align: LexiconAlignment, words: Sequence[str],
+              pivot_index: Mapping[str, int]) -> TokenMap:
+    """``align``'s token map over ``words``, each pivot word replaced by its
+    dimension in ``pivot_index`` (word -> dimension), which must hold every
+    pivot word of ``align``."""
+    to_dim = {b: pivot_index[a] for b, a in align.to_pivot.items()}
+    return TokenMap(align.other_lang, lookup_array(to_dim, words))
+
+
+def map_document(doc: DocumentRecord, tokens: TokenMap) -> np.ndarray:
+    """Rewrite a non-pivot document, read back from the ``corpus/`` whose
+    words ``tokens`` maps, into pivot dimensions, dropping unmapped tokens."""
+    if doc.lang != tokens.lang:
         raise UsageError(
             f"document language {doc.lang!r} does not match alignment "
-            f"language {align.other_lang!r}"
+            f"language {tokens.lang!r}"
         )
-    to_pivot = align.to_pivot
-    return [to_pivot[t] for t in doc.tokens if t in to_pivot]
+    dims = tokens.dims[doc.tokens.ids]
+    return dims[dims >= 0]
 
 
 def save_alignment(align: LexiconAlignment, path) -> None:
@@ -307,7 +325,6 @@ def load_alignment(path, other_lang: str, pivot_vocab: Container[str]) -> Lexico
     ``pivot_vocab``: a lexicon built against another pivot vocabulary would
     map words outside the vector space. A score that is not a finite number
     is a ``FormatError`` naming the file and line."""
-    pairs: set[tuple[str, str]] = set()
     to_pivot: dict[str, str] = {}
     scores: dict[str, float] = {}
     for lineno, (b, a, raw) in read_lines(path, 3):
@@ -321,8 +338,6 @@ def load_alignment(path, other_lang: str, pivot_vocab: Container[str]) -> Lexico
             raise FormatError(f"{path}:{lineno}: score {raw!r} is not a number") from None
         if not np.isfinite(score):
             raise FormatError(f"{path}:{lineno}: score {raw!r} is not a finite number")
-        pairs.add((a, b))
         to_pivot[b] = a
         scores[b] = score
-    return LexiconAlignment(other_lang=other_lang, pairs=pairs, to_pivot=to_pivot,
-                            scores=scores)
+    return LexiconAlignment(other_lang=other_lang, to_pivot=to_pivot, scores=scores)

@@ -22,7 +22,9 @@ import os
 import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
+
+import numpy as np
 
 from . import align_cda, align_url, corpus, evaluation, lexicon, miner, vectorspace
 from .errors import ConfigError, FormatError, ParseError, SchemaError
@@ -306,8 +308,10 @@ def ingest(cfg: PipelineConfig) -> None:
     """Parse the records of ``cfg.input`` and partition them by domain into
     ``corpus/``, replacing all of it. A line that is not UTF-8 or a record
     that does not parse fails the ingest with an error that starts
-    ``<input>:<line>:``, before anything is written."""
+    ``<input>:<line>:``, before anything is written. The records hold one
+    ``str`` per distinct token, shared, not one per occurrence."""
     records = []
+    shared: dict[str, str] = {}
     for lineno, line in read_lines(cfg.input):
         if not line.strip(" \t\r\v\f"):  # only ASCII whitespace makes a line blank
             continue
@@ -318,24 +322,36 @@ def ingest(cfg: PipelineConfig) -> None:
         if rec.lang == "und" and cfg.detect_language:
             rec.lang = corpus.detect_language(rec.tokens,
                                               confidence_floor=cfg.lang_confidence)
+        rec.tokens = list(map(shared.setdefault, rec.tokens, rec.tokens))
         records.append(rec)
     partitions = corpus.group_by_domain(records)
     corpus_dir = Path(cfg.out) / "corpus"
     shutil.rmtree(corpus_dir, ignore_errors=True)  # no earlier domain or language survives
     corpus.write_partitions(partitions, corpus_dir)
-    log.info("ingest: %d records over %d domains", len(records), len(partitions))
+    kept = sum(len(docs) for part in partitions.values() for docs in part.by_lang.values())
+    log.info("ingest: %d records over %d domains; %d dropped as same-URL duplicates",
+             len(records), len(partitions), len(records) - kept)
 
 
-def _lang_tokens(partitions, lang: str):
-    for domain in sorted(partitions):
-        for doc in partitions[domain].docs(lang):
-            yield doc
+def _lang_docs(partitions: Partitions, lang: str) -> list[corpus.DocumentRecord]:
+    """The documents of ``lang`` in corpus order: domains sorted, then
+    ``docs(lang)``, the order of the rows of ``docs.tsv``."""
+    return [doc for domain in sorted(partitions) for doc in partitions[domain].docs(lang)]
+
+
+def _token_ids(docs: list[corpus.DocumentRecord]) -> tuple[np.ndarray, Sequence[str]]:
+    """The token ids of ``docs``, records read back from one ``corpus/``,
+    concatenated, and the words of that corpus, which they index."""
+    if not docs:
+        return np.zeros(0, dtype=np.int32), []
+    return np.concatenate([d.tokens.ids for d in docs]), docs[0].tokens.words
 
 
 def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
     """Write ``vocab/<lang>.txt`` for the pivot and every language of
     ``cfg.langs``, and ``lexicon/<lang>.tsv`` for every language of
-    ``cfg.langs`` from its translation resource."""
+    ``cfg.langs`` from its translation resource. ``partitions`` are read
+    back from ``corpus/``: the vocabularies count their token ids."""
     vocab_dir = Path(cfg.out) / "vocab"
     lex_dir = Path(cfg.out) / "lexicon"
     pivot = cfg.pivot
@@ -345,9 +361,9 @@ def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
 
     vocabs: dict[str, vectorspace.Vocabulary] = {}
     for lang in [pivot, *cfg.langs]:
-        docs = (d.tokens for d in _lang_tokens(partitions, lang))
+        ids, words = _token_ids(_lang_docs(partitions, lang))
         vocabs[lang] = vectorspace.build_vocabulary(
-            docs, cfg.skip_top_k, cfg.vocab_size, stoplist
+            ids, words, cfg.skip_top_k, cfg.vocab_size, stoplist
         )
         vectorspace.save_vocabulary(vocabs[lang], vocab_dir / f"{lang}.txt")
 
@@ -389,7 +405,8 @@ def _load_stopwords(path: Optional[str]) -> Optional[set[str]]:
 def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
     """Project the pivot and every language of ``cfg.langs`` into the pivot
     space of ``vocab/<pivot>.txt`` through ``lexicon/<lang>.tsv``; writes
-    ``vectors/<lang>/`` and ``idf/<lang>.tsv``."""
+    ``vectors/<lang>/`` and ``idf/<lang>.tsv``. ``partitions`` are read back
+    from ``corpus/``: their token ids are mapped to dimensions."""
     out, pivot = Path(cfg.out), cfg.pivot
     vec_dir = out / "vectors"
     idf_dir = out / "idf"
@@ -398,22 +415,35 @@ def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
     idf_dir.mkdir(parents=True, exist_ok=True)
 
     for lang in [pivot, *cfg.langs]:
-        docs = list(_lang_tokens(partitions, lang))
-        if lang == pivot:
-            tokens = [d.tokens for d in docs]
-        else:
+        if lang != pivot:
             align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", lang,
                                            pivot_vocab.index)
-            tokens = [lexicon.map_document(d, align) for d in docs]
+        docs = _lang_docs(partitions, lang)
         if not docs:
             vectorspace.save_vectors(vectorspace.VectorTable.empty(), vec_dir / lang)
             (idf_dir / f"{lang}.tsv").write_text("#collection_size\t0\t0\n",
                                                  encoding="utf-8")
             continue
-        terms = vectorspace.count_terms(tokens, pivot_vocab)
-        idf = vectorspace.compute_idf(terms)
-        vectorspace.save_idf(idf, pivot_vocab, idf_dir / f"{lang}.tsv")
-        vectorspace.save_vectors(vectorspace.vectorize(terms, idf), vec_dir / lang)
+        # token ids to pivot dimensions through one lookup array over the words
+        words = docs[0].tokens.words
+        if lang == pivot:
+            lookup = vectorspace.lookup_array(pivot_vocab.index, words)
+            dims = (lookup[d.tokens.ids] for d in docs)
+        else:
+            tokens = lexicon.token_map(align, words, pivot_vocab.index)
+            dims = (lexicon.map_document(d, tokens) for d in docs)
+        _save_vectors(dims, pivot_vocab, idf_dir / f"{lang}.tsv", vec_dir / lang)
+
+
+def _save_vectors(dims, pivot_vocab: vectorspace.Vocabulary, idf_path: Path,
+                  vec_path: Path) -> None:
+    """Count, weigh and save the vectors of one language's documents, each
+    given as an array of pivot dimensions. Its arrays are freed on return,
+    before the next language's are built."""
+    terms = vectorspace.count_terms(dims, len(pivot_vocab))
+    idf = vectorspace.compute_idf(terms)
+    vectorspace.save_idf(idf, pivot_vocab, idf_path)
+    vectorspace.save_vectors(vectorspace.vectorize(terms, idf), vec_path)
 
 
 def align_by_content(cfg: PipelineConfig, partitions: Partitions) -> None:

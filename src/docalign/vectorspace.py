@@ -1,9 +1,10 @@
 """Pivot vocabulary, IDF and l2-normalized TF-IDF sparse vectors.
 
-Both corpus passes (vocabulary counting, document frequencies) are
-associative merges over per-document counts; the resulting models are
-immutable. ``count_terms`` maps the tokens of one language's documents to
-dimensions and counts every (document, dimension) key in one pass;
+Both corpus passes (vocabulary counting, document frequencies) run on
+token id arrays; the resulting models are immutable. ``build_vocabulary``
+counts a language's token ids with ``np.bincount``. ``count_terms``
+counts every (document, dimension) key of one language's documents, given
+as arrays of dimensions, in bounded chunks of documents;
 ``compute_idf`` and ``vectorize`` both read those counts, and ``vectorize``
 projects the documents in one call, as array operations, into one array
 table (``VectorTable``). Each language's table is saved as its CSR arrays
@@ -13,16 +14,22 @@ in ``.npy`` files and read back into the same table.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
 from .textfile import read_array, read_lines
+
+# The most documents that ``count_terms`` and ``vectorize`` handle at once:
+# they work in chunks of rows, so their temporary arrays stay small however
+# many documents a language has.
+CHUNK_ROWS = 1024
+# The most token ids that ``build_vocabulary`` counts at once.
+CHUNK_IDS = 1 << 18
 
 
 @dataclass
@@ -37,6 +44,7 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.words)
+
 
 
 @dataclass
@@ -92,47 +100,75 @@ class VectorTable:
 
 
 def build_vocabulary(
-    docs: Iterable[Sequence[str]],
+    ids: np.ndarray,
+    words: Sequence[str],
     skip_top_k: int,
     capacity: int,
     stopwords: Optional[set[str]] = None,
 ) -> Vocabulary:
-    """Rank tokens by total corpus frequency (ties lexicographic), drop the
+    """Rank the words that the token ids ``ids`` index in ``words``, a list
+    of distinct words, by their number of ids (ties lexicographic), drop the
     stoplist, drop the next skip_top_k most frequent, keep ``capacity``."""
     if skip_top_k < 0:
         raise ConfigError("skip_top_k must be >= 0")
     if capacity <= 0:
         raise ConfigError("capacity must be > 0")
-    counts: Counter[str] = Counter()
-    for tokens in docs:
-        counts.update(tokens)
-    if stopwords:
-        for w in stopwords:
-            counts.pop(w, None)
-    ranked = sorted(counts, key=lambda w: (-counts[w], w))
-    kept = ranked[skip_top_k : skip_top_k + capacity]
-    return Vocabulary(words=kept)
+    # in slices: np.bincount copies the ids it counts into an int64 array
+    counts = np.zeros(len(words), dtype=np.int64)
+    for start in range(0, len(ids), CHUNK_IDS):
+        counts += np.bincount(ids[start:start + CHUNK_IDS], minlength=len(words))
+    present = [i for i in np.flatnonzero(counts).tolist()
+               if not stopwords or words[i] not in stopwords]
+    present.sort(key=words.__getitem__)
+    # a stable sort by count keeps equal counts in word order
+    ranked = np.argsort(-counts[present], kind="stable")[skip_top_k:skip_top_k + capacity]
+    return Vocabulary(words=[words[present[i]] for i in ranked.tolist()])
+
+
+def lookup_array(index: Mapping[str, int], words: Sequence[str]) -> np.ndarray:
+    """The int32 id in ``index`` (word -> id) of each of ``words``, -1 for a
+    word it lacks: indexed by token ids over ``words``, the array maps them
+    to those ids."""
+    return np.fromiter(map(index.get, words, repeat(-1)), dtype=np.int32, count=len(words))
 
 
 def idf_value(collection_size: int, doc_freq: int) -> float:
     return math.log(1.0 + collection_size / (1.0 + doc_freq))
 
 
-def count_terms(docs: Sequence[Sequence[str]], vocab: Vocabulary) -> TermCounts:
-    """Map every token of ``docs`` to its dimension and count each
-    (document, dimension) key in one ``np.unique``; tokens outside the
-    vocabulary are dropped."""
-    n, dims = len(docs), len(vocab)
-    # the keys row * dims + dim fit int32 below 2**31 (row, dim) cells
-    dtype = np.int32 if n * dims < 2**31 else np.int64
-    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=n)
-    ids = np.fromiter(map(vocab.index.get, chain.from_iterable(docs), repeat(-1)),
-                      dtype=dtype, count=int(lengths.sum()))
-    keys = np.repeat(np.arange(n, dtype=dtype) * dims, lengths)
-    keys += ids
-    keys, first, tf = np.unique(keys[ids >= 0], return_index=True, return_counts=True)
-    row, dim = np.divmod(keys, max(dims, 1))
+def count_terms(docs: Iterable[np.ndarray], dims: int) -> TermCounts:
+    """Count each (document, dimension) key of ``docs``, one array of
+    dimensions below ``dims`` per document; entries below 0, tokens outside
+    the vocabulary, are dropped. The documents are counted CHUNK_ROWS at a
+    time, each chunk in one ``np.unique`` over int32 keys."""
+    docs = iter(docs)
+    width = max(dims, 1)
+    # a chunk's keys row * dims + dim, its rows counted from 0, fit int32
+    step = max(1, min(CHUNK_ROWS, 2**31 // width))
+    columns: tuple[list[np.ndarray], ...] = ([], [], [], [])  # row, dim, first, tf
+    n = kept = 0
+    while chunk := list(islice(docs, step)):
+        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        dim = np.concatenate(chunk).astype(np.int32, copy=False)
+        keys = np.repeat(np.arange(len(chunk), dtype=np.int32) * width, lengths)
+        keys += dim
+        keys = keys[dim >= 0]
+        unique, first, tf = np.unique(keys, return_index=True, return_counts=True)
+        row, dim = np.divmod(unique, width)
+        for column, part in zip(columns, (row + n, dim, first + kept, tf)):
+            column.append(part)
+        n += len(chunk)
+        kept += len(keys)
+    row, dim, first, tf = map(_joined, columns)
     return TermCounts(n_docs=n, dims=dims, row=row, dim=dim, first=first, tf=tf)
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """The chunks concatenated, with the list emptied, so that they are
+    freed before the next column is joined."""
+    joined = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    chunks.clear()
+    return joined
 
 
 def compute_idf(terms: TermCounts) -> IdfModel:
@@ -157,16 +193,26 @@ def vectorize(terms: TermCounts, idf: IdfModel) -> VectorTable:
     ``Counter`` loop would, so the weights are the same floats.
     """
     n = terms.n_docs
-    weights = terms.tf * idf.idf[terms.dim]
+    row, dim, first = terms.row, terms.dim, terms.first
+    weights = idf.idf[dim]
+    weights *= terms.tf
     positive = weights > 0.0
-    row, dim = terms.row[positive], terms.dim[positive]
-    first, weights = terms.first[positive], weights[positive]
-    order = np.argsort(first)
-    squares = np.bincount(row[order], weights=weights[order] ** 2, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return VectorTable(indptr=indptr, indices=dim.astype(np.int64),
-                       data=weights / np.sqrt(squares)[row])
+    if not positive.all():  # only an idf of 0 or below drops an entry
+        row, dim, first, weights = (a[positive] for a in (row, dim, first, weights))
+    indptr = np.searchsorted(row, np.arange(n + 1, dtype=row.dtype))
+    # a row's first occurrences all come before the next row's, so sorting
+    # CHUNK_ROWS rows at a time puts each row's entries in the order that
+    # one sort of all rows would
+    for r0 in range(0, n, CHUNK_ROWS):
+        r1 = min(r0 + CHUNK_ROWS, n)
+        lo, hi = indptr[r0], indptr[r1]
+        order = np.argsort(first[lo:hi])
+        squares = weights[lo:hi][order]
+        squares *= squares
+        norms = np.sqrt(np.bincount(row[lo:hi][order] - r0, weights=squares,
+                                    minlength=r1 - r0))
+        weights[lo:hi] /= np.repeat(norms, np.diff(indptr[r0:r1 + 1]))
+    return VectorTable(indptr=indptr, indices=dim.astype(np.int64), data=weights)
 
 
 # --- file formats ---------------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 
 from docalign.align_cda import ScoreMatrix
 from docalign.corpus import CorpusPartition, DocumentRecord, TokenView, domain_of
-from docalign.vectorspace import VectorTable
+from docalign.errors import ConfigError, UsageError
+from docalign.vectorspace import VectorTable, Vocabulary
 
 
 def make_record(url, tokens, lang="en", raw_length=None):
@@ -23,6 +24,49 @@ def make_record(url, tokens, lang="en", raw_length=None):
         tokens=list(tokens),
         raw_length=raw_length if raw_length is not None else len(" ".join(tokens)),
     )
+
+
+def interned(docs):
+    """Token lists as ``corpus/`` holds them: one int32 id array per list,
+    over the distinct tokens in first-use order, and those words."""
+    index = {}
+    ids = [np.array([index.setdefault(t, len(index)) for t in doc], dtype=np.int32)
+           for doc in docs]
+    return ids, list(index)
+
+
+def id_record(url, tokens, words, lang="en"):
+    """A record as ``read_partitions`` gives it: its tokens a ``TokenView``
+    over ``words``, which must hold every token."""
+    ids = np.array([words.index(t) for t in tokens], dtype=np.int32)
+    return DocumentRecord(url=url, domain=domain_of(url), lang=lang,
+                          tokens=TokenView(ids, np.array(words, dtype=object)),
+                          raw_length=len(" ".join(tokens)))
+
+
+def counter_vocabulary(docs, skip_top_k, capacity, stopwords=None):
+    """The ``Counter`` pass over token lists that ``build_vocabulary`` over
+    token ids replaced, kept as its oracle."""
+    if skip_top_k < 0:
+        raise ConfigError("skip_top_k must be >= 0")
+    if capacity <= 0:
+        raise ConfigError("capacity must be > 0")
+    counts = Counter()
+    for tokens in docs:
+        counts.update(tokens)
+    for w in stopwords or ():
+        counts.pop(w, None)
+    ranked = sorted(counts, key=lambda w: (-counts[w], w))
+    return Vocabulary(words=ranked[skip_top_k:skip_top_k + capacity])
+
+
+def dict_map_document(doc, align):
+    """The per-token dict lookup that ``map_document`` over a token map
+    replaced, kept as its oracle: the document's pivot words."""
+    if doc.lang != align.other_lang:
+        raise UsageError(f"document language {doc.lang!r} does not match alignment "
+                         f"language {align.other_lang!r}")
+    return [align.to_pivot[t] for t in doc.tokens if t in align.to_pivot]
 
 
 def write_jsonl_partitions(partitions, out_dir):

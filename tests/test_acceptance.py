@@ -12,14 +12,16 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
+
 from docalign import align_cda, align_url, vectorspace
 from docalign.align_cda import AlignmentPair
 from docalign.align_url import IdentifierSet, default_identifier_set, strip_identifiers
 from docalign.corpus import CorpusPartition, DocumentRecord
 from docalign.miner import mine_identifiers
 from docalign.pipeline import PipelineConfig, run_pipeline
-from tests.conftest import (SparseVector, SyntheticCorpus, make_record, score_matrix,
-                            vector_table)
+from tests.conftest import (SparseVector, SyntheticCorpus, interned, make_record,
+                            score_matrix, vector_table)
 
 
 @contextlib.contextmanager
@@ -47,8 +49,11 @@ def test_criterion_1_idf_formula_exactness():
         # compute_idf on a concrete collection, same oracle
         docs = [[f"w{rng.randint(0, 50):02d}" for _ in range(rng.randint(1, 30))]
                 for _ in range(200)]
-        vocab = vectorspace.build_vocabulary(docs, skip_top_k=0, capacity=100)
-        terms = vectorspace.count_terms(docs, vocab)
+        ids, words = interned(docs)
+        vocab = vectorspace.build_vocabulary(np.concatenate(ids), words, skip_top_k=0,
+                                             capacity=100)
+        lookup = vectorspace.lookup_array(vocab.index, words)
+        terms = vectorspace.count_terms([lookup[doc] for doc in ids], len(vocab))
         model = vectorspace.compute_idf(terms)
         doc_freq = Counter()
         for doc in docs:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -351,12 +352,19 @@ def blocks(draw):
 class TestOracleEquivalence:
     # no shrinking: a failing example is reported in seconds, where shrinking
     # these blocks took minutes
-    @pytest.mark.parametrize("budget", [1, 50, align_cda.PRODUCT_BUDGET])
+    # a block's product count, and one less, bound the budgets that score
+    # it in one chunk
+    @pytest.mark.parametrize("budget", [1, 50, align_cda.PRODUCT_BUDGET,
+                                        "products", "products - 1"])
     @settings(max_examples=60, deadline=None,
               phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     @given(block=blocks(), threshold=st.sampled_from([0.0, 0.3, 1.5]))
     def test_array_path_equals_oracles(self, budget, block, threshold):
         partition, vectors, by_url = block
+        if isinstance(budget, str):
+            pivot_dims = Counter(vectors["en"].indices.tolist())
+            products = sum(pivot_dims[d] for d in vectors["fr"].indices.tolist())
+            budget = max(1, products - budget.endswith("- 1"))
         with mock.patch.object(align_cda, "PRODUCT_BUDGET", budget):
             m = align_cda.score_domain(partition, vectors, "en", "fr", threshold)
         scores, scored_pairs = score_domain_oracle(partition, by_url, "en", "fr",

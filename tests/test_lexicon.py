@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from docalign import lexicon
 from docalign.errors import ConfigError, FormatError, UsageError
-from tests.conftest import make_record
+from tests.conftest import dict_map_document, id_record
 
 
 def index(words):
@@ -342,6 +342,15 @@ def scores_of(p_fwd, p_bwd, v_alpha, v_beta):
                                id_table(p_bwd, v_beta, v_alpha))
 
 
+def pairs_of(p_fwd, p_bwd, v_alpha, v_beta):
+    """The word pairs (pivot, other) that ``align_tables`` derives its map
+    from: each pivot word with its argmax, ties kept."""
+    scores = scores_of(p_fwd, p_bwd, v_alpha, v_beta)
+    best = lexicon._best_for_pivot(scores)
+    return {(v_alpha[a], v_beta[b])
+            for a, b in zip(scores.pivot[best].tolist(), scores.other[best].tolist())}
+
+
 def dict_pair_scores(fwd, bwd):
     """The ``pair_scores`` over word-keyed tables that the vocabulary-id one
     replaced."""
@@ -376,11 +385,11 @@ def dict_build_alignment(scores, v_alpha, v_beta):
             {b: s for b, (s, _a) in best_for_other.items()})
 
 
-def oracle_reverse_condition_violations(align, p_fwd, p_bwd, v_alpha):
+def oracle_reverse_condition_violations(pairs, p_fwd, p_bwd, v_alpha):
     """The O(|pairs| x |V_pivot|) scan that the indexed version replaced."""
     alpha = sorted(set(v_alpha))
     violations = 0
-    for a, b in align.pairs:
+    for a, b in pairs:
         s_ab = p_fwd.get((a, b), 0.0) + p_bwd.get((b, a), 0.0)
         for w in alpha:
             if p_fwd.get((w, b), 0.0) + p_bwd.get((b, w), 0.0) > s_ab:
@@ -441,13 +450,14 @@ class TestBuildAlignment:
         # exhaustive scan oracle: s(cat,chat)=1.7, s(cat,chien)=0.15,
         # s(dog,chat)=0, s(dog,chien)=1.75
         align = example_alignment()
-        assert align.pairs == {("cat", "chat"), ("dog", "chien")}
+        assert pairs_of(P_FWD, P_BWD, ["cat", "dog"], ["chat", "chien"]) == \
+            {("cat", "chat"), ("dog", "chien")}
         assert align.to_pivot == {"chat": "cat", "chien": "dog"}
         assert align.scores == {"chat": 0.9 + 0.8, "chien": 0.9 + 0.85}
 
     def test_all_zero_gives_empty(self):
         align = align_tables({}, {}, ["a"], ["b"])
-        assert align.pairs == set()
+        assert pairs_of({}, {}, ["a"], ["b"]) == set()
         assert align.to_pivot == {}
 
     def test_tie_broken_lexicographically(self):
@@ -456,7 +466,7 @@ class TestBuildAlignment:
         # by the words, whichever id each has
         for v_alpha in (["aa", "zz"], ["zz", "aa"]):
             align = align_tables(fwd, bwd, v_alpha, ["b"])
-            assert align.pairs == {("aa", "b"), ("zz", "b")}
+            assert pairs_of(fwd, bwd, v_alpha, ["b"]) == {("aa", "b"), ("zz", "b")}
             assert align.to_pivot == {"b": "aa"}
 
     def test_empty_vocab_rejected(self):
@@ -477,24 +487,25 @@ class TestBuildAlignment:
             for a in v_a for b in v_b if rng.random() < 0.3
         }
         align = align_tables(fwd, bwd, v_a, v_b)
-        assert align.pairs
+        pairs = pairs_of(fwd, bwd, v_a, v_b)
+        assert pairs
 
         def s(a, b):
             return fwd.get((a, b), 0.0) + bwd.get((b, a), 0.0)
 
-        for a, b in align.pairs:
+        for a, b in pairs:
             assert s(a, b) > 0.0
             assert all(s(a, b) >= s(a, w) for w in v_b)
         # to_pivot is a function into the pair set
         assert len(align.to_pivot) <= len(v_b)
         for b, a in align.to_pivot.items():
-            assert (a, b) in align.pairs
+            assert (a, b) in pairs
 
     @given(**tables(_PROBS))
     def test_matches_exhaustive_scan_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
         fwd, bwd = fwd_rows, bwd_rows
         align = align_tables(fwd, bwd, v_alpha, v_beta)
-        assert (align.pairs, align.to_pivot, align.scores) == \
+        assert (pairs_of(fwd, bwd, v_alpha, v_beta), align.to_pivot, align.scores) == \
             oracle_build_alignment(fwd, bwd, v_alpha, v_beta)
 
     # probabilities of many values, so that a sum added in another order
@@ -506,13 +517,12 @@ class TestBuildAlignment:
         expected = dict_pair_scores(fwd, bwd)
         assert word_table(scores, v_alpha, v_beta) == restricted(expected, v_alpha, v_beta)
         align = lexicon.build_alignment(scores, "fr", v_alpha, v_beta)
-        assert (align.pairs, align.to_pivot, align.scores) == \
+        assert (pairs_of(fwd, bwd, v_alpha, v_beta), align.to_pivot, align.scores) == \
             dict_build_alignment(expected, v_alpha, v_beta)
 
     def test_determinism(self):
         one = example_alignment()
         two = example_alignment()
-        assert one.pairs == two.pairs
         assert one.to_pivot == two.to_pivot
         assert one.scores == two.scores
 
@@ -521,42 +531,72 @@ class TestBuildAlignment:
         # reverse condition through the backward table
         fwd = {("big", "b"): 0.6, ("bad", "b"): 0.5}
         bwd = {("b", "bad"): 0.3}
-        align = align_tables(fwd, bwd, ["bad", "big"], ["b"])
-        assert ("big", "b") in align.pairs
+        assert ("big", "b") in pairs_of(fwd, bwd, ["bad", "big"], ["b"])
         assert lexicon.reverse_condition_violations(
             scores_of(fwd, bwd, ["bad", "big"], ["b"])) >= 1
 
     @given(**tables(_PROBS))
     def test_reverse_condition_matches_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
         fwd, bwd = fwd_rows, bwd_rows
-        built = align_tables(fwd, bwd, v_alpha, v_beta)
         assert lexicon.reverse_condition_violations(
             scores_of(fwd, bwd, v_alpha, v_beta)
-        ) == oracle_reverse_condition_violations(built, fwd, bwd, v_alpha)
+        ) == oracle_reverse_condition_violations(pairs_of(fwd, bwd, v_alpha, v_beta),
+                                                 fwd, bwd, v_alpha)
+
+
+# the words of a corpus/ that holds the worked example's French pages, and
+# the dimensions of the pivot vocabulary
+WORDS = ["zz", "chien", "xyz", "chat"]
+PIVOT_INDEX = {"dog": 0, "cat": 1}
+
+
+def map_words(tokens, lang="fr", words=WORDS):
+    """``map_document`` of a page of ``tokens`` through the example's token
+    map, as the pivot words of the dimensions, and the dict oracle's words."""
+    align = example_alignment()
+    doc = id_record("http://a.com/x", tokens, words, lang=lang)
+    dims = lexicon.map_document(doc, lexicon.token_map(align, words, PIVOT_INDEX))
+    pivot_words = list(PIVOT_INDEX)
+    return [pivot_words[d] for d in dims.tolist()], dict_map_document(doc, align)
 
 
 class TestMapDocument:
     def test_substitution_preserves_order_and_multiplicity(self):
-        align = example_alignment()
-        doc = make_record("http://a.com/x", ["chat", "chien", "chat"], lang="fr")
-        assert lexicon.map_document(doc, align) == ["cat", "dog", "cat"]
+        mapped, oracle = map_words(["chat", "chien", "chat"])
+        assert mapped == oracle == ["cat", "dog", "cat"]
 
     def test_oov_dropped(self):
-        align = example_alignment()
-        doc = make_record("http://a.com/x", ["xyz"], lang="fr")
-        assert lexicon.map_document(doc, align) == []
+        mapped, oracle = map_words(["xyz"])
+        assert mapped == oracle == []
 
     def test_language_mismatch(self):
-        align = example_alignment()
-        doc = make_record("http://a.com/x", ["chat"], lang="de")
         with pytest.raises(UsageError):
-            lexicon.map_document(doc, align)
+            map_words(["chat"], lang="de")
 
     def test_output_never_longer(self):
         align = example_alignment()
-        doc = make_record("http://a.com/x", ["chat", "zz", "chien"], lang="fr")
-        out = lexicon.map_document(doc, align)
+        doc = id_record("http://a.com/x", ["chat", "zz", "chien"], WORDS, lang="fr")
+        out = lexicon.map_document(doc, lexicon.token_map(align, WORDS, PIVOT_INDEX))
         assert len(out) < len(doc.tokens)
+
+    def test_token_map_over_words(self):
+        tokens = lexicon.token_map(example_alignment(), WORDS, PIVOT_INDEX)
+        assert tokens.lang == "fr"
+        assert tokens.dims.dtype == np.int32
+        assert tokens.dims.tolist() == [-1, 0, -1, 1]
+
+    @given(data=st.data())
+    def test_matches_dict_oracle(self, data):
+        words = data.draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), unique=True,
+                                   min_size=1))
+        pivot = ["p", "q", "r"]
+        to_pivot = data.draw(st.dictionaries(st.sampled_from(words), st.sampled_from(pivot)))
+        align = lexicon.LexiconAlignment("fr", to_pivot, dict.fromkeys(to_pivot, 1.0))
+        doc = id_record("http://a.com/x", data.draw(st.lists(st.sampled_from(words))), words,
+                        lang="fr")
+        pivot_index = {w: i for i, w in enumerate(pivot)}
+        dims = lexicon.map_document(doc, lexicon.token_map(align, words, pivot_index))
+        assert [pivot[d] for d in dims.tolist()] == dict_map_document(doc, align)
 
 
 class TestAlignmentIO:
@@ -569,7 +609,6 @@ class TestAlignmentIO:
         assert lines == ["chat\tcat\t1.7", "chien\tdog\t1.75"]
         loaded = lexicon.load_alignment(path, "fr", set(align.to_pivot.values()))
         assert loaded.to_pivot == align.to_pivot
-        assert loaded.pairs == align.pairs
         assert loaded.scores == pytest.approx(align.scores, rel=1e-8)
         # saving a loaded lexicon rewrites the same bytes
         again = tmp_path / "again.tsv"

@@ -111,15 +111,16 @@ class TestRunPipeline:
         assert site01_pairs() == []
 
     def test_threshold_rerun_decodes_no_token(self, tmp_path):
-        """A cold run decodes each record's tokens once. A threshold rerun
-        reads ``corpus/`` once, for its URLs, decodes no token, and leaves
-        what a cold run at the new threshold leaves."""
+        """A cold run decodes no record's tokens: the stages after ingest
+        read token ids. A threshold rerun reads ``corpus/`` once, for its
+        URLs, decodes no token either, and leaves what a cold run at the new
+        threshold leaves."""
         corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
                                  doc_len=(20, 30), seed=7)
         options = dict(corpus=corpus, vocab_size=50, url_align=True, mine=True)
         with token_decodes() as decoded:
             out, _ = run_tiny(tmp_path, threshold=0.1, **options)
-        assert len({id(view) for view in decoded}) == len(decoded) == len(corpus.records)
+        assert decoded == []
         cold, _ = run_tiny(tmp_path, out_name="cold", threshold=0.95, **options)
         assert (cold / "pairs.tsv").read_bytes() != (out / "pairs.tsv").read_bytes()
         with token_decodes() as decoded, \
@@ -708,6 +709,26 @@ class TestIngest:
         part = read_partitions(tmp_path / "out" / "corpus")["a.com"]
         assert [d.url for lang in ("en", "fr") for d in part.docs(lang)] == [
             "http://a.com/1", "http://a.com/2"]
+
+
+    def test_dropped_duplicates_are_counted(self, tmp_path, caplog):
+        # one URL and domain keeps one record, whatever the language tags
+        path = tmp_path / "in.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in [
+            {"url": "http://a.com/x", "lang": "en", "text": "alpha beta"},
+            {"url": "http://a.com/x", "lang": "fr", "text": "un"},
+            {"url": "http://a.com/y", "lang": "fr", "text": "deux"},
+            {"url": "http://b.com/x", "lang": "fr", "text": "trois"},
+        ]))
+        cfg = PipelineConfig(input=str(path), out=str(tmp_path / "out"))
+        with caplog.at_level("INFO", logger="docalign.pipeline"):
+            pipeline.ingest(cfg)
+        assert caplog.messages == [
+            "ingest: 4 records over 2 domains; 1 dropped as same-URL duplicates"]
+        parts = read_partitions(tmp_path / "out" / "corpus")
+        assert [(d.lang, d.url) for part in parts.values()
+                for docs in part.by_lang.values() for d in docs] == [
+            ("en", "http://a.com/x"), ("fr", "http://a.com/y"), ("fr", "http://b.com/x")]
 
 
 class TestInvariance:

@@ -2,6 +2,7 @@ import math
 import pickle
 from collections import Counter
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from docalign import vectorspace as vs
 from docalign.errors import ConfigError, FormatError
-from tests.conftest import vectorize_document
+from tests.conftest import counter_vocabulary, interned, vectorize_document
 
 
 def vocab_of(words):
@@ -24,12 +25,27 @@ def idf_of(vocab, values):
     )
 
 
+def build_vocabulary(docs, *args, **kwargs):
+    """``build_vocabulary`` over token lists, interned as ``corpus/`` holds them."""
+    ids, words = interned(docs)
+    return vs.build_vocabulary(np.concatenate([np.zeros(0, dtype=np.int32), *ids]), words,
+                               *args, **kwargs)
+
+
+def count_terms(docs, vocab):
+    """``count_terms`` over token lists, each mapped to dimensions through
+    one lookup array over their words."""
+    ids, words = interned(docs)
+    lookup = vs.lookup_array(vocab.index, words)
+    return vs.count_terms((lookup[doc] for doc in ids), len(vocab))
+
+
 def compute_idf(docs, vocab):
-    return vs.compute_idf(vs.count_terms(docs, vocab))
+    return vs.compute_idf(count_terms(docs, vocab))
 
 
 def vectorize(docs, vocab, idf):
-    return vs.vectorize(vs.count_terms(docs, vocab), idf)
+    return vs.vectorize(count_terms(docs, vocab), idf)
 
 
 class TestBuildVocabulary:
@@ -38,39 +54,57 @@ class TestBuildVocabulary:
 
     def test_skip_and_capacity(self):
         docs = self.counts_corpus({"the": 10, "a": 8, "cat": 5, "dog": 3, "bird": 1})
-        v = vs.build_vocabulary(docs, skip_top_k=2, capacity=2)
+        v = build_vocabulary(docs, skip_top_k=2, capacity=2)
         assert v.words == ["cat", "dog"]
 
     def test_no_filtering_keeps_frequency_order(self):
         docs = self.counts_corpus({"x": 3, "y": 5, "z": 1})
-        v = vs.build_vocabulary(docs, skip_top_k=0, capacity=10**9)
+        v = build_vocabulary(docs, skip_top_k=0, capacity=10**9)
         assert v.words == ["y", "x", "z"]
 
     def test_lexicographic_tie(self):
         docs = self.counts_corpus({"y": 5, "x": 5})
-        v = vs.build_vocabulary(docs, skip_top_k=0, capacity=1)
+        v = build_vocabulary(docs, skip_top_k=0, capacity=1)
         assert v.words == ["x"]
 
     def test_stopwords_removed_before_top_k(self):
         docs = self.counts_corpus({"the": 10, "a": 8, "cat": 5, "dog": 3})
-        v = vs.build_vocabulary(docs, skip_top_k=1, capacity=5, stopwords={"the"})
+        v = build_vocabulary(docs, skip_top_k=1, capacity=5, stopwords={"the"})
         assert v.words == ["cat", "dog"]
 
     def test_empty_corpus(self):
-        v = vs.build_vocabulary([], skip_top_k=0, capacity=5)
+        v = build_vocabulary([], skip_top_k=0, capacity=5)
         assert v.words == []
 
     def test_index_is_bijection(self):
         docs = self.counts_corpus({"a": 3, "b": 2, "c": 1})
-        v = vs.build_vocabulary(docs, skip_top_k=0, capacity=3)
+        v = build_vocabulary(docs, skip_top_k=0, capacity=3)
         assert sorted(v.index.values()) == [0, 1, 2]
         assert all(v.words[i] == w for w, i in v.index.items())
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):
-            vs.build_vocabulary([], skip_top_k=-1, capacity=1)
+            build_vocabulary([], skip_top_k=-1, capacity=1)
         with pytest.raises(ConfigError):
-            vs.build_vocabulary([], skip_top_k=0, capacity=0)
+            build_vocabulary([], skip_top_k=0, capacity=0)
+
+    def test_counts_only_the_ids_given(self):
+        # words.json lists every language's words; a language counts its own ids
+        v = vs.build_vocabulary(np.array([2, 0, 2], dtype=np.int32), ["a", "b", "c", "d"],
+                                skip_top_k=0, capacity=10)
+        assert v.words == ["c", "a"]
+
+    # few words, so that equal counts are common, and stoplists, skips and
+    # capacities that reach past the distinct words; counted 3 ids at a time
+    # or all at once
+    @pytest.mark.parametrize("chunk", [3, vs.CHUNK_IDS])
+    @given(docs=st.lists(st.lists(st.sampled_from("abcdefg"), max_size=12), max_size=8),
+           stopwords=st.sets(st.sampled_from("abcxyz")),
+           skip_top_k=st.integers(0, 9), capacity=st.integers(1, 9))
+    def test_matches_counter_oracle(self, chunk, docs, stopwords, skip_top_k, capacity):
+        with mock.patch.object(vs, "CHUNK_IDS", chunk):
+            v = build_vocabulary(docs, skip_top_k, capacity, stopwords)
+        assert v.words == counter_vocabulary(docs, skip_top_k, capacity, stopwords).words
 
 
 class TestComputeIdf:
@@ -192,8 +226,8 @@ class TestVectorize:
 class TestDeterminism:
     def test_identical_corpus_identical_models(self):
         docs = [["a", "b", "b"], ["c", "a"], ["b"]]
-        v1 = vs.build_vocabulary(docs, 0, 10)
-        v2 = vs.build_vocabulary(docs, 0, 10)
+        v1 = build_vocabulary(docs, 0, 10)
+        v2 = build_vocabulary(docs, 0, 10)
         assert v1.words == v2.words
         i1 = compute_idf(docs, v1)
         i2 = compute_idf(docs, v2)
@@ -359,13 +393,34 @@ class TestOracleEquivalence:
         assert list(zip(table.indices.tolist(), table.data.tolist())) == [
             e for v in oracle for e in v.entries]
 
+    # chunks of 1 or 7 documents: the rows, counts and first occurrences
+    # of the chunks join up into those of one pass
+    @pytest.mark.parametrize("rows", [1, 7])
+    @given(language=languages())
+    def test_chunked_counts_match_per_document_oracle(self, rows, language):
+        vocab, docs = language
+        with mock.patch.object(vs, "CHUNK_ROWS", rows):
+            terms = count_terms(docs, vocab)
+            idf = compute_idf(docs, vocab)
+            table = vectorize(docs, vocab, idf)
+        whole = count_terms(docs, vocab)  # one chunk: at most 6 documents
+        assert [np.asarray(a).tolist() for a in terms] == \
+            [np.asarray(a).tolist() for a in whole]
+        assert (idf.collection_size, idf.doc_freq.tolist(), idf.idf.tolist()) == \
+            dict_compute_idf(docs, vocab)
+        oracle = [vectorize_document(t, vocab, idf) for t in docs]
+        assert table.indptr.tolist() == [0, *accumulate(len(v.entries) for v in oracle)]
+        assert list(zip(table.indices.tolist(), table.data.tolist())) == [
+            e for v in oracle for e in v.entries]
+
     def test_keys_beyond_int32(self):
         # 2**15 + 1 documents over 2**16 dimensions: the last row's
-        # (row, dim) keys pass 2**31
+        # (row, dim) keys would pass 2**31, so int32 keys take two chunks
         vocab = vocab_of(f"w{i}" for i in range(2**16))
         docs = [[] for _ in range(2**15)] + [["w65535", "w3", "w65535"]]
-        idf = compute_idf(docs, vocab)
-        table = vectorize(docs, vocab, idf)
+        with mock.patch.object(vs, "CHUNK_ROWS", 2**20):
+            idf = compute_idf(docs, vocab)
+            table = vectorize(docs, vocab, idf)
         assert table.indptr[-2] == 0
         assert list(zip(table.indices.tolist(), table.data.tolist())) == \
             vectorize_document(docs[-1], vocab, idf).entries
