@@ -24,9 +24,9 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .textfile import read_array, read_lines
 
-# The most documents that ``count_terms`` and ``vectorize`` handle at once:
-# they work in chunks of rows, so their temporary arrays stay small however
-# many documents a language has.
+# The most documents that ``count_terms`` counts at once: it works in chunks
+# of rows, so its int32 keys and temporary arrays stay small however many
+# documents a language has.
 CHUNK_ROWS = 1024
 # The most token ids that ``build_vocabulary`` counts at once.
 CHUNK_IDS = 1 << 18
@@ -61,13 +61,12 @@ class TermCounts(NamedTuple):
     """The vocabulary tokens of ``n_docs`` documents over ``dims``
     dimensions, one entry per (document, dimension) that occurs, sorted by
     document, then dimension: document ``row[i]`` holds dimension ``dim[i]``
-    ``tf[i]`` times, and ``first[i]`` orders the entries by first occurrence."""
+    ``tf[i]`` times."""
 
     n_docs: int
     dims: int
     row: np.ndarray
     dim: np.ndarray
-    first: np.ndarray
     tf: np.ndarray
 
 
@@ -145,22 +144,20 @@ def count_terms(docs: Iterable[np.ndarray], dims: int) -> TermCounts:
     width = max(dims, 1)
     # a chunk's keys row * dims + dim, its rows counted from 0, fit int32
     step = max(1, min(CHUNK_ROWS, 2**31 // width))
-    columns: tuple[list[np.ndarray], ...] = ([], [], [], [])  # row, dim, first, tf
-    n = kept = 0
+    columns: tuple[list[np.ndarray], ...] = ([], [], [])  # row, dim, tf
+    n = 0
     while chunk := list(islice(docs, step)):
         lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
         dim = np.concatenate(chunk).astype(np.int32, copy=False)
         keys = np.repeat(np.arange(len(chunk), dtype=np.int32) * width, lengths)
         keys += dim
-        keys = keys[dim >= 0]
-        unique, first, tf = np.unique(keys, return_index=True, return_counts=True)
+        unique, tf = np.unique(keys[dim >= 0], return_counts=True)
         row, dim = np.divmod(unique, width)
-        for column, part in zip(columns, (row + n, dim, first + kept, tf)):
+        for column, part in zip(columns, (row + n, dim, tf)):
             column.append(part)
         n += len(chunk)
-        kept += len(keys)
-    row, dim, first, tf = map(_joined, columns)
-    return TermCounts(n_docs=n, dims=dims, row=row, dim=dim, first=first, tf=tf)
+    row, dim, tf = map(_joined, columns)
+    return TermCounts(n_docs=n, dims=dims, row=row, dim=dim, tf=tf)
 
 
 def _joined(chunks: list[np.ndarray]) -> np.ndarray:
@@ -189,29 +186,19 @@ def vectorize(terms: TermCounts, idf: IdfModel) -> VectorTable:
 
     Documents with no vocabulary hits get the empty row; they can never
     match above a positive threshold. Each norm adds a document's squared
-    weights in the order its dimensions first occur, as a per-document
-    ``Counter`` loop would, so the weights are the same floats.
+    weights in ascending dimension order, the order in which
+    ``align_cda.score_domain`` adds a pair's products.
     """
     n = terms.n_docs
-    row, dim, first = terms.row, terms.dim, terms.first
+    row, dim = terms.row, terms.dim
     weights = idf.idf[dim]
     weights *= terms.tf
     positive = weights > 0.0
     if not positive.all():  # only an idf of 0 or below drops an entry
-        row, dim, first, weights = (a[positive] for a in (row, dim, first, weights))
+        row, dim, weights = (a[positive] for a in (row, dim, weights))
+    # np.bincount adds each row's squares from 0.0 in stored order
+    weights /= np.sqrt(np.bincount(row, weights=weights * weights, minlength=n))[row]
     indptr = np.searchsorted(row, np.arange(n + 1, dtype=row.dtype))
-    # a row's first occurrences all come before the next row's, so sorting
-    # CHUNK_ROWS rows at a time puts each row's entries in the order that
-    # one sort of all rows would
-    for r0 in range(0, n, CHUNK_ROWS):
-        r1 = min(r0 + CHUNK_ROWS, n)
-        lo, hi = indptr[r0], indptr[r1]
-        order = np.argsort(first[lo:hi])
-        squares = weights[lo:hi][order]
-        squares *= squares
-        norms = np.sqrt(np.bincount(row[lo:hi][order] - r0, weights=squares,
-                                    minlength=r1 - r0))
-        weights[lo:hi] /= np.repeat(norms, np.diff(indptr[r0:r1 + 1]))
     return VectorTable(indptr=indptr, indices=dim.astype(np.int64), data=weights)
 
 

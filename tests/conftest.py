@@ -8,7 +8,6 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import pytest
 
 from docalign.align_cda import ScoreMatrix
 from docalign.corpus import CorpusPartition, DocumentRecord, TokenView, domain_of
@@ -137,27 +136,25 @@ class SparseVector:
     doc_url: str
     entries: list[tuple[int, float]]
 
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for _d, w in self.entries))
-
 
 def vectorize_document(tokens, vocab, idf, doc_url=""):
     """The per-document ``Counter`` projection that ``vectorspace.vectorize``
     replaced, kept as its oracle: TF x IDF over the vocabulary,
-    l2-normalized, as a SparseVector."""
+    l2-normalized, as a SparseVector. The norm adds the squares in ascending
+    dimension order in an explicit left-to-right loop, because ``sum()``
+    compensates rounding from Python 3.12 on."""
     tf = Counter()
     for w in tokens:
         dim = vocab.index.get(w)
         if dim is not None:
             tf[dim] += 1
-    raw = [(dim, count * idf.idf[dim]) for dim, count in tf.items()]
+    raw = sorted((dim, count * idf.idf[dim]) for dim, count in tf.items())
     raw = [(dim, w) for dim, w in raw if w > 0.0]
-    norm = math.sqrt(sum(w * w for _d, w in raw))
-    if norm > 0.0:
-        entries = sorted((dim, w / norm) for dim, w in raw)
-    else:
-        entries = []
-    return SparseVector(doc_url=doc_url, entries=entries)
+    total = 0.0
+    for _dim, w in raw:
+        total += w * w
+    norm = math.sqrt(total)
+    return SparseVector(doc_url=doc_url, entries=[(dim, w / norm) for dim, w in raw])
 
 
 def vector_table(vectors):
@@ -195,6 +192,19 @@ def matrix_entries(matrix):
         for p, o, s in zip(matrix.pivot.tolist(), matrix.other.tolist(),
                            matrix.scores.tolist())
     }
+
+
+def greedy_oracle(scores):
+    """Full sort + scan: entries by descending score, ties by URL pair; an
+    entry is accepted iff neither endpoint is matched yet."""
+    order = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
+    used_p, used_o, out = set(), set(), []
+    for (p, o), s in order:
+        if p not in used_p and o not in used_o:
+            used_p.add(p)
+            used_o.add(o)
+            out.append((p, o, s))
+    return out
 
 
 class SyntheticCorpus:
@@ -368,10 +378,3 @@ class MultilingualCorpus:
         cfg.update(overrides)
         return cfg
 
-
-@pytest.fixture
-def tiny_corpus(tmp_path):
-    """A 2-domain, 2-language corpus small enough to inspect by hand."""
-    corpus = SyntheticCorpus(n_domains=2, docs_per_domain=5, vocab_size=60,
-                             doc_len=(20, 30), seed=7)
-    return corpus, tmp_path

@@ -20,8 +20,8 @@ from docalign.align_url import IdentifierSet, default_identifier_set, strip_iden
 from docalign.corpus import CorpusPartition, DocumentRecord
 from docalign.miner import mine_identifiers
 from docalign.pipeline import PipelineConfig, run_pipeline
-from tests.conftest import (SparseVector, SyntheticCorpus, interned, make_record,
-                            score_matrix, vector_table)
+from tests.conftest import (SparseVector, SyntheticCorpus, greedy_oracle, interned,
+                            make_record, score_matrix, vector_table)
 
 
 @contextlib.contextmanager
@@ -74,18 +74,6 @@ def test_criterion_1_idf_formula_exactness():
         assert time.perf_counter() - start < 1.0
 
 
-def _greedy_oracle(scores):
-    """Full sort + scan, written independently of the implementation."""
-    order = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
-    used_p, used_o, out = set(), set(), []
-    for (p, o), s in order:
-        if p not in used_p and o not in used_o:
-            used_p.add(p)
-            used_o.add(o)
-            out.append((p, o, s))
-    return out
-
-
 def test_criterion_2_matcher_oracle_equivalence():
     with criterion(2, "matcher equals brute-force greedy oracle"):
         start = time.perf_counter()
@@ -100,7 +88,7 @@ def test_criterion_2_matcher_oracle_equivalence():
             matrix = score_matrix(scores, domain="d.com", lang="xx")
             got = [(p.pivot_url, p.other_url, p.score)
                    for p in align_cda.match_one_to_one(matrix)]
-            assert got == _greedy_oracle(scores)
+            assert got == greedy_oracle(scores)
         assert time.perf_counter() - start < 10.0
 
 

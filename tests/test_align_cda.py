@@ -13,8 +13,8 @@ from docalign.corpus import CorpusPartition
 from docalign.errors import ConfigError, FormatError
 from docalign.align_cda import ScoreMatrix
 from docalign.vectorspace import VectorTable
-from tests.conftest import (SparseVector, make_record, matrix_entries, score_matrix,
-                            vector_table)
+from tests.conftest import (SparseVector, greedy_oracle, make_record, matrix_entries,
+                            score_matrix, vector_table)
 
 
 def vec(url, *entries):
@@ -45,8 +45,8 @@ def with_empty_row(table):
                        indices=table.indices, data=table.data)
 
 
-# --- oracles: the per-pair dict scorer and sorted-list matchers that the
-# array code replaced, kept as references for the property tests ---------
+# --- oracles: the per-pair dict scorer that the array code replaced, kept
+# as a reference for the property tests; the greedy matcher is in conftest --
 
 
 def score_pair(v1: SparseVector, v2: SparseVector) -> float:
@@ -89,19 +89,6 @@ def score_domain_oracle(partition, vectors, pivot_lang, other_lang, threshold):
             if s >= threshold and s > 0.0:
                 scores[(purl, doc.url)] = s
     return scores, scored_pairs
-
-
-def greedy_oracle(scores):
-    """Full sort + scan: entries by descending score, ties by URL pair; an
-    entry is accepted iff neither endpoint is matched yet."""
-    order = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
-    used_p, used_o, out = set(), set(), []
-    for (p, o), s in order:
-        if p not in used_p and o not in used_o:
-            used_p.add(p)
-            used_o.add(o)
-            out.append((p, o, s))
-    return out
 
 
 def triples(pairs):

@@ -348,17 +348,10 @@ def dict_compute_idf(docs, vocab):
 
 
 def idf_file_oracle(docs, vocab):
-    doc_freq = {dim: 0 for dim in range(len(vocab))}
-    for tokens in docs:
-        for w in set(tokens):
-            dim = vocab.index.get(w)
-            if dim is not None:
-                doc_freq[dim] += 1
-    n = len(docs)
+    """``idf.tsv`` as ``save_idf`` writes it, from ``dict_compute_idf``."""
+    n, doc_freq, idf = dict_compute_idf(docs, vocab)
     return f"#collection_size\t{n}\t0\n" + "".join(
-        f"{word}\t{doc_freq[dim]}\t{math.log(1.0 + n / (1.0 + doc_freq[dim])):.12g}\n"
-        for dim, word in enumerate(vocab.words)
-    )
+        f"{word}\t{df}\t{value:.12g}\n" for word, df, value in zip(vocab.words, doc_freq, idf))
 
 
 WORDS = [f"w{i}" for i in range(8)]
@@ -368,7 +361,8 @@ WORDS = [f"w{i}" for i in range(8)]
 def languages(draw):
     """A vocabulary in random dimension order (possibly empty) and 1-6
     documents, some empty, some with no vocabulary word, with repeated
-    tokens so that first occurrences and dimension order disagree."""
+    tokens: a document's token order and its dimension order then disagree,
+    so a norm that added its squares in token order would fail the oracle."""
     vocab = vocab_of(draw(st.permutations(WORDS))[:draw(st.integers(0, len(WORDS)))])
     docs = draw(st.lists(st.lists(st.sampled_from([*WORDS, "oov"]), max_size=40),
                          min_size=1, max_size=6))
@@ -393,8 +387,8 @@ class TestOracleEquivalence:
         assert list(zip(table.indices.tolist(), table.data.tolist())) == [
             e for v in oracle for e in v.entries]
 
-    # chunks of 1 or 7 documents: the rows, counts and first occurrences
-    # of the chunks join up into those of one pass
+    # chunks of 1 or 7 documents: the rows and counts of the chunks join
+    # up into those of one pass
     @pytest.mark.parametrize("rows", [1, 7])
     @given(language=languages())
     def test_chunked_counts_match_per_document_oracle(self, rows, language):
