@@ -1,18 +1,14 @@
 import json
-import math
 import random
-from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 from docalign.align_cda import ScoreMatrix
-from docalign.corpus import CorpusPartition, DocumentRecord, TokenView, domain_of
-from docalign.errors import ConfigError, UsageError
-from docalign.vectorspace import VectorTable, Vocabulary
+from docalign.corpus import DocumentRecord, TokenView, domain_of
+from docalign.vectorspace import VectorTable
 
 
 def make_record(url, tokens, lang="en", raw_length=None):
@@ -43,35 +39,10 @@ def id_record(url, tokens, words, lang="en"):
                           raw_length=len(" ".join(tokens)))
 
 
-def counter_vocabulary(docs, skip_top_k, capacity, stopwords=None):
-    """The ``Counter`` pass over token lists that ``build_vocabulary`` over
-    token ids replaced, kept as its oracle."""
-    if skip_top_k < 0:
-        raise ConfigError("skip_top_k must be >= 0")
-    if capacity <= 0:
-        raise ConfigError("capacity must be > 0")
-    counts = Counter()
-    for tokens in docs:
-        counts.update(tokens)
-    for w in stopwords or ():
-        counts.pop(w, None)
-    ranked = sorted(counts, key=lambda w: (-counts[w], w))
-    return Vocabulary(words=ranked[skip_top_k:skip_top_k + capacity])
-
-
-def dict_map_document(doc, align):
-    """The per-token dict lookup that ``map_document`` over a token map
-    replaced, kept as its oracle: the document's pivot words."""
-    if doc.lang != align.other_lang:
-        raise UsageError(f"document language {doc.lang!r} does not match alignment "
-                         f"language {align.other_lang!r}")
-    return [align.to_pivot[t] for t in doc.tokens if t in align.to_pivot]
-
-
 def write_jsonl_partitions(partitions, out_dir):
-    """The ``corpus/`` layout that the three-file format replaced, kept as
-    its oracle: one directory per domain, one JSON-lines file per language,
-    one ``DocumentRecord.serialized()`` line per document."""
+    """The ``corpus/`` layout that the three-file format replaced, which a
+    run must ingest again: one directory per domain, one JSON-lines file per
+    language, one ``DocumentRecord.serialized()`` line per document."""
     out = Path(out_dir)
     for domain, part in sorted(partitions.items()):
         ddir = out / domain
@@ -80,22 +51,6 @@ def write_jsonl_partitions(partitions, out_dir):
             with open(ddir / f"{lang}.jsonl", "w", encoding="utf-8") as fh:
                 for rec in docs:
                     fh.write(rec.serialized() + "\n")
-
-
-def eager_token_rows(corpus_dir):
-    """Each ``docs.tsv`` row's tokens as ``read_partitions`` decoded them
-    before records held a ``TokenView``, kept as its oracle: every id of
-    ``ids.npy`` through one object array of the words, then one list slice
-    per row."""
-    root = Path(corpus_dir)
-    words = json.loads((root / "words.json").read_bytes())
-    tokens = np.array(words, dtype=object)[np.load(root / "ids.npy")].tolist()
-    rows, start = [], 0
-    for line in (root / "docs.tsv").read_bytes().decode("utf-8").split("\n")[:-1]:
-        n = int(line.split("\t")[4])
-        rows.append(tokens[start:start + n])
-        start += n
-    return rows
 
 
 @contextmanager
@@ -114,55 +69,13 @@ def token_decodes():
         yield decoded
 
 
-def read_jsonl_partitions(corpus_dir):
-    """Inverse of ``write_jsonl_partitions``."""
-    partitions = {}
-    for ddir in sorted(p for p in Path(corpus_dir).iterdir() if p.is_dir()):
-        by_lang = {}
-        for f in sorted(ddir.glob("*.jsonl")):
-            with open(f, encoding="utf-8") as fh:
-                docs = [DocumentRecord(**json.loads(line)) for line in fh if line.strip()]
-            if docs:
-                by_lang[f.stem] = docs
-        if by_lang:
-            partitions[ddir.name] = CorpusPartition(domain=ddir.name, by_lang=by_lang)
-    return partitions
-
-
-@dataclass
-class SparseVector:
-    """Sorted (dimension, weight) entries; weights strictly positive."""
-
-    doc_url: str
-    entries: list[tuple[int, float]]
-
-
-def vectorize_document(tokens, vocab, idf, doc_url=""):
-    """The per-document ``Counter`` projection that ``vectorspace.vectorize``
-    replaced, kept as its oracle: TF x IDF over the vocabulary,
-    l2-normalized, as a SparseVector. The norm adds the squares in ascending
-    dimension order in an explicit left-to-right loop, because ``sum()``
-    compensates rounding from Python 3.12 on."""
-    tf = Counter()
-    for w in tokens:
-        dim = vocab.index.get(w)
-        if dim is not None:
-            tf[dim] += 1
-    raw = sorted((dim, count * idf.idf[dim]) for dim, count in tf.items())
-    raw = [(dim, w) for dim, w in raw if w > 0.0]
-    total = 0.0
-    for _dim, w in raw:
-        total += w * w
-    norm = math.sqrt(total)
-    return SparseVector(doc_url=doc_url, entries=[(dim, w / norm) for dim, w in raw])
-
-
-def vector_table(vectors):
-    """A VectorTable holding the given SparseVectors, in order."""
-    vectors = list(vectors)
-    entries = [e for v in vectors for e in v.entries]
+def vector_table(rows):
+    """A VectorTable holding the given rows, each a list of (dimension,
+    weight) entries, in order."""
+    rows = list(rows)
+    entries = [e for row in rows for e in row]
     return VectorTable(
-        indptr=np.cumsum([0] + [len(v.entries) for v in vectors], dtype=np.int64),
+        indptr=np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
         indices=np.array([d for d, _w in entries], dtype=np.int64),
         data=np.array([w for _d, w in entries], dtype=np.float64),
     )
@@ -192,19 +105,6 @@ def matrix_entries(matrix):
         for p, o, s in zip(matrix.pivot.tolist(), matrix.other.tolist(),
                            matrix.scores.tolist())
     }
-
-
-def greedy_oracle(scores):
-    """Full sort + scan: entries by descending score, ties by URL pair; an
-    entry is accepted iff neither endpoint is matched yet."""
-    order = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
-    used_p, used_o, out = set(), set(), []
-    for (p, o), s in order:
-        if p not in used_p and o not in used_o:
-            used_p.add(p)
-            used_o.add(o)
-            out.append((p, o, s))
-    return out
 
 
 class SyntheticCorpus:

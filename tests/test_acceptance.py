@@ -20,8 +20,8 @@ from docalign.align_url import IdentifierSet, default_identifier_set, strip_iden
 from docalign.corpus import CorpusPartition, DocumentRecord
 from docalign.miner import mine_identifiers
 from docalign.pipeline import PipelineConfig, run_pipeline
-from tests.conftest import (SparseVector, SyntheticCorpus, greedy_oracle, interned,
-                            make_record, score_matrix, vector_table)
+from tests import reference
+from tests.conftest import SyntheticCorpus, interned, make_record, score_matrix, vector_table
 
 
 @contextlib.contextmanager
@@ -88,7 +88,7 @@ def test_criterion_2_matcher_oracle_equivalence():
             matrix = score_matrix(scores, domain="d.com", lang="xx")
             got = [(p.pivot_url, p.other_url, p.score)
                    for p in align_cda.match_one_to_one(matrix)]
-            assert got == greedy_oracle(scores)
+            assert got == reference.greedy(scores)
         assert time.perf_counter() - start < 10.0
 
 
@@ -248,7 +248,7 @@ def test_criterion_8_scale_smoke():
                 url = f"http://{domain}/en/{i}"
                 doc_dims = sorted(rng.sample(range(dims), nnz))
                 w = (1.0 / nnz) ** 0.5
-                vectors["en"][url] = SparseVector(url, [(x, w) for x in doc_dims])
+                vectors["en"][url] = [(x, w) for x in doc_dims]
                 by_lang["en"].append(DocumentRecord(url, domain, "en", [], 0))
                 pivot_dims.append(doc_dims)
                 total_docs += 1
@@ -262,8 +262,7 @@ def test_criterion_8_scale_smoke():
                     doc_dims = sorted(set(pivot_dims[j][:6]
                                           + rng.sample(range(dims), 2)))
                     w = (1.0 / len(doc_dims)) ** 0.5
-                    vectors[lang][url] = SparseVector(
-                        url, [(x, w) for x in doc_dims])
+                    vectors[lang][url] = [(x, w) for x in doc_dims]
                     by_lang[lang].append(DocumentRecord(url, domain, lang, [], 0))
                     total_docs += 1
             partitions[domain] = CorpusPartition(domain, by_lang)

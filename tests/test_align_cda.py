@@ -13,16 +13,17 @@ from docalign.corpus import CorpusPartition
 from docalign.errors import ConfigError, FormatError
 from docalign.align_cda import ScoreMatrix
 from docalign.vectorspace import VectorTable
-from tests.conftest import (SparseVector, greedy_oracle, make_record, matrix_entries,
-                            score_matrix, vector_table)
+from tests import reference
+from tests.conftest import make_record, matrix_entries, score_matrix, vector_table
 
 
-def vec(url, *entries):
-    return SparseVector(doc_url=url, entries=sorted(entries))
+def vec(*entries):
+    """A vector of (dimension, weight) entries, in dimension order."""
+    return sorted(entries)
 
 
 def tables(**by_lang):
-    """{lang: VectorTable} from lang=[SparseVector, ...] keywords."""
+    """{lang: VectorTable} from lang=[vector, ...] keywords."""
     return {lang: vector_table(vecs) for lang, vecs in by_lang.items()}
 
 
@@ -45,68 +46,8 @@ def with_empty_row(table):
                        indices=table.indices, data=table.data)
 
 
-# --- oracles: the per-pair dict scorer that the array code replaced, kept
-# as a reference for the property tests; the greedy matcher is in conftest --
-
-
-def score_pair(v1: SparseVector, v2: SparseVector) -> float:
-    """Dot product over shared dimensions; in [0, 1] for normalized vectors."""
-    a, b = v1.entries, v2.entries
-    if len(a) > len(b):
-        a, b = b, a
-    lookup = dict(b)
-    return sum(w * lookup[dim] for dim, w in a if dim in lookup)
-
-
-def score_domain_oracle(partition, vectors, pivot_lang, other_lang, threshold):
-    """Inverted index over the pivot documents, one accumulator dict per
-    other document; ``vectors`` maps url -> SparseVector. Returns the
-    stored {(pivot_url, other_url): score} and the number of pairs scored."""
-    scores, scored_pairs = {}, 0
-    pivot_docs = partition.docs(pivot_lang)
-    other_docs = partition.docs(other_lang)
-    if not pivot_docs or not other_docs:
-        return scores, scored_pairs
-
-    postings = {}
-    for doc in pivot_docs:
-        v = vectors.get(doc.url)
-        if v is None:
-            continue
-        for dim, w in v.entries:
-            postings.setdefault(dim, []).append((doc.url, w))
-
-    for doc in other_docs:
-        v = vectors.get(doc.url)
-        if v is None:
-            continue
-        acc = {}
-        for dim, w in v.entries:
-            for purl, pw in postings.get(dim, ()):
-                acc[purl] = acc.get(purl, 0.0) + w * pw
-        scored_pairs += len(acc)
-        for purl, s in acc.items():
-            if s >= threshold and s > 0.0:
-                scores[(purl, doc.url)] = s
-    return scores, scored_pairs
-
-
 def triples(pairs):
     return [(p.pivot_url, p.other_url, p.score) for p in pairs]
-
-
-class TestScorePair:
-    def test_self_product_is_one(self):
-        v = vec("u", (0, 0.6), (3, 0.8))
-        assert score_pair(v, v) == pytest.approx(1.0, abs=1e-9)
-
-    def test_disjoint_supports(self):
-        assert score_pair(vec("a", (0, 1.0)), vec("b", (1, 1.0))) == 0.0
-
-    def test_hand_dot_product(self):
-        a = vec("a", (0, 0.70711), (1, 0.70711))
-        b = vec("b", (0, 1.0))
-        assert score_pair(a, b) == pytest.approx(0.70711, abs=1e-9)
 
 
 def partition_with(pivot_urls, other_urls, domain="d.com", other_lang="fr"):
@@ -119,23 +60,37 @@ def partition_with(pivot_urls, other_urls, domain="d.com", other_lang="fr"):
     )
 
 
+def pair_score(pivot, other):
+    """``score_domain``'s score of a block of two documents, or 0.0."""
+    m = align_cda.score_domain(partition_with(["p"], ["o"]), tables(en=[pivot], fr=[other]),
+                               "en", "fr", 0.0)
+    return matrix_entries(m).get(("p", "o"), 0.0)
+
+
+class TestScorePair:
+    def test_self_product_is_one(self):
+        v = vec((0, 0.6), (3, 0.8))
+        assert pair_score(v, v) == pytest.approx(1.0, abs=1e-9)
+
+    def test_hand_dot_product(self):
+        a = vec((0, 0.70711), (1, 0.70711))
+        b = vec((0, 1.0))
+        assert pair_score(a, b) == pytest.approx(0.70711, abs=1e-9)
+
+
 class TestScoreDomain:
     def setup_method(self):
-        self.by_url = {
-            "p1": vec("p1", (0, 1.0)),
-            "p2": vec("p2", (0, 0.6), (1, 0.8)),
-            "o1": vec("o1", (0, 1.0)),
-            "o2": vec("o2", (1, 1.0)),
-        }
-        self.vectors = tables(en=[self.by_url["p1"], self.by_url["p2"]],
-                              fr=[self.by_url["o1"], self.by_url["o2"]])
+        self.pivot = {"p1": vec((0, 1.0)), "p2": vec((0, 0.6), (1, 0.8))}
+        self.other = {"o1": vec((0, 1.0)), "o2": vec((1, 1.0))}
+        self.vectors = tables(en=list(self.pivot.values()), fr=list(self.other.values()))
         self.partition = partition_with(["p1", "p2"], ["o1", "o2"])
 
     def test_matches_brute_force(self):
         m = align_cda.score_domain(self.partition, self.vectors, "en", "fr", 0.0)
+        expected, _scored = reference.block_scores(self.pivot, self.other, 0.0)
         for p, o in itertools.product(["p1", "p2"], ["o1", "o2"]):
-            expected = score_pair(self.by_url[p], self.by_url[o])
-            assert matrix_entries(m).get((p, o), 0.0) == pytest.approx(expected, abs=1e-12)
+            assert matrix_entries(m).get((p, o), 0.0) == \
+                pytest.approx(expected.get((p, o), 0.0), abs=1e-12)
 
     def test_threshold_filters(self):
         m = align_cda.score_domain(self.partition, self.vectors, "en", "fr", 0.7)
@@ -189,7 +144,7 @@ class TestMatchOneToOne:
             for i in range(n) for j in range(k) if rng.random() < 0.5
         })
         got = [(p.pivot_url, p.other_url, p.score) for p in align_cda.match_one_to_one(m)]
-        assert got == greedy_oracle(matrix_entries(m))
+        assert got == reference.greedy(matrix_entries(m))
 
     def test_output_sorted_by_descending_score(self):
         rng = random.Random(2)
@@ -210,13 +165,13 @@ class TestAlignCorpus:
             for i in range(2):
                 url = f"http://{domain}/en/{i}"
                 by_lang["en"].append(make_record(url, ["x"], lang="en"))
-                vectors["en"][url] = vec(url, (100 * di + i, 1.0))
+                vectors["en"][url] = vec((100 * di + i, 1.0))
             for lang in langs:
                 by_lang[lang] = []
                 for i in range(2):
                     url = f"http://{domain}/{lang}/{i}"
                     by_lang[lang].append(make_record(url, ["x"], lang=lang))
-                    vectors[lang][url] = vec(url, (100 * di + i, 1.0))
+                    vectors[lang][url] = vec((100 * di + i, 1.0))
             partitions[domain] = CorpusPartition(domain=domain, by_lang=by_lang)
         return partitions, {
             lang: vector_table(by_url[d.url] for domain in sorted(partitions)
@@ -260,7 +215,7 @@ class TestAlignCorpus:
 
     def test_pivot_only_domain(self):
         partitions = {"a.com": partition_with(["p1"], [], other_lang="fr")}
-        vectors = tables(en=[vec("p1", (0, 1.0))], fr=[])
+        vectors = tables(en=[vec((0, 1.0))], fr=[])
         assert align_cda.align_corpus(partitions, vectors, "en", ["fr"], 0.1) == []
 
     def test_threshold_monotone_on_matrix_entries(self):
@@ -322,16 +277,15 @@ def _documents(min_size, max_size, max_id):
 def blocks(draw):
     """One en/fr block of 1-40 documents per side, in an order that is not
     URL order (".../9" sorts after ".../10"), with a table of one row per
-    document. A document has no vector, which the oracle sees as missing
-    and the table holds as an empty row, an empty one, or a few entries."""
+    document, and each side's vectors by URL. A document's vector is empty,
+    drawn as none or as no entries, or holds a few entries."""
     by_url, tables_by_lang, docs = {}, {}, {}
     for lang in ("en", "fr"):
         block = draw(_documents(1, 40, 999))
-        vecs = [vec(f"http://d.com/{lang}/{i}", *(entries or [])) for i, entries in block]
-        by_url.update((v.doc_url, v) for v, (_i, entries) in zip(vecs, block)
-                      if entries is not None)
-        tables_by_lang[lang] = vector_table(vecs)
-        docs[lang] = [make_record(v.doc_url, ["x"], lang=lang) for v in vecs]
+        by_url[lang] = {f"http://d.com/{lang}/{i}": vec(*(entries or []))
+                        for i, entries in block}
+        tables_by_lang[lang] = vector_table(by_url[lang].values())
+        docs[lang] = [make_record(url, ["x"], lang=lang) for url in by_url[lang]]
     partition = CorpusPartition(domain="d.com", by_lang=docs)
     return partition, tables_by_lang, by_url
 
@@ -354,11 +308,10 @@ class TestOracleEquivalence:
             budget = max(1, products - budget.endswith("- 1"))
         with mock.patch.object(align_cda, "PRODUCT_BUDGET", budget):
             m = align_cda.score_domain(partition, vectors, "en", "fr", threshold)
-        scores, scored_pairs = score_domain_oracle(partition, by_url, "en", "fr",
-                                                   threshold)
+        scores, scored_pairs = reference.block_scores(by_url["en"], by_url["fr"], threshold)
         assert m.scored_pairs == scored_pairs
         assert matrix_entries(m) == scores  # exact: same sums, same order
-        assert triples(align_cda.match_one_to_one(m)) == greedy_oracle(scores)
+        assert triples(align_cda.match_one_to_one(m)) == reference.greedy(scores)
 
 
 # Few distinct scores, so that ties straddle the band cuts; a hub's entries
@@ -405,7 +358,7 @@ class TestBandedLinking:
     def test_equals_full_ranking(self, first_band, matrix):
         with mock.patch.object(align_cda, "FIRST_BAND", first_band):
             got = triples(align_cda.match_one_to_one(matrix))
-        assert got == greedy_oracle(matrix_entries(matrix))
+        assert got == reference.greedy(matrix_entries(matrix))
         assert got == triples(align_cda._link(matrix, [align_cda._ranked(matrix)]))
 
     def test_links_across_three_bands(self):
@@ -417,7 +370,7 @@ class TestBandedLinking:
                 mock.patch.object(align_cda, "_ranked", wraps=align_cda._ranked) as ranked:
             got = triples(align_cda.match_one_to_one(m))
         assert [len(call.args[1]) for call in ranked.call_args_list] == [4, 8, 4]
-        assert got == greedy_oracle(matrix_entries(m))
+        assert got == reference.greedy(matrix_entries(m))
         assert [(p, o) for p, o, _s in got] == [(f"p{i}", f"o{i}") for i in range(4)]
 
     def test_stops_once_smaller_side_is_matched(self):

@@ -4,7 +4,6 @@ import sys
 import tempfile
 import time
 import unicodedata
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,8 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from docalign import corpus
 from docalign.errors import FormatError, ParseError, SchemaError
-from tests.conftest import (eager_token_rows, make_record, read_jsonl_partitions,
-                            token_decodes, write_jsonl_partitions)
+from tests.conftest import make_record, token_decodes
 
 
 # Markup that the scan in extract_text reads itself: tags in both cases,
@@ -449,6 +447,13 @@ def _layout(parts):
     return [(domain, list(part.by_lang)) for domain, part in parts.items()]
 
 
+def _in_row_order(parts):
+    """The records in the order of the rows of ``docs.tsv``: by language,
+    then domain."""
+    groups = sorted((lang, domain) for domain, part in parts.items() for lang in part.by_lang)
+    return [rec for lang, domain in groups for rec in parts[domain].docs(lang)]
+
+
 class TestPartitionIO:
     def test_roundtrip(self, tmp_path):
         recs = [make_record("http://a.com/x", ["héllo"], lang="fr"),
@@ -472,14 +477,13 @@ class TestPartitionIO:
     @settings(deadline=None)
     @given(parts=partitions())
     def test_roundtrip_matches_jsonl_oracle(self, parts):
+        """What is read back is what was written, domains and languages in
+        the same order."""
         with tempfile.TemporaryDirectory() as tmp:
-            new, old = Path(tmp, "new"), Path(tmp, "old")
-            old.mkdir()  # ingest made it before writing
-            corpus.write_partitions(parts, new)
-            write_jsonl_partitions(parts, old)
-            loaded = corpus.read_partitions(new)
-            assert loaded == parts == read_jsonl_partitions(old)
-            assert _layout(loaded) == _layout(read_jsonl_partitions(old))
+            corpus.write_partitions(parts, tmp)
+            loaded = corpus.read_partitions(tmp)
+            assert loaded == parts
+            assert _layout(loaded) == _layout(parts)
 
     @settings(deadline=None)
     @given(parts=partitions())
@@ -487,17 +491,14 @@ class TestPartitionIO:
         make_record("http://a.com/x", ["x\ty", "x\ny", '"q"', "ü", "猫", "x\ty"]),
         make_record("http://a.com/y", [])]))
     def test_tokens_match_eager_decode(self, parts):
-        """Each record read back holds the tokens the eager decode gives its
-        row, as a list, by index and by slice. ``len()`` decodes nothing, and
-        each record is decoded once."""
+        """Each record read back holds the tokens written for its row, as a
+        list, by index and by slice. ``len()`` decodes nothing, and each record
+        is decoded once."""
         with tempfile.TemporaryDirectory() as tmp:
             corpus.write_partitions(parts, tmp)
-            rows = eager_token_rows(tmp)
+            rows = [list(rec.tokens) for rec in _in_row_order(parts)]
             with token_decodes() as decoded:
-                loaded = corpus.read_partitions(tmp)
-                groups = sorted((lang, domain) for domain, part in loaded.items()
-                                for lang in part.by_lang)  # the row order
-                records = [rec for lang, domain in groups for rec in loaded[domain].docs(lang)]
+                records = _in_row_order(corpus.read_partitions(tmp))
                 assert [len(rec.tokens) for rec in records] == [len(row) for row in rows]
                 assert decoded == []
                 for rec, row in zip(records, rows):

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from docalign import lexicon
 from docalign.errors import ConfigError, FormatError, UsageError
-from tests.conftest import dict_map_document, id_record
+from tests import reference
+from tests.conftest import id_record
 
 
 def index(words):
@@ -234,43 +235,6 @@ P_FWD = {("cat", "chat"): 0.9, ("cat", "chien"): 0.1, ("dog", "chien"): 0.9}
 P_BWD = {("chat", "cat"): 0.8, ("chien", "cat"): 0.05, ("chien", "dog"): 0.85}
 
 
-def oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n):
-    """The per-source-word loop that ``_directional_table`` replaced."""
-    sims = src_mat @ tgt_mat.T
-    probs = {}
-    k = min(top_n, len(tgt))
-    for i, word in enumerate(src):
-        row = sims[i]
-        top = np.argpartition(-row, k - 1)[:k] if k < len(tgt) else np.arange(len(tgt))
-        kept = np.clip(row[top], 0.0, None)
-        total = kept.sum()
-        if total <= 0:
-            continue
-        for j, score in zip(top, kept):
-            probs[(word, tgt[j])] = float(score / total)
-    return probs
-
-
-def oracle_table_from_embeddings(emb_src, emb_tgt, top_n):
-    """The ``{word: vector}`` form of ``table_from_embeddings`` that the
-    vocabulary-id one replaced: tables over every word of both spaces, each
-    vector divided by its own norm."""
-    def prepare(emb):
-        words, mat = [], []
-        for w in sorted(emb):
-            v = np.asarray(emb[w], dtype=np.float64)
-            norm = np.linalg.norm(v)
-            if norm != 0:
-                words.append(w)
-                mat.append(v / norm)
-        return words, np.asarray(mat)
-
-    src, src_mat = prepare(emb_src)
-    tgt, tgt_mat = prepare(emb_tgt)
-    return (oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n),
-            oracle_directional_table(tgt, tgt_mat, src, src_mat, top_n))
-
-
 # rounded coordinates give tied similarities, and rows with no positive one
 _COORD = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0, width=32)
 
@@ -308,7 +272,7 @@ class TestDirectionalTableOracle:
         src_ids = np.array([index(src_vocab).get(w, -1) for w in src], dtype=np.int64)
         tgt_ids = np.array([index(tgt_vocab).get(w, -1) for w in tgt], dtype=np.int64)
         got = lexicon._directional_table(src_ids, src_mat, tgt_ids, tgt_mat, top_n)
-        expected = oracle_directional_table(src, src_mat, tgt, tgt_mat, top_n)
+        expected = reference.directional_table(src, src_mat, tgt, tgt_mat, top_n)
         assert list(word_table(got, src_vocab, tgt_vocab).items()) == \
             list(restricted(expected, src_vocab, tgt_vocab).items())
 
@@ -324,7 +288,7 @@ class TestDirectionalTableOracle:
         fwd, bwd = lexicon.table_from_embeddings(
             embeddings(emb_src), embeddings(emb_tgt), index(src_vocab), index(tgt_vocab),
             top_n=top_n)
-        o_fwd, o_bwd = oracle_table_from_embeddings(emb_src, emb_tgt, top_n)
+        o_fwd, o_bwd = reference.embedding_tables(emb_src, emb_tgt, top_n)
         assert word_table(fwd, src_vocab, tgt_vocab) == restricted(o_fwd, src_vocab, tgt_vocab)
         assert word_table(bwd, tgt_vocab, src_vocab) == restricted(o_bwd, tgt_vocab, src_vocab)
 
@@ -351,40 +315,6 @@ def pairs_of(p_fwd, p_bwd, v_alpha, v_beta):
             for a, b in zip(scores.pivot[best].tolist(), scores.other[best].tolist())}
 
 
-def dict_pair_scores(fwd, bwd):
-    """The ``pair_scores`` over word-keyed tables that the vocabulary-id one
-    replaced."""
-    scores = {(a, b): p + bwd.get((b, a), 0.0) for (a, b), p in fwd.items()}
-    for (b, a), p in bwd.items():
-        if (a, b) not in scores:
-            scores[(a, b)] = 0.0 + p  # 0.0 stands for the missing P_fwd(a, b)
-    return scores
-
-
-def dict_build_alignment(scores, v_alpha, v_beta):
-    """The one pass over a word-keyed ``dict_pair_scores`` table that the
-    vocabulary-id ``build_alignment`` replaced; returns (pairs, to_pivot,
-    scores)."""
-    alpha, beta = set(v_alpha), set(v_beta)
-    best_for_pivot = {}
-    for (a, b), s in scores.items():
-        if s > 0.0 and a in alpha and b in beta:
-            cur = best_for_pivot.get(a)
-            if cur is None or s > cur[0]:
-                best_for_pivot[a] = (s, [b])
-            elif s == cur[0]:
-                cur[1].append(b)
-    best_for_other = {}
-    for a, (s, bs) in best_for_pivot.items():
-        for b in bs:
-            cur = best_for_other.get(b)
-            if cur is None or s > cur[0] or (s == cur[0] and a < cur[1]):
-                best_for_other[b] = (s, a)
-    return ({(a, b) for a, (_s, bs) in best_for_pivot.items() for b in bs},
-            {b: a for b, (_s, a) in best_for_other.items()},
-            {b: s for b, (s, _a) in best_for_other.items()})
-
-
 def oracle_reverse_condition_violations(pairs, p_fwd, p_bwd, v_alpha):
     """The O(|pairs| x |V_pivot|) scan that the indexed version replaced."""
     alpha = sorted(set(v_alpha))
@@ -396,28 +326,6 @@ def oracle_reverse_condition_violations(pairs, p_fwd, p_bwd, v_alpha):
                 violations += 1
                 break
     return violations
-
-
-def oracle_build_alignment(p_fwd, p_bwd, v_alpha, v_beta):
-    """The per-pivot-word scan over the whole other vocabulary that the one
-    pass over ``pair_scores`` replaced; returns (pairs, to_pivot, scores)."""
-    pairs = set()
-    best_for_other = {}
-    for a in sorted(set(v_alpha)):
-        best, best_bs = 0.0, []
-        for b in sorted(set(v_beta)):
-            s = p_fwd.get((a, b), 0.0) + p_bwd.get((b, a), 0.0)
-            if s > best:
-                best, best_bs = s, [b]
-            elif s == best and best > 0.0:
-                best_bs.append(b)
-        for b in best_bs:
-            pairs.add((a, b))
-            cur = best_for_other.get(b)
-            if cur is None or best > cur[0] or (best == cur[0] and a < cur[1]):
-                best_for_other[b] = (best, a)
-    return (pairs, {b: a for b, (_s, a) in best_for_other.items()},
-            {b: s for b, (s, _a) in best_for_other.items()})
 
 
 _PIVOT_WORDS = ["p0", "p1", "p2", "p3", "p4"]
@@ -447,7 +355,7 @@ def example_alignment():
 
 class TestBuildAlignment:
     def test_worked_example(self):
-        # exhaustive scan oracle: s(cat,chat)=1.7, s(cat,chien)=0.15,
+        # by hand: s(cat,chat)=1.7, s(cat,chien)=0.15,
         # s(dog,chat)=0, s(dog,chien)=1.75
         align = example_alignment()
         assert pairs_of(P_FWD, P_BWD, ["cat", "dog"], ["chat", "chien"]) == \
@@ -501,24 +409,17 @@ class TestBuildAlignment:
         for b, a in align.to_pivot.items():
             assert (a, b) in pairs
 
-    @given(**tables(_PROBS))
-    def test_matches_exhaustive_scan_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
-        fwd, bwd = fwd_rows, bwd_rows
-        align = align_tables(fwd, bwd, v_alpha, v_beta)
-        assert (pairs_of(fwd, bwd, v_alpha, v_beta), align.to_pivot, align.scores) == \
-            oracle_build_alignment(fwd, bwd, v_alpha, v_beta)
-
-    # probabilities of many values, so that a sum added in another order
-    # would show
+    # few values, so that ties and zero entries are common, and many, so
+    # that a sum added in another order would show
     @given(**tables(_PROBS | st.floats(0.0, 1.0)))
-    def test_array_path_equals_dict_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
+    def test_matches_reference(self, fwd_rows, bwd_rows, v_alpha, v_beta):
         fwd, bwd = fwd_rows, bwd_rows
         scores = scores_of(fwd, bwd, v_alpha, v_beta)
-        expected = dict_pair_scores(fwd, bwd)
-        assert word_table(scores, v_alpha, v_beta) == restricted(expected, v_alpha, v_beta)
+        expected = reference.pair_scores(fwd, bwd, v_alpha, v_beta)
+        assert word_table(scores, v_alpha, v_beta) == expected
         align = lexicon.build_alignment(scores, "fr", v_alpha, v_beta)
         assert (pairs_of(fwd, bwd, v_alpha, v_beta), align.to_pivot, align.scores) == \
-            dict_build_alignment(expected, v_alpha, v_beta)
+            reference.alignment(expected)
 
     def test_determinism(self):
         one = example_alignment()
@@ -552,12 +453,13 @@ PIVOT_INDEX = {"dog": 0, "cat": 1}
 
 def map_words(tokens, lang="fr", words=WORDS):
     """``map_document`` of a page of ``tokens`` through the example's token
-    map, as the pivot words of the dimensions, and the dict oracle's words."""
+    map, as the pivot words of the dimensions, and the reference's words."""
     align = example_alignment()
     doc = id_record("http://a.com/x", tokens, words, lang=lang)
     dims = lexicon.map_document(doc, lexicon.token_map(align, words, PIVOT_INDEX))
     pivot_words = list(PIVOT_INDEX)
-    return [pivot_words[d] for d in dims.tolist()], dict_map_document(doc, align)
+    expected = reference.map_tokens(doc.tokens, align.to_pivot)
+    return [pivot_words[d] for d in dims.tolist()], expected
 
 
 class TestMapDocument:
@@ -596,7 +498,8 @@ class TestMapDocument:
                         lang="fr")
         pivot_index = {w: i for i, w in enumerate(pivot)}
         dims = lexicon.map_document(doc, lexicon.token_map(align, words, pivot_index))
-        assert [pivot[d] for d in dims.tolist()] == dict_map_document(doc, align)
+        expected = reference.map_tokens(doc.tokens, align.to_pivot)
+        assert [pivot[d] for d in dims.tolist()] == expected
 
 
 class TestAlignmentIO:

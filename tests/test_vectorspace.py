@@ -1,6 +1,5 @@
 import math
 import pickle
-from collections import Counter
 from itertools import accumulate
 from unittest import mock
 
@@ -10,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from docalign import vectorspace as vs
 from docalign.errors import ConfigError, FormatError
-from tests.conftest import counter_vocabulary, interned, vectorize_document
+from tests import reference
+from tests.conftest import interned
 
 
 def vocab_of(words):
@@ -104,7 +104,7 @@ class TestBuildVocabulary:
     def test_matches_counter_oracle(self, chunk, docs, stopwords, skip_top_k, capacity):
         with mock.patch.object(vs, "CHUNK_IDS", chunk):
             v = build_vocabulary(docs, skip_top_k, capacity, stopwords)
-        assert v.words == counter_vocabulary(docs, skip_top_k, capacity, stopwords).words
+        assert v.words == reference.vocabulary(docs, skip_top_k, capacity, stopwords)
 
 
 class TestComputeIdf:
@@ -332,28 +332,6 @@ class TestIO:
         assert len(loaded.indices) == len(loaded.data) == 0
 
 
-# --- oracle: compute_idf's per-token loop and the per-document projection
-# that the batch path replaced ---------------------------------------------
-
-
-def dict_compute_idf(docs, vocab):
-    """The per-document ``Counter`` pass that ``compute_idf`` over
-    ``count_terms`` replaced: (collection size, doc_freq, idf) per dimension."""
-    counts = Counter()
-    n = 0
-    for n, tokens in enumerate(docs, start=1):
-        counts.update(set(tokens))
-    doc_freq = [counts[w] for w in vocab.words]
-    return n, doc_freq, [vs.idf_value(n, df) for df in doc_freq]
-
-
-def idf_file_oracle(docs, vocab):
-    """``idf.tsv`` as ``save_idf`` writes it, from ``dict_compute_idf``."""
-    n, doc_freq, idf = dict_compute_idf(docs, vocab)
-    return f"#collection_size\t{n}\t0\n" + "".join(
-        f"{word}\t{df}\t{value:.12g}\n" for word, df, value in zip(vocab.words, doc_freq, idf))
-
-
 WORDS = [f"w{i}" for i in range(8)]
 
 
@@ -362,7 +340,7 @@ def languages(draw):
     """A vocabulary in random dimension order (possibly empty) and 1-6
     documents, some empty, some with no vocabulary word, with repeated
     tokens: a document's token order and its dimension order then disagree,
-    so a norm that added its squares in token order would fail the oracle."""
+    so a norm that added its squares in token order would fail the reference."""
     vocab = vocab_of(draw(st.permutations(WORDS))[:draw(st.integers(0, len(WORDS)))])
     docs = draw(st.lists(st.lists(st.sampled_from([*WORDS, "oov"]), max_size=40),
                          min_size=1, max_size=6))
@@ -379,13 +357,13 @@ class TestOracleEquivalence:
         vs.save_vectors(vectorize(docs, vocab, idf), tmp / "vectors")
         table = vs.load_vectors(tmp / "vectors")
 
-        oracle = [vectorize_document(t, vocab, idf) for t in docs]
-        assert (idf.collection_size, idf.doc_freq.tolist(), idf.idf.tolist()) == \
-            dict_compute_idf(docs, vocab)
-        assert (tmp / "idf.tsv").read_text() == idf_file_oracle(docs, vocab)
-        assert table.indptr.tolist() == [0, *accumulate(len(v.entries) for v in oracle)]
+        expected = reference.idf(docs, vocab.words)
+        assert (idf.collection_size, idf.doc_freq.tolist(), idf.idf.tolist()) == expected
+        assert (tmp / "idf.tsv").read_text() == reference.idf_file(docs, vocab.words)
+        rows = [reference.tfidf(t, vocab.words, expected[2]) for t in docs]
+        assert table.indptr.tolist() == [0, *accumulate(map(len, rows))]
         assert list(zip(table.indices.tolist(), table.data.tolist())) == [
-            e for v in oracle for e in v.entries]
+            e for row in rows for e in row]
 
     # chunks of 1 or 7 documents: the rows and counts of the chunks join
     # up into those of one pass
@@ -400,12 +378,12 @@ class TestOracleEquivalence:
         whole = count_terms(docs, vocab)  # one chunk: at most 6 documents
         assert [np.asarray(a).tolist() for a in terms] == \
             [np.asarray(a).tolist() for a in whole]
-        assert (idf.collection_size, idf.doc_freq.tolist(), idf.idf.tolist()) == \
-            dict_compute_idf(docs, vocab)
-        oracle = [vectorize_document(t, vocab, idf) for t in docs]
-        assert table.indptr.tolist() == [0, *accumulate(len(v.entries) for v in oracle)]
+        expected = reference.idf(docs, vocab.words)
+        assert (idf.collection_size, idf.doc_freq.tolist(), idf.idf.tolist()) == expected
+        rows = [reference.tfidf(t, vocab.words, expected[2]) for t in docs]
+        assert table.indptr.tolist() == [0, *accumulate(map(len, rows))]
         assert list(zip(table.indices.tolist(), table.data.tolist())) == [
-            e for v in oracle for e in v.entries]
+            e for row in rows for e in row]
 
     def test_keys_beyond_int32(self):
         # 2**15 + 1 documents over 2**16 dimensions: the last row's
@@ -417,4 +395,4 @@ class TestOracleEquivalence:
             table = vectorize(docs, vocab, idf)
         assert table.indptr[-2] == 0
         assert list(zip(table.indices.tolist(), table.data.tolist())) == \
-            vectorize_document(docs[-1], vocab, idf).entries
+            reference.tfidf(docs[-1], vocab.words, idf.idf.tolist())
