@@ -409,10 +409,21 @@ class TestBuildAlignment:
         for b, a in align.to_pivot.items():
             assert (a, b) in pairs
 
-    # few values, so that ties and zero entries are common, and many, so
-    # that a sum added in another order would show
+    @given(**tables(_PROBS))
+    def test_matches_exhaustive_scan_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
+        # S(a, b) over every pair of the two vocabularies, not only the
+        # pairs that a table entry names
+        fwd, bwd = fwd_rows, bwd_rows
+        align = align_tables(fwd, bwd, v_alpha, v_beta)
+        every_pair = {(a, b): fwd.get((a, b), 0.0) + bwd.get((b, a), 0.0)
+                      for a in set(v_alpha) for b in set(v_beta)}
+        assert (pairs_of(fwd, bwd, v_alpha, v_beta), align.to_pivot, align.scores) == \
+            reference.alignment(every_pair)
+
+    # probabilities of many values, so that a sum added in another order
+    # would show
     @given(**tables(_PROBS | st.floats(0.0, 1.0)))
-    def test_matches_reference(self, fwd_rows, bwd_rows, v_alpha, v_beta):
+    def test_array_path_equals_dict_oracle(self, fwd_rows, bwd_rows, v_alpha, v_beta):
         fwd, bwd = fwd_rows, bwd_rows
         scores = scores_of(fwd, bwd, v_alpha, v_beta)
         expected = reference.pair_scores(fwd, bwd, v_alpha, v_beta)
