@@ -46,11 +46,6 @@ class AlignmentPair:
     method: str = "cda"  # "cda" | "url"
 
 
-_NO_INDICES = np.zeros(0, dtype=np.int64)
-_NO_SCORES = np.zeros(0)
-_NO_INDICES.flags.writeable = _NO_SCORES.flags.writeable = False
-
-
 @dataclass
 class ScoreMatrix:
     """The stored scores of one domain and one other language: entry ``k``
@@ -61,11 +56,10 @@ class ScoreMatrix:
     other_lang: str
     pivot_urls: list[str] = field(default_factory=list)
     other_urls: list[str] = field(default_factory=list)
-    # int64 indices into pivot_urls and other_urls, float64 scores; an
-    # empty matrix shares read-only empty arrays
-    pivot: np.ndarray = field(default_factory=lambda: _NO_INDICES)
-    other: np.ndarray = field(default_factory=lambda: _NO_INDICES)
-    scores: np.ndarray = field(default_factory=lambda: _NO_SCORES)
+    # int64 indices into pivot_urls and other_urls, float64 scores
+    pivot: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    other: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
     scored_pairs: int = 0  # candidate pairs actually evaluated
 
 

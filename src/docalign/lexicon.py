@@ -262,8 +262,6 @@ def build_alignment(
     keeps, for each non-pivot word of a pair, the single best pivot word
     (ties to the lexicographically smaller one), and scores its S.
     """
-    if not pivot_words or not other_words:
-        raise ConfigError("alignment vocabularies must be non-empty")
     best = _best_for_pivot(scores)
     pivot, other, score = scores.pivot[best], scores.other[best], scores.score[best]
     rank = np.empty(len(pivot_words), dtype=np.int64)

@@ -383,10 +383,6 @@ def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
                 emb_pivot, emb_other, pivot_vocab.index, other_vocab.index,
                 top_n=cfg.top_n, src_lang=pivot, tgt_lang=lang,
             )
-        if not pivot_vocab.words or not other_vocab.words:
-            # no documents for one side: emit an empty lexicon
-            (lex_dir / f"{lang}.tsv").write_text("", encoding="utf-8")
-            continue
         scores = lexicon.pair_scores(p_fwd, p_bwd)
         align = lexicon.build_alignment(scores, lang, pivot_vocab.words, other_vocab.words)
         violations = lexicon.reverse_condition_violations(scores)
@@ -419,13 +415,8 @@ def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
             align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", lang,
                                            pivot_vocab.index)
         docs = _lang_docs(partitions, lang)
-        if not docs:
-            vectorspace.save_vectors(vectorspace.VectorTable.empty(), vec_dir / lang)
-            (idf_dir / f"{lang}.tsv").write_text("#collection_size\t0\t0\n",
-                                                 encoding="utf-8")
-            continue
         # token ids to pivot dimensions through one lookup array over the words
-        words = docs[0].tokens.words
+        words = docs[0].tokens.words if docs else []
         if lang == pivot:
             lookup = vectorspace.lookup_array(pivot_vocab.index, words)
             dims = (lookup[d.tokens.ids] for d in docs)
@@ -449,7 +440,8 @@ def _save_vectors(dims, pivot_vocab: vectorspace.Vocabulary, idf_path: Path,
 def align_by_content(cfg: PipelineConfig, partitions: Partitions) -> None:
     """CDA alignment of the vectors in ``vectors/`` into ``pairs.tsv``; every
     dimension must index a word of ``vocab/<pivot>.txt``, and ``align_corpus``
-    checks that each table has one row per ``corpus/`` document."""
+    checks that each table has one row per ``corpus/`` document. The log line
+    counts, per tag, the documents in neither the pivot nor ``cfg.langs``."""
     out, pivot = Path(cfg.out), cfg.pivot
     dims = len(vectorspace.load_vocabulary(out / "vocab" / f"{pivot}.txt"))
     vectors = {}
@@ -462,8 +454,15 @@ def align_by_content(cfg: PipelineConfig, partitions: Partitions) -> None:
     pairs = align_cda.align_corpus(partitions, vectors, pivot, cfg.langs, cfg.threshold,
                                    stats=stats)
     align_cda.save_pairs(pairs, out / "pairs.tsv")
-    log.info("align: %d pairs; scored %d of %d possible candidates",
-             len(pairs), stats["scored_pairs"], stats["possible_pairs"])
+    outside: dict[str, int] = {}
+    for part in partitions.values():
+        for lang, docs in part.by_lang.items():
+            if lang not in vectors:
+                outside[lang] = outside.get(lang, 0) + len(docs)
+    tags = ", ".join(f"{lang} {n}" for lang, n in sorted(outside.items()))
+    log.info("align: %d pairs; scored %d of %d possible candidates; %d documents in "
+             "languages outside pivot and langs%s", len(pairs), stats["scored_pairs"],
+             stats["possible_pairs"], sum(outside.values()), f" ({tags})" if tags else "")
 
 
 def align_by_url(cfg: PipelineConfig, partitions: Partitions,

@@ -92,11 +92,6 @@ class VectorTable:
         return VectorTable(indptr=self.indptr[start:stop + 1] - lo,
                            indices=self.indices[lo:hi], data=self.data[lo:hi])
 
-    @classmethod
-    def empty(cls) -> "VectorTable":
-        return cls(indptr=np.zeros(1, dtype=np.int64),
-                   indices=np.zeros(0, dtype=np.int64), data=np.zeros(0))
-
 
 def build_vocabulary(
     ids: np.ndarray,
@@ -170,9 +165,8 @@ def _joined(chunks: list[np.ndarray]) -> np.ndarray:
 
 def compute_idf(terms: TermCounts) -> IdfModel:
     """Document frequencies over the collection the vectors will come from:
-    the number of documents that hold each dimension."""
-    if terms.n_docs == 0:
-        raise ConfigError("IDF is undefined over an empty collection")
+    the number of documents that hold each dimension. Over no document every
+    dimension has doc_freq 0 and idf 0."""
     doc_freq = np.bincount(terms.dim, minlength=terms.dims)
     # math.log, not np.log, which may round the last bit differently
     idf = [idf_value(terms.n_docs, df) for df in doc_freq.tolist()]

@@ -377,9 +377,13 @@ class TestBuildAlignment:
             assert pairs_of(fwd, bwd, v_alpha, ["b"]) == {("aa", "b"), ("zz", "b")}
             assert align.to_pivot == {"b": "aa"}
 
-    def test_empty_vocab_rejected(self):
-        with pytest.raises(ConfigError):
-            lexicon.build_alignment(scores_of({}, {}, [], ["b"]), "fr", [], ["b"])
+    def test_empty_vocab_gives_empty_alignment(self):
+        fwd, bwd = {("a", "b"): 0.5}, {("b", "a"): 0.5}
+        for v_alpha, v_beta in (([], ["b"]), (["a"], []), ([], [])):
+            scores = scores_of(fwd, bwd, v_alpha, v_beta)
+            align = lexicon.build_alignment(scores, "fr", v_alpha, v_beta)
+            assert (align.to_pivot, align.scores) == ({}, {})
+            assert lexicon.reverse_condition_violations(scores) == 0
 
     def test_forward_argmax_condition_holds(self):
         # property: every emitted pair survives an exhaustive re-scan

@@ -613,14 +613,17 @@ class TestRunPipeline:
         assert report["cda"]["recall"] > 50.0
 
     # ingest's language detection, a configured language with no page and
-    # the lexicon's reverse-condition log line ran only in subprocess tests
+    # the lexicon's reverse-condition log line ran only in subprocess tests;
+    # pages detected in no configured language are counted, not dropped silently
     def test_untagged_pages_and_a_language_with_no_page(self, tmp_path, caplog):
         pages = {"en/fox": "the quick brown fox jumps over the lazy dog near the river bank",
                  "fr/chat": "le chat est sur la table et le chien dort dans le jardin",
                  "en/park": "children play in the park while their parents watch "
                             "from the bench",
                  "fr/parc": "les enfants jouent dans le parc pendant que leurs parents "
-                            "regardent"}
+                            "regardent",
+                 "es/gato": "el gato come pescado en la cocina",
+                 "numbers": "12345 678"}
         (tmp_path / "crawl.jsonl").write_text("".join(
             json.dumps({"url": f"http://a.example/{page}.html", "text": text}) + "\n"
             for page, text in pages.items()), encoding="utf-8")
@@ -649,11 +652,19 @@ class TestRunPipeline:
         docs = (out / "corpus" / "docs.tsv").read_text(encoding="utf-8").splitlines()
         assert [line.split("\t")[:3:2] for line in docs] == [
             ["en", "http://a.example/en/fox.html"], ["en", "http://a.example/en/park.html"],
-            ["fr", "http://a.example/fr/chat.html"], ["fr", "http://a.example/fr/parc.html"]]
+            ["es", "http://a.example/es/gato.html"],
+            ["fr", "http://a.example/fr/chat.html"], ["fr", "http://a.example/fr/parc.html"],
+            ["und", "http://a.example/numbers.html"]]
         assert np.load(out / "vectors" / "de" / "indptr.npy").tolist() == [0]
-        assert (out / "idf" / "de.tsv").read_bytes() == b"#collection_size\t0\t0\n"
+        # N = 0: every pivot word has df 0 and idf ln(1 + 0) = 0
+        pivot_words = (out / "vocab" / "en.txt").read_text(encoding="utf-8").split()
+        assert pivot_words
+        assert (out / "idf" / "de.tsv").read_text(encoding="utf-8") == \
+            "#collection_size\t0\t0\n" + "".join(f"{w}\t0\t0\n" for w in pivot_words)
         assert (out / "lexicon" / "de.tsv").read_bytes() == b""
         assert "lexicon fr: 1 pairs violate the reverse argmax condition" in caplog.messages
+        assert "align: 2 pairs; scored 2 of 4 possible candidates; 2 documents in languages " \
+            "outside pivot and langs (es 1, und 1)" in caplog.messages
         assert (out / "pairs.tsv").read_text(encoding="utf-8") == (
             "a.example\thttp://a.example/en/park.html\thttp://a.example/fr/parc.html"
             "\tfr\t0.640908\tcda\n"

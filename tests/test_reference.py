@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from docalign import align_cda, vectorspace
-from docalign.corpus import domain_of, tokenize
+from docalign.corpus import domain_of, read_partitions, tokenize
 from docalign.pipeline import PipelineConfig, run_pipeline
 from tests import reference
 
@@ -105,10 +105,18 @@ def _embeddings(rnd, lang):
 def crawls(draw):
     """Input records, the configured languages with their translation
     resources (tables, or embeddings for at most one language) and the
-    config's settings."""
+    config's settings. At times the records hold no pivot page, or there is
+    no record at all."""
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     langs = sorted(draw(st.permutations(["de", "fr", "it"]))[:draw(st.integers(2, 3))])
     silent = draw(st.sampled_from(langs))
+    records = _pages(rnd, langs, silent)
+    kept = draw(st.sampled_from(["every record"] * 4 + ["no pivot page", "no record"]))
+    event(kept)
+    if kept == "no pivot page":
+        records = [r for r in records if r.get("lang") != PIVOT]
+    elif kept == "no record":
+        records = []
     embedded = draw(st.sampled_from([None, *langs]))
     resources = {lang: _embeddings(rnd, lang) if lang == embedded else _tables(rnd, lang)
                  for lang in langs}
@@ -119,7 +127,7 @@ def crawls(draw):
         "threshold": draw(st.sampled_from([0.0, 0.1, 0.3])),
         "top_n": draw(st.sampled_from([1, 2, 20])),
     }
-    return _pages(rnd, langs, silent), resources, config
+    return records, resources, config
 
 
 def _file_text(key, content):
@@ -156,8 +164,9 @@ def _record(line):
 
 def reference_artifacts(records, resources, config):
     """The text of every ``vocab/``, ``lexicon/`` and ``idf/`` file and of
-    ``pairs.tsv``, and the rows of each language's vectors, by the
-    reference model."""
+    ``pairs.tsv``, the rows of each language's vectors and the links as
+    ``(domain, pivot URL, other URL, language, score)``, by the reference
+    model."""
     records = reference.dedupe(map(_record, records))
     langs = sorted(resources)
     docs = {lang: [r for r in records if r["lang"] == lang] for lang in [PIVOT, *langs]}
@@ -175,49 +184,50 @@ def reference_artifacts(records, resources, config):
         else:
             p_fwd, p_bwd = reference.embedding_tables(res["embeddings_pivot"],
                                                       res["embeddings_other"], config["top_n"])
-        to_pivot[lang], best = {}, {}
-        if pivot_vocab and vocab[lang]:
-            scores = reference.pair_scores(p_fwd, p_bwd, pivot_vocab, vocab[lang])
-            _pairs, to_pivot[lang], best = reference.alignment(scores)
+        scores = reference.pair_scores(p_fwd, p_bwd, pivot_vocab, vocab[lang])
+        _pairs, to_pivot[lang], best = reference.alignment(scores)
         files[f"lexicon/{lang}.tsv"] = "".join(f"{w}\t{to_pivot[lang][w]}\t{best[w]:.9g}\n"
                                                for w in sorted(to_pivot[lang]))
 
     vectors = {}
     for lang, lang_docs in docs.items():
         mapped = [reference.map_tokens(r["tokens"], to_pivot[lang]) for r in lang_docs]
-        # a language with no page has an empty table and no idf row
-        files[f"idf/{lang}.tsv"] = (reference.idf_file(mapped, pivot_vocab) if mapped
-                                    else "#collection_size\t0\t0\n")
+        files[f"idf/{lang}.tsv"] = reference.idf_file(mapped, pivot_vocab)
         _n, _df, idf = reference.idf(mapped, pivot_vocab)
         vectors[lang] = [reference.tfidf(words, pivot_vocab, idf) for words in mapped]
 
-    pairs = []
+    links = []
     for domain in sorted({r["domain"] for r in records}):
         block = {lang: {r["url"]: v for r, v in zip(docs[lang], vectors[lang])
                         if r["domain"] == domain} for lang in docs}
         for lang in langs:
-            if block[PIVOT] and block[lang]:
-                scores, _scored = reference.block_scores(block[PIVOT], block[lang],
-                                                         config["threshold"])
-                pairs += [f"{domain}\t{p}\t{o}\t{lang}\t{s:.6f}\tcda\n"
-                          for p, o, s in reference.greedy(scores)]
-    files["pairs.tsv"] = "".join(pairs)
-    return files, vectors
+            scores, _scored = reference.block_scores(block[PIVOT], block[lang],
+                                                     config["threshold"])
+            links += [(domain, p, o, lang, s) for p, o, s in reference.greedy(scores)]
+    files["pairs.tsv"] = "".join(f"{domain}\t{p}\t{o}\t{lang}\t{s:.6f}\tcda\n"
+                                 for domain, p, o, lang, s in links)
+    return files, vectors, links
 
 
-def _artifacts(out, langs):
-    """What ``run_pipeline`` wrote: the same files and vector rows."""
+def _artifacts(out, langs, threshold):
+    """What ``run_pipeline`` wrote: the same files and vector rows; and the
+    links that ``align_corpus`` makes of its ``corpus/`` and ``vectors/``,
+    with their scores at full precision, which ``pairs.tsv`` rounds.
+    ``langs`` lists the pivot first."""
     files = {p.relative_to(out).as_posix(): p.read_bytes().decode("utf-8")
              for name in ("vocab", "lexicon", "idf") for p in sorted((out / name).iterdir())}
     files["pairs.tsv"] = (out / "pairs.tsv").read_bytes().decode("utf-8")
-    assert sorted(p.name for p in (out / "vectors").iterdir()) == langs
+    assert sorted(p.name for p in (out / "vectors").iterdir()) == sorted(langs)
+    tables = {lang: vectorspace.load_vectors(out / "vectors" / lang) for lang in langs}
     vectors = {}
-    for lang in langs:
-        table = vectorspace.load_vectors(out / "vectors" / lang)
+    for lang, table in tables.items():
         bounds = table.indptr.tolist()
         vectors[lang] = [list(zip(table.indices[lo:hi].tolist(), table.data[lo:hi].tolist()))
                          for lo, hi in zip(bounds, bounds[1:])]
-    return files, vectors
+    links = [(p.domain, p.pivot_url, p.other_url, p.other_lang, p.score)
+             for p in align_cda.align_corpus(read_partitions(out / "corpus"), tables,
+                                             PIVOT, langs[1:], threshold)]
+    return files, vectors, links
 
 
 # chunks of one or a few documents, ids and products, and one band per link,
@@ -235,12 +245,15 @@ def test_run_pipeline_equals_reference(crawl, chunk_rows, chunk_ids, budget, fir
             mock.patch.object(align_cda, "PRODUCT_BUDGET", budget), \
             mock.patch.object(align_cda, "FIRST_BAND", first_band):
         out = run_pipeline(_config(Path(tmp), records, resources, config))
-        files, vectors = _artifacts(out, sorted([PIVOT, *resources]))
-    expected_files, expected_vectors = reference_artifacts(records, resources, config)
+        files, vectors, links = _artifacts(out, [PIVOT, *sorted(resources)],
+                                           config["threshold"])
+    expected_files, expected_vectors, expected_links = \
+        reference_artifacts(records, resources, config)
     # --hypothesis-show-statistics reports the share of examples with a pair
     event("a pair emitted" if files["pairs.tsv"] else "no pair emitted")
     assert files == expected_files
     assert vectors == expected_vectors  # exact: the same sums in the same order
+    assert links == expected_links  # exact: the scores that pairs.tsv rounds
 
 
 # --- the reference stays independent of docalign -------------------------

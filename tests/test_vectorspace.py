@@ -116,9 +116,11 @@ class TestComputeIdf:
         assert idf.idf[vocab.index["all"]] == pytest.approx(math.log(1.75), abs=1e-12)
         assert idf.idf[vocab.index["none"]] == pytest.approx(math.log(4.0), abs=1e-12)
 
-    def test_empty_collection_rejected(self):
-        with pytest.raises(ConfigError):
-            compute_idf([], vocab_of(["a"]))
+    def test_empty_collection(self):
+        vocab = vocab_of(["a", "b"])
+        idf = compute_idf([], vocab)
+        assert (idf.collection_size, idf.doc_freq.tolist(), idf.idf.tolist()) == \
+            reference.idf([], vocab.words)
 
     def test_monotonicity(self):
         vocab = vocab_of(["rare", "mid", "common"])
@@ -325,7 +327,8 @@ class TestIO:
             assert name in str(info.value), case
 
     def test_empty_table_roundtrip(self, tmp_path):
-        vs.save_vectors(vs.VectorTable.empty(), tmp_path / "v")
+        vocab = vocab_of(["a"])
+        vs.save_vectors(vectorize([], vocab, compute_idf([], vocab)), tmp_path / "v")
         loaded = vs.load_vectors(tmp_path / "v")
         assert len(loaded) == 0
         assert loaded.indptr.tolist() == [0]
