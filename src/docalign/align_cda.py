@@ -5,6 +5,14 @@ Each (domain, other-language) block is scored and matched independently of
 every other block; ``align_corpus`` visits the blocks in sorted order and
 concatenates their matches, so its output is deterministic. Scoring and
 matching run on the arrays of ``vectorspace.VectorTable``.
+
+``score_domain`` groups a block's pivot entries by dimension with one
+stable sort, and finds each other-language entry's postings by counting:
+a table of each dimension's first posting and posting count, built with
+``np.bincount`` and a cumulative sum. Where the block's dimensions, counted
+from 0, outnumber its entries, the table would cost more than it saves,
+and the postings are found by binary search instead. Linking ranks a
+block's URLs once, however many score bands it reaches.
 """
 
 from __future__ import annotations
@@ -85,6 +93,11 @@ def score_domain(
     stored. Each pair's score adds its products in the order of the other
     document's dimensions, starting from 0.0, so every score is exactly the
     sum a per-pair accumulation loop would give.
+
+    Each other-language entry's postings, the pivot entries of its
+    dimension, are found by counting the pivot entries per dimension, or by
+    binary search where the block's dimensions outnumber its entries.
+    Vector dimensions are ids from 0 up.
     """
     matrix = ScoreMatrix(domain=partition.domain, other_lang=other_lang)
     pivot_docs = partition.docs(pivot_lang)
@@ -98,19 +111,58 @@ def score_domain(
     matrix.other_urls = [d.url for d in other_docs]
     n_pivot, n_other = len(pivot_docs), len(other_docs)
 
-    # postings: the pivot entries grouped by dimension, in document order
-    by_dim = np.argsort(p_table.indices, kind="stable")
-    post_doc = np.searchsorted(p_table.indptr, by_dim, side="right")
-    post_doc -= 1
-    post_dim, post_w = p_table.indices[by_dim], p_table.data[by_dim]
+    # postings: the pivot entries grouped by dimension, in document order;
+    # dimensions below 2**16 sort as 16-bit keys, which numpy sorts by radix
+    p_dims, o_dims = p_table.indices, o_table.indices
+    top = int(p_dims.max()) if len(p_dims) else -1  # the largest pivot dimension
+    by_dim = (p_dims.astype(np.uint16) if top < 1 << 16 else p_dims).argsort(kind="stable")
+    p_offsets = p_table.indptr
+    post_doc = np.arange(n_pivot).repeat(p_offsets[1:] - p_offsets[:-1])[by_dim]
+    post_w = p_table.data[by_dim]
 
-    # each other entry's postings: post_dim[first:first + hits]
+    # each other entry's postings: post_doc[first:first + hits]. A table of
+    # dimensions 0 to top costs a pass over its slots, so it is built only
+    # where those are no more than the block's entries.
+    if top < len(p_dims) + len(o_dims):
+        # counted per dimension; slot top + 1 stands for every larger one
+        count = np.bincount(p_dims, minlength=top + 2)
+        start = count.cumsum()
+        start -= count
+        slot = np.minimum(o_dims, top + 1)
+        first, hits = start[slot], count[slot]
+    else:
+        post_dim = p_dims[by_dim]
+        first = post_dim.searchsorted(o_dims, side="left")
+        hits = post_dim.searchsorted(o_dims, side="right")
+        hits -= first
+
     o_offsets = o_table.indptr
-    first = np.searchsorted(post_dim, o_table.indices, side="left")
-    hits = np.searchsorted(post_dim, o_table.indices, side="right")
-    hits -= first
-    o_owner = np.searchsorted(o_offsets, np.arange(len(hits)), side="right")
-    o_owner -= 1
+    # each other entry's first pair: its document's row times n_pivot
+    o_base = np.arange(0, n_other * n_pivot, n_pivot).repeat(o_offsets[1:] - o_offsets[:-1])
+
+    # chunks of other documents bounds[i]:bounds[i + 1]; the pairs of
+    # documents r0:r1 run from r0 * n_pivot up to r1 * n_pivot
+    rows_per_chunk = max(1, PRODUCT_BUDGET // n_pivot)
+    products = int(hits.sum())
+    if n_other <= rows_per_chunk and products <= PRODUCT_BUDGET:
+        bounds = [0, n_other]
+    else:
+        # products of the other documents before each one, and of all of them
+        row_products = np.concatenate(([0], hits.cumsum()))[o_offsets]
+        bounds = [0]
+        while bounds[-1] < n_other:
+            r0 = bounds[-1]
+            r1 = int(row_products.searchsorted(row_products[r0] + PRODUCT_BUDGET,
+                                               side="right")) - 1
+            bounds.append(min(max(r1, r0 + 1), r0 + rows_per_chunk, n_other))
+        products = int(np.diff(row_products[bounds]).max())
+    # reused by every chunk: 0, 1, ... up to the largest chunk's products,
+    # and room for its products and pairs, so that a chunk allocates little
+    # fresh memory. take(..., mode="clip") writes straight into ``out``
+    # (every index is in range, so nothing is clipped).
+    counter = np.arange(products)
+    post_w_of = np.empty(products)
+    post_doc_of = np.empty(products, dtype=np.int64)
 
     def score_rows(r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
         """The kept pairs of the other documents r0:r1 and their sums; a
@@ -118,44 +170,34 @@ def score_domain(
         e0, e1 = o_offsets[r0], o_offsets[r1]
         n = hits[e0:e1]
         # every (other entry, posting of its dimension) product, in
-        # other-entry order; bincount adds each pair's products in that order
-        before = np.cumsum(n)
-        post = np.arange(before[-1] if len(n) else 0)
-        before -= n
-        before -= first[e0:e1]
-        post -= np.repeat(before, n)
-        prod = np.repeat(o_table.data[e0:e1], n)
-        prod *= post_w[post]
-        pair = np.repeat(o_owner[e0:e1], n)
-        pair -= r0
-        pair *= n_pivot
-        pair += post_doc[post]
+        # other-entry order; bincount adds each pair's products in that
+        # order. Product k of the chunk reads posting k - shift[entry].
+        shift = n.cumsum()
+        shift -= n
+        shift -= first[e0:e1]
+        post = shift.repeat(n)
+        np.subtract(counter[:len(post)], post, out=post)
+        prod = post_w.take(post, out=post_w_of[:len(post)], mode="clip")
+        pair = post_doc.take(post, out=post_doc_of[:len(post)], mode="clip")
+        del post  # its memory serves the two repeats below
+        prod *= o_table.data[e0:e1].repeat(n)
+        pair += (o_base[e0:e1] - r0 * n_pivot).repeat(n)
         bins = (r1 - r0) * n_pivot
-        scored = np.flatnonzero(np.bincount(pair, minlength=bins))
-        sums = np.bincount(pair, weights=prod, minlength=bins)[scored]
-        scored += r0 * n_pivot
-        matrix.scored_pairs += len(scored)
-        keep = (sums >= threshold) & (sums > 0.0)
-        return scored[keep], sums[keep]
+        sums = np.bincount(pair, weights=prod, minlength=bins)
+        # a pair whose products are all positive sums above 0.0; with any
+        # other product, count the pairs themselves
+        positive = not len(prod) or prod.min() > 0.0
+        matrix.scored_pairs += int(np.count_nonzero(
+            sums if positive else np.bincount(pair, minlength=bins)))
+        kept = np.flatnonzero((sums >= threshold) & (sums > 0.0))
+        return kept + r0 * n_pivot, sums[kept]
 
-    # a chunk of documents r0:r1 sums pairs r0 * n_pivot up to r1 * n_pivot
-    rows_per_chunk = max(1, PRODUCT_BUDGET // n_pivot)
-    if n_other <= rows_per_chunk and hits.sum() <= PRODUCT_BUDGET:
-        pairs, matrix.scores = score_rows(0, n_other)
+    chunks = [score_rows(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+    if len(chunks) == 1:
+        pairs, matrix.scores = chunks[0]
     else:
-        # products of the other documents before each one, and of all of them
-        row_products = np.concatenate(([0], np.cumsum(hits)))[o_offsets]
-        kept_pairs, kept_scores = [], []
-        r0 = 0
-        while r0 < n_other:
-            r1 = int(np.searchsorted(row_products, row_products[r0] + PRODUCT_BUDGET,
-                                     side="right")) - 1
-            r1 = min(max(r1, r0 + 1), r0 + rows_per_chunk, n_other)
-            chunk_pairs, chunk_scores = score_rows(r0, r1)
-            kept_pairs.append(chunk_pairs)
-            kept_scores.append(chunk_scores)
-            r0 = r1
-        pairs, matrix.scores = np.concatenate(kept_pairs), np.concatenate(kept_scores)
+        pairs = np.concatenate([chunk_pairs for chunk_pairs, _ in chunks])
+        matrix.scores = np.concatenate([chunk_scores for _, chunk_scores in chunks])
     matrix.other, matrix.pivot = np.divmod(pairs, n_pivot)
     return matrix
 
@@ -167,17 +209,19 @@ def _url_ranks(urls: list[str]) -> np.ndarray:
     return ranks
 
 
-def _ranked(matrix: ScoreMatrix, entries: np.ndarray | None = None) -> np.ndarray:
+def _ranked(matrix: ScoreMatrix, entries: np.ndarray | None = None,
+            ranks: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Entry indices by descending score, ties by pivot URL, then other URL:
-    of every entry, or of those in ``entries``."""
+    of every entry, or of those in ``entries``. ``ranks`` holds the
+    ``_url_ranks`` of the pivot and of the other URLs, computed here when
+    not given."""
+    if ranks is None:
+        ranks = _url_ranks(matrix.pivot_urls), _url_ranks(matrix.other_urls)
+    pivot_ranks, other_ranks = ranks
     pivot, other, scores = matrix.pivot, matrix.other, matrix.scores
     if entries is not None:
         pivot, other, scores = pivot[entries], other[entries], scores[entries]
-    order = np.lexsort((
-        _url_ranks(matrix.other_urls)[other],
-        _url_ranks(matrix.pivot_urls)[pivot],
-        -scores,
-    ))
+    order = np.lexsort((other_ranks[other], pivot_ranks[pivot], -scores))
     return order if entries is None else entries[order]
 
 
@@ -185,20 +229,22 @@ def _bands(matrix: ScoreMatrix, k: int) -> Iterator[np.ndarray]:
     """``_ranked(matrix)`` one band at a time. A band holds the ``k``
     highest-scoring entries not yet ranked plus every tie of the lowest of
     them, and ``k`` doubles from band to band. Every score of a band exceeds
-    every score left after it, so the bands concatenate to the full order."""
+    every score left after it, so the bands concatenate to the full order.
+    The URLs are ranked once, for every band."""
     scores = matrix.scores
     if len(scores) <= k:  # the common tiny block: no gathers, no partition
         yield _ranked(matrix)
         return
+    ranks = _url_ranks(matrix.pivot_urls), _url_ranks(matrix.other_urls)
     rest = np.arange(len(scores))
     while len(rest) > k:
         left = scores[rest]
         cut = np.partition(left, len(rest) - k)[len(rest) - k]
-        yield _ranked(matrix, rest[left >= cut])
+        yield _ranked(matrix, rest[left >= cut], ranks)
         rest = rest[left < cut]
         k *= 2
     if len(rest):
-        yield _ranked(matrix, rest)
+        yield _ranked(matrix, rest, ranks)
 
 
 def _link(matrix: ScoreMatrix, bands: Iterable[np.ndarray]) -> list[AlignmentPair]:

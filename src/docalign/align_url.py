@@ -1,7 +1,10 @@
 """URL baseline: documents align when their URLs become equal
 after removing a language identifier token.
 
-Each domain is processed independently with no shared state.
+Each domain is processed independently with no shared state. Within a
+domain, ``align_corpus_by_url`` strips each pivot URL once: it builds the
+domain's index of pivot URL forms a single time and matches every other
+language against it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ SEPARATORS = "/_-.=?&"
 _FORBIDDEN_IN_ID = set(SEPARATORS) - {"-", "_"}
 
 _SPLIT_RE = re.compile("([" + re.escape(SEPARATORS) + "])")
+# Where the path or the query of a URL without its scheme starts.
+_PATH_RE = re.compile(r"[/?]")
 
 # A span of up to 3 tokens covers locale forms like zh-hans-cn.
 _MAX_SPAN_TOKENS = 3
@@ -89,7 +94,7 @@ def _split_host(url: str) -> tuple[str, str]:
     if "://" in rest:
         scheme, rest = rest.split("://", 1)
         scheme += "://"
-    m = re.search(r"[/?]", rest)
+    m = _PATH_RE.search(rest)
     if m:
         return scheme + rest[: m.start()], rest[m.start() :]
     return scheme + rest, ""
@@ -151,19 +156,30 @@ def strip_identifiers(url: str, ids: IdentifierSet) -> set[str]:
     return {lowered} | _strip_token_spans(host, tail, ids) | _drop_query_param(lowered, ids)
 
 
+def pivot_index(partition: CorpusPartition, pivot_lang: str,
+                ids: IdentifierSet) -> dict[str, str]:
+    """Each normalized form of the partition's pivot URLs, mapped to the
+    lexicographically first pivot URL that has it."""
+    index: dict[str, str] = {}
+    for doc in sorted(partition.docs(pivot_lang), key=lambda d: d.url):
+        for form in sorted(strip_identifiers(doc.url, ids)):
+            index.setdefault(form, doc.url)
+    return index
+
+
 def match_urls(
     partition: CorpusPartition,
     pivot_lang: str,
     other_lang: str,
     ids: IdentifierSet,
+    index: dict[str, str] | None = None,
 ) -> list[AlignmentPair]:
     """Match documents whose normalized URL forms intersect; 1-1 enforced by
-    first-match-wins in lexicographic URL order. Pairs carry score 1."""
-
-    index: dict[str, str] = {}
-    for doc in sorted(partition.docs(pivot_lang), key=lambda d: d.url):
-        for form in sorted(strip_identifiers(doc.url, ids)):
-            index.setdefault(form, doc.url)
+    first-match-wins in lexicographic URL order. Pairs carry score 1.
+    ``index`` is ``pivot_index(partition, pivot_lang, ids)``, built here
+    when not given."""
+    if index is None:
+        index = pivot_index(partition, pivot_lang, ids)
 
     taken_pivot: set[str] = set()
     out: list[AlignmentPair] = []
@@ -198,8 +214,13 @@ def align_corpus_by_url(
     langs: Iterable[str],
     ids: IdentifierSet,
 ) -> list[AlignmentPair]:
+    """``match_urls`` of every (domain, language) block, in sorted order;
+    each domain's pivot URL forms are computed once, for all its languages."""
+    langs = sorted(langs)
     pairs: list[AlignmentPair] = []
     for domain in sorted(partitions):
-        for lang in sorted(langs):
-            pairs.extend(match_urls(partitions[domain], pivot_lang, lang, ids))
+        part = partitions[domain]
+        index = pivot_index(part, pivot_lang, ids)
+        for lang in langs:
+            pairs.extend(match_urls(part, pivot_lang, lang, ids, index))
     return pairs

@@ -260,16 +260,29 @@ class TestAlignCorpus:
 _DIMS = 6
 _WEIGHTS = (0.0, 0.1, 0.25, 0.3, 0.5, 1.0)
 
+# A block's dimension ids, ascending: the pivot side uses the first _DIMS,
+# the other side all _DIMS + 1, so that the last can lie above every pivot
+# dimension. They are either 0 up to _DIMS or spread across 2**15 and 2**16:
+# past any block's entry count, where score_domain finds postings by binary
+# search, and past the ids its dimension sort can narrow to 16 bits.
+_SPREAD_IDS = (0, 1, 7, (1 << 15) - 1, 1 << 15, (1 << 15) + 1,
+               (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 17)
+_DIM_IDS = st.just(list(range(_DIMS + 1))) | st.lists(
+    st.sampled_from(_SPREAD_IDS), min_size=_DIMS + 1, max_size=_DIMS + 1,
+    unique=True).map(sorted)
 
-# A document's vector: none, empty, or a few (dimension, weight) entries.
-_VECTOR = st.none() | st.lists(
-    st.tuples(st.integers(0, _DIMS - 1), st.sampled_from(_WEIGHTS)),
-    max_size=_DIMS, unique_by=lambda e: e[0])
+
+def _vector(n_dims):
+    """A document's vector as positions in the block's dimension ids: none,
+    empty, or a few (position, weight) entries."""
+    return st.none() | st.lists(
+        st.tuples(st.integers(0, n_dims - 1), st.sampled_from(_WEIGHTS)),
+        max_size=n_dims, unique_by=lambda e: e[0])
 
 
-def _documents(min_size, max_size, max_id):
+def _documents(min_size, max_size, max_id, n_dims):
     """(URL id, vector) pairs; each document is drawn, and shrunk, whole."""
-    return st.lists(st.tuples(st.integers(0, max_id), _VECTOR),
+    return st.lists(st.tuples(st.integers(0, max_id), _vector(n_dims)),
                     min_size=min_size, max_size=max_size, unique_by=lambda d: d[0])
 
 
@@ -278,11 +291,14 @@ def blocks(draw):
     """One en/fr block of 1-40 documents per side, in an order that is not
     URL order (".../9" sorts after ".../10"), with a table of one row per
     document, and each side's vectors by URL. A document's vector is empty,
-    drawn as none or as no entries, or holds a few entries."""
+    drawn as none or as no entries, or holds a few entries over the block's
+    dimension ids."""
+    dims = draw(_DIM_IDS)
     by_url, tables_by_lang, docs = {}, {}, {}
-    for lang in ("en", "fr"):
-        block = draw(_documents(1, 40, 999))
-        by_url[lang] = {f"http://d.com/{lang}/{i}": vec(*(entries or []))
+    for lang, n_dims in (("en", _DIMS), ("fr", _DIMS + 1)):
+        block = draw(_documents(1, 40, 999, n_dims))
+        by_url[lang] = {f"http://d.com/{lang}/{i}":
+                        vec(*((dims[j], w) for j, w in entries or []))
                         for i, entries in block}
         tables_by_lang[lang] = vector_table(by_url[lang].values())
         docs[lang] = [make_record(url, ["x"], lang=lang) for url in by_url[lang]]
@@ -310,6 +326,7 @@ class TestOracleEquivalence:
             m = align_cda.score_domain(partition, vectors, "en", "fr", threshold)
         scores, scored_pairs = reference.block_scores(by_url["en"], by_url["fr"], threshold)
         assert m.scored_pairs == scored_pairs
+        assert type(m.scored_pairs) is int  # the benchmark's trace writes it as JSON
         assert matrix_entries(m) == scores  # exact: same sums, same order
         assert triples(align_cda.match_one_to_one(m)) == reference.greedy(scores)
 
@@ -367,9 +384,14 @@ class TestBandedLinking:
         m = score_matrix({(f"p{p}", f"o{o}"): 100.0 - 10 * p - o
                           for p in range(4) for o in range(4)})
         with mock.patch.object(align_cda, "FIRST_BAND", 1), \
-                mock.patch.object(align_cda, "_ranked", wraps=align_cda._ranked) as ranked:
+                mock.patch.object(align_cda, "_ranked", wraps=align_cda._ranked) as ranked, \
+                mock.patch.object(align_cda, "_url_ranks",
+                                  wraps=align_cda._url_ranks) as url_ranks:
             got = triples(align_cda.match_one_to_one(m))
         assert [len(call.args[1]) for call in ranked.call_args_list] == [4, 8, 4]
+        # each side's URLs are ranked once for the three bands
+        assert [call.args[0] for call in url_ranks.call_args_list] == \
+            [m.pivot_urls, m.other_urls]
         assert got == reference.greedy(matrix_entries(m))
         assert [(p, o) for p, o, _s in got] == [(f"p{i}", f"o{i}") for i in range(4)]
 

@@ -1,3 +1,6 @@
+from collections import Counter
+from unittest import mock
+
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -272,3 +275,31 @@ class TestMatchUrls:
         }
         pairs = align_url.align_corpus_by_url(parts, "en", ["fr"], ids_of("fr"))
         assert [(p.domain) for p in pairs] == ["a.com", "b.com"]
+
+
+class TestAlignCorpusByUrl:
+    def test_shared_pivot_index_changes_nothing(self):
+        # a.com has three other languages, and its first pivot URL has
+        # several stripped forms; b.com has no pivot page
+        by_domain = {
+            "a.com": {"en": ["a.com/en/x?lang=en", "a.com/en/y", "a.com/z"],
+                      "fr": ["a.com/fr/x?lang=fr", "a.com/fr/z"],
+                      "de": ["a.com/de/y", "a.com/x?lang=de"],
+                      "es": ["a.com/es/x", "a.com/es/y", "a.com/es/w"]},
+            "b.com": {"en": [], "fr": ["b.com/fr/v"]},
+        }
+        parts = {domain: CorpusPartition(domain=domain, by_lang={
+            lang: [make_record(u, ["x"], lang=lang) for u in urls]
+            for lang, urls in by_lang.items()}) for domain, by_lang in by_domain.items()}
+        ids = ids_of("en", "fr", "de", "es")
+        assert len(strip_identifiers("a.com/en/x?lang=en", ids)) > 2
+        langs = ["fr", "es", "de"]
+        expected = [pair for domain in sorted(parts) for lang in sorted(langs)
+                    for pair in align_url.match_urls(parts[domain], "en", lang, ids)]
+        assert {p.other_lang for p in expected} == set(langs)
+        with mock.patch.object(align_url, "strip_identifiers",
+                               wraps=align_url.strip_identifiers) as strip:
+            assert align_url.align_corpus_by_url(parts, "en", langs, ids) == expected
+        # every URL once: each pivot URL for all of its domain's languages
+        assert Counter(call.args[0] for call in strip.call_args_list) == Counter(
+            url for by_lang in by_domain.values() for urls in by_lang.values() for url in urls)
