@@ -23,7 +23,8 @@ SEPARATORS = "/_-.=?&"
 
 # Identifiers may contain '-' or '_' (locale forms like fr-fr, vi_vn) and are
 # matched as joined token spans; the remaining separators are forbidden.
-_FORBIDDEN_IN_ID = set(SEPARATORS) - {"-", "_"}
+_FORBIDDEN_IN_ID = re.compile(
+    "[" + re.escape(SEPARATORS.replace("-", "").replace("_", "")) + "]")
 
 _SPLIT_RE = re.compile("([" + re.escape(SEPARATORS) + "])")
 # Where the path or the query of a URL without its scheme starts.
@@ -57,7 +58,7 @@ class IdentifierSet:
 def _check_identifier(ident: str) -> None:
     if not ident or ident != ident.lower():
         raise ConfigError(f"identifier {ident!r} must be lowercase and non-empty")
-    if any(c in _FORBIDDEN_IN_ID for c in ident):
+    if _FORBIDDEN_IN_ID.search(ident):
         raise ConfigError(f"identifier {ident!r} contains a separator character")
 
 
@@ -177,9 +178,12 @@ def match_urls(
     """Match documents whose normalized URL forms intersect; 1-1 enforced by
     first-match-wins in lexicographic URL order. Pairs carry score 1.
     ``index`` is ``pivot_index(partition, pivot_lang, ids)``, built here
-    when not given."""
+    when not given. With no pivot URL form nothing can match, so no other
+    URL is stripped."""
     if index is None:
         index = pivot_index(partition, pivot_lang, ids)
+    if not index:
+        return []
 
     taken_pivot: set[str] = set()
     out: list[AlignmentPair] = []

@@ -22,6 +22,7 @@ run decodes no token.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import unicodedata
@@ -150,15 +151,28 @@ class CorpusPartition:
         return self.by_lang.get(lang, [])
 
 
+# An optional scheme, "//" and a plain ASCII host (no "@", ":", "[", "]",
+# "%", whitespace or control character) that the end of the URL or a "/",
+# "?" or "#" ends. For such a URL urlsplit's netloc is exactly the host, so
+# its hostname is the host lowercased.
+_PLAIN_HOST = re.compile(
+    r"(?:[A-Za-z][A-Za-z0-9+.\-]*:)?//([A-Za-z0-9._~!$&'()*+,;=-]*)(?=[/?#]|\Z)")
+
+
 def domain_of(url: str) -> str:
     """Registrable host of a URL: scheme, credentials and port stripped.
 
-    Host-relative inputs like ``xyz.ca/fr/index.htm`` are accepted. A URL
-    that urllib cannot split is a ``SchemaError`` naming it and the reason.
+    Host-relative inputs like ``xyz.ca/fr/index.htm`` are accepted. A plain
+    host (``_PLAIN_HOST``) is read without ``urlsplit``; any other URL goes
+    through it, and one that urllib cannot split is a ``SchemaError`` naming
+    it and the reason.
     """
     u = url.strip()
     if "://" not in u:
         u = "//" + u
+    plain = _PLAIN_HOST.match(u)
+    if plain:
+        return plain[1].lower()
     try:
         host = urlsplit(u).hostname or ""
     except ValueError as exc:
@@ -292,22 +306,36 @@ def _is_cjk(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
 
 
+def _translated(ch: str) -> str:
+    """What ch becomes before splitting on whitespace: itself for a letter,
+    digit or mark, " ch " for a CJK character, " " for anything else."""
+    if _is_cjk(ch):
+        return f" {ch} "
+    return ch if unicodedata.category(ch)[0] in ("L", "N", "M") else " "
+
+
 class _Translation(dict):
-    """ord(ch) -> what ch becomes before splitting on whitespace: itself for
-    a letter, digit or mark, " ch " for a CJK character, " " for anything
-    else. Kept characters map to themselves because a lookup that misses
-    costs str.translate more than one that hits. Filled lazily: a miss
-    classifies the one character and stores it, since scanning the whole
-    code space up front would cost more than tokenizing a typical run."""
+    """ord(ch) -> ``_translated(ch)``. Kept characters map to themselves
+    because a lookup that misses costs str.translate more than one that
+    hits. Filled lazily: a miss classifies the one character and stores it,
+    since scanning the whole code space up front would cost more than
+    tokenizing a typical run."""
 
     def __missing__(self, cp: int) -> str:
-        ch = chr(cp)
-        kept = unicodedata.category(ch)[0] in ("L", "N", "M")
-        self[cp] = f" {ch} " if _is_cjk(ch) else ch if kept else " "
+        self[cp] = _translated(chr(cp))
         return self[cp]
 
 
 _TRANSLATE = _Translation()
+
+
+@functools.cache
+def _latin1_table() -> bytes:
+    """``_translated`` of U+0000..U+00FF as a ``bytes.translate`` table. No
+    CJK range starts below U+2E80, so each of the 256 maps to one character
+    of the same range; were that to change, the table would not be 256
+    bytes long and ``bytes.translate`` would refuse it."""
+    return "".join(map(_translated, map(chr, range(256)))).encode("latin-1")
 
 
 def tokenize(text: str) -> list[str]:
@@ -316,14 +344,24 @@ def tokenize(text: str) -> list[str]:
     CJK characters become single-codepoint tokens. Purely numeric tokens
     are kept; empty tokens never emitted.
 
-    Each distinct character is classified once per process into a shared
-    translate table. An entry depends only on the character, never on the
-    text it came from, so the tokens do not depend on what filled the
-    table or in which order. ``str.split`` then stands in for a
-    flush-on-separator loop, which holds because no letter, digit or mark
-    is whitespace.
+    Text whose lowercase form is all Latin-1 (U+0000..U+00FF), as ASCII and
+    most Western European pages are, is classified one byte at a time
+    through a 256-byte table; ``str.translate`` is fast only on ASCII. The
+    test follows lowercasing, which can move a character into Latin-1 (the
+    Kelvin sign becomes "k") or out of it ("İ" becomes "i" and a combining
+    dot). Other text goes through a translate table shared by the process,
+    into which each distinct character is classified once. Both tables
+    hold the ``_translated`` rule, which depends only on the character, so
+    the tokens do not depend on what filled a table or in which order.
+    ``str.split`` then stands in for a flush-on-separator loop, which holds
+    because no letter, digit or mark is whitespace.
     """
-    return text.lower().translate(_TRANSLATE).split()
+    lowered = text.lower()
+    try:
+        latin1 = lowered.encode("latin-1")
+    except UnicodeEncodeError:
+        return lowered.translate(_TRANSLATE).split()
+    return latin1.translate(_latin1_table()).decode("latin-1").split()
 
 
 # Language tags are fields of docs.tsv and of the TSV artifacts, and a

@@ -31,6 +31,14 @@ class TestIdentifierSet:
         with pytest.raises(ConfigError):
             ids_of("fr/ca")
 
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_separators_other_than_dash_and_underscore_rejected(self, sep):
+        if sep in "-_":
+            assert f"fr{sep}ca" in ids_of(f"fr{sep}ca")
+        else:
+            with pytest.raises(ConfigError, match="contains a separator character"):
+                ids_of(f"fr{sep}ca")
+
     def test_allows_compound_locales(self):
         s = ids_of("fr-fr", "vi_vn")
         assert "fr-fr" in s
@@ -300,6 +308,18 @@ class TestAlignCorpusByUrl:
         with mock.patch.object(align_url, "strip_identifiers",
                                wraps=align_url.strip_identifiers) as strip:
             assert align_url.align_corpus_by_url(parts, "en", langs, ids) == expected
-        # every URL once: each pivot URL for all of its domain's languages
+        # every URL of a domain with a pivot page once, each pivot URL for all
+        # of its domain's languages; b.com, with none, strips no URL
         assert Counter(call.args[0] for call in strip.call_args_list) == Counter(
-            url for by_lang in by_domain.values() for urls in by_lang.values() for url in urls)
+            url for by_lang in by_domain.values() if by_lang["en"]
+            for urls in by_lang.values() for url in urls)
+
+    # each of the domain's other URLs was stripped, though nothing could match
+    def test_domain_without_pivot_page_strips_nothing(self):
+        parts = {"a.com": partition([], ["a.com/fr/x", "a.com/x?lang=fr"], domain="a.com")}
+        ids = ids_of("fr")
+        with mock.patch.object(align_url, "strip_identifiers",
+                               wraps=align_url.strip_identifiers) as strip:
+            assert align_url.match_urls(parts["a.com"], "en", "fr", ids) == []
+            assert align_url.align_corpus_by_url(parts, "en", ["fr"], ids) == []
+        assert strip.call_count == 0

@@ -5,6 +5,7 @@ import tempfile
 import time
 import unicodedata
 from unittest import mock
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -184,6 +185,25 @@ edge_text = st.text(
 )
 
 
+# Every Latin-1 character, and characters that str.lower moves into
+# Latin-1 (the Kelvin and Angstrom signs, capital sharp s, Y with
+# diaeresis) or out of it (İ).
+_LATIN1_EDGES = [chr(cp) for cp in range(0x100)] + ["\u212a", "\u212b", "ẞ", "Ÿ"]
+latin1_text = st.text(alphabet=st.sampled_from(_LATIN1_EDGES + ["İ"]), max_size=60)
+
+
+class _GeneralPath(Exception):
+    pass
+
+
+class _RefusingTranslation(dict):
+    """A translate table that fails any lookup: text that consults it did
+    not take the Latin-1 byte table."""
+
+    def __missing__(self, cp: int) -> str:
+        raise _GeneralPath(f"U+{cp:04X}")
+
+
 class TestTokenize:
     def test_lowercase_and_punct(self):
         assert corpus.tokenize("The cat, the CAT.") == ["the", "cat", "the", "cat"]
@@ -223,6 +243,24 @@ class TestTokenize:
             assert corpus.tokenize(first) == oracle_tokenize(first)
             assert corpus.tokenize(second) == oracle_tokenize(second)
             assert corpus.tokenize(first) == oracle_tokenize(first)
+
+    @given(latin1_text)
+    def test_matches_oracle_on_latin1_text(self, s):
+        assert corpus.tokenize(s) == oracle_tokenize(s)
+
+    # Text whose lowercase form is Latin-1 never reaches the general table,
+    # even when the byte table is built under the refusing one.
+    @given(st.text(alphabet=st.sampled_from(_LATIN1_EDGES), max_size=60))
+    def test_latin1_text_takes_byte_table(self, s):
+        corpus._latin1_table.cache_clear()
+        with mock.patch.object(corpus, "_TRANSLATE", _RefusingTranslation()):
+            assert corpus.tokenize(s) == oracle_tokenize(s)
+
+    @pytest.mark.parametrize("text", ["İstanbul", "café 中文", "œuvre"])
+    def test_other_text_takes_general_table(self, text):
+        with mock.patch.object(corpus, "_TRANSLATE", _RefusingTranslation()):
+            with pytest.raises(_GeneralPath):
+                corpus.tokenize(text)
 
     def test_no_kept_character_is_whitespace(self):
         # str.split() ends a token only at whitespace, so it agrees with the
@@ -324,7 +362,61 @@ class TestParseRecord:
         assert rec.raw_length == 5
 
 
+def oracle_domain_of(url: str) -> str:
+    """``domain_of`` before plain hosts skipped ``urlsplit``."""
+    u = url.strip()
+    if "://" not in u:
+        u = "//" + u
+    try:
+        host = urlsplit(u).hostname or ""
+    except ValueError as exc:
+        raise SchemaError(f"URL {url!r} cannot be split: {exc}") from None
+    return host.lower()
+
+
+# Characters that end a host or have a meaning of their own to urlsplit,
+# whitespace and C0 controls (some of which urlsplit deletes or strips),
+# non-ASCII letters, and characters whose NFKC form holds a "/" or "?".
+_URL_CHARS = st.sampled_from(
+    list("aZ09.-_~!$&'()*+,;=@:[]%\\#?/ ")
+    + ["\t", "\r", "\n", "\x00", "\x01", "\x1f", "\x7f",
+       "é", "İ", "\u212a", "ß", "中", "\u2100", "\uff0f"])
+urls = st.builds(
+    lambda head, host, rest: head + host + rest,
+    st.sampled_from(["", "//", "http://", "HTTPS://", "s3+x.y-z://", "1a://",
+                     "://", "http:/", "http:", "mailto:", " \thttp://"]),
+    st.text(st.sampled_from("abXY09.-"), max_size=8),
+    st.text(_URL_CHARS, max_size=16),
+)
+
+
+def _outcome(domain_of, url):
+    try:
+        return domain_of(url)
+    except SchemaError as exc:
+        return ("SchemaError", str(exc))
+
+
 class TestDomainOf:
+    @given(urls)
+    @example("http://a.com/x")
+    @example("HTTP://UPPER.COM")
+    @example("//a.com?q#f")
+    @example("a.com:8080/x")
+    @example("http://[::1]/x")
+    @example("http://a\tb.com/x")
+    @example("http://%41.com/")
+    def test_matches_urlsplit_oracle(self, url):
+        assert _outcome(corpus.domain_of, url) == _outcome(oracle_domain_of, url)
+
+    @pytest.mark.parametrize("url,host", [
+        ("http://A.com/x", "a.com"), ("xyz.ca/fr/index.htm", "xyz.ca"),
+        ("https://b.org?q=1", "b.org"), ("s3+x://c.net#f", "c.net"), ("d.io", "d.io"),
+    ])
+    def test_plain_host_skips_urlsplit(self, url, host):
+        with mock.patch.object(corpus, "urlsplit", side_effect=AssertionError(url)):
+            assert corpus.domain_of(url) == host
+
     @pytest.mark.parametrize("url,host", [
         ("http://a.com/x", "a.com"),
         ("https://user:pw@b.org:8080/y?z=1", "b.org"),
