@@ -11,15 +11,17 @@ stable sort, and finds each other-language entry's postings by counting:
 a table of each dimension's first posting and posting count, built with
 ``np.bincount`` and a cumulative sum. Where the block's dimensions, counted
 from 0, outnumber its entries, the table would cost more than it saves,
-and the postings are found by binary search instead. Linking ranks a
-block's URLs once, however many score bands it reaches.
+and the postings are found by binary search instead. ``match_one_to_one``
+ranks and walks a block's entries one score band at a time: the
+``FIRST_BAND`` highest per possible link with their ties, then twice as
+many of the rest each time. It ranks the block's URLs once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -34,11 +36,10 @@ from .vectorspace import VectorTable
 # document whose own products exceed it forms a chunk alone.
 PRODUCT_BUDGET = 1 << 16
 
-# ``match_one_to_one`` first ranks the FIRST_BAND * n highest-scoring
-# entries of a block that can make n links, and ranks more only while links
-# are missing. Greedy linking mostly ends within a few entries per link, so
-# the first band spares a large block its full sort; a smaller one costs
-# tiny blocks a second band more often than the partition saves.
+# ``match_one_to_one``'s first band, in entries per possible link. Greedy
+# linking mostly ends within a few entries per link, so the first band
+# spares a large block its full sort; a smaller one costs tiny blocks a
+# second band more often than the partition saves.
 FIRST_BAND = 4
 
 
@@ -164,9 +165,9 @@ def score_domain(
     post_w_of = np.empty(products)
     post_doc_of = np.empty(products, dtype=np.int64)
 
-    def score_rows(r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
-        """The kept pairs of the other documents r0:r1 and their sums; a
-        pair is other * n_pivot + pivot."""
+    # each chunk's kept pairs, other * n_pivot + pivot, and their sums
+    kept_pairs, kept_sums = [], []
+    for r0, r1 in zip(bounds, bounds[1:]):
         e0, e1 = o_offsets[r0], o_offsets[r1]
         n = hits[e0:e1]
         # every (other entry, posting of its dimension) product, in
@@ -190,15 +191,10 @@ def score_domain(
         matrix.scored_pairs += int(np.count_nonzero(
             sums if positive else np.bincount(pair, minlength=bins)))
         kept = np.flatnonzero((sums >= threshold) & (sums > 0.0))
-        return kept + r0 * n_pivot, sums[kept]
-
-    chunks = [score_rows(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
-    if len(chunks) == 1:
-        pairs, matrix.scores = chunks[0]
-    else:
-        pairs = np.concatenate([chunk_pairs for chunk_pairs, _ in chunks])
-        matrix.scores = np.concatenate([chunk_scores for _, chunk_scores in chunks])
-    matrix.other, matrix.pivot = np.divmod(pairs, n_pivot)
+        kept_pairs.append(kept + r0 * n_pivot)
+        kept_sums.append(sums[kept])
+    matrix.other, matrix.pivot = np.divmod(np.concatenate(kept_pairs), n_pivot)
+    matrix.scores = np.concatenate(kept_sums)
     return matrix
 
 
@@ -209,82 +205,56 @@ def _url_ranks(urls: list[str]) -> np.ndarray:
     return ranks
 
 
-def _ranked(matrix: ScoreMatrix, entries: np.ndarray | None = None,
-            ranks: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Entry indices by descending score, ties by pivot URL, then other URL:
-    of every entry, or of those in ``entries``. ``ranks`` holds the
-    ``_url_ranks`` of the pivot and of the other URLs, computed here when
-    not given."""
-    if ranks is None:
-        ranks = _url_ranks(matrix.pivot_urls), _url_ranks(matrix.other_urls)
+def _ranked(matrix: ScoreMatrix, entries: np.ndarray,
+            ranks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``entries`` by descending score, ties by pivot URL, then other URL.
+    ``ranks`` holds the ``_url_ranks`` of the pivot and of the other URLs."""
     pivot_ranks, other_ranks = ranks
-    pivot, other, scores = matrix.pivot, matrix.other, matrix.scores
-    if entries is not None:
-        pivot, other, scores = pivot[entries], other[entries], scores[entries]
-    order = np.lexsort((other_ranks[other], pivot_ranks[pivot], -scores))
-    return order if entries is None else entries[order]
-
-
-def _bands(matrix: ScoreMatrix, k: int) -> Iterator[np.ndarray]:
-    """``_ranked(matrix)`` one band at a time. A band holds the ``k``
-    highest-scoring entries not yet ranked plus every tie of the lowest of
-    them, and ``k`` doubles from band to band. Every score of a band exceeds
-    every score left after it, so the bands concatenate to the full order.
-    The URLs are ranked once, for every band."""
-    scores = matrix.scores
-    if len(scores) <= k:  # the common tiny block: no gathers, no partition
-        yield _ranked(matrix)
-        return
-    ranks = _url_ranks(matrix.pivot_urls), _url_ranks(matrix.other_urls)
-    rest = np.arange(len(scores))
-    while len(rest) > k:
-        left = scores[rest]
-        cut = np.partition(left, len(rest) - k)[len(rest) - k]
-        yield _ranked(matrix, rest[left >= cut], ranks)
-        rest = rest[left < cut]
-        k *= 2
-    if len(rest):
-        yield _ranked(matrix, rest, ranks)
-
-
-def _link(matrix: ScoreMatrix, bands: Iterable[np.ndarray]) -> list[AlignmentPair]:
-    """Accept entries, band by band in order, whose two endpoints are both
-    unmatched; stop once the smaller side is matched."""
-    n_pivot, n_other = len(matrix.pivot_urls), len(matrix.other_urls)
-    taken_pivot = bytearray(n_pivot)
-    taken_other = bytearray(n_other)
-    limit = min(n_pivot, n_other)
-    out: list[AlignmentPair] = []
-    for order in bands:
-        for p, o, score in zip(matrix.pivot[order].tolist(),
-                               matrix.other[order].tolist(),
-                               matrix.scores[order].tolist()):
-            if taken_pivot[p] or taken_other[o]:
-                continue
-            taken_pivot[p] = taken_other[o] = 1
-            out.append(
-                AlignmentPair(
-                    domain=matrix.domain,
-                    pivot_url=matrix.pivot_urls[p],
-                    other_url=matrix.other_urls[o],
-                    other_lang=matrix.other_lang,
-                    score=score,
-                )
-            )
-            if len(out) == limit:
-                return out
-    return out
+    return entries[np.lexsort((other_ranks[matrix.other[entries]],
+                               pivot_ranks[matrix.pivot[entries]], -matrix.scores[entries]))]
 
 
 def match_one_to_one(matrix: ScoreMatrix) -> list[AlignmentPair]:
     """Greedy competitive linking over the stored entries.
 
     Entries are taken in descending score order (ties by URL pair); an entry
-    is accepted iff neither endpoint is matched yet. Only the score bands
-    reached before the smaller side is matched are ranked.
+    is accepted iff neither endpoint is matched yet. They are ranked one band
+    at a time, until the smaller side is matched: a band holds the ``k``
+    highest-scoring entries left with every tie of the lowest of them, or
+    every entry left when no more than ``k`` are, and ``k`` doubles from
+    ``FIRST_BAND`` per possible link. Every score of a band exceeds every
+    score left after it, so the bands walk the full order.
     """
-    limit = min(len(matrix.pivot_urls), len(matrix.other_urls))
-    return _link(matrix, _bands(matrix, FIRST_BAND * limit))
+    n_pivot, n_other = len(matrix.pivot_urls), len(matrix.other_urls)
+    limit = min(n_pivot, n_other)
+    ranks = _url_ranks(matrix.pivot_urls), _url_ranks(matrix.other_urls)
+    taken_pivot, taken_other = bytearray(n_pivot), bytearray(n_other)
+    out: list[AlignmentPair] = []
+    rest = np.arange(len(matrix.scores))
+    k = FIRST_BAND * limit
+    while len(rest):
+        band = rest
+        if len(rest) > k:
+            left = matrix.scores[rest]
+            cut = np.partition(left, len(rest) - k)[len(rest) - k]
+            band = rest[left >= cut]
+        order = _ranked(matrix, band, ranks)
+        for p, o, score in zip(matrix.pivot[order].tolist(),
+                               matrix.other[order].tolist(),
+                               matrix.scores[order].tolist()):
+            if taken_pivot[p] or taken_other[o]:
+                continue
+            taken_pivot[p] = taken_other[o] = 1
+            out.append(AlignmentPair(domain=matrix.domain, pivot_url=matrix.pivot_urls[p],
+                                     other_url=matrix.other_urls[o],
+                                     other_lang=matrix.other_lang, score=score))
+            if len(out) == limit:
+                return out
+        if band is rest:  # the band held every entry left
+            return out
+        rest = rest[left < cut]
+        k *= 2
+    return out
 
 
 def align_corpus(
@@ -296,7 +266,7 @@ def align_corpus(
     stats: dict | None = None,
 ) -> list[AlignmentPair]:
     """Align every (domain, language) block independently; ``langs`` are the
-    non-pivot languages.
+    non-pivot languages, each once; any other ``langs`` is a ``ConfigError``.
 
     A pivot document matches at most one document per other language but may
     appear across languages. ``vectors`` maps each language, the pivot too,
@@ -306,6 +276,10 @@ def align_corpus(
     ``scored_pairs`` and ``possible_pairs`` totals.
     """
     langs = sorted(langs)
+    if pivot_lang in langs:
+        raise ConfigError(f"langs must not list the pivot {pivot_lang!r}")
+    if len(set(langs)) < len(langs):
+        raise ConfigError(f"langs must not list a language twice, got {langs!r}")
     start = dict.fromkeys([pivot_lang, *langs], 0)  # each table's next domain's first row
     for lang in start:
         if lang not in vectors:
@@ -313,8 +287,7 @@ def align_corpus(
         _check_rows(vectors[lang], lang, sum(len(p.docs(lang)) for p in partitions.values()))
 
     pairs: list[AlignmentPair] = []
-    scored = 0
-    possible = 0
+    scored = possible = 0
     for domain in sorted(partitions):
         part = partitions[domain]
         block = {}

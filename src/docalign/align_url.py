@@ -65,20 +65,22 @@ def _check_identifier(ident: str) -> None:
 def load_identifier_set(path) -> IdentifierSet:
     """One identifier per line, lowercased; '#' comments and blank lines
     ignored. An identifier that breaks ``IdentifierSet``'s rule, and a file
-    with none, is a ``FormatError`` naming the file (and the line)."""
-    idents = set()
+    with none, is a ``FormatError`` naming the file (and the first bad line)."""
+    first_line: dict[str, int] = {}
     for lineno, line in read_lines(path):
-        ident = line.split("#", 1)[0].strip().lower()
-        if not ident:
-            continue
-        try:
-            _check_identifier(ident)
-        except ConfigError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-        idents.add(ident)
-    if not idents:
+        if ident := line.split("#", 1)[0].strip().lower():
+            first_line.setdefault(ident, lineno)
+    if not first_line:
         raise FormatError(f"{path}: no identifiers")
-    return IdentifierSet(identifiers=frozenset(idents))
+    try:
+        return IdentifierSet(identifiers=frozenset(first_line))
+    except ConfigError:
+        for ident, lineno in first_line.items():  # in line order: the first bad line
+            try:
+                _check_identifier(ident)
+            except ConfigError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+        raise
 
 
 def default_identifier_set() -> IdentifierSet:
@@ -219,8 +221,13 @@ def align_corpus_by_url(
     ids: IdentifierSet,
 ) -> list[AlignmentPair]:
     """``match_urls`` of every (domain, language) block, in sorted order;
-    each domain's pivot URL forms are computed once, for all its languages."""
+    each domain's pivot URL forms are computed once, for all its languages.
+    ``langs`` listing the pivot, or a language twice, is a ``ConfigError``."""
     langs = sorted(langs)
+    if pivot_lang in langs:
+        raise ConfigError(f"langs must not list the pivot {pivot_lang!r}")
+    if len(set(langs)) < len(langs):
+        raise ConfigError(f"langs must not list a language twice, got {langs!r}")
     pairs: list[AlignmentPair] = []
     for domain in sorted(partitions):
         part = partitions[domain]

@@ -246,6 +246,19 @@ class TestAlignCorpus:
                                               rf"hold {rows} rows for its 2 documents$"):
             align_cda.score_domain(part, block, "en", "fr", 0.1)
 
+    # run rejects both, but the function is public: it linked each pivot
+    # page to itself, and emitted every pair of a repeated language twice
+    @pytest.mark.parametrize("langs, message", [
+        pytest.param(["fr", "en"], "langs must not list the pivot 'en'", id="pivot"),
+        pytest.param(["fr", "de", "fr"],
+                     "langs must not list a language twice, got ['de', 'fr', 'fr']",
+                     id="twice"),
+    ])
+    def test_rejects_pivot_or_repeated_language(self, langs, message):
+        partitions, vectors = self.build()
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            align_cda.align_corpus(partitions, vectors, "en", langs, 0.1)
+
     def test_stats_reported(self):
         partitions, vectors = self.build()
         stats = {}
@@ -369,14 +382,20 @@ def linking_blocks(draw):
 
 
 class TestBandedLinking:
-    @pytest.mark.parametrize("first_band", [1, align_cda.FIRST_BAND])
+    # a first band of 100 entries per link exceeds every block drawn, so
+    # each block is linked from one band of all its entries
+    @pytest.mark.parametrize("first_band", [1, align_cda.FIRST_BAND, 100])
     @settings(max_examples=150, deadline=None)
     @given(matrix=linking_blocks())
     def test_equals_full_ranking(self, first_band, matrix):
-        with mock.patch.object(align_cda, "FIRST_BAND", first_band):
+        with mock.patch.object(align_cda, "FIRST_BAND", first_band), \
+                mock.patch.object(align_cda, "_ranked", wraps=align_cda._ranked) as ranked:
             got = triples(align_cda.match_one_to_one(matrix))
         assert got == reference.greedy(matrix_entries(matrix))
-        assert got == triples(align_cda._link(matrix, [align_cda._ranked(matrix)]))
+        if first_band == 100:
+            n = len(matrix.scores)
+            assert [call.args[1].tolist() for call in ranked.call_args_list] == \
+                ([list(range(n))] if n else [])
 
     def test_links_across_three_bands(self):
         # each pivot's entries outrank the next pivot's, so p3's link is the

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from unittest import mock
 
@@ -89,6 +90,21 @@ class TestIdentifierSet:
         s = default_identifier_set()
         for ident in ("fr", "en", "cs", "ces", "czech", "french", "zh-cn", "vi"):
             assert ident in s
+
+    # each was checked by the loader and again by IdentifierSet
+    def test_default_set_checks_each_identifier_once(self):
+        with mock.patch.object(align_url, "_check_identifier",
+                               wraps=align_url._check_identifier) as check:
+            s = default_identifier_set()
+        assert Counter(call.args[0] for call in check.call_args_list) == \
+            Counter(s.identifiers)
+
+    def test_load_file_names_first_bad_line(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        path.write_text("fr\nfr/ca\nde/at\nfr/ca\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: identifier "
+                                              r"'fr/ca' contains a separator character$"):
+            align_url.load_identifier_set(path)
 
 
 class TestStripIdentifiers:
@@ -313,6 +329,18 @@ class TestAlignCorpusByUrl:
         assert Counter(call.args[0] for call in strip.call_args_list) == Counter(
             url for by_lang in by_domain.values() if by_lang["en"]
             for urls in by_lang.values() for url in urls)
+
+    # run rejects both, but the function is public: a repeated language
+    # emitted every pair twice
+    @pytest.mark.parametrize("langs, message", [
+        pytest.param(["fr", "en"], "langs must not list the pivot 'en'", id="pivot"),
+        pytest.param(["fr", "fr"], "langs must not list a language twice, got ['fr', 'fr']",
+                     id="twice"),
+    ])
+    def test_rejects_pivot_or_repeated_language(self, langs, message):
+        parts = {"a.com": partition(["a.com/x"], ["a.com/fr/x"], domain="a.com")}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            align_url.align_corpus_by_url(parts, "en", langs, ids_of("fr"))
 
     # each of the domain's other URLs was stripped, though nothing could match
     def test_domain_without_pivot_page_strips_nothing(self):
