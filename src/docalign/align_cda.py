@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import CorpusPartition
+from .corpus import CorpusPartition, checked_langs
 from .errors import ConfigError, FormatError
 from .textfile import read_lines
 from .vectorspace import VectorTable
@@ -275,11 +275,7 @@ def align_corpus(
     is a ``FormatError``. When ``stats`` is given, it receives
     ``scored_pairs`` and ``possible_pairs`` totals.
     """
-    langs = sorted(langs)
-    if pivot_lang in langs:
-        raise ConfigError(f"langs must not list the pivot {pivot_lang!r}")
-    if len(set(langs)) < len(langs):
-        raise ConfigError(f"langs must not list a language twice, got {langs!r}")
+    langs = checked_langs(pivot_lang, langs)
     start = dict.fromkeys([pivot_lang, *langs], 0)  # each table's next domain's first row
     for lang in start:
         if lang not in vectors:

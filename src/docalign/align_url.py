@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Iterable
 
 from .align_cda import AlignmentPair
-from .corpus import CorpusPartition
+from .corpus import CorpusPartition, checked_langs
 from .errors import ConfigError, FormatError
 from .textfile import read_lines
 
@@ -92,28 +92,21 @@ def default_identifier_set() -> IdentifierSet:
 
 def _split_host(url: str) -> tuple[str, str]:
     """Split a lowercased URL into (scheme+host, path+query)."""
-    rest = url
-    scheme = ""
-    if "://" in rest:
-        scheme, rest = rest.split("://", 1)
-        scheme += "://"
-    m = _PATH_RE.search(rest)
-    if m:
-        return scheme + rest[: m.start()], rest[m.start() :]
-    return scheme + rest, ""
+    m = _PATH_RE.search(url, url.find("://") + 3 if "://" in url else 0)
+    cut = m.start() if m else len(url)
+    return url[:cut], url[cut:]
 
 
 def _drop_query_param(url: str, ids: IdentifierSet) -> set[str]:
     """Variants with one whole query parameter removed when its value (or the
     bare token itself) is an identifier."""
-    base, sep, query = url.partition("?")
-    if not sep or not query:
+    base, _, query = url.partition("?")
+    if not query:
         return set()
     params = query.split("&")
     out: set[str] = set()
     for i, param in enumerate(params):
-        value = param.partition("=")[2] if "=" in param else param
-        if value in ids:
+        if param.split("=", 1)[-1] in ids:
             remaining = params[:i] + params[i + 1 :]
             out.add(base + ("?" + "&".join(remaining) if remaining else ""))
     return out
@@ -122,31 +115,19 @@ def _drop_query_param(url: str, ids: IdentifierSet) -> set[str]:
 def _strip_token_spans(prefix: str, tail: str, ids: IdentifierSet) -> set[str]:
     parts = _SPLIT_RE.split(tail)
     out: set[str] = set()
-    n = len(parts)
-    heads = ids.heads
-    for i in range(0, n, 2):
-        if parts[i] not in heads:
+    for i in range(0, len(parts), 2):
+        if parts[i] not in ids.heads:
             continue
-        for j in range(i, min(i + 2 * _MAX_SPAN_TOKENS, n), 2):
-            if not parts[j]:
+        for j in range(i, min(i + 2 * _MAX_SPAN_TOKENS, len(parts)), 2):
+            # tokens are non-empty; inner separators of a multi-token span are - or _
+            if not parts[j] or (j > i and parts[j - 1] not in "-_"):
                 break
-            # inner separators of a multi-token span must be - or _
-            if j > i and any(parts[k] not in "-_" for k in range(i + 1, j, 2)):
-                break
-            span = "".join(parts[i : j + 1])
-            if span not in ids:
-                continue
-            left = parts[i - 1] if i > 0 else None
-            right = parts[j + 1] if j + 1 < n else None
-            before = parts[: max(i - 1, 0)]
-            after = parts[j + 2 :]
-            if left is not None and right is not None:
-                # doubled separator collapses to one; distinct ones both stay
-                mid = [left] if left == right else [left, right]
-            else:
-                # span at an edge: the dangling separator goes too
-                mid = []
-            out.add(prefix + "".join(before + mid + after))
+            if "".join(parts[i : j + 1]) in ids:
+                left, right = parts[i - 1 : i], parts[j + 1 : j + 2]
+                # a doubled separator collapses to one and distinct ones both
+                # stay; a span at an edge takes its dangling separator with it
+                mid = (left if left == right else left + right) if left and right else []
+                out.add(prefix + "".join(parts[: max(i - 1, 0)] + mid + parts[j + 2 :]))
     return out
 
 
@@ -165,7 +146,7 @@ def pivot_index(partition: CorpusPartition, pivot_lang: str,
     lexicographically first pivot URL that has it."""
     index: dict[str, str] = {}
     for doc in sorted(partition.docs(pivot_lang), key=lambda d: d.url):
-        for form in sorted(strip_identifiers(doc.url, ids)):
+        for form in strip_identifiers(doc.url, ids):
             index.setdefault(form, doc.url)
     return index
 
@@ -190,16 +171,10 @@ def match_urls(
     taken_pivot: set[str] = set()
     out: list[AlignmentPair] = []
     for doc in sorted(partition.docs(other_lang), key=lambda d: d.url):
-        candidates = sorted(
-            {
-                index[form]
-                for form in strip_identifiers(doc.url, ids)
-                if form in index and index[form] not in taken_pivot
-            }
-        )
-        if not candidates:
+        pivot_url = min((index[form] for form in strip_identifiers(doc.url, ids)
+                         if form in index and index[form] not in taken_pivot), default=None)
+        if pivot_url is None:
             continue
-        pivot_url = candidates[0]
         taken_pivot.add(pivot_url)
         out.append(
             AlignmentPair(
@@ -223,11 +198,7 @@ def align_corpus_by_url(
     """``match_urls`` of every (domain, language) block, in sorted order;
     each domain's pivot URL forms are computed once, for all its languages.
     ``langs`` listing the pivot, or a language twice, is a ``ConfigError``."""
-    langs = sorted(langs)
-    if pivot_lang in langs:
-        raise ConfigError(f"langs must not list the pivot {pivot_lang!r}")
-    if len(set(langs)) < len(langs):
-        raise ConfigError(f"langs must not list a language twice, got {langs!r}")
+    langs = checked_langs(pivot_lang, langs)
     pairs: list[AlignmentPair] = []
     for domain in sorted(partitions):
         part = partitions[domain]

@@ -37,7 +37,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import FormatError, ParseError, SchemaError, UsageError
+from .errors import ConfigError, FormatError, ParseError, SchemaError, UsageError
 from .textfile import read_array, read_lines
 
 # Only text under these tags is kept; everything else is boilerplate.
@@ -368,6 +368,17 @@ def tokenize(text: str) -> list[str]:
 # configured one names files such as vocab/<lang>.txt, so they are kept to
 # characters that need no quoting and cannot climb out of a directory.
 LANG_TAG = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def checked_langs(pivot: str, langs: Iterable[str]) -> list[str]:
+    """``langs`` sorted: the non-pivot languages, each once. Listing the
+    pivot, or a language twice, is a ``ConfigError``."""
+    langs = sorted(langs)
+    if pivot in langs:
+        raise ConfigError(f"langs must not list the pivot {pivot!r}")
+    if len(set(langs)) < len(langs):
+        raise ConfigError(f"langs must not list a language twice, got {langs!r}")
+    return langs
 
 
 def _unescape_tsv(value: str) -> str:

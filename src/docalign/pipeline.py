@@ -150,10 +150,7 @@ class PipelineConfig:
             if tag is None or not corpus.LANG_TAG.fullmatch(tag):
                 raise ConfigError(f"language tag {tag!r} is not made of ASCII letters, "
                                   "digits, '-' and '_'")
-        if self.pivot in self.langs:
-            raise ConfigError(f"langs must not list the pivot {self.pivot!r}")
-        if len(set(self.langs)) < len(self.langs):
-            raise ConfigError(f"langs must not list a language twice, got {self.langs!r}")
+        self.langs = corpus.checked_langs(self.pivot, self.langs)
         if self.format not in ("jsonl", "tsv"):
             raise ConfigError(f"format must be 'jsonl' or 'tsv', got {self.format!r}")
         for name in ("detect_language", "url_align", "mine"):
@@ -176,7 +173,6 @@ class PipelineConfig:
         for lang in self.langs:
             if lang not in self.resources:
                 raise ConfigError(f"no translation resource configured for language {lang!r}")
-        self.langs = sorted(self.langs)
 
     def input_files(self) -> list[str]:
         """Every file the config names: the resource files of each configured

@@ -159,6 +159,17 @@ class TestStripIdentifiers:
         forms = strip_identifiers("http://xyz.ca/fr/index.htm", ids_of("fr"))
         assert "http://xyz.ca/index.htm" in forms
 
+    # with no path the host is all there is, and it keeps its identifier token;
+    # a query right after the host is stripped as a path would be
+    @pytest.mark.parametrize("url, forms", [
+        ("http://fr.example.com", {"http://fr.example.com"}),
+        ("fr.example.com", {"fr.example.com"}),
+        ("http://example.com?lang=fr",
+         {"http://example.com?lang=fr", "http://example.com?lang", "http://example.com"}),
+    ])
+    def test_no_path_or_query_after_host(self, url, forms):
+        assert strip_identifiers(url, default_identifier_set()) == forms
+
 
 def strip_token_spans_oracle(prefix, tail, ids):
     """``_strip_token_spans`` before it skipped tokens that start no

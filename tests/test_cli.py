@@ -1,7 +1,9 @@
 import argparse
+import importlib
 import json
 import logging
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -217,6 +219,17 @@ class TestReadme:
         # a key dropped from PipelineConfig but left in README fails here
         (block,) = _readme_blocks("yaml")
         PipelineConfig.from_dict(yaml.safe_load(block))
+
+    def test_documented_names_resolve(self):
+        # a name renamed or deleted in the package but left in README fails here
+        modules = {m.name for m in pkgutil.iter_modules(docalign.__path__) if not m.ispkg}
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        names = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", text)
+                 if module in modules}
+        assert len(names) >= 18
+        for module, name in sorted(names):
+            assert hasattr(importlib.import_module(f"docalign.{module}"), name), \
+                f"README names {module}.{name}, which does not exist"
 
 
 class TestRunCommand:

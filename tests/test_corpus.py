@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from docalign import corpus
-from docalign.errors import FormatError, ParseError, SchemaError
+from docalign.errors import FormatError, ParseError, SchemaError, UsageError
 from tests.conftest import make_record, token_decodes
 
 
@@ -357,6 +357,10 @@ class TestParseRecord:
         with pytest.raises(ParseError, match="^expected 3 tab-separated fields, got 2$"):
             corpus.parse_record("http://a.com/x\tfr", "tsv")
 
+    def test_unknown_format(self):
+        with pytest.raises(UsageError, match="^unknown record format: 'xml'$"):
+            corpus.parse_record('{"url": "http://a.com/x", "text": "a"}', "xml")
+
     def test_raw_length_counts_extracted_chars(self):
         rec = corpus.parse_record('{"url":"u.com/a","text":"abcde"}')
         assert rec.raw_length == 5
@@ -584,8 +588,8 @@ class TestPartitionIO:
         make_record("http://a.com/y", [])]))
     def test_tokens_match_eager_decode(self, parts):
         """Each record read back holds the tokens written for its row, as a
-        list, by index and by slice. ``len()`` decodes nothing, and each record
-        is decoded once."""
+        list, by index, by slice and in ``repr()``. ``len()`` decodes nothing,
+        and each record is decoded once."""
         with tempfile.TemporaryDirectory() as tmp:
             corpus.write_partitions(parts, tmp)
             rows = [list(rec.tokens) for rec in _in_row_order(parts)]
@@ -596,6 +600,7 @@ class TestPartitionIO:
                 for rec, row in zip(records, rows):
                     assert rec.tokens == row and row == rec.tokens
                     assert list(rec.tokens) == row
+                    assert repr(rec.tokens) == repr(row)
                     assert [rec.tokens[i] for i in range(-len(row), len(row))] == row * 2
                     for cut in _SLICES:
                         assert rec.tokens[cut] == row[cut]

@@ -507,6 +507,9 @@ class TestRunPipeline:
                      "ASCII letters, digits, '-' and '_'", id="path-like-pivot"),
         pytest.param({"langs": ["fr", "fr"]},
                      "langs must not list a language twice, got ['fr', 'fr']", id="twice"),
+        pytest.param({"langs": ["fr", "de", "fr"]},
+                     "langs must not list a language twice, got ['de', 'fr', 'fr']",
+                     id="twice-sorted"),
         pytest.param({"langs": ["fr", "en"]}, "langs must not list the pivot 'en'",
                      id="pivot-in-langs"),
         pytest.param({"format": "xml"}, "format must be 'jsonl' or 'tsv', got 'xml'",

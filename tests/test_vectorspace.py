@@ -183,6 +183,19 @@ class TestVectorize:
             assert d1 == d2
             assert w1 == pytest.approx(w2, abs=1e-12)
 
+    def test_drops_weights_not_positive(self):
+        vocab = vocab_of(["a", "b", "c"])
+        values = {"a": 1.5, "b": 0.0, "c": -0.5}
+        idf = idf_of(vocab, values)
+        docs = [["a", "b", "c", "a"], ["c", "b", "a"], ["b", "c"], ["b"]]
+        table = vectorize(docs, vocab, idf)
+        for i, doc in enumerate(docs):
+            row = table.rows(i, i + 1)
+            assert list(zip(row.indices.tolist(), row.data.tolist())) == \
+                reference.tfidf(doc, vocab.words, [values[w] for w in vocab.words])
+        # a document whose only vocabulary word has idf 0 gets the empty row
+        assert vectorize_one(["b", "zzz"], vocab, idf) == []
+
     def test_entries_sorted_and_positive(self):
         vocab = vocab_of([f"w{i}" for i in range(10)])
         idf = idf_of(vocab, {f"w{i}": 1.0 + i for i in range(10)})
