@@ -19,7 +19,6 @@ many of the rest each time. It ranks the block's URLs once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .corpus import CorpusPartition, checked_langs
 from .errors import ConfigError, FormatError
-from .textfile import read_lines
+from .textfile import finite_score, read_lines
 from .vectorspace import VectorTable
 
 # The most weight products, and pair sums, that ``score_domain`` holds at
@@ -314,14 +313,6 @@ def save_pairs(pairs: Iterable[AlignmentPair], path) -> None:
 def load_pairs(path) -> list[AlignmentPair]:
     """Inverse of ``save_pairs``; a malformed line, or a score that is not a
     finite number, is a ``FormatError`` naming the file and line."""
-    out: list[AlignmentPair] = []
-    for lineno, (domain, purl, ourl, lang, score, method) in read_lines(path, 6):
-        try:
-            value = float(score)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: score {score!r} is not a number") from None
-        if not math.isfinite(value):
-            raise FormatError(f"{path}:{lineno}: score {score!r} is not a finite number")
-        out.append(AlignmentPair(domain=domain, pivot_url=purl, other_url=ourl,
-                                 other_lang=lang, score=value, method=method))
-    return out
+    return [AlignmentPair(domain=domain, pivot_url=purl, other_url=ourl, other_lang=lang,
+                          score=finite_score(path, lineno, score), method=method)
+            for lineno, (domain, purl, ourl, lang, score, method) in read_lines(path, 6)]

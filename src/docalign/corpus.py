@@ -66,36 +66,27 @@ _CJK_RANGES = (
 
 
 class TokenView(Sequence[str]):
-    """The tokens of one record read back from ``corpus/``: a view of the
-    record's slice of the corpus's token ids, over the corpus's one object
-    array of words. The first iteration, indexing or comparison decodes the
-    tokens into a list, which is kept; ``len()``, ``ids`` and ``words``
-    decode nothing. It equals a list of the same tokens."""
+    """The tokens of one record read back from ``corpus/``: ``ids``, the
+    record's int32 token ids, a read-only view of its slice of ``ids.npy``,
+    over ``words``, the corpus's one object array of words. The first
+    iteration, indexing or comparison decodes the tokens into a list, which
+    is kept; ``len()``, ``ids`` and ``words`` decode nothing. It equals a
+    list of the same tokens."""
 
-    __slots__ = ("_ids", "_words", "_tokens")
+    __slots__ = ("ids", "words", "_tokens")
 
     def __init__(self, ids: np.ndarray, words: np.ndarray):
-        self._ids = ids
-        self._words = words
+        self.ids = ids
+        self.words = words
         self._tokens: Optional[list[str]] = None
-
-    @property
-    def ids(self) -> np.ndarray:
-        """The record's int32 token ids, a read-only view of ``ids.npy``."""
-        return self._ids
-
-    @property
-    def words(self) -> np.ndarray:
-        """The corpus's object array of words, which the ids index."""
-        return self._words
 
     def _decoded(self) -> list[str]:
         if self._tokens is None:
-            self._tokens = self._words[self._ids].tolist()
+            self._tokens = self.words[self.ids].tolist()
         return self._tokens
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.ids)
 
     def __getitem__(self, index):
         return self._decoded()[index]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import DocumentRecord
 from .errors import ConfigError, FormatError, UsageError
-from .textfile import read_lines
+from .textfile import finite_score, read_lines
 from .vectorspace import lookup_array
 
 log = logging.getLogger(__name__)
@@ -330,12 +330,6 @@ def load_alignment(path, other_lang: str, pivot_vocab: Container[str]) -> Lexico
             raise FormatError(
                 f"{path}:{lineno}: pivot word {a!r} is not in the pivot vocabulary"
             )
-        try:
-            score = float(raw)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: score {raw!r} is not a number") from None
-        if not np.isfinite(score):
-            raise FormatError(f"{path}:{lineno}: score {raw!r} is not a finite number")
         to_pivot[b] = a
-        scores[b] = score
+        scores[b] = finite_score(path, lineno, raw)
     return LexiconAlignment(other_lang=other_lang, to_pivot=to_pivot, scores=scores)

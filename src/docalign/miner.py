@@ -28,21 +28,19 @@ def _url_tokens(url: str) -> list[str]:
 
 
 def _one_token_diff(a: list[str], b: list[str]) -> tuple[str, str] | None:
-    if len(a) == len(b):
-        diffs = [(x, y) for x, y in zip(a, b) if x != y]
-        if len(diffs) == 1:
-            return diffs[0]
-        return None
-    if abs(len(a) - len(b)) != 1:
-        return None
-    longer, shorter, flip = (a, b, False) if len(a) > len(b) else (b, a, True)
-    i = 0
-    while i < len(shorter) and longer[i] == shorter[i]:
+    """The tokens left of ``a`` and of ``b`` once their common prefix and
+    suffix are cut, each "" if none is, when at most one is left on each
+    side and not zero on both; None otherwise."""
+    n = min(len(a), len(b))
+    i = j = 0
+    while i < n and a[i] == b[i]:
         i += 1
-    if longer[i + 1 :] != shorter[i:]:
+    while j < n - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    left, right = a[i:len(a) - j], b[i:len(b) - j]
+    if max(len(left), len(right)) != 1:
         return None
-    token = longer[i]
-    return (token, "") if not flip else ("", token)
+    return "".join(left), "".join(right)  # one token or none on each side
 
 
 def mine_identifiers(

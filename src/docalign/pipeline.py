@@ -22,7 +22,7 @@ import os
 import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -97,8 +97,25 @@ class PipelineConfig:
     def from_file(cls, path, out_override: Optional[str] = None) -> "PipelineConfig":
         import yaml  # here, not at the top: callers of from_dict never load it
 
+        class Loader(yaml.SafeLoader):
+            def construct_mapping(self, node, deep=False):
+                """Refuses a key given twice in one mapping, merge keys aside."""
+                first: dict[Any, int] = {}
+                for key_node, _value in node.value:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue
+                    key = self.construct_object(key_node, deep=deep)
+                    if not isinstance(key, Hashable):
+                        break  # super() raises PyYAML's "found unhashable key"
+                    line = key_node.start_mark.line + 1
+                    if key in first:
+                        raise ConfigError(f"{path}:{line}: key {key!r} given twice, "
+                                          f"first on line {first[key]}")
+                    first[key] = line
+                return super().construct_mapping(node, deep=deep)
+
         try:
-            raw = yaml.safe_load(Path(path).read_bytes().decode("utf-8"))
+            raw = yaml.load(Path(path).read_bytes().decode("utf-8"), Loader=Loader)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8: {exc.reason}") from None
         except yaml.YAMLError as exc:
@@ -329,18 +346,13 @@ def ingest(cfg: PipelineConfig) -> None:
              len(records), len(partitions), len(records) - kept)
 
 
-def _lang_docs(partitions: Partitions, lang: str) -> list[corpus.DocumentRecord]:
+def _lang_docs(partitions: Partitions,
+               lang: str) -> tuple[list[corpus.DocumentRecord], Sequence[str]]:
     """The documents of ``lang`` in corpus order: domains sorted, then
-    ``docs(lang)``, the order of the rows of ``docs.tsv``."""
-    return [doc for domain in sorted(partitions) for doc in partitions[domain].docs(lang)]
-
-
-def _token_ids(docs: list[corpus.DocumentRecord]) -> tuple[np.ndarray, Sequence[str]]:
-    """The token ids of ``docs``, records read back from one ``corpus/``,
-    concatenated, and the words of that corpus, which they index."""
-    if not docs:
-        return np.zeros(0, dtype=np.int32), []
-    return np.concatenate([d.tokens.ids for d in docs]), docs[0].tokens.words
+    ``docs(lang)``, the order of the rows of ``docs.tsv``; and the words of
+    the ``corpus/`` they were read back from, which their token ids index."""
+    docs = [doc for domain in sorted(partitions) for doc in partitions[domain].docs(lang)]
+    return docs, docs[0].tokens.words if docs else []
 
 
 def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
@@ -357,7 +369,8 @@ def build_lexicon(cfg: PipelineConfig, partitions: Partitions) -> None:
 
     vocabs: dict[str, vectorspace.Vocabulary] = {}
     for lang in [pivot, *cfg.langs]:
-        ids, words = _token_ids(_lang_docs(partitions, lang))
+        docs, words = _lang_docs(partitions, lang)
+        ids = np.concatenate([d.tokens.ids for d in docs] or [np.zeros(0, dtype=np.int32)])
         vocabs[lang] = vectorspace.build_vocabulary(
             ids, words, cfg.skip_top_k, cfg.vocab_size, stoplist
         )
@@ -407,16 +420,14 @@ def vectorize_corpus(cfg: PipelineConfig, partitions: Partitions) -> None:
     idf_dir.mkdir(parents=True, exist_ok=True)
 
     for lang in [pivot, *cfg.langs]:
-        if lang != pivot:
-            align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", lang,
-                                           pivot_vocab.index)
-        docs = _lang_docs(partitions, lang)
+        docs, words = _lang_docs(partitions, lang)
         # token ids to pivot dimensions through one lookup array over the words
-        words = docs[0].tokens.words if docs else []
         if lang == pivot:
             lookup = vectorspace.lookup_array(pivot_vocab.index, words)
             dims = (lookup[d.tokens.ids] for d in docs)
         else:
+            align = lexicon.load_alignment(out / "lexicon" / f"{lang}.tsv", lang,
+                                           pivot_vocab.index)
             tokens = lexicon.token_map(align, words, pivot_vocab.index)
             dims = (lexicon.map_document(d, tokens) for d in docs)
         _save_vectors(dims, pivot_vocab, idf_dir / f"{lang}.tsv", vec_dir / lang)
@@ -488,7 +499,8 @@ def write_report(cfg: PipelineConfig, gold: evaluation.Gold) -> None:
 #
 # Each ``_stage_*`` declares its digest key, the paths it owns (every file
 # its work writes is at or under one of them) and its work; ``_run_stage``
-# does the rest.
+# does the rest. A key holds only what the work reads: a parameter that the
+# config leaves unread is keyed as None.
 
 
 def _run_stage(out: Path, manifest: dict, name: str, key: dict, owns: list[Path],
@@ -531,7 +543,7 @@ def _stage_ingest(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
     _run_stage(out, manifest, "ingest", {
         "input": manifest["inputs"][cfg.input],
         "format": cfg.format,
-        "lang_confidence": cfg.lang_confidence,
+        "lang_confidence": cfg.lang_confidence if cfg.detect_language else None,
         "detect_language": cfg.detect_language,
     }, [out / "corpus"], lambda: ingest(cfg))
 
@@ -571,7 +583,7 @@ def _stage_align(cfg: PipelineConfig, out: Path, manifest: dict,
         "vectorize": manifest["stages"]["vectorize"],
         "threshold": cfg.threshold,
         "url_align": cfg.url_align,
-        "identifiers": manifest["inputs"].get(cfg.identifiers),
+        "identifiers": manifest["inputs"].get(cfg.identifiers) if cfg.url_align else None,
     }, [out / "pairs.tsv", out / "pairs_url.tsv"], work)
 
 

@@ -4,8 +4,9 @@ arrays, that the pipeline loads.
 Every text file is UTF-8; a leading byte order mark is dropped. A line ends
 at "\\n", and one "\\r" just before it is dropped, so LF and CRLF files read
 the same; a lone "\\r" is part of its line. A byte that is not UTF-8, and a
-line without the expected number of tab-separated fields, is a
-``FormatError`` naming the file and the line.
+line without the expected number of tab-separated fields, and a score field
+that is not a finite number, is a ``FormatError`` naming the file and the
+line.
 
 Every array file holds one 1-D array of a known dtype, stored without
 pickling. A file of either kind that cannot be opened, and an array file
@@ -14,6 +15,7 @@ that holds anything else, is a ``FormatError`` naming the file.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -56,6 +58,18 @@ def read_lines(path, fields: Optional[int] = None,
                     raise FormatError(f"{path}:{lineno}: expected {fields} tab-separated "
                                       f"fields, got {len(parts)}")
                 yield lineno, parts
+
+
+def finite_score(path, lineno: int, raw: str) -> float:
+    """The score field ``raw`` of line ``lineno`` of the file at ``path``,
+    as a finite float."""
+    try:
+        score = float(raw)
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: score {raw!r} is not a number") from None
+    if not math.isfinite(score):
+        raise FormatError(f"{path}:{lineno}: score {raw!r} is not a finite number")
+    return score
 
 
 def read_array(path, dtype) -> np.ndarray:

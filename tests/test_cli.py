@@ -264,6 +264,25 @@ class TestRunCommand:
         assert list(report["cda"]["per_domain"]) == ["b\u00fccher.example"]
 
 
+class TestModuleEntryPoint:
+    # the exit line of `python -m docalign.cli` ran in no test
+    @pytest.mark.parametrize("score, code", [("0.9", 0), ("high", 2)])
+    def test_python_m_exits_with_the_code_of_main(self, tmp_path, score, code):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"a.com\thttp://a.com/en/1\thttp://a.com/fr/1\tfr\t{score}\tcda\n")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("http://a.com/en/1\thttp://a.com/fr/1\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(docalign.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "docalign.cli", "evaluate", "--pred",
+                               str(pairs), "--gold", str(gold)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stdout.startswith("recall@1: 100.00%  (1/1 gold pairs)")
+        else:
+            assert proc.stderr == f"error: {pairs}:1: score 'high' is not a number\n"
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.yaml"
@@ -345,6 +364,31 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert (tmp_path / "out" / "FAILED").read_text() == "lexicon\n"
         assert capsys.readouterr().err.startswith(f"error: {table}:2: not UTF-8")
+
+    # the last value was kept silently
+    @pytest.mark.parametrize("key", ["threshold", "fr"])
+    def test_config_key_given_twice_is_1(self, tmp_path, capsys, key):
+        cfg, config = fixture_config(tmp_path)
+        assert main(["run", "--config", config]) == 0
+        before = tree(tmp_path / "out")
+        spec = json.dumps(cfg.pop("resources")["fr"])
+        lines = yaml.safe_dump(cfg).splitlines() + ["resources:", f"  fr: {spec}"]
+        lines.append("threshold: 0.5" if key == "threshold" else f"  fr: {spec}")
+        Path(config).write_text("\n".join(lines) + "\n")
+        first = lines.index("threshold: 0.1" if key == "threshold" else f"  fr: {spec}") + 1
+        assert main(["run", "--config", config]) == 1
+        assert capsys.readouterr().err == (f"error: {config}:{len(lines)}: key {key!r} "
+                                           f"given twice, first on line {first}\n")
+        assert tree(tmp_path / "out") == before
+
+    def test_config_merge_key_may_be_given_again(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("input: in.jsonl\nout: out\nlangs: [de, fr]\nresources:\n"
+                        "  fr: &fr {table_fwd: a.tsv, table_bwd: b.tsv}\n"
+                        "  de:\n    <<: *fr\n    table_fwd: c.tsv\n")
+        cfg = PipelineConfig.from_file(path)
+        assert cfg.resources["de"] == pipeline.LanguageResource("c.tsv", "b.tsv")
+        assert cfg.resources["fr"] == pipeline.LanguageResource("a.tsv", "b.tsv")
 
     def test_config_not_utf8_is_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.yaml"

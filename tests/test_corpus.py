@@ -361,6 +361,13 @@ class TestParseRecord:
         with pytest.raises(UsageError, match="^unknown record format: 'xml'$"):
             corpus.parse_record('{"url": "http://a.com/x", "text": "a"}', "xml")
 
+    # "//a.com/x" is read as host-relative, so its "//" leads an empty host,
+    # as the one of "http:///x" does
+    @pytest.mark.parametrize("url", ["//a.com/x", "http:///x"])
+    def test_url_with_empty_host(self, url):
+        with pytest.raises(SchemaError, match=f"^URL {re.escape(repr(url))} has no host$"):
+            corpus.parse_record(json.dumps({"url": url, "text": "a"}))
+
     def test_raw_length_counts_extracted_chars(self):
         rec = corpus.parse_record('{"url":"u.com/a","text":"abcde"}')
         assert rec.raw_length == 5

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from docalign.align_cda import AlignmentPair
-from docalign.miner import mine_identifiers
+from docalign.miner import _one_token_diff, mine_identifiers
 
 
 def pair(purl, ourl, method="cda"):
@@ -78,3 +79,39 @@ class TestMineIdentifiers:
     def test_scheme_ignored(self):
         pairs = [pair("http://a.com/en/x", "https://a.com/fr/x")]
         assert mine_identifiers(pairs) == [("en", "fr", 1)]
+
+
+def one_token_diff_plain(a, b):
+    """The substituted pair when ``a`` and ``b`` differ at one position, the
+    deleted token beside "" when deleting one token of the longer list
+    gives the shorter, None otherwise."""
+    if len(a) == len(b):
+        diffs = [(x, y) for x, y in zip(a, b) if x != y]
+        return diffs[0] if len(diffs) == 1 else None
+    for i in range(len(a)):
+        if a[:i] + a[i + 1:] == b:
+            return a[i], ""
+    for i in range(len(b)):
+        if b[:i] + b[i + 1:] == a:
+            return "", b[i]
+    return None
+
+
+url_tokens = st.lists(st.sampled_from(["en", "fr", "x"]), max_size=6)
+
+
+@st.composite
+def token_list_pairs(draw):
+    """Two token lists of length 0-6, the second either drawn on its own or
+    made from the first by one edit: a token put in, cut out or replaced."""
+    a, b = draw(url_tokens), draw(url_tokens)
+    i = draw(st.integers(0, len(a)))
+    edited = (a[:i] + b[:1] + a[i + draw(st.integers(0, 1)):])[:6]
+    return a, draw(st.sampled_from([b, edited]))
+
+
+@given(token_list_pairs())
+def test_one_token_diff_matches_plain_definition(pair):
+    a, b = pair
+    assert _one_token_diff(a, b) == one_token_diff_plain(a, b)
+    assert _one_token_diff(b, a) == one_token_diff_plain(b, a)

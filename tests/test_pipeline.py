@@ -411,6 +411,35 @@ class TestRunPipeline:
             run_pipeline(PipelineConfig.from_dict(cfg_dict))
         assert "lexicon: up to date, skipping" in caplog.messages
 
+    # ingest's key held lang_confidence with detection off, and align's the
+    # identifiers digest with url_align off, so each edit reran that stage
+    # and every stage after it; where the stage reads it, it still reruns
+    @pytest.mark.parametrize("read, edit, skipped", [
+        (False, "lang_confidence", ["ingest", "lexicon", "vectorize", "align", "evaluate"]),
+        (False, "identifiers", ["ingest", "lexicon", "vectorize", "align", "evaluate"]),
+        (True, "lang_confidence", []),
+        (True, "identifiers", ["ingest", "lexicon", "vectorize"]),
+    ])
+    def test_unread_parameter_keys_no_stage(self, tmp_path, caplog, read, edit, skipped):
+        import logging
+
+        corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
+                                 doc_len=(10, 15), seed=1)
+        identifiers = tmp_path / "identifiers.txt"
+        identifiers.write_text("en\nfr\n")
+        cfg_dict = corpus.config(tmp_path / "fx", tmp_path / "out", detect_language=read,
+                                 url_align=read, identifiers=str(identifiers))
+        run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        if edit == "lang_confidence":
+            cfg_dict["lang_confidence"] = 0.9
+        else:
+            identifiers.write_text("en\nfr\nde\n")
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="docalign.pipeline"):
+            run_pipeline(PipelineConfig.from_dict(cfg_dict))
+        assert [m.split(":")[0] for m in caplog.messages
+                if m.endswith(": up to date, skipping")] == skipped
+
     def test_manifest_inputs_are_the_files_the_config_names(self, tmp_path):
         corpus = SyntheticCorpus(n_domains=1, docs_per_domain=2, vocab_size=30,
                                  doc_len=(10, 15), seed=1)
